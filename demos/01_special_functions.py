@@ -1,4 +1,4 @@
-"""Evaluate the built-in Bessel/Kelvin functions and show their behavior.
+"""Evaluate the thin scipy.special wrappers for the Bessel/Kelvin functions.
 
 The fundamental solutions of both elliptic operators in this toolkit are
 built from K0, K1 and the Kelvin functions; this script prints a few pinned

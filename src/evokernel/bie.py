@@ -1,7 +1,8 @@
 """Discretized second-kind boundary integral equations.
 
 The single source of truth for the half-jump sign is ``residual_operator``:
-the dense matrix B = I/2 + Ktilde diag(omega), shared verbatim between the
+the dense matrix B = I/2 + Ktilde diag(omega), computed once per kernel
+matrix (``BoundaryKernelMatrix.operator``) and shared verbatim between the
 classical Nystrom solve, the residual evaluation and the self-supervised
 training loss (the loss multiplies batches of densities against the very
 same B, so residuals recomputed here match the loss integrand bitwise).
@@ -73,20 +74,9 @@ class FieldSample:
     near_boundary: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
-_OPERATOR_CACHE: dict = {}
-_LU_CACHE: dict = {}
-
-
 def residual_operator(kmat):
-    """B = I/2 + Ktilde diag(omega); cached per kernel matrix instance."""
-    key = id(kmat)
-    B = _OPERATOR_CACHE.get(key)
-    if B is None:
-        n = kmat.n_unknowns
-        B = kmat.values * kmat.grid.weight
-        B = B + 0.5 * np.eye(n)
-        _OPERATOR_CACHE[key] = B
-    return B
+    """B = I/2 + Ktilde diag(omega); computed once per kernel matrix instance."""
+    return kmat.operator
 
 
 def bie_residual(kmat, phi, g):
@@ -126,11 +116,7 @@ def nystrom_solve(kmat, g):
         gv = np.asarray(g, dtype=np.float64)
         grid = kmat.grid
     B = residual_operator(kmat)
-    key = id(kmat)
-    lu = _LU_CACHE.get(key)
-    if lu is None:
-        lu = scipy.linalg.lu_factor(B)
-        _LU_CACHE[key] = lu
+    lu = kmat.lu
     phi = scipy.linalg.lu_solve(lu, gv.T).T if gv.ndim > 1 else scipy.linalg.lu_solve(lu, gv)
     scale = max(float(np.max(np.abs(gv))), 1.0)
     res = np.max(np.abs(bie_residual(kmat, phi, gv)))

@@ -355,18 +355,20 @@ def newton_nonlinear(v, w, tau, rhs, tol=1e-12, maxit=50):
     """Solve z + i (tau/2)(v + w |z|^2) z = rhs pointwise (vectorized Newton).
 
     |z|^2 is not complex-differentiable, so Newton runs on (Re z, Im z) with
-    the exact 2x2 Jacobian; initial guess rhs.
+    the exact 2x2 Jacobian; initial guess rhs.  Converged when every point's
+    residual is at most tol * max(1, |rhs|), which float64 can reach.
     """
     c = 0.5 * tau
     rhs = np.asarray(rhs, dtype=np.complex128)
     p = rhs.real.copy()
     q = rhs.imag.copy()
     rr, ri = rhs.real, rhs.imag
+    scale = np.maximum(np.abs(rhs), 1.0)
     for _ in range(maxit):
         s = v + w * (p * p + q * q)
         g1 = p - c * s * q - rr
         g2 = q + c * s * p - ri
-        res = np.maximum(np.abs(g1), np.abs(g2))
+        res = np.maximum(np.abs(g1), np.abs(g2)) / scale
         if float(res.max()) <= tol:
             return p + 1j * q
         j11 = 1.0 - 2.0 * c * w * p * q
@@ -377,7 +379,8 @@ def newton_nonlinear(v, w, tau, rhs, tol=1e-12, maxit=50):
         p = p - (g1 * j22 - g2 * j12) / det
         q = q - (g2 * j11 - g1 * j21) / det
     bad = int(np.argmax(res))
-    raise NewtonError(f"pointwise Newton stalled at index {bad}, residual {res.max():.3e}")
+    raise NewtonError(f"pointwise Newton stalled at index {bad}, "
+                      f"residual {res.max():.3e} relative to max(1, |rhs|)")
 
 
 def newton_pointwise(v, w, tau, rhs):

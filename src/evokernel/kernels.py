@@ -40,12 +40,14 @@ near-diagonal extrapolation in the test suite.
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from . import specfun
 
@@ -162,12 +164,23 @@ class BoundaryKernelMatrix:
     """Dense parametrized boundary kernel in shared residual orientation.
 
     values has shape (n, n) for the scalar case or (2n, 2n) for the coupled
-    case with node-interleaved component layout.
+    case with node-interleaved component layout.  The residual operator B and
+    its LU factors are computed once per instance and live as long as it.
     """
 
     values: np.ndarray
     grid: object
     spec: object
+
+    @cached_property
+    def operator(self):
+        """B = I/2 + Ktilde diag(omega); read it through bie.residual_operator."""
+        return self.values * self.grid.weight + 0.5 * np.eye(self.n_unknowns)
+
+    @cached_property
+    def lu(self):
+        """scipy.linalg.lu_factor of the residual operator B."""
+        return scipy.linalg.lu_factor(self.operator)
 
     @property
     def kind(self):
@@ -178,21 +191,49 @@ class BoundaryKernelMatrix:
         return self.values.shape[0]
 
 
-def _offdiag_geometry(grid):
-    p = grid.points
-    d = p[None, :, :] - p[:, None, :]
+def _node_geometry(grid, pts):
+    """r = |y - x| and dr/dn_y from targets x = pts (m, 2) to the grid nodes y.
+
+    Coincident pairs get the placeholder r = 1 (so drdn = 0) and are flagged
+    in the returned mask; callers overwrite or reject them.
+    """
+    d = grid.points[None, :, :] - pts[:, None, :]
     r = np.hypot(d[..., 0], d[..., 1])
-    np.fill_diagonal(r, 1.0)  # placeholder, diagonal overwritten below
+    coincident = r == 0.0
+    r[coincident] = 1.0
     drdn = (d[..., 0] * grid.normals[None, :, 0]
             + d[..., 1] * grid.normals[None, :, 1]) / r
-    return r, drdn
+    return r, drdn, coincident
+
+
+def _double_layer(spec, grid, r, drdn):
+    """Kernel entries dG/dn_y * |gamma'| for the pair geometry (r, drdn).
+
+    Scalar: (m, n).  Coupled: (2m, 2n) interleaved with the swap and sign
+    folded in: with D = [[-dkei, dker], [dker, dkei]] * f the folded block
+    is K[a, b] = -D[a, 1-b].
+    """
+    if spec.kind == "scalar":
+        sk = np.sqrt(spec.kappa)
+        return specfun.k1(r / sk) / (2.0 * np.pi * sk) * drdn * grid.speeds[None, :]
+    sl = np.sqrt(spec.lam)
+    z = r / sl
+    f = drdn / (2.0 * np.pi * sl) * grid.speeds[None, :]
+    dker = specfun.dker0(z.ravel()).reshape(z.shape)
+    dkei = specfun.dkei0(z.ravel()).reshape(z.shape)
+    m, n = r.shape
+    K = np.empty((2 * m, 2 * n))
+    K[0::2, 0::2] = -dker * f
+    K[0::2, 1::2] = dkei * f
+    K[1::2, 0::2] = -dkei * f
+    K[1::2, 1::2] = -dker * f
+    return K
 
 
 def scalar_boundary_kernel(spec, grid):
     """K(s_j, t_l) = dG0/dn_y * |gamma'(t_l)|, diagonal = curv * speed / (4 pi)."""
-    sk = np.sqrt(spec.kappa)
-    r, drdn = _offdiag_geometry(grid)
-    K = specfun.k1(r / sk) / (2.0 * np.pi * sk) * drdn * grid.speeds[None, :]
+    r, drdn, _ = _node_geometry(grid, grid.points)
+    K = _double_layer(spec, grid, r, drdn)
     np.fill_diagonal(K, grid.curvatures * grid.speeds / (4.0 * np.pi))
     return BoundaryKernelMatrix(values=K, grid=grid, spec=spec)
 
@@ -205,21 +246,10 @@ def system_boundary_kernel(spec, grid):
     Ktilde[:, :, a, 0] = -D[a, 1], Ktilde[:, :, a, 1] = -D[a, 0];
     diagonal blocks are (curv * speed / 4 pi) * Id.
     """
-    sl = np.sqrt(spec.lam)
-    r, drdn = _offdiag_geometry(grid)
-    z = r / sl
-    f = drdn / (2.0 * np.pi * sl) * grid.speeds[None, :]
-    dker = specfun.dker0(z.ravel()).reshape(z.shape)
-    dkei = specfun.dkei0(z.ravel()).reshape(z.shape)
-    n = grid.n
-    K = np.zeros((2 * n, 2 * n))
-    # D = [[-dkei, dker], [dker, dkei]] * f; folded: K[a, b] = -D[a, 1-b]
-    K[0::2, 0::2] = -dker * f
-    K[0::2, 1::2] = dkei * f
-    K[1::2, 0::2] = -dkei * f
-    K[1::2, 1::2] = -dker * f
+    r, drdn, _ = _node_geometry(grid, grid.points)
+    K = _double_layer(spec, grid, r, drdn)
     c = grid.curvatures * grid.speeds / (4.0 * np.pi)
-    idx = np.arange(n)
+    idx = np.arange(grid.n)
     K[2 * idx, 2 * idx] = c
     K[2 * idx + 1, 2 * idx + 1] = c
     K[2 * idx, 2 * idx + 1] = 0.0
@@ -234,7 +264,9 @@ def boundary_kernel(spec, grid):
     """Cached kernel-matrix builder keyed by (spec kind+value, curve, n_bd).
 
     Matrices are reused across time steps; an optional on-disk cache is
-    enabled by the EVOKERNEL_CACHE_DIR environment variable.
+    enabled by the EVOKERNEL_CACHE_DIR environment variable.  Its files are
+    named by a sha256 of the file header (spec, curve with its parameters,
+    n_bd), and the header is checked again on load.
     """
     key = (spec.kind, spec.value, grid.cache_key)
     hit = _CACHE.get(key)
@@ -244,8 +276,9 @@ def boundary_kernel(spec, grid):
     path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        tag = f"{spec.kind}_{spec.value:.12g}_{grid.curve.kind}_{grid.n}"
-        path = os.path.join(cache_dir, tag + ".kmat")
+        full_key = json.dumps(_header(spec, grid), sort_keys=True)
+        digest = hashlib.sha256(full_key.encode()).hexdigest()
+        path = os.path.join(cache_dir, digest + ".kmat")
         if os.path.exists(path):
             kmat = load_kernel_matrix(path, grid=grid, spec=spec)
             _CACHE[key] = kmat
@@ -270,58 +303,50 @@ def potential_matrix(spec, grid, pts):
     pts: (m, 2) strictly interior points.  Scalar: (m, n); coupled: (2m, 2n)
     interleaved, swap and sign folded exactly as in the boundary kernel.
     """
-    pts = np.asarray(pts, dtype=np.float64)
-    d = grid.points[None, :, :] - pts[:, None, :]
-    r = np.hypot(d[..., 0], d[..., 1])
-    if np.any(r == 0.0):
+    r, drdn, coincident = _node_geometry(grid, np.asarray(pts, dtype=np.float64))
+    if np.any(coincident):
         raise ValueError("potential evaluation point lies on the boundary grid")
-    drdn = (d[..., 0] * grid.normals[None, :, 0]
-            + d[..., 1] * grid.normals[None, :, 1]) / r
-    if spec.kind == "scalar":
-        sk = np.sqrt(spec.kappa)
-        return specfun.k1(r / sk) / (2.0 * np.pi * sk) * drdn * grid.speeds[None, :]
-    sl = np.sqrt(spec.lam)
-    z = r / sl
-    f = drdn / (2.0 * np.pi * sl) * grid.speeds[None, :]
-    dker = specfun.dker0(z.ravel()).reshape(z.shape)
-    dkei = specfun.dkei0(z.ravel()).reshape(z.shape)
-    m, n = pts.shape[0], grid.n
-    P = np.empty((2 * m, 2 * n))
-    P[0::2, 0::2] = -dker * f
-    P[0::2, 1::2] = dkei * f
-    P[1::2, 0::2] = -dkei * f
-    P[1::2, 1::2] = -dker * f
-    return P
+    return _double_layer(spec, grid, r, drdn)
 
 
 _MAGIC = b"EVOKERNEL-KMAT/1\n"
 
 
+def _header(spec, grid):
+    """File header of the (spec, grid) kernel matrix, as it reads back from JSON."""
+    n = grid.n if spec.kind == "scalar" else 2 * grid.n
+    return json.loads(json.dumps({
+        "rows": n, "cols": n, "kind": spec.kind, "param": float(spec.value),
+        "curve": grid.curve.kind, "params": grid.curve.params, "n_bd": grid.n,
+    }))
+
+
 def save_kernel_matrix(kmat, path):
     """Flat binary export: magic, JSON header line, row-major float64 block."""
-    header = {
-        "rows": int(kmat.values.shape[0]),
-        "cols": int(kmat.values.shape[1]),
-        "kind": kmat.spec.kind,
-        "param": float(kmat.spec.value),
-        "curve": kmat.grid.curve.kind,
-        "n_bd": int(kmat.grid.n),
-    }
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
+        fh.write((json.dumps(_header(kmat.spec, kmat.grid), sort_keys=True) + "\n").encode())
         fh.write(np.ascontiguousarray(kmat.values, dtype="<f8").tobytes())
 
 
 def load_kernel_matrix(path, grid=None, spec=None):
+    """Read a saved matrix; raises ValueError on a header that does not match
+    the requested spec/grid or a body that is not exactly rows*cols float64s."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a kernel matrix file")
         header = json.loads(fh.readline().decode())
         body = fh.read()
-    vals = np.frombuffer(body, dtype="<f8").reshape(header["rows"], header["cols"]).copy()
     if spec is None:
         spec = (ScalarKernelSpec(header["param"]) if header["kind"] == "scalar"
                 else SystemKernelSpec(header["param"]))
+    elif (header["kind"], header["param"]) != (spec.kind, float(spec.value)):
+        raise ValueError(f"{path}: header {header} does not match {spec}")
+    if grid is not None and header != _header(spec, grid):
+        raise ValueError(f"{path}: header {header} does not match the requested grid")
+    rows, cols = header["rows"], header["cols"]
+    if len(body) != rows * cols * 8:
+        raise ValueError(f"{path}: body has {len(body)} bytes, expected {rows * cols * 8}")
+    vals = np.frombuffer(body, dtype="<f8").reshape(rows, cols).copy()
     return BoundaryKernelMatrix(values=vals, grid=grid, spec=spec)

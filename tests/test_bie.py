@@ -37,6 +37,18 @@ def test_residual_linearity():
                        a * bie.bie_residual(km, phi, g), rtol=1e-13, atol=1e-15)
 
 
+def test_residual_operator_fresh_per_matrix():
+    # a dropped matrix's id() is reused by the next one, so B must belong to the matrix
+    grid = sample_quadrature(DISK, 32)
+    eye = 0.5 * np.eye(32)
+    for kappa in np.linspace(0.02, 0.2, 200):
+        km = kernels.scalar_boundary_kernel(kernels.ScalarKernelSpec(kappa), grid)
+        B = km.values * grid.weight + eye
+        assert np.array_equal(bie.residual_operator(km), B)
+        phi = bie.nystrom_solve(km, np.ones(32)).values
+        assert np.max(np.abs(B @ phi - 1.0)) <= 1e-10
+
+
 def test_solve_residual_property():
     spec, grid, km = _disk_setup(0.05, 128)
     g = scalar_boundary_solution(0.05)(grid.points)

@@ -134,6 +134,15 @@ def test_newton_divergence_reports_index():
                             maxit=3)
 
 
+def test_newton_converges_at_large_rhs():
+    # an absolute 1e-12 residual is below float64 resolution at |rhs| = 1e4
+    v, w, tau = np.array([0.0, 1.0]), 1.0, 0.01
+    rhs = np.array([1e4 + 0j, 6e3 + 8e3j])
+    z = ev.newton_nonlinear(v, w, tau, rhs)
+    resid = z + 0.5j * tau * (v + w * np.abs(z) ** 2) * z - rhs
+    assert np.all(np.abs(resid) <= 1e-12 * np.abs(rhs) * np.sqrt(2))
+
+
 def test_backend_range_error_names_interval():
     backend = ev.ClassicalBackend(DOMAIN, lam_range=(0.05, 0.1))
     prob = ex.heat_problem(DOMAIN, 0.6, 0.8, 1.0, 1)  # lam = tau = 1.0

@@ -180,3 +180,37 @@ def test_kernel_cache_and_roundtrip(tmp_path):
     loaded = ker.load_kernel_matrix(path)
     assert np.array_equal(loaded.values, a.values)
     assert loaded.spec.kappa == spec.kappa
+
+
+def test_disk_cache_keys_curve_params(tmp_path, monkeypatch):
+    # two disks that differ only in radius need separate cache files
+    monkeypatch.setenv("EVOKERNEL_CACHE_DIR", str(tmp_path))
+    spec = ker.ScalarKernelSpec(0.1)
+    grids = [sample_quadrature(make_curve("disk", radius=r), 32) for r in (1.0, 2.0)]
+    for grid in grids:
+        ker.clear_cache()
+        ker.boundary_kernel(spec, grid)
+    assert len(list(tmp_path.iterdir())) == 2
+    for grid in grids:
+        ker.clear_cache()
+        cached = ker.boundary_kernel(spec, grid)
+        assert np.array_equal(cached.values, ker.scalar_boundary_kernel(spec, grid).values)
+    ker.clear_cache()
+    path = tmp_path / "k.kmat"
+    ker.save_kernel_matrix(cached, path)
+    with pytest.raises(ValueError):
+        ker.load_kernel_matrix(path, grid=grids[0], spec=spec)
+    with pytest.raises(ValueError):
+        ker.load_kernel_matrix(path, grid=grids[1], spec=ker.ScalarKernelSpec(0.2))
+
+
+def test_load_rejects_truncated_file(tmp_path):
+    grid = sample_quadrature(make_curve("disk"), 32)
+    spec = ker.ScalarKernelSpec(0.1)
+    path = tmp_path / "k.kmat"
+    ker.save_kernel_matrix(ker.scalar_boundary_kernel(spec, grid), path)
+    data = path.read_bytes()
+    for body in (data[:-8], data + bytes(8)):
+        path.write_bytes(body)
+        with pytest.raises(ValueError, match=r"k\.kmat: body has \d+ bytes, expected 8192"):
+            ker.load_kernel_matrix(path, grid=grid, spec=spec)
