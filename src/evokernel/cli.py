@@ -265,10 +265,33 @@ def _build_backend(section):
         raise ValidationError(f"unknown backend domain {dkind!r}")
     if section.get("kind", "classical") == "classical":
         return ClassicalBackend(domain)
-    bnd, _ = load_checkpoint(section["boundary_checkpoint"])
-    src, _ = load_checkpoint(section["source_checkpoint"])
-    return NekmBackend(domain, bnd, src, tuple(section.get("lam_range", (0.05, 0.1))),
+    bnd, bnd_meta = load_checkpoint(section["boundary_checkpoint"])
+    src, src_meta = load_checkpoint(section["source_checkpoint"])
+    lam_range = _lam_range(section.get("lam_range"), [bnd_meta, src_meta])
+    return NekmBackend(domain, bnd, src, lam_range,
                        coupled=section.get("coupled", False))
+
+
+def _lam_range(configured, metas):
+    """The configured lambda range, checked against (and by default equal to)
+    the kappa span that every checkpoint carrying kappas was trained on."""
+    spans = [(min(m["kappas"]), max(m["kappas"])) for m in metas if m.get("kappas")]
+    if not spans:
+        if configured is None:
+            raise ValidationError("backend.lam_range is required: no checkpoint "
+                                  "records the kappas it was trained on")
+        return tuple(configured)
+    lo = max(s[0] for s in spans)
+    hi = min(s[1] for s in spans)
+    if lo > hi:
+        raise ValidationError(f"checkpoint kappa spans {spans} do not overlap")
+    if configured is None:
+        return (lo, hi)
+    c_lo, c_hi = configured
+    if not (lo <= c_lo <= c_hi <= hi):
+        raise ValidationError(f"backend.lam_range [{c_lo}, {c_hi}] outside the "
+                              f"trained kappa span [{lo}, {hi}]")
+    return (c_lo, c_hi)
 
 
 def cmd_evolve(cfg, out):
@@ -518,6 +541,9 @@ def main(argv=None):
     os.makedirs(out, exist_ok=True)
     try:
         return _COMMANDS[cfg["command"]](cfg, out)
+    except ValidationError as exc:  # config checks that need loaded inputs
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # runtime failure -> exit 1 with message
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

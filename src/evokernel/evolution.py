@@ -24,7 +24,7 @@ finite-difference oracle changes errors, never shapes or protocols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -150,13 +150,23 @@ class NekmBackend:
 
     Solves (I - lam Delta) u = F by normalizing to Delta u - u/lam = -F/lam
     (the trained source-operator form) plus the boundary-driven double-layer
-    field from the predicted density.  Refuses lam outside the trained range.
+    field from the predicted density.  Refuses lam outside the trained range,
+    and models whose sample points or widths do not match the domain.
     """
 
     kind = "nekm"
 
     def __init__(self, domain, boundary_model, source_model, lam_range,
                  coupled=False):
+        if source_model.coupled != coupled:
+            raise ValueError(f"source model coupled={source_model.coupled} "
+                             f"but backend coupled={coupled}")
+        if not np.array_equal(source_model.points, domain.points):
+            raise ValueError("source model sample points differ from the domain points")
+        width = domain.quad.n * (2 if coupled else 1)
+        if boundary_model.nn_g.dims[0] != width:
+            raise ValueError(f"boundary model input width {boundary_model.nn_g.dims[0]} "
+                             f"!= {width} boundary values")
         self.domain = domain
         self.boundary = boundary_model
         self.source = source_model
@@ -171,12 +181,23 @@ class NekmBackend:
                 f"lam={lam:.6g} outside trained range [{lo:.6g}, {hi:.6g}]")
 
     def _potential(self, lam):
+        """Weighted double-layer matrix over all domain points (zero rows on
+        the ring); coupled rows are [real parts; imaginary parts], the layout
+        of the stacked source output."""
         key = float(lam)
         P = self._pot_cache.get(key)
         if P is None:
             spec = (SystemKernelSpec(key) if self.coupled else ScalarKernelSpec(key))
-            pts = self.domain.points[self.domain.interior_idx]
-            P = potential_matrix(spec, self.domain.quad, pts) * self.domain.quad.weight
+            idx = self.domain.interior_idx
+            P_int = potential_matrix(spec, self.domain.quad, self.domain.points[idx])
+            P_int *= self.domain.quad.weight
+            npts = self.domain.points.shape[0]
+            P = np.zeros((npts * (2 if self.coupled else 1), P_int.shape[1]))
+            if self.coupled:
+                P[idx] = P_int[0::2]
+                P[npts + idx] = P_int[1::2]
+            else:
+                P[idx] = P_int
             self._pot_cache[key] = P
         return P
 
@@ -185,8 +206,7 @@ class NekmBackend:
         u = self.source.predict(lam, -F / lam)
         gq = gfun(self.domain.quad.points, t)
         phi = self.boundary.predict(lam, gq)
-        u_bnd = phi @ self._potential(lam).T
-        u[..., self.domain.interior_idx] += u_bnd
+        u += phi @ self._potential(lam).T
         if self.domain.ring_idx.size:
             u[..., self.domain.ring_idx] = gfun(
                 self.domain.points[self.domain.ring_idx], t)
@@ -197,14 +217,13 @@ class NekmBackend:
         npts = F.shape[-1]
         f_stack = np.concatenate([F.real, F.imag], axis=-1)
         u_stack = self.source.predict(lam, f_stack)
-        u = u_stack[..., :npts] + 1j * u_stack[..., npts:]
         gq = gfun(self.domain.quad.points, t)
         g_il = np.empty(gq.shape[:-1] + (2 * gq.shape[-1],))
         g_il[..., 0::2] = gq.real
         g_il[..., 1::2] = gq.imag
         phi = self.boundary.predict(lam, g_il)
-        ub = phi @ self._potential(lam).T
-        u[..., self.domain.interior_idx] += ub[..., 0::2] + 1j * ub[..., 1::2]
+        u_stack += phi @ self._potential(lam).T
+        u = u_stack[..., :npts] + 1j * u_stack[..., npts:]
         if self.domain.ring_idx.size:
             u[..., self.domain.ring_idx] = gfun(
                 self.domain.points[self.domain.ring_idx], t)
@@ -488,7 +507,12 @@ def heat_family(domain, a, b, tau, n_steps, kappa=1.0):
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))[:, None]
 
     def shape(pts, t):
-        return np.exp(-t) * np.sin(a * pts[:, 0]) * np.cos(b * pts[:, 1])
+        # lattice and boundary points repeat few coordinate values, so the
+        # trigonometry runs on the unique ones and is gathered per point
+        x, ix = np.unique(pts[:, 0], return_inverse=True)
+        y, iy = np.unique(pts[:, 1], return_inverse=True)
+        return (np.exp(-t) * np.sin(a * x).take(ix, axis=1)
+                * np.cos(b * y).take(iy, axis=1))
 
     return EvolutionProblem(
         equation="heat", domain=domain, tau=tau, n_steps=n_steps, kappa_diff=kappa,
@@ -525,7 +549,8 @@ def uq_run(backend, m_samples, seed, probe=(0.43, 0.2), tau=0.1, n_steps=10,
     b = np.sqrt(1.0 - a * a)
     domain = backend.domain
     prob = heat_family(domain, a, b, tau, n_steps)
-    res = run_heat(prob, backend, scheme="cn")
+    # only the final time is compared with the exact solution
+    res = run_heat(replace(prob, exact=None), backend, scheme="cn")
     T = tau * n_steps
     exact = prob.exact(domain.points, T)
     pred = res.final

@@ -12,6 +12,7 @@ identical to L_lam (u1, u2)^T = (f1, f2)^T with u = u1 + i u2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ class FdSolverError(RuntimeError):
 _FACTOR_CACHE: dict = {}
 
 
+@functools.cache
 def _interior_laplacian(n):
     """Sparse Delta_h on the (n-2)^2 interior unknowns, Dirichlet-eliminated."""
     m = n - 2

@@ -3,7 +3,10 @@
 SourceModel   u = (f ⊙ K(kappa)) @ G(x)^T : the quadrature-structured product
               network for the source-driven subproblem.  With the latent
               width equal to the sample count the f-branch is the identity,
-              which makes the output exactly linear in f.
+              which makes the output exactly linear in f.  G's head is
+              linear, so G = H W^T + 1 b^T has rank at most r + 1 (r the
+              last hidden width) and inference applies it in that factored
+              form.
 BoundaryModel phi = Out[K(kappa) ⊙ Lin(g)] : boundary-density predictor whose
               g-branch and output head are single linear layers, so the map
               g -> phi is exactly affine for fixed kappa.
@@ -105,6 +108,8 @@ class SourceModel:
             raise ValueError("kappa branch and coordinate branch widths differ")
         if nn_g.dims[-1] != self.n_samples:
             raise ValueError("latent width must equal the sample count (identity f-branch)")
+        if nn_g.activations[-1] != "identity":
+            raise ValueError("coordinate branch head must be linear (factored operator)")
         self._coords = augmented_points(self.points) if coupled else self.points
         self._op_cache: dict = {}
 
@@ -137,20 +142,31 @@ class SourceModel:
         self._op_cache.clear()
 
     def operator(self, kappa):
-        """(kappa features, coordinate features) frozen for one kappa value."""
+        """Rank-(r+1) factors (A, H) of the operator frozen at one kappa value.
+
+        The coordinate branch ends in a linear layer, g = H_r W^T + 1 b^T with
+        H_r its last hidden activations (N, r), so
+        (f ⊙ kf) g^T = (f @ A) @ H^T with A = kf[:, None] * [W, b] and
+        H = [H_r, 1], both (N, r + 1).  The dense N x N g is never formed.
+        """
         key = float(kappa)
         hit = self._op_cache.get(key)
         if hit is None:
             kf = self.nn_k.predict(np.array([[key]]))[0]
-            g = self.nn_g.predict(self._coords)
-            hit = (kf, g)
+            head = Mlp(self.nn_g.weights[:-1], self.nn_g.biases[:-1],
+                       self.nn_g.activations[:-1])
+            hidden = head.predict(self._coords)
+            w, b = self.nn_g.weights[-1].value, self.nn_g.biases[-1].value
+            A = kf[:, None] * np.column_stack([w, b])
+            H = np.column_stack([hidden, np.ones(hidden.shape[0])])
+            hit = (A, H)
             self._op_cache[key] = hit
         return hit
 
     def predict(self, kappa, f):
         """f: (N,) or (m, N) -> solution values of matching shape."""
-        kf, g = self.operator(kappa)
-        return (np.asarray(f, dtype=np.float64) * kf) @ g.T
+        A, H = self.operator(kappa)
+        return (np.asarray(f, dtype=np.float64) @ A) @ H.T
 
 
 class BoundaryModel:

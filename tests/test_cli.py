@@ -134,3 +134,54 @@ def test_seed_override_changes_artifacts(tmp_path):
         assert cli.main(argv) == 0
         outs.append((d / "dataset.bin").read_bytes())
     assert outs[0] != outs[1]
+
+
+def _learned_section(tmp_path, bnd_kappas, src_kappas, lam_range=None):
+    """Backend config over tiny random checkpoints with the given kappa metadata."""
+    from evokernel import nn
+    from evokernel.geometry import square_lattice
+    rng = np.random.default_rng(0)
+    paths = {}
+    for kind, model, kappas in (
+            ("boundary", nn.BoundaryModel.build(32, rng, internal=8), bnd_kappas),
+            ("source", nn.SourceModel.build(square_lattice(9).points, [8], [8], rng),
+             src_kappas)):
+        paths[kind] = str(tmp_path / f"{kind}.ckpt")
+        nn.save_checkpoint(model, paths[kind], {} if kappas is None else {"kappas": kappas})
+    section = {"kind": "nekm", "domain": {"n": 9, "n_bd": 32},
+               "boundary_checkpoint": paths["boundary"],
+               "source_checkpoint": paths["source"]}
+    if lam_range is not None:
+        section["lam_range"] = lam_range
+    return section
+
+
+def test_lam_range_defaults_to_checkpoint_kappa_overlap(tmp_path):
+    section = _learned_section(tmp_path, [0.04, 0.07, 0.1], [0.05, 0.12])
+    assert cli._build_backend(section).lam_range == (0.05, 0.1)
+    section["lam_range"] = [0.06, 0.08]
+    assert cli._build_backend(section).lam_range == (0.06, 0.08)
+
+
+@pytest.mark.parametrize("lam_range", [[0.03, 0.08], [0.06, 0.11]])
+def test_lam_range_outside_trained_span_rejected(tmp_path, capsys, lam_range):
+    cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
+           "problem": {"equation": "heat", "scheme": "cn", "tau": 0.14, "n_steps": 1},
+           "backend": _learned_section(tmp_path, [0.04, 0.1], [0.05, 0.12], lam_range)}
+    rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    assert "outside the trained kappa span" in capsys.readouterr().err
+
+
+def test_lam_range_required_without_checkpoint_kappas(tmp_path):
+    section = _learned_section(tmp_path, None, None)
+    with pytest.raises(cli.ValidationError, match="lam_range"):
+        cli._build_backend(section)
+    section["lam_range"] = [0.05, 0.1]
+    assert cli._build_backend(section).lam_range == (0.05, 0.1)
+
+
+def test_disjoint_checkpoint_kappas_rejected(tmp_path):
+    section = _learned_section(tmp_path, [0.01, 0.02], [0.05, 0.1])
+    with pytest.raises(cli.ValidationError, match="overlap"):
+        cli._build_backend(section)

@@ -133,3 +133,19 @@ def test_lattice_field_validation():
         fd.LatticeField(np.zeros((3, 4)))
     lf = fd.LatticeField(np.zeros((5, 5)))
     assert lf.h == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "complex"])
+def test_residual_check_catches_wrong_factor(kind, monkeypatch):
+    # the Laplacian behind the residual check is memoized; a corrupted cached
+    # factor must still fail the check rather than return a wrong field
+    n, param = 9, 0.07
+    rng = np.random.default_rng(11)
+    f = rng.standard_normal((n, n))
+    g = np.zeros((n, n))
+    good = fd._factorize(kind, param, n)
+    monkeypatch.setitem(fd._FACTOR_CACHE, (kind, param, 0.0, n),
+                        lambda rhs: 1.001 * good(rhs))
+    solver = fd.fd_solve_scalar if kind == "scalar" else fd.fd_solve_complex
+    with pytest.raises(fd.FdSolverError):
+        solver(param, f, g)

@@ -1,0 +1,162 @@
+"""Learned backend: factored source operator, full-width potential, guards."""
+
+import numpy as np
+import pytest
+
+from evokernel import evolution as ev
+from evokernel import nn
+from evokernel.experiments import schrodinger_problem
+from evokernel.kernels import ScalarKernelSpec, SystemKernelSpec, potential_matrix
+from evokernel.nn.models import augmented_points
+
+N, N_BD, WIDTH = 9, 32, 16
+DOMAIN = ev.SquareLatticeDomain(n=N, n_bd=N_BD)
+LAM_RANGE = {False: (0.05, 0.1), True: (0.005, 0.01)}
+
+
+def _models(coupled, seed=0):
+    rng = np.random.default_rng(seed)
+    src = nn.SourceModel.build(DOMAIN.points, [WIDTH, WIDTH], [WIDTH, WIDTH], rng,
+                               coupled=coupled)
+    bnd = nn.BoundaryModel.build(N_BD, rng, internal=WIDTH, coupled=coupled)
+    return bnd, src
+
+
+def _backend(coupled, seed=0):
+    bnd, src = _models(coupled, seed)
+    return ev.NekmBackend(DOMAIN, bnd, src, LAM_RANGE[coupled], coupled=coupled)
+
+
+def _dense_source(src, kappa, f):
+    """The source model as its definition reads: (f ⊙ kf) @ g^T, g dense N x N."""
+    kf = src.nn_k.predict(np.array([[kappa]]))[0]
+    coords = augmented_points(src.points) if src.coupled else src.points
+    return (f * kf) @ src.nn_g.predict(coords).T
+
+
+def _unfused_solve(backend, lam, F, gfun, t):
+    """Dense source, interior-only potential scattered in, ring overwritten."""
+    dom = backend.domain
+    idx = dom.interior_idx
+    spec = SystemKernelSpec(lam) if backend.coupled else ScalarKernelSpec(lam)
+    P = potential_matrix(spec, dom.quad, dom.points[idx]) * dom.quad.weight
+    gq = gfun(dom.quad.points, t)
+    if backend.coupled:
+        npts = F.shape[-1]
+        us = _dense_source(backend.source, lam, np.concatenate([F.real, F.imag], axis=-1))
+        u = us[..., :npts] + 1j * us[..., npts:]
+        g_il = np.empty(gq.shape[:-1] + (2 * gq.shape[-1],))
+        g_il[..., 0::2] = gq.real
+        g_il[..., 1::2] = gq.imag
+        ub = backend.boundary.predict(lam, g_il) @ P.T
+        u[..., idx] += ub[..., 0::2] + 1j * ub[..., 1::2]
+    else:
+        u = _dense_source(backend.source, lam, -F / lam)
+        u[..., idx] += backend.boundary.predict(lam, gq) @ P.T
+    u[..., dom.ring_idx] = gfun(dom.points[dom.ring_idx], t)
+    return u
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_factored_source_matches_dense(coupled, rows):
+    _, src = _models(coupled)
+    rng = np.random.default_rng(1)
+    f = rng.standard_normal(src.n_samples if rows is None else (rows, src.n_samples))
+    dense = _dense_source(src, 0.07, f)
+    out = src.predict(0.07, f)
+    assert out.shape == dense.shape
+    assert np.max(np.abs(out - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_source_head_must_be_linear():
+    _, src = _models(False)
+    src.nn_g.activations[-1] = "relu"
+    with pytest.raises(ValueError, match="linear"):
+        nn.SourceModel(src.points, src.nn_k, src.nn_g)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("rows", [None, 4])
+def test_solve_matches_unfused_composition(coupled, rows):
+    backend = _backend(coupled)
+    lam = LAM_RANGE[coupled][0]
+    rng = np.random.default_rng(2)
+    shape = DOMAIN.points.shape[0] if rows is None else (rows, DOMAIN.points.shape[0])
+    F = rng.standard_normal(shape)
+    if coupled:
+        F = F + 1j * rng.standard_normal(shape)
+        gfun = lambda pts, t: np.exp(1j * (pts[:, 0] - t)) * np.cos(pts[:, 1])  # noqa: E731
+        out = backend.solve_coupled(lam, F, gfun, 0.3)
+    else:
+        gfun = lambda pts, t: np.sin(pts[:, 0] + t) * pts[:, 1]  # noqa: E731
+        out = backend.solve(lam, F, gfun, 0.3)
+    ref = _unfused_solve(backend, lam, F, gfun, 0.3)
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_learned_batched_equals_sequential():
+    backend = _backend(False)
+    a = np.array([0.5, 0.6, 0.7, 0.5])
+    b = np.sqrt(1.0 - a * a)
+    batched = ev.run_heat(ev.heat_family(DOMAIN, a, b, 0.1, 3), backend, "cn").final
+    for i in range(a.size):
+        single = ev.run_heat(ev.heat_family(DOMAIN, a[i], b[i], 0.1, 3), backend,
+                             "cn").final[0]
+        assert np.max(np.abs(single - batched[i])) <= 1e-12 * np.max(np.abs(single))
+    assert np.array_equal(batched[0], batched[3])
+
+
+def test_learned_rerun_bit_identical():
+    a = np.array([0.45, 0.55, 0.65])
+    b = np.sqrt(1.0 - a * a)
+    finals = [ev.run_heat(ev.heat_family(DOMAIN, a, b, 0.1, 3), _backend(False, seed=4),
+                          "cn").final for _ in range(2)]
+    assert np.array_equal(finals[0], finals[1])
+    nls = [ev.run_schrodinger(schrodinger_problem(DOMAIN, 0.01, 3),
+                              _backend(True, seed=4)).final for _ in range(2)]
+    assert np.array_equal(nls[0], nls[1])
+
+
+def test_uq_run_stats_match_traced_run_heat():
+    backend = _backend(False)
+    tau, n_steps = 0.1, 3
+    stats, hist = ev.uq_run(backend, 6, seed=3, tau=tau, n_steps=n_steps)
+    a = hist["a"]
+    prob = ev.heat_family(DOMAIN, a, np.sqrt(1.0 - a * a), tau, n_steps)
+    res = ev.run_heat(prob, backend, scheme="cn")
+    assert len(res.error_trace) == n_steps
+    exact = prob.exact(DOMAIN.points, tau * n_steps)
+    err = res.final - exact
+    assert stats["mean_pred"] == float(res.final.mean())
+    assert stats["std_pred"] == float(res.final.std())
+    assert stats["mean_exact"] == float(exact.mean())
+    assert stats["max_abs_error"] == float(np.max(np.abs(err)))
+    assert stats["rel_l2_error"] == float(np.linalg.norm(err) / np.linalg.norm(exact))
+    assert np.array_equal(hist["probe_pred"],
+                          ev.bilinear_probe(DOMAIN, res.final, (0.43, 0.2)))
+
+
+def test_guard_rejects_source_points_off_domain():
+    bnd, src = _models(False)
+    src.points = src.points + 1e-3
+    with pytest.raises(ValueError, match="points"):
+        ev.NekmBackend(DOMAIN, bnd, src, LAM_RANGE[False])
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_guard_rejects_coupled_mismatch(coupled):
+    bnd, src = _models(coupled)
+    with pytest.raises(ValueError, match="coupled"):
+        ev.NekmBackend(DOMAIN, bnd, src, LAM_RANGE[coupled], coupled=not coupled)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_guard_rejects_boundary_width(coupled):
+    _, src = _models(coupled)
+    rng = np.random.default_rng(5)
+    # a scalar model is half the coupled width; a 2 n_bd model is twice the scalar one
+    bnd = nn.BoundaryModel.build(N_BD if coupled else 2 * N_BD, rng, internal=WIDTH)
+    with pytest.raises(ValueError, match="width"):
+        ev.NekmBackend(DOMAIN, bnd, src, LAM_RANGE[coupled], coupled=coupled)
