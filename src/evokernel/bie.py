@@ -23,8 +23,7 @@ from .kernels import boundary_kernel, potential_matrix
 
 __all__ = [
     "Density", "BoundaryData", "FieldSample",
-    "residual_operator", "bie_residual", "nystrom_solve",
-    "system_nystrom_solve", "eval_double_layer",
+    "residual_operator", "bie_residual", "nystrom_solve", "eval_double_layer",
     "density_to_csv", "field_to_csv",
 ]
 
@@ -126,13 +125,6 @@ def nystrom_solve(kmat, g):
             f"Nystrom solve residual {res:.3e} exceeds tolerance "
             f"(condition estimate {cond:.3e})")
     return Density(values=phi, grid=grid, spec=kmat.spec)
-
-
-def system_nystrom_solve(kmat, g):
-    """Coupled-case dense solve; identical path, interleaved layout."""
-    if kmat.spec.kind != "system":
-        raise ValueError("system_nystrom_solve expects a coupled kernel matrix")
-    return nystrom_solve(kmat, g)
 
 
 def eval_double_layer(spec, grid, phi, interior):

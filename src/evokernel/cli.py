@@ -47,7 +47,7 @@ _SUB_SCHEMAS = {
     "train": {"epochs", "batch_size", "lr", "lr_decay", "log_every"},
     "suite": {"kind", "kappas", "n_bd", "eval_n", "eval_lo", "eval_hi"},
     "problem": {"equation", "scheme", "splitting", "tau", "n_steps", "a", "b",
-                "theta", "w", "kappa_diff", "store_fields"},
+                "theta", "w", "store_fields"},
     "backend": {"kind", "domain", "boundary_checkpoint", "source_checkpoint",
                 "lam_range", "coupled"},
     "uq": {"samples", "probe", "tau", "n_steps", "mean", "std", "clip"},
@@ -70,7 +70,8 @@ def validate_config(cfg):
         if section is None:
             continue
         if key == "backend" and "domain" in section:
-            extra = set(section["domain"]) - {"kind", "n", "n_bd", "spacing", "margin"}
+            extra = set(section["domain"]) - {"kind", "n", "n_bd", "spacing", "margin",
+                                              "base", "amp", "lobes"}
             if extra:
                 raise ValidationError(f"unknown backend.domain keys: {sorted(extra)}")
         if isinstance(section, dict):
@@ -257,7 +258,8 @@ def _build_backend(section):
         domain = SquareLatticeDomain(n=dom_cfg.get("n", 41),
                                      n_bd=dom_cfg.get("n_bd", 256))
     elif dkind == "petal":
-        curve = make_curve("petal")
+        curve = make_curve("petal", **{k: dom_cfg[k] for k in ("base", "amp", "lobes")
+                                       if k in dom_cfg})
         interior = petal_lattice(curve, dom_cfg.get("spacing", 0.03),
                                  dom_cfg.get("margin"))
         domain = PointCloudDomain(curve, interior, n_bd=dom_cfg.get("n_bd", 256))

@@ -11,11 +11,11 @@ rebuilt from its provenance record is bit-identical.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import container
 from .fdsolver import fd_solve_complex, fd_solve_scalar
 from .geometry import QuadratureGrid
 
@@ -144,7 +144,7 @@ class Dataset:
         h.update(self.kind.encode())
         for arr in (self.kappas, self.kappa_index, self.g, self.f, self.u):
             if arr is not None:
-                h.update(np.ascontiguousarray(arr).tobytes())
+                h.update(np.ascontiguousarray(arr))
         return h.hexdigest()
 
 
@@ -281,41 +281,17 @@ def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed,
                    f=f_arr, u=u_arr, provenance=prov)
 
 
-_MAGIC = b"EVOKERNEL-DATA/1\n"
+_MAGIC = b"EVOKERNEL-DATA/2\n"
+_ARRAYS = ("kappas", "kappa_index", "g", "f", "u")
 
 
 def save_dataset(ds, path):
-    """Versioned text header + raw float64/int64 blocks, streaming-readable."""
-    arrays = [("kappas", ds.kappas, "<f8"), ("kappa_index", ds.kappa_index, "<i8")]
-    for name in ("g", "f", "u"):
-        arr = getattr(ds, name)
-        if arr is not None:
-            arrays.append((name, arr, "<f8"))
-    header = {
-        "kind": ds.kind,
-        "provenance": ds.provenance,
-        "arrays": [{"name": n, "shape": list(a.shape), "dtype": d}
-                   for n, a, d in arrays],
-    }
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        for _, a, d in arrays:
-            fh.write(np.ascontiguousarray(a, dtype=d).tobytes())
+    """An evokernel.container file: header {kind, provenance}, one array per
+    Dataset field that is set."""
+    container.write(path, _MAGIC, {"kind": ds.kind, "provenance": ds.provenance},
+                    {n: getattr(ds, n) for n in _ARRAYS if getattr(ds, n) is not None})
 
 
 def load_dataset(path):
-    with open(path, "rb") as fh:
-        if fh.readline() != _MAGIC:
-            raise ValueError(f"{path}: not a dataset file")
-        header = json.loads(fh.readline().decode())
-        blobs = {}
-        for spec in header["arrays"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape))
-            data = fh.read(count * 8)
-            blobs[spec["name"]] = np.frombuffer(data, dtype=spec["dtype"]).reshape(shape).copy()
-    return Dataset(kind=header["kind"], kappas=blobs["kappas"],
-                   kappa_index=blobs["kappa_index"], g=blobs.get("g"),
-                   f=blobs.get("f"), u=blobs.get("u"),
-                   provenance=header["provenance"])
+    header, arrays = container.read(path, _MAGIC)
+    return Dataset(kind=header["kind"], provenance=header["provenance"], **arrays)

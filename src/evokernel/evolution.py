@@ -36,9 +36,8 @@ __all__ = [
     "SquareLatticeDomain", "PointCloudDomain", "ClassicalBackend", "NekmBackend",
     "EvolutionProblem", "EvolutionResult", "BackendRangeError",
     "run_heat", "run_wave", "run_schrodinger", "batch_evolve", "uq_run",
-    "newton_pointwise", "newton_nonlinear", "observed_order",
-    "trajectory_rel_l2", "order_from_errors", "heat_family", "bilinear_probe",
-    "evolve",
+    "newton_nonlinear", "observed_order", "trajectory_rel_l2", "order_from_errors",
+    "heat_family", "bilinear_probe", "evolve",
 ]
 
 
@@ -402,12 +401,6 @@ def newton_nonlinear(v, w, tau, rhs, tol=1e-12, maxit=50):
                       f"residual {res.max():.3e} relative to max(1, |rhs|)")
 
 
-def newton_pointwise(v, w, tau, rhs):
-    """Scalar convenience wrapper around newton_nonlinear."""
-    return complex(newton_nonlinear(np.asarray(float(v)), float(w), float(tau),
-                                    np.asarray(complex(rhs))))
-
-
 def run_schrodinger(prob, backend, splitting="strang", store_fields=False):
     """Nonlinear Schrodinger step driver by Strang or Lie-Trotter splitting.
 
@@ -501,7 +494,7 @@ def batch_evolve(problems, backend, scheme="cn", store_fields=False):
     return out
 
 
-def heat_family(domain, a, b, tau, n_steps, kappa=1.0):
+def heat_family(domain, a, b, tau, n_steps):
     """Batched heat problems u = exp(-t) sin(a x1) cos(b x2), a^2 + b^2 = 1."""
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))[:, None]
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))[:, None]
@@ -515,7 +508,7 @@ def heat_family(domain, a, b, tau, n_steps, kappa=1.0):
                 * np.cos(b * y).take(iy, axis=1))
 
     return EvolutionProblem(
-        equation="heat", domain=domain, tau=tau, n_steps=n_steps, kappa_diff=kappa,
+        equation="heat", domain=domain, tau=tau, n_steps=n_steps,
         u0=lambda pts: shape(pts, 0.0),
         g=shape,
         lap_u0=lambda pts: -(a**2 + b**2) * shape(pts, 0.0),

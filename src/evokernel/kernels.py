@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from . import specfun
+from . import container, specfun
 
 __all__ = [
     "ScalarKernelSpec", "SystemKernelSpec", "BoundaryKernelMatrix",
@@ -265,8 +265,8 @@ def boundary_kernel(spec, grid):
 
     Matrices are reused across time steps; an optional on-disk cache is
     enabled by the EVOKERNEL_CACHE_DIR environment variable.  Its files are
-    named by a sha256 of the file header (spec, curve with its parameters,
-    n_bd), and the header is checked again on load.
+    named by a sha256 of the magic and the file header (spec, curve with its
+    parameters, n_bd), and the header is checked again on load.
     """
     key = (spec.kind, spec.value, grid.cache_key)
     hit = _CACHE.get(key)
@@ -276,8 +276,8 @@ def boundary_kernel(spec, grid):
     path = None
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        full_key = json.dumps(_header(spec, grid), sort_keys=True)
-        digest = hashlib.sha256(full_key.encode()).hexdigest()
+        full_key = _MAGIC + json.dumps(_header(spec, grid), sort_keys=True).encode()
+        digest = hashlib.sha256(full_key).hexdigest()
         path = os.path.join(cache_dir, digest + ".kmat")
         if os.path.exists(path):
             kmat = load_kernel_matrix(path, grid=grid, spec=spec)
@@ -309,44 +309,35 @@ def potential_matrix(spec, grid, pts):
     return _double_layer(spec, grid, r, drdn)
 
 
-_MAGIC = b"EVOKERNEL-KMAT/1\n"
+_MAGIC = b"EVOKERNEL-KMAT/2\n"
 
 
 def _header(spec, grid):
     """File header of the (spec, grid) kernel matrix, as it reads back from JSON."""
-    n = grid.n if spec.kind == "scalar" else 2 * grid.n
     return json.loads(json.dumps({
-        "rows": n, "cols": n, "kind": spec.kind, "param": float(spec.value),
+        "kind": spec.kind, "param": float(spec.value),
         "curve": grid.curve.kind, "params": grid.curve.params, "n_bd": grid.n,
     }))
 
 
 def save_kernel_matrix(kmat, path):
-    """Flat binary export: magic, JSON header line, row-major float64 block."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write((json.dumps(_header(kmat.spec, kmat.grid), sort_keys=True) + "\n").encode())
-        fh.write(np.ascontiguousarray(kmat.values, dtype="<f8").tobytes())
+    """An evokernel.container file: header (spec, curve, n_bd), array "values"."""
+    container.write(path, _MAGIC, _header(kmat.spec, kmat.grid), {"values": kmat.values})
 
 
 def load_kernel_matrix(path, grid=None, spec=None):
-    """Read a saved matrix; raises ValueError on a header that does not match
-    the requested spec/grid or a body that is not exactly rows*cols float64s."""
-    with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a kernel matrix file")
-        header = json.loads(fh.readline().decode())
-        body = fh.read()
+    """Read a saved matrix; raises ValueError on a header or matrix shape that
+    does not match the requested spec/grid, or on any container check."""
+    header, arrays = container.read(path, _MAGIC)
+    vals = arrays["values"]
     if spec is None:
         spec = (ScalarKernelSpec(header["param"]) if header["kind"] == "scalar"
                 else SystemKernelSpec(header["param"]))
     elif (header["kind"], header["param"]) != (spec.kind, float(spec.value)):
         raise ValueError(f"{path}: header {header} does not match {spec}")
-    if grid is not None and header != _header(spec, grid):
-        raise ValueError(f"{path}: header {header} does not match the requested grid")
-    rows, cols = header["rows"], header["cols"]
-    if len(body) != rows * cols * 8:
-        raise ValueError(f"{path}: body has {len(body)} bytes, expected {rows * cols * 8}")
-    vals = np.frombuffer(body, dtype="<f8").reshape(rows, cols).copy()
+    if grid is not None:
+        n = grid.n * (1 if spec.kind == "scalar" else 2)
+        if header != _header(spec, grid) or vals.shape != (n, n):
+            raise ValueError(f"{path}: header {header} and shape {vals.shape} do "
+                             "not match the requested grid")
     return BoundaryKernelMatrix(values=vals, grid=grid, spec=spec)

@@ -1,131 +1,76 @@
-"""Checkpoint files: versioned JSON descriptor + little-endian float64 block.
+"""Checkpoint files: an evokernel.container file with magic EVOKERNEL-CKPT/2.
 
-Layout:
-    line 1   magic  b"EVOKERNEL-CKPT/1\n"
-    line 2   JSON: {"kind", "arch", "segments": [{"name", "shape"}...],
-                    "metadata": {...}}
-    body     the segments' float64 data, concatenated in order, '<f8'
-
-The descriptor reconstructs the model exactly (including the sample-point
-coordinates, stored as a segment), so save -> load -> save is bit-identical.
+Header fields: "kind", "arch" (dims and activations of each MLP, plus
+"coupled" for models with sample points) and "metadata".  Arrays: each MLP's
+weights and biases ("<mlp>.w<i>", "<mlp>.b<i>") and, for models with sample
+points, "points".  The header and arrays reconstruct the model exactly, so
+save -> load -> save is bit-identical.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-
-import numpy as np
-
+from .. import container
 from . import engine as eg
 from .models import BoundaryModel, BranchTrunk, Mlp, SourceModel
 
 __all__ = ["save_checkpoint", "load_checkpoint", "checkpoint_bytes"]
 
-_MAGIC = b"EVOKERNEL-CKPT/1\n"
+_MAGIC = b"EVOKERNEL-CKPT/2\n"
+
+# kind -> (class, MLP attribute names in constructor order, whether the model
+# has sample points and a coupled flag)
+_KINDS = {
+    "source": (SourceModel, ("nn_k", "nn_g"), True),
+    "boundary": (BoundaryModel, ("nn_k", "nn_g", "nn_out"), False),
+    "branch_trunk": (BranchTrunk, ("branch", "trunk"), True),
+}
 
 
-def _mlp_arch(m):
-    return {"dims": m.dims, "activations": m.activations}
-
-
-def _mlp_segments(prefix, m):
-    segs = []
-    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
-        segs.append((f"{prefix}.w{i}", w.value))
-        segs.append((f"{prefix}.b{i}", b.value))
-    return segs
-
-
-def _describe(model):
-    if isinstance(model, SourceModel):
-        kind = "source"
-        arch = {"coupled": model.coupled, "nn_k": _mlp_arch(model.nn_k),
-                "nn_g": _mlp_arch(model.nn_g)}
-        segs = (_mlp_segments("nn_k", model.nn_k)
-                + _mlp_segments("nn_g", model.nn_g)
-                + [("points", model.points)])
-    elif isinstance(model, BoundaryModel):
-        kind = "boundary"
-        arch = {"nn_k": _mlp_arch(model.nn_k), "nn_g": _mlp_arch(model.nn_g),
-                "nn_out": _mlp_arch(model.nn_out)}
-        segs = (_mlp_segments("nn_k", model.nn_k)
-                + _mlp_segments("nn_g", model.nn_g)
-                + _mlp_segments("nn_out", model.nn_out))
-    elif isinstance(model, BranchTrunk):
-        kind = "branch_trunk"
-        arch = {"coupled": model.coupled, "branch": _mlp_arch(model.branch),
-                "trunk": _mlp_arch(model.trunk)}
-        segs = (_mlp_segments("branch", model.branch)
-                + _mlp_segments("trunk", model.trunk)
-                + [("points", model.points)])
+def _describe(model, metadata):
+    """(header, arrays) of a model, in container form."""
+    for kind, (cls, mlps, has_points) in _KINDS.items():
+        if isinstance(model, cls):
+            break
     else:
         raise TypeError(f"cannot checkpoint {type(model).__name__}")
-    return kind, arch, segs
+    arch, arrays = {}, {}
+    for name in mlps:
+        m = getattr(model, name)
+        arch[name] = {"dims": m.dims, "activations": m.activations}
+        for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+            arrays[f"{name}.w{i}"] = w.value
+            arrays[f"{name}.b{i}"] = b.value
+    if has_points:
+        arch["coupled"] = model.coupled
+        arrays["points"] = model.points
+    return {"kind": kind, "arch": arch, "metadata": metadata or {}}, arrays
 
 
 def checkpoint_bytes(model, metadata=None):
-    kind, arch, segs = _describe(model)
-    header = {
-        "kind": kind,
-        "arch": arch,
-        "segments": [{"name": n, "shape": list(np.shape(a))} for n, a in segs],
-        "metadata": metadata or {},
-    }
-    blob = bytearray()
-    blob += _MAGIC
-    blob += (json.dumps(header, sort_keys=True) + "\n").encode()
-    for _, a in segs:
-        blob += np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return bytes(blob)
+    return container.pack(_MAGIC, *_describe(model, metadata))
 
 
 def save_checkpoint(model, path, metadata=None):
-    data = checkpoint_bytes(model, metadata)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+    """Writes the checkpoint; returns the file's sha256."""
+    return container.write(path, _MAGIC, *_describe(model, metadata))
 
 
-def _rebuild_mlp(arch, seg_arrays, prefix):
+def _rebuild_mlp(arch, arrays, prefix):
     ws, bs = [], []
     for i in range(len(arch["activations"])):
-        ws.append(eg.Parameter(seg_arrays[f"{prefix}.w{i}"]))
-        bs.append(eg.Parameter(seg_arrays[f"{prefix}.b{i}"]))
+        ws.append(eg.Parameter(arrays[f"{prefix}.w{i}"]))
+        bs.append(eg.Parameter(arrays[f"{prefix}.b{i}"]))
     return Mlp(ws, bs, arch["activations"])
 
 
 def load_checkpoint(path):
     """Returns (model, metadata)."""
-    with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        header = json.loads(fh.readline().decode())
-        body = fh.read()
-    arrays = {}
-    off = 0
-    for seg in header["segments"]:
-        shape = tuple(seg["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=off)
-        off += count * 8
-        arrays[seg["name"]] = arr.reshape(shape).copy()
+    header, arrays = container.read(path, _MAGIC)
     kind, arch = header["kind"], header["arch"]
-    if kind == "source":
-        model = SourceModel(arrays["points"],
-                            _rebuild_mlp(arch["nn_k"], arrays, "nn_k"),
-                            _rebuild_mlp(arch["nn_g"], arrays, "nn_g"),
-                            coupled=arch["coupled"])
-    elif kind == "boundary":
-        model = BoundaryModel(_rebuild_mlp(arch["nn_k"], arrays, "nn_k"),
-                              _rebuild_mlp(arch["nn_g"], arrays, "nn_g"),
-                              _rebuild_mlp(arch["nn_out"], arrays, "nn_out"))
-    elif kind == "branch_trunk":
-        model = BranchTrunk(arrays["points"],
-                            _rebuild_mlp(arch["branch"], arrays, "branch"),
-                            _rebuild_mlp(arch["trunk"], arrays, "trunk"),
-                            coupled=arch["coupled"])
-    else:
-        raise ValueError(f"unknown checkpoint kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"{path}: unknown checkpoint kind {kind!r}")
+    cls, mlps, has_points = _KINDS[kind]
+    nets = [_rebuild_mlp(arch[name], arrays, name) for name in mlps]
+    model = (cls(arrays["points"], *nets, coupled=arch["coupled"]) if has_points
+             else cls(*nets))
     return model, header["metadata"]

@@ -245,9 +245,6 @@ class BranchTrunk:
     def parameters(self):
         return self.branch.parameters() + self.trunk.parameters()
 
-    def n_parameters(self):
-        return sum(p.value.size for p in self.parameters())
-
     def forward(self, branch_in):
         b = self.branch.forward(branch_in)
         t = self.trunk.forward(self._coords)
@@ -263,7 +260,3 @@ class BranchTrunk:
             self._trunk_cache = self.trunk.predict(self._coords)
         out = self.branch.predict(binput) @ self._trunk_cache.T
         return out
-
-
-def n_parameters(model):
-    return sum(p.value.size for p in model.parameters())

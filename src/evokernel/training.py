@@ -65,8 +65,13 @@ def _lr_schedule(cfg, step):
     return cfg.lr * (cfg.lr_decay ** (step // quarter))
 
 
-def _train_loop(model, cfg, step_fn):
-    """Shared loop: lr schedule, loss trace, NaN guard with last-good params."""
+def _train_loop(model, cfg, dataset, rng, loss_fn):
+    """Shared loop: each step draws one kappa index ik and a batch of its
+    record indices from rng and minimizes loss_fn(ik, rows); lr schedule,
+    loss trace, NaN guard with last-good params.  Returns the info dict."""
+    kappas = dataset.kappas
+    groups = [np.nonzero(dataset.kappa_index == ik)[0] for ik in range(len(kappas))]
+    t0 = time.perf_counter()
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr)
     trace = []
@@ -74,7 +79,10 @@ def _train_loop(model, cfg, step_fn):
     for step in range(cfg.epochs):
         opt.lr = _lr_schedule(cfg, step)
         opt.zero_grad()
-        loss = step_fn(step)
+        ik = int(rng.integers(0, len(kappas)))
+        rows = rng.choice(groups[ik], size=min(cfg.batch_size, groups[ik].size),
+                          replace=False)
+        loss = loss_fn(ik, rows)
         if not np.isfinite(float(loss.value)):
             raise DivergenceError(step, snapshot)
         eg.backward(loss)
@@ -85,7 +93,17 @@ def _train_loop(model, cfg, step_fn):
             snapshot = _snapshot(params)
     if hasattr(model, "invalidate"):
         model.invalidate()
-    return trace
+    return {"loss_trace": trace, "train_seconds": time.perf_counter() - t0,
+            "final_loss": trace[-1][1], "data_hash": dataset.content_hash(),
+            "seed": cfg.seed, "epochs": cfg.epochs}
+
+
+def _rng(cfg, salt):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, salt])))
+
+
+def _mse(pred, target):
+    return eg.sum_squares(eg.sub_const(pred, target), scale=1.0 / target.size)
 
 
 def _boundary_loss_graph(model, B, kappa, g):
@@ -112,85 +130,47 @@ def train_boundary_model(cfg, dataset, kmats, model=None):
     """
     if dataset.kind != "boundary-selfsup":
         raise ValueError("boundary training expects a boundary dataset")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0xB7])))
-    n_bd = dataset.g.shape[1]
+    rng = _rng(cfg, 0xB7)
     if model is None:
-        model = BoundaryModel.build(
-            n_bd if kmats[0].spec.kind == "scalar" else n_bd // 2,
-            rng, internal=cfg.internal,
-            coupled=kmats[0].spec.kind == "system")
+        coupled = kmats[0].spec.kind == "system"
+        model = BoundaryModel.build(dataset.g.shape[1] // (2 if coupled else 1), rng,
+                                    internal=cfg.internal, coupled=coupled)
     ops = [bie.residual_operator(km) for km in kmats]
-    kappas = dataset.kappas
-    groups = [np.nonzero(dataset.kappa_index == ik)[0] for ik in range(len(kappas))]
 
-    def step_fn(step):
-        ik = int(rng.integers(0, len(kappas)))
-        rows = rng.choice(groups[ik], size=min(cfg.batch_size, groups[ik].size),
-                          replace=False)
-        return _boundary_loss_graph(model, ops[ik], kappas[ik], dataset.g[rows])
+    def loss_fn(ik, rows):
+        return _boundary_loss_graph(model, ops[ik], dataset.kappas[ik], dataset.g[rows])
 
-    t0 = time.perf_counter()
-    trace = _train_loop(model, cfg, step_fn)
-    info = {"loss_trace": trace, "train_seconds": time.perf_counter() - t0,
-            "final_loss": trace[-1][1], "data_hash": dataset.content_hash(),
-            "seed": cfg.seed, "epochs": cfg.epochs}
-    return model, info
+    return model, _train_loop(model, cfg, dataset, rng, loss_fn)
 
 
 def train_source_model(cfg, dataset, points, model=None, coupled=False):
     """Train the product-structure source model with MSE loss."""
     if dataset.kind != "source-supervised":
         raise ValueError("source training expects a supervised dataset")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0x50])))
+    rng = _rng(cfg, 0x50)
     if model is None:
         model = SourceModel.build(points, list(cfg.hidden_k), list(cfg.hidden_g),
                                   rng, coupled=coupled)
-    kappas = dataset.kappas
-    groups = [np.nonzero(dataset.kappa_index == ik)[0] for ik in range(len(kappas))]
-    width = dataset.f.shape[1]
 
-    def step_fn(step):
-        ik = int(rng.integers(0, len(kappas)))
-        rows = rng.choice(groups[ik], size=min(cfg.batch_size, groups[ik].size),
-                          replace=False)
-        kcol = np.full((rows.size, 1), kappas[ik])
-        pred = model.forward(kcol, dataset.f[rows])
-        resid = eg.sub_const(pred, dataset.u[rows])
-        return eg.sum_squares(resid, scale=1.0 / (rows.size * width))
+    def loss_fn(ik, rows):
+        kcol = np.full((rows.size, 1), dataset.kappas[ik])
+        return _mse(model.forward(kcol, dataset.f[rows]), dataset.u[rows])
 
-    t0 = time.perf_counter()
-    trace = _train_loop(model, cfg, step_fn)
-    info = {"loss_trace": trace, "train_seconds": time.perf_counter() - t0,
-            "final_loss": trace[-1][1], "data_hash": dataset.content_hash(),
-            "seed": cfg.seed, "epochs": cfg.epochs}
-    return model, info
+    return model, _train_loop(model, cfg, dataset, rng, loss_fn)
 
 
 def train_branch_trunk(cfg, dataset, points, width, latent, depth=3, coupled=False):
     """Train the branch-trunk baseline on the same supervised data."""
     if dataset.kind != "source-supervised":
         raise ValueError("baseline training expects a supervised dataset")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, 0xD1])))
+    rng = _rng(cfg, 0xD1)
     model = BranchTrunk.build(points, width, latent, depth, rng, coupled=coupled)
-    kappas = dataset.kappas
-    groups = [np.nonzero(dataset.kappa_index == ik)[0] for ik in range(len(kappas))]
-    out_width = dataset.u.shape[1]
 
-    def step_fn(step):
-        ik = int(rng.integers(0, len(kappas)))
-        rows = rng.choice(groups[ik], size=min(cfg.batch_size, groups[ik].size),
-                          replace=False)
-        binput = np.column_stack([np.full(rows.size, kappas[ik]), dataset.f[rows]])
-        pred = model.forward(binput)
-        resid = eg.sub_const(pred, dataset.u[rows])
-        return eg.sum_squares(resid, scale=1.0 / (rows.size * out_width))
+    def loss_fn(ik, rows):
+        binput = np.column_stack([np.full(rows.size, dataset.kappas[ik]), dataset.f[rows]])
+        return _mse(model.forward(binput), dataset.u[rows])
 
-    t0 = time.perf_counter()
-    trace = _train_loop(model, cfg, step_fn)
-    info = {"loss_trace": trace, "train_seconds": time.perf_counter() - t0,
-            "final_loss": trace[-1][1], "data_hash": dataset.content_hash(),
-            "seed": cfg.seed, "epochs": cfg.epochs}
-    return model, info
+    return model, _train_loop(model, cfg, dataset, rng, loss_fn)
 
 
 def error_metrics(pred, ref):

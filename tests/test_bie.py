@@ -133,7 +133,7 @@ def test_system_solve_and_field():
         b1, b2 = fields(grid.points)
         g = np.empty(2 * n)
         g[0::2], g[1::2] = b1, b2
-        phi = bie.system_nystrom_solve(km, bie.BoundaryData(g, grid))
+        phi = bie.nystrom_solve(km, bie.BoundaryData(g, grid))
         rr, th = np.meshgrid(np.linspace(0.05, 0.3, 5),
                              np.linspace(0, 2 * np.pi, 10, endpoint=False))
         pts = np.stack([0.5 + (rr * np.cos(th)).ravel(),
@@ -148,7 +148,7 @@ def test_system_solve_and_field():
 
 def test_system_zero_data():
     spec, grid, km = _system_disk(0.05, 32)
-    phi = bie.system_nystrom_solve(km, np.zeros(64))
+    phi = bie.nystrom_solve(km, np.zeros(64))
     assert np.max(np.abs(phi.values)) == 0.0
 
 
@@ -161,11 +161,11 @@ def test_system_component_swap_symmetry():
     g1, g2 = rng.standard_normal(64), rng.standard_normal(64)
     g = np.empty(128)
     g[0::2], g[1::2] = g1, g2
-    phi = bie.system_nystrom_solve(km, g).values
+    phi = bie.nystrom_solve(km, g).values
     # swapped data (g2, -g1): expect density (phi2, -phi1)
     gs = np.empty(128)
     gs[0::2], gs[1::2] = g2, -g1
-    phis = bie.system_nystrom_solve(km, gs).values
+    phis = bie.nystrom_solve(km, gs).values
     assert np.allclose(phis[0::2], phi[1::2], rtol=1e-10, atol=1e-12)
     assert np.allclose(phis[1::2], -phi[0::2], rtol=1e-10, atol=1e-12)
 

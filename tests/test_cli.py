@@ -136,16 +136,17 @@ def test_seed_override_changes_artifacts(tmp_path):
     assert outs[0] != outs[1]
 
 
-def _learned_section(tmp_path, bnd_kappas, src_kappas, lam_range=None):
-    """Backend config over tiny random checkpoints with the given kappa metadata."""
+def _learned_section(tmp_path, bnd_kappas, src_kappas, lam_range=None, points=None):
+    """Backend config over tiny random checkpoints with the given kappa metadata;
+    the source model samples points (default: the 9 x 9 square lattice)."""
     from evokernel import nn
     from evokernel.geometry import square_lattice
     rng = np.random.default_rng(0)
+    points = square_lattice(9).points if points is None else points
     paths = {}
     for kind, model, kappas in (
             ("boundary", nn.BoundaryModel.build(32, rng, internal=8), bnd_kappas),
-            ("source", nn.SourceModel.build(square_lattice(9).points, [8], [8], rng),
-             src_kappas)):
+            ("source", nn.SourceModel.build(points, [8], [8], rng), src_kappas)):
         paths[kind] = str(tmp_path / f"{kind}.ckpt")
         nn.save_checkpoint(model, paths[kind], {} if kappas is None else {"kappas": kappas})
     section = {"kind": "nekm", "domain": {"n": 9, "n_bd": 32},
@@ -185,3 +186,24 @@ def test_disjoint_checkpoint_kappas_rejected(tmp_path):
     section = _learned_section(tmp_path, [0.01, 0.02], [0.05, 0.1])
     with pytest.raises(cli.ValidationError, match="overlap"):
         cli._build_backend(section)
+
+
+def test_validation_rejects_kappa_diff():
+    cfg = {"version": 1, "command": "evolve", "seed": 0,
+           "problem": {"equation": "heat", "tau": 0.1, "n_steps": 1, "kappa_diff": 2.0},
+           "backend": {"kind": "classical"}}
+    with pytest.raises(cli.ValidationError, match="kappa_diff"):
+        cli.validate_config(cfg)
+
+
+def test_petal_backend_serves_non_default_curve(tmp_path):
+    from evokernel.geometry import make_curve, petal_lattice
+    interior = petal_lattice(make_curve("petal", base=0.5, amp=0.15, lobes=4), 0.1)
+    backend = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1], points=interior.points)
+    backend["domain"] = {"kind": "petal", "base": 0.5, "amp": 0.15, "lobes": 4,
+                         "spacing": 0.1, "n_bd": 32}
+    cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
+           "problem": {"equation": "heat", "scheme": "be", "tau": 0.07, "n_steps": 1},
+           "backend": backend}
+    assert cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)]) == 0
+    assert np.array_equal(cli._build_backend(backend).domain.points, interior.points)

@@ -92,9 +92,9 @@ def test_schrodinger_split_orders():
 def test_newton_pointwise_linear_case_and_zero():
     tau, v = 0.1, 0.7
     rhs = 0.3 + 0.2j
-    z = ev.newton_pointwise(v, 0.0, tau, rhs)
+    z = complex(ev.newton_nonlinear(v, 0.0, tau, rhs))
     assert z == pytest.approx(rhs / (1 + 0.5j * tau * v), rel=1e-13)
-    assert ev.newton_pointwise(1.0, 1.0, 0.1, 0.0) == 0.0
+    assert complex(ev.newton_nonlinear(1.0, 1.0, 0.1, 0.0)) == 0.0
 
 
 def test_newton_pointwise_nonlinear_root_vs_scan():
@@ -103,7 +103,7 @@ def test_newton_pointwise_nonlinear_root_vs_scan():
     v, w, tau = 1.0, 1.0, 0.1
     rhs = 1.0 + 0.0j
     c = tau / 2
-    z = ev.newton_pointwise(v, w, tau, rhs)
+    z = complex(ev.newton_nonlinear(v, w, tau, rhs))
     resid = z + 1j * c * (v + w * abs(z) ** 2) * z - rhs
     assert abs(resid) <= 1e-12
     def modulus_gap(r):

@@ -214,3 +214,28 @@ def test_load_rejects_truncated_file(tmp_path):
         path.write_bytes(body)
         with pytest.raises(ValueError, match=r"k\.kmat: body has \d+ bytes, expected 8192"):
             ker.load_kernel_matrix(path, grid=grid, spec=spec)
+
+
+def test_load_rejects_matrix_shape_other_than_grid(tmp_path):
+    # same bytes and body hash, array table edited to another shape
+    grid = sample_quadrature(make_curve("disk"), 32)
+    spec = ker.ScalarKernelSpec(0.1)
+    path = tmp_path / "k.kmat"
+    ker.save_kernel_matrix(ker.scalar_boundary_kernel(spec, grid), path)
+    path.write_bytes(path.read_bytes().replace(b"[32, 32]", b"[16, 64]", 1))
+    assert ker.load_kernel_matrix(path).values.shape == (16, 64)
+    with pytest.raises(ValueError, match="shape"):
+        ker.load_kernel_matrix(path, grid=grid, spec=spec)
+
+
+def test_disk_cache_name_covers_magic(tmp_path, monkeypatch):
+    # a file of another format version is never found under the current name
+    monkeypatch.setenv("EVOKERNEL_CACHE_DIR", str(tmp_path))
+    grid = sample_quadrature(make_curve("disk"), 32)
+    spec = ker.ScalarKernelSpec(0.1)
+    for magic in (b"EVOKERNEL-KMAT/1\n", ker._MAGIC):
+        monkeypatch.setattr(ker, "_MAGIC", magic)
+        ker.clear_cache()
+        ker.boundary_kernel(spec, grid)
+    assert len(list(tmp_path.iterdir())) == 2
+    ker.clear_cache()
