@@ -1,8 +1,8 @@
 """Geometry and classical machinery on the petal-shaped domain.
 
 Shows the parametrization, boundary quadrature convergence, interior point
-sampling, and a manufactured boundary-driven solve; the acceptance suite
-trains the learned models and runs the heat equation here.
+sampling, and a manufactured boundary-driven solve; learned models for this
+domain come from the source-offlattice dataset kind.
 """
 
 import numpy as np

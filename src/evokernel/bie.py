@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .kernels import boundary_kernel, potential_matrix
+from .kernels import potential_matrix
 
 __all__ = [
     "Density", "BoundaryData", "FieldSample",

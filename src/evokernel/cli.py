@@ -13,10 +13,12 @@ thread count can still be pinned from the command line.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 USAGE_COMMANDS = ("datagen", "train", "eval", "evolve", "uq", "oracle", "report")
 
@@ -46,12 +48,28 @@ _SUB_SCHEMAS = {
     "points": {"domain", "n", "spacing", "margin"},
     "train": {"epochs", "batch_size", "lr", "lr_decay", "log_every"},
     "suite": {"kind", "kappas", "n_bd", "eval_n", "eval_lo", "eval_hi"},
-    "problem": {"equation", "scheme", "splitting", "tau", "n_steps", "a", "b",
-                "theta", "w", "store_fields"},
     "backend": {"kind", "domain", "boundary_checkpoint", "source_checkpoint",
                 "lam_range", "coupled"},
     "uq": {"samples", "probe", "tau", "n_steps", "mean", "std", "clip"},
 }
+
+# keys that each backend domain kind and each equation reads
+_DOMAIN_KEYS = {
+    "square": {"kind", "n", "n_bd"},
+    "petal": {"kind", "n_bd", "spacing", "margin", "base", "amp", "lobes"},
+}
+_PROBLEM_KEYS = {"equation", "tau", "n_steps", "store_fields"}
+_EQUATION_KEYS = {
+    "heat": {"scheme", "a", "b"},
+    "wave": {"a", "theta"},
+    "schrodinger": {"splitting", "w"},
+}
+
+
+def _check_keys(where, section, allowed):
+    extra = set(section) - allowed
+    if extra:
+        raise ValidationError(f"unknown keys in {where}: {sorted(extra)}")
 
 
 def validate_config(cfg):
@@ -67,31 +85,26 @@ def validate_config(cfg):
         raise ValidationError(f"unknown top-level keys for {cmd}: {sorted(unknown)}")
     for key, allowed in _SUB_SCHEMAS.items():
         section = cfg.get(key)
-        if section is None:
-            continue
-        if key == "backend" and "domain" in section:
-            extra = set(section["domain"]) - {"kind", "n", "n_bd", "spacing", "margin",
-                                              "base", "amp", "lobes"}
-            if extra:
-                raise ValidationError(f"unknown backend.domain keys: {sorted(extra)}")
         if isinstance(section, dict):
-            extra = set(section) - allowed
-            if extra:
-                raise ValidationError(f"unknown keys in '{key}': {sorted(extra)}")
+            _check_keys(f"'{key}'", section, allowed)
+    backend = cfg.get("backend")
+    domain = backend.get("domain") if isinstance(backend, dict) else None
+    if isinstance(domain, dict):
+        kind = domain.get("kind", "square")
+        if kind not in _DOMAIN_KEYS:
+            raise ValidationError(f"unknown backend domain {kind!r}")
+        _check_keys(f"'backend.domain' for kind {kind!r}", domain, _DOMAIN_KEYS[kind])
     prob = cfg.get("problem")
-    if prob and prob.get("equation") == "wave":
+    if isinstance(prob, dict):
+        eq = prob.get("equation")
+        if eq not in _EQUATION_KEYS:
+            raise ValidationError(f"unknown equation {eq!r}")
+        _check_keys(f"'problem' for equation {eq!r}", prob,
+                    _PROBLEM_KEYS | _EQUATION_KEYS[eq])
         theta = prob.get("theta", 0.5)
-        if not (0.0 <= theta <= 1.0):
+        if eq == "wave" and not (0.0 <= theta <= 1.0):
             raise ValidationError(f"wave theta={theta} outside the [0, 1] bound")
     return cfg
-
-
-def _sha256_file(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _write_manifest(out, cfg, artifacts, extra=None):
@@ -125,9 +138,8 @@ def _build_curve_grid(section):
 
 
 def cmd_datagen(cfg, out):
-    import numpy as np
     from . import datagen
-    from .geometry import petal_lattice, square_lattice
+    from .geometry import petal_lattice
     d = cfg["dataset"]
     kappas = _kappa_list(d["kappas"])
     seed = cfg.get("seed", 0)
@@ -159,9 +171,6 @@ def cmd_datagen(cfg, out):
 
 
 def cmd_train(cfg, out):
-    import csv
-
-    import numpy as np
     from . import datagen, training
     from .kernels import ScalarKernelSpec, SystemKernelSpec, boundary_kernel
     from .geometry import petal_lattice, square_lattice
@@ -296,12 +305,21 @@ def _lam_range(configured, metas):
     return (c_lo, c_hi)
 
 
-def cmd_evolve(cfg, out):
-    import csv
+def _write_field_csv(path, pts, fld):
+    import numpy as np
+    cplx = np.iscomplexobj(fld)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y"] + (["re", "im"] if cplx else ["u"]))
+        for i in range(pts.shape[0]):
+            w.writerow([pts[i, 0], pts[i, 1]]
+                       + ([fld[i].real, fld[i].imag] if cplx else [fld[i]]))
 
+
+def cmd_evolve(cfg, out):
     import numpy as np
     from . import experiments
-    from .evolution import run_heat, run_schrodinger, run_wave
+    from .evolution import heat_family, run_heat, run_schrodinger, run_wave
     from .plotting import svg_heatmap
 
     backend = _build_backend(cfg["backend"])
@@ -312,9 +330,11 @@ def cmd_evolve(cfg, out):
     if eq == "heat":
         a = p.get("a", 2**-0.5)
         b = p.get("b", float(np.sqrt(1.0 - a * a)))
-        prob = experiments.heat_problem(backend.domain, a, b, tau, n_steps)
+        prob = heat_family(backend.domain, a, b, tau, n_steps)
         res = run_heat(prob, backend, scheme=p.get("scheme", "be"),
                        store_fields=store)
+        res = replace(res, final=res.final[0],
+                      fields={k: v[0] for k, v in res.fields.items()})
     elif eq == "wave":
         prob = experiments.wave_problem(backend.domain, p.get("a", 0.6), tau,
                                         n_steps, theta=p.get("theta", 0.5))
@@ -332,30 +352,13 @@ def cmd_evolve(cfg, out):
         for e in res.error_trace:
             w.writerow([e["t"], e["abs_l2"], e["abs_linf"], e["rel_l2"]])
     final = res.final
-    with open(os.path.join(out, "final_field.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y"] + (["re", "im"] if np.iscomplexobj(final) else ["u"]))
-        pts = backend.domain.points
-        for i in range(pts.shape[0]):
-            row = [pts[i, 0], pts[i, 1]]
-            row += ([final[i].real, final[i].imag] if np.iscomplexobj(final)
-                    else [final[i]])
-            w.writerow(row)
+    pts = backend.domain.points
+    _write_field_csv(os.path.join(out, "final_field.csv"), pts, final)
     artifacts = ["error_trace.csv", "final_field.csv", "summary.json"]
-    if store:
-        pts = backend.domain.points
-        for step, fld in res.fields.items():
-            name = f"field_step_{step:04d}.csv"
-            with open(os.path.join(out, name), "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["x", "y"] + (["re", "im"] if np.iscomplexobj(fld)
-                                         else ["u"]))
-                for i in range(pts.shape[0]):
-                    row = [pts[i, 0], pts[i, 1]]
-                    row += ([fld[i].real, fld[i].imag]
-                            if np.iscomplexobj(fld) else [fld[i]])
-                    w.writerow(row)
-            artifacts.append(name)
+    for step, fld in res.fields.items():
+        name = f"field_step_{step:04d}.csv"
+        _write_field_csv(os.path.join(out, name), pts, fld)
+        artifacts.append(name)
     if hasattr(backend.domain, "n"):
         n = backend.domain.n
         field = final.real if np.iscomplexobj(final) else final
@@ -375,8 +378,6 @@ def cmd_evolve(cfg, out):
 
 
 def cmd_uq(cfg, out):
-    import csv
-
     import numpy as np
     from .evolution import uq_run
 
@@ -404,9 +405,9 @@ def cmd_oracle(cfg, out):
     """Classical cross-validation suite; exits nonzero if a tolerance fails."""
     import numpy as np
     from . import bie, kernels
-    from .experiments import scalar_boundary_solution, system_source_case
-    from .fdsolver import fd_solve_complex, fd_solve_scalar
-    from .geometry import make_curve, sample_quadrature, square_lattice
+    from .experiments import scalar_boundary_solution
+    from .fdsolver import fd_solve_scalar
+    from .geometry import make_curve, sample_quadrature
 
     checks = []
     # Nystrom on the disk: manufactured homogeneous solution
@@ -476,7 +477,6 @@ _GATES = {
 
 
 def cmd_report(cfg, out):
-    import csv
     rows = []
     for run_dir in cfg.get("runs", []):
         man_path = os.path.join(run_dir, "manifest.json")

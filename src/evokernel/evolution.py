@@ -4,8 +4,8 @@ Every scheme reduces each step to (I - lam Delta) u = F with Dirichlet data
 (or u + i lam Delta u = F for the complex splitting stages), so the heat,
 wave and Schrodinger drivers only differ in how they build F and lam:
 
-    backward Euler   lam = kappa tau,      F = u^n
-    Crank-Nicolson   lam = kappa tau / 2,  F^{n+1} = 2 u^{n+1} - F^n
+    backward Euler   lam = tau,            F = u^n
+    Crank-Nicolson   lam = tau / 2,        F^{n+1} = 2 u^{n+1} - F^n
     theta-scheme     lam = theta tau^2,    F^{n+1} = 2 u^n
                          + ((1 - 2 theta)/theta) (u^n - F^n) - F^{n-1}
     splitting        lam = tau/2 or tau,   F from the pointwise nonlinear
@@ -28,16 +28,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fdsolver import fd_solve_complex, fd_solve_scalar
+from .fdsolver import fd_solve_complex, fd_solve_scalar, lap5
 from .geometry import InteriorGrid, make_curve, sample_quadrature, square_lattice
 from .kernels import ScalarKernelSpec, SystemKernelSpec, potential_matrix
 
 __all__ = [
     "SquareLatticeDomain", "PointCloudDomain", "ClassicalBackend", "NekmBackend",
     "EvolutionProblem", "EvolutionResult", "BackendRangeError",
-    "run_heat", "run_wave", "run_schrodinger", "batch_evolve", "uq_run",
+    "run_heat", "run_wave", "run_schrodinger", "uq_run",
     "newton_nonlinear", "observed_order", "trajectory_rel_l2", "order_from_errors",
-    "heat_family", "bilinear_probe", "evolve",
+    "heat_family", "bilinear_probe",
 ]
 
 
@@ -63,13 +63,9 @@ class SquareLatticeDomain:
     def lap_full(self, u):
         """5-point Laplacian on the flattened lattice; ring entries copy their
         nearest interior neighbor (only learned-backend source inputs read them)."""
-        n = self.n
         v = self.reshape(u)
-        h2 = (n - 1.0) ** 2
         lap = np.zeros_like(v)
-        lap[..., 1:-1, 1:-1] = (v[..., :-2, 1:-1] + v[..., 2:, 1:-1]
-                                + v[..., 1:-1, :-2] + v[..., 1:-1, 2:]
-                                - 4.0 * v[..., 1:-1, 1:-1]) * h2
+        lap[..., 1:-1, 1:-1] = lap5(v)
         lap[..., 0, :] = lap[..., 1, :]
         lap[..., -1, :] = lap[..., -2, :]
         lap[..., :, 0] = lap[..., :, 1]
@@ -114,32 +110,25 @@ class ClassicalBackend:
 
     def solve(self, lam, F, gfun, t):
         """(I - lam Delta) u = F, u = g(., t) on the boundary ring."""
-        self._check(lam)
-        n = self.domain.n
-        g_full = np.zeros(F.shape)
-        gv = gfun(self.domain.points[self.domain.ring_idx], t)
-        g_full[..., self.domain.ring_idx] = gv
-        F2 = np.atleast_2d(F)
-        G2 = np.atleast_2d(g_full)
-        out = np.empty_like(F2)
-        for i in range(F2.shape[0]):
-            sol = fd_solve_scalar(lam, (-F2[i] / lam).reshape(n, n),
-                                  G2[i].reshape(n, n))
-            out[i] = sol.values.ravel()
-        return out.reshape(F.shape)
+        return self._solve(lam, F, gfun, t, coupled=False)
 
     def solve_coupled(self, lam, F, gfun, t):
         """u + i lam Delta u = F over complex lattice fields."""
+        return self._solve(lam, F, gfun, t, coupled=True)
+
+    def _solve(self, lam, F, gfun, t, coupled):
         self._check(lam)
         n = self.domain.n
-        g_full = np.zeros(F.shape, dtype=np.complex128)
-        gv = gfun(self.domain.points[self.domain.ring_idx], t)
-        g_full[..., self.domain.ring_idx] = gv
+        ring = self.domain.ring_idx
+        g_full = np.zeros(F.shape, dtype=np.complex128 if coupled else np.float64)
+        g_full[..., ring] = gfun(self.domain.points[ring], t)
         F2 = np.atleast_2d(F)
         G2 = np.atleast_2d(g_full)
         out = np.empty_like(F2)
         for i in range(F2.shape[0]):
-            sol = fd_solve_complex(lam, F2[i].reshape(n, n), G2[i].reshape(n, n))
+            f, g = F2[i].reshape(n, n), G2[i].reshape(n, n)
+            sol = (fd_solve_complex(lam, f, g) if coupled
+                   else fd_solve_scalar(lam, -f / lam, g))
             out[i] = sol.values.ravel()
         return out.reshape(F.shape)
 
@@ -246,7 +235,6 @@ class EvolutionProblem:
     u0: object
     g: object
     v0: object = None
-    kappa_diff: float = 1.0
     theta: float = 0.5
     v_potential: object = None
     w: float = 0.0
@@ -295,19 +283,19 @@ def _initial_lap(prob, pts):
 
 
 def run_heat(prob, backend, scheme="be", store_fields=False):
-    """Heat equation u_t = kappa Delta u by backward Euler or Crank-Nicolson."""
+    """Heat equation u_t = Delta u by backward Euler or Crank-Nicolson."""
     if scheme not in ("be", "cn"):
         raise ValueError("scheme must be 'be' or 'cn'")
     pts = prob.domain.points
-    tau, kap = prob.tau, prob.kappa_diff
+    tau = prob.tau
     u = np.asarray(prob.u0(pts), dtype=np.float64)
     trace = []
     fields = {0: u.copy()} if store_fields else {}
     if scheme == "cn":
-        lam = 0.5 * kap * tau
+        lam = 0.5 * tau
         F = u + lam * _initial_lap(prob, pts)
     else:
-        lam = kap * tau
+        lam = tau
     for step in range(1, prob.n_steps + 1):
         t = step * tau
         if scheme == "be":
@@ -441,61 +429,10 @@ def run_schrodinger(prob, backend, splitting="strang", store_fields=False):
                            meta={"splitting": splitting})
 
 
-_RUNNERS = {"heat": run_heat, "wave": run_wave, "schrodinger": run_schrodinger}
-
-
-def evolve(prob, backend, **kw):
-    return _RUNNERS[prob.equation](prob, backend, **kw)
-
-
-def batch_evolve(problems, backend, scheme="cn", store_fields=False):
-    """Solve a list of same-domain heat problems in one batched run.
-
-    The batched result equals the problem-by-problem sequential results up
-    to matmul rounding (<= 1e-12); shapes and protocols are identical.
-    """
-    if not problems:
-        return []
-    base = problems[0]
-    for p in problems:
-        if p.domain is not base.domain or p.tau != base.tau \
-                or p.n_steps != base.n_steps or p.equation != "heat":
-            raise ValueError("batch_evolve needs same-domain heat problems "
-                             "with one tau and step count")
-
-    def stack(call, *args):
-        return np.stack([call(p)(*args) for p in problems])
-
-    family = EvolutionProblem(
-        equation="heat", domain=base.domain, tau=base.tau, n_steps=base.n_steps,
-        kappa_diff=base.kappa_diff,
-        u0=lambda pts: stack(lambda p: p.u0, pts),
-        g=lambda pts, t: stack(lambda p: p.g, pts, t),
-        lap_u0=(None if base.lap_u0 is None
-                else (lambda pts: stack(lambda p: p.lap_u0, pts))),
-        exact=None)
-    res = run_heat(family, backend, scheme=scheme, store_fields=store_fields)
-    out = []
-    T = base.tau * base.n_steps
-    for i, p in enumerate(problems):
-        trace = []
-        if p.exact is not None:
-            ref = p.exact(base.domain.points, T)
-            diff = np.abs(res.final[i] - ref)
-            trace.append({"t": T,
-                          "abs_l2": float(np.sqrt(np.mean(diff**2))),
-                          "abs_linf": float(np.max(diff)),
-                          "rel_l2": float(np.sqrt(np.mean(diff**2))
-                                          / np.sqrt(np.mean(ref**2)))})
-        out.append(EvolutionResult(times=res.times, final=res.final[i],
-                                   error_trace=trace,
-                                   fields={k: v[i] for k, v in res.fields.items()},
-                                   meta=dict(res.meta)))
-    return out
-
-
 def heat_family(domain, a, b, tau, n_steps):
-    """Batched heat problems u = exp(-t) sin(a x1) cos(b x2), a^2 + b^2 = 1."""
+    """Heat problems u = exp(-t) sin(a x1) cos(b x2), a^2 + b^2 = 1, one per
+    entry of a and b; every callable returns (batch, m) arrays, so scalar a
+    and b give one row."""
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))[:, None]
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))[:, None]
 
@@ -549,7 +486,7 @@ def uq_run(backend, m_samples, seed, probe=(0.43, 0.2), tau=0.1, n_steps=10,
     pred = res.final
     err = pred - exact
     probe_pred = bilinear_probe(domain, pred, probe)
-    probe_exact = np.exp(-T) * np.sin(a * probe[0]) * np.cos(b * probe[1])
+    probe_exact = prob.exact(np.array([probe], dtype=np.float64), T)[:, 0]
     stats = {
         "samples": int(m_samples),
         "mean_exact": float(exact.mean()),

@@ -1,7 +1,7 @@
 """Manufactured test cases and evaluation harnesses.
 
-These are the standard verification problems used across the CLI, the
-demo scripts and the acceptance suite:
+These are the standard verification problems shared by the CLI, the demo
+scripts and the tests:
 
   - scalar boundary-driven: u = exp(-sqrt(1 + 1/kappa) x) sin(y), a
     homogeneous solution of Delta u - u/kappa = 0;
@@ -9,7 +9,10 @@ demo scripts and the acceptance suite:
     source computed analytically;
   - coupled source-driven:  u1 = sin(pi x) y(1-y), u2 = x(1-x) sin(pi y);
   - coupled boundary-driven: traces of the first fundamental-matrix column
-    with source point (1.2, 1.2) outside the domain.
+    with source point (1.2, 1.2) outside the domain;
+  - wave and Schrodinger evolution problems with exact solutions.
+
+The heat problem family lives in evolution.heat_family.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .training import ErrorReport
 __all__ = [
     "scalar_boundary_solution", "scalar_source_case", "system_source_case",
     "system_boundary_case", "eval_scalar_boundary", "eval_scalar_source",
-    "eval_system_source", "eval_system_boundary", "heat_problem",
-    "wave_problem", "schrodinger_problem", "petal_heat_problem",
+    "eval_system_source", "eval_system_boundary", "wave_problem",
+    "schrodinger_problem",
 ]
 
 
@@ -163,19 +166,6 @@ def eval_system_boundary(model, lams, n_bd=256, eval_n=16,
     return rep
 
 
-def heat_problem(domain, a, b, tau, n_steps):
-    """Single heat problem u = exp(-t) sin(a x1) cos(b x2) (a^2 + b^2 = 1)."""
-    from .evolution import EvolutionProblem
-
-    def shape(pts, t):
-        return np.exp(-t) * np.sin(a * pts[..., 0]) * np.cos(b * pts[..., 1])
-
-    return EvolutionProblem(
-        equation="heat", domain=domain, tau=tau, n_steps=n_steps,
-        u0=lambda pts: shape(pts, 0.0), g=shape,
-        lap_u0=lambda pts: -(a * a + b * b) * shape(pts, 0.0), exact=shape)
-
-
 def wave_problem(domain, a, tau, n_steps, theta=0.5):
     """Traveling wave u = sin(a x1 + b x2 - t) with b = sqrt(1 - a^2)."""
     from .evolution import EvolutionProblem
@@ -204,16 +194,3 @@ def schrodinger_problem(domain, tau, n_steps, w=1.0):
         v_potential=lambda pts: 1.0 - np.cos(pts[..., 0])**2 * np.cos(pts[..., 1])**2,
         lap_u0=lambda pts: -2.0 * sh(pts, 0.0), exact=sh)
 
-
-def petal_heat_problem(domain, tau, n_steps):
-    """Heat flow on the petal; exact u = exp(-t) sin(x/sqrt2) sin(y/sqrt2)."""
-    from .evolution import EvolutionProblem
-    s = np.sqrt(2.0) / 2.0
-
-    def sh(pts, t):
-        return np.exp(-t) * np.sin(s * pts[..., 0]) * np.sin(s * pts[..., 1])
-
-    return EvolutionProblem(
-        equation="heat", domain=domain, tau=tau, n_steps=n_steps,
-        u0=lambda pts: sh(pts, 0.0), g=sh,
-        lap_u0=lambda pts: -sh(pts, 0.0), exact=sh)

@@ -134,12 +134,13 @@ def fd_solve_complex(lam, f, g):
 
 
 def lap5(u):
-    """5-point Laplacian of a full-lattice field at interior nodes, (n-2)^2 shape."""
+    """5-point Laplacian of full-lattice fields (..., n, n) at interior nodes,
+    shape (..., n-2, n-2)."""
     u = u.values if isinstance(u, LatticeField) else np.asarray(u)
-    n = u.shape[0]
+    n = u.shape[-1]
     h2 = (n - 1.0) ** 2
-    return (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
-            - 4.0 * u[1:-1, 1:-1]) * h2
+    return (u[..., :-2, 1:-1] + u[..., 2:, 1:-1] + u[..., 1:-1, :-2] + u[..., 1:-1, 2:]
+            - 4.0 * u[..., 1:-1, 1:-1]) * h2
 
 
 def apply_operator(param, u, kind="scalar"):

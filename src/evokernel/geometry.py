@@ -9,7 +9,7 @@ midpoint offset guarantees no node ever lands on a corner.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -34,6 +34,21 @@ def test_validation_rejects_bad_theta(tmp_path, capsys):
     assert "[0, 1]" in err and "1.5" in err
 
 
+@pytest.mark.parametrize("section, value, key", [
+    ("backend", {"kind": "classical", "domain": {"kind": "square", "n": 9, "amp": 0.3}},
+     "amp"),
+    ("problem", {"equation": "wave", "tau": 0.25, "n_steps": 2, "b": 0.3}, "b"),
+])
+def test_validation_rejects_keys_of_other_kinds(tmp_path, capsys, section, value, key):
+    cfg = {"version": 1, "command": "evolve", "seed": 0,
+           "problem": {"equation": "heat", "tau": 0.25, "n_steps": 2},
+           "backend": {"kind": "classical", "domain": {"n": 9, "n_bd": 32}},
+           section: value}
+    rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    assert f"[{key!r}]" in capsys.readouterr().err
+
+
 def test_datagen_train_eval_pipeline(tmp_path):
     d1 = tmp_path / "data"
     cfg = {"version": 1, "command": "datagen", "seed": 3, "out": str(d1),

@@ -26,7 +26,7 @@ def test_heat_orders_be_cn():
     # spatial discretization error, isolating the time order
     finals_be, finals_cn = [], []
     for tau, n in [(0.1, 10), (0.05, 20), (0.025, 40)]:
-        prob = ex.heat_problem(DOMAIN, 2**-0.5, 2**-0.5, tau, n)
+        prob = ev.heat_family(DOMAIN, 2**-0.5, 2**-0.5, tau, n)
         finals_be.append(ev.run_heat(prob, BACKEND, "be").final)
         finals_cn.append(ev.run_heat(prob, BACKEND, "cn").final)
     o_be = ev.observed_order(finals_be)
@@ -39,19 +39,17 @@ def test_cn_f_recursion_consistency():
     # recomputing F^n = u^n + lam * Delta u^n from scratch matches the
     # recursive value over 10 steps (classical backend, interior nodes)
     tau = 0.1
-    prob = ex.heat_problem(DOMAIN, 0.6, 0.8, tau, 10)
+    prob = ev.heat_family(DOMAIN, 0.6, 0.8, tau, 10)
     lam = 0.5 * tau
     pts = DOMAIN.points
-    u = prob.u0(pts)
-    F = u + lam * prob.lap_u0(pts)
+    u = prob.u0(pts)[0]
+    F = u + lam * prob.lap_u0(pts)[0]
     for step in range(1, 11):
         u_new = BACKEND.solve(lam, F, prob.g, step * tau)
         F = 2.0 * u_new - F
         direct = u_new + lam * DOMAIN.lap_full(u_new)
         ii = DOMAIN.interior_idx
         # interior: discrete Laplacian of the solve equals the recursion
-        inner = np.setdiff1d(ii, np.nonzero(
-            np.min(np.abs(pts - 0.0), axis=1) * 0 == 1)[0])
         assert np.max(np.abs((F - direct)[ii])) < 1e-10 * max(1.0, np.max(np.abs(F)))
         u = u_new
 
@@ -145,21 +143,49 @@ def test_newton_converges_at_large_rhs():
 
 def test_backend_range_error_names_interval():
     backend = ev.ClassicalBackend(DOMAIN, lam_range=(0.05, 0.1))
-    prob = ex.heat_problem(DOMAIN, 0.6, 0.8, 1.0, 1)  # lam = tau = 1.0
+    prob = ev.heat_family(DOMAIN, 0.6, 0.8, 1.0, 1)  # lam = tau = 1.0
     with pytest.raises(ev.BackendRangeError, match="0.05"):
         ev.run_heat(prob, backend, "be")
 
 
 def test_batched_equals_sequential():
-    a_vals = [0.5, 0.6, 0.7, 0.5]
-    problems = [ex.heat_problem(DOMAIN, a, np.sqrt(1 - a * a), 0.1, 3)
-                for a in a_vals]
-    batched = ev.batch_evolve(problems, BACKEND, scheme="cn")
-    for prob, bres in zip(problems, batched):
-        single = ev.run_heat(prob, BACKEND, scheme="cn")
-        assert np.max(np.abs(single.final - bres.final)) <= 1e-12
+    a_vals = np.array([0.5, 0.6, 0.7, 0.5])
+    batched = ev.run_heat(ev.heat_family(DOMAIN, a_vals, np.sqrt(1 - a_vals**2), 0.1, 3),
+                          BACKEND, scheme="cn").final
+    for a, row in zip(a_vals, batched):
+        single = ev.run_heat(ev.heat_family(DOMAIN, a, np.sqrt(1 - a * a), 0.1, 3),
+                             BACKEND, scheme="cn")
+        assert np.max(np.abs(single.final[0] - row)) <= 1e-12
     # duplicated problems give identical rows
-    assert np.array_equal(batched[0].final, batched[3].final)
+    assert np.array_equal(batched[0], batched[3])
+
+
+def test_heat_family_rows_are_the_closed_form():
+    pts = DOMAIN.points
+    a, b, t = 0.6, 0.8, 0.3
+    prob = ev.heat_family(DOMAIN, a, b, 0.1, 3)
+    u0, exact = prob.u0(pts), prob.exact(pts, t)
+    assert u0.shape == exact.shape == prob.lap_u0(pts).shape == (1, pts.shape[0])
+    per_point = [np.exp(-t) * np.sin(a * x) * np.cos(b * y) for x, y in pts]
+    assert np.array_equal(exact[0], per_point)
+    assert np.array_equal(prob.lap_u0(pts), -(a * a + b * b) * u0)
+    a_vec = np.array([0.3, 0.6, 0.9])
+    family = ev.heat_family(DOMAIN, a_vec, np.sqrt(1 - a_vec**2), 0.1, 3)
+    rows = [ev.heat_family(DOMAIN, ai, np.sqrt(1 - ai * ai), 0.1, 3) for ai in a_vec]
+    for name, args in (("u0", (pts,)), ("g", (pts, t)), ("lap_u0", (pts,))):
+        assert np.array_equal(getattr(family, name)(*args),
+                              np.concatenate([getattr(r, name)(*args) for r in rows]))
+
+
+def test_classical_solve_coupled_batch_equals_rows():
+    rng = np.random.default_rng(2)
+    F = rng.standard_normal((3, DOMAIN.points.shape[0])) * (1 + 1j)
+    amp = np.array([[1.0], [0.5j], [-2.0]])
+    gfun = lambda pts, t: amp * np.exp(1j * (pts[:, 0] + t)) * np.cos(pts[:, 1])
+    batched = BACKEND.solve_coupled(0.05, F, gfun, 0.2)
+    for i in range(3):
+        row = BACKEND.solve_coupled(0.05, F[i], lambda pts, t: gfun(pts, t)[i], 0.2)
+        assert np.array_equal(batched[i], row)
 
 
 def test_operator_normalization_identity():
@@ -192,7 +218,7 @@ def test_operator_normalization_identity():
 
 def test_heat_error_trace_regression_gate():
     # terminal error stays within 3x the largest per-step error increment
-    prob = ex.heat_problem(DOMAIN, 2**-0.5, 2**-0.5, 0.1, 10)
+    prob = ev.heat_family(DOMAIN, 2**-0.5, 2**-0.5, 0.1, 10)
     res = ev.run_heat(prob, BACKEND, "be")
     errs = [e["rel_l2"] for e in res.error_trace]
     increments = np.diff([0.0] + errs)
