@@ -48,12 +48,15 @@ _SUB_SCHEMAS = {
     "points": {"domain", "n", "spacing", "margin"},
     "train": {"epochs", "batch_size", "lr", "lr_decay", "log_every"},
     "suite": {"kind", "kappas", "n_bd", "eval_n", "eval_lo", "eval_hi"},
-    "backend": {"kind", "domain", "boundary_checkpoint", "source_checkpoint",
-                "lam_range", "coupled"},
     "uq": {"samples", "probe", "tau", "n_steps", "mean", "std", "clip"},
 }
 
-# keys that each backend domain kind and each equation reads
+# keys that each backend kind, backend domain kind and equation reads
+_BACKEND_KEYS = {
+    "classical": {"kind", "domain"},
+    "nekm": {"kind", "domain", "boundary_checkpoint", "source_checkpoint",
+             "lam_range", "coupled"},
+}
 _DOMAIN_KEYS = {
     "square": {"kind", "n", "n_bd"},
     "petal": {"kind", "n_bd", "spacing", "margin", "base", "amp", "lobes"},
@@ -64,6 +67,9 @@ _EQUATION_KEYS = {
     "wave": {"a", "theta"},
     "schrodinger": {"splitting", "w"},
 }
+# default wave numbers of the heat and wave problems; b = sqrt(1 - a^2)
+_HEAT_A = 2**-0.5
+_WAVE_A = 0.6
 
 
 def _check_keys(where, section, allowed):
@@ -88,23 +94,53 @@ def validate_config(cfg):
         if isinstance(section, dict):
             _check_keys(f"'{key}'", section, allowed)
     backend = cfg.get("backend")
+    if isinstance(backend, dict):
+        bkind = backend.get("kind", "classical")
+        if not isinstance(bkind, str) or bkind not in _BACKEND_KEYS:
+            raise ValidationError(f"unknown backend kind {bkind!r} in 'backend.kind', "
+                                  f"expected one of {sorted(_BACKEND_KEYS)}")
+        _check_keys(f"'backend' for kind {bkind!r}", backend, _BACKEND_KEYS[bkind])
     domain = backend.get("domain") if isinstance(backend, dict) else None
     if isinstance(domain, dict):
         kind = domain.get("kind", "square")
-        if kind not in _DOMAIN_KEYS:
+        if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:
             raise ValidationError(f"unknown backend domain {kind!r}")
         _check_keys(f"'backend.domain' for kind {kind!r}", domain, _DOMAIN_KEYS[kind])
     prob = cfg.get("problem")
     if isinstance(prob, dict):
         eq = prob.get("equation")
-        if eq not in _EQUATION_KEYS:
+        if not isinstance(eq, str) or eq not in _EQUATION_KEYS:
             raise ValidationError(f"unknown equation {eq!r}")
         _check_keys(f"'problem' for equation {eq!r}", prob,
                     _PROBLEM_KEYS | _EQUATION_KEYS[eq])
-        theta = prob.get("theta", 0.5)
+        theta = _number(prob, "theta", 0.5)
         if eq == "wave" and not (0.0 <= theta <= 1.0):
             raise ValidationError(f"wave theta={theta} outside the [0, 1] bound")
+        _check_wave_numbers(eq, prob)
     return cfg
+
+
+def _number(prob, key, default):
+    value = prob.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"problem.{key} must be a number, got {value!r}")
+    return value
+
+
+def _check_wave_numbers(eq, prob):
+    """heat and wave fields use the wave vector (a, b) with a^2 + b^2 = 1;
+    b defaults to sqrt(1 - a^2) and is fixed to it for wave."""
+    if eq not in ("heat", "wave"):
+        return
+    a = _number(prob, "a", _HEAT_A if eq == "heat" else _WAVE_A)
+    if eq == "heat" and "b" in prob:
+        b = _number(prob, "b", None)
+        if abs(a * a + b * b - 1.0) > 1e-12:
+            raise ValidationError(f"problem.a={a}, problem.b={b}: heat needs "
+                                  f"a^2 + b^2 = 1 (to 1e-12)")
+    elif abs(a) > 1.0:
+        raise ValidationError(f"problem.a={a}: |a| must be at most 1, "
+                              f"since b = sqrt(1 - a^2)")
 
 
 def _write_manifest(out, cfg, artifacts, extra=None):
@@ -212,7 +248,7 @@ def cmd_train(cfg, out):
             raise ValidationError(f"unknown model kind {m['kind']!r}")
     meta = {"seed": tcfg.seed, "epochs": tcfg.epochs,
             "final_loss": info["final_loss"],
-            "loss_tail": info["loss_trace"][-5:], "data_hash": info["data_hash"],
+            "loss_tail": info["loss_trace"][-5:], "data_hash": ds.content_hash(),
             "kappas": [float(k) for k in ds.kappas]}
     save_checkpoint(model, os.path.join(out, "model.ckpt"), meta)
     with open(os.path.join(out, "training_curve.csv"), "w", newline="") as fh:
@@ -328,7 +364,7 @@ def cmd_evolve(cfg, out):
     tau, n_steps = p["tau"], p["n_steps"]
     store = bool(p.get("store_fields", False))
     if eq == "heat":
-        a = p.get("a", 2**-0.5)
+        a = p.get("a", _HEAT_A)
         b = p.get("b", float(np.sqrt(1.0 - a * a)))
         prob = heat_family(backend.domain, a, b, tau, n_steps)
         res = run_heat(prob, backend, scheme=p.get("scheme", "be"),
@@ -336,7 +372,7 @@ def cmd_evolve(cfg, out):
         res = replace(res, final=res.final[0],
                       fields={k: v[0] for k, v in res.fields.items()})
     elif eq == "wave":
-        prob = experiments.wave_problem(backend.domain, p.get("a", 0.6), tau,
+        prob = experiments.wave_problem(backend.domain, p.get("a", _WAVE_A), tau,
                                         n_steps, theta=p.get("theta", 0.5))
         res = run_wave(prob, backend, store_fields=store)
     elif eq == "schrodinger":

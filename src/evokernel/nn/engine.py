@@ -1,18 +1,26 @@
 """Minimal reverse-mode engine over float64 numpy arrays.
 
 Covers exactly the node types the operator models need: matmul (plain and
-transposed), bias add, relu, Hadamard product (with leading-axis
+transposed), bias add, row-dot add (x + (a @ b) 1^T, the bias column of a
+factored linear head), relu, Hadamard product (with leading-axis
 broadcast), subtraction against constants, and sum-of-squares losses.
-Constants (training data, precomputed operators) are passed as plain
-ndarrays and receive no gradients; only Parameter leaves accumulate.
+Constants (training data, lattice coordinates, precomputed operators) are
+passed as plain ndarrays; no backward forms a gradient for them.
+
+Gradients move rather than copy: a backward hands each operand a freshly
+computed array, which the operand's .grad takes over, and `backward`
+releases every interior node's .grad once it has been propagated, so a
+gradient passed straight through (bias add, constant subtraction) is held
+by one node only.  Leaves keep their gradients; Parameter grads accumulate
+across backward calls until zeroed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "Parameter", "matmul", "matmul_t", "add_bias", "relu",
-           "hadamard", "sub_const", "add_scalars", "sum_squares", "backward",
+__all__ = ["Tensor", "Parameter", "matmul", "matmul_t", "add_bias", "add_row_dot",
+           "relu", "hadamard", "sub_const", "add_scalars", "sum_squares", "backward",
            "Adam"]
 
 
@@ -42,10 +50,12 @@ def _val(x):
 
 
 def _accum(node, g):
+    """Add g to node.grad; a first gradient is taken over, not copied, so g
+    must be an array that nothing else holds."""
     if not isinstance(node, Tensor):
         return
     if node.grad is None:
-        node.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g, dtype=np.float64)
+        node.grad = np.asarray(g, dtype=np.float64)
     else:
         node.grad += g
 
@@ -56,8 +66,10 @@ def matmul(a, b):
     out = Tensor(av @ bv, parents=(a, b))
 
     def bwd(g):
-        _accum(a, g @ bv.T)
-        _accum(b, av.T @ g)
+        if isinstance(a, Tensor):
+            _accum(a, g @ bv.T)
+        if isinstance(b, Tensor):
+            _accum(b, av.T @ g)
     out.bwd = bwd
     return out
 
@@ -68,8 +80,10 @@ def matmul_t(a, b):
     out = Tensor(av @ bv.T, parents=(a, b))
 
     def bwd(g):
-        _accum(a, g @ bv)
-        _accum(b, g.T @ av)
+        if isinstance(a, Tensor):
+            _accum(a, g @ bv)
+        if isinstance(b, Tensor):
+            _accum(b, g.T @ av)
     out.bwd = bwd
     return out
 
@@ -81,7 +95,25 @@ def add_bias(x, b):
 
     def bwd(g):
         _accum(x, g)
-        _accum(b, g.sum(axis=0) if g.ndim > bv.ndim else g)
+        if isinstance(b, Tensor):
+            _accum(b, g.sum(axis=0) if g.ndim > bv.ndim else g.copy())
+    out.bwd = bwd
+    return out
+
+
+def add_row_dot(x, a, b):
+    """x + (a @ b)[:, None]: row i of x plus the dot product a_i . b in every
+    column.  x and a are (m, n), b is (n,)."""
+    av, bv = _val(a), _val(b)
+    out = Tensor(_val(x) + (av @ bv)[:, None], parents=(x, a, b))
+
+    def bwd(g):
+        s = g.sum(axis=1)
+        if isinstance(a, Tensor):
+            _accum(a, np.outer(s, bv))
+        if isinstance(b, Tensor):
+            _accum(b, s @ av)
+        _accum(x, g)
     out.bwd = bwd
     return out
 
@@ -92,7 +124,8 @@ def relu(x):
     out = Tensor(np.where(mask, xv, 0.0), parents=(x,))
 
     def bwd(g):
-        _accum(x, g * mask)
+        if isinstance(x, Tensor):
+            _accum(x, g * mask)
     out.bwd = bwd
     return out
 
@@ -103,14 +136,12 @@ def hadamard(a, b):
     out = Tensor(av * bv, parents=(a, b))
 
     def bwd(g):
-        ga = g * bv
-        gb = g * av
-        if isinstance(a, Tensor) and av.shape != g.shape:
-            ga = ga.sum(axis=0, keepdims=True)
-        if isinstance(b, Tensor) and bv.shape != g.shape:
-            gb = gb.sum(axis=0, keepdims=True)
-        _accum(a, ga)
-        _accum(b, gb)
+        if isinstance(a, Tensor):
+            ga = g * bv
+            _accum(a, ga.sum(axis=0, keepdims=True) if av.shape != g.shape else ga)
+        if isinstance(b, Tensor):
+            gb = g * av
+            _accum(b, gb.sum(axis=0, keepdims=True) if bv.shape != g.shape else gb)
     out.bwd = bwd
     return out
 
@@ -131,7 +162,8 @@ def sum_squares(x, scale=1.0):
     out = Tensor(np.float64(scale * np.sum(xv * xv)), parents=(x,))
 
     def bwd(g):
-        _accum(x, (2.0 * scale * g) * xv)
+        if isinstance(x, Tensor):
+            _accum(x, (2.0 * scale * g) * xv)
     out.bwd = bwd
     return out
 
@@ -142,7 +174,7 @@ def add_scalars(nodes):
 
     def bwd(g):
         for n in nodes:
-            _accum(n, g)
+            _accum(n, np.array(g, dtype=np.float64))
     out.bwd = bwd
     return out
 
@@ -169,11 +201,20 @@ def backward(root):
     root.grad = np.float64(1.0)
     for node in reversed(order):
         if node.bwd is not None and node.grad is not None:
-            node.bwd(node.grad)
+            grad, node.grad = node.grad, None
+            node.bwd(grad)
 
 
 class Adam:
-    """Standard Adam with bias correction; deterministic update order."""
+    """Standard Adam with bias correction; deterministic update order.
+
+    Moments are updated in place with out= ufuncs, through two scratch
+    buffers sized for the largest parameter, in the operation order of the
+    textbook update
+    m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+    p -= lr (m / b1t) / (sqrt(v / b2t) + eps),
+    so the result is bitwise that of the allocating form.
+    """
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
@@ -183,6 +224,8 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
+        size = max((p.value.size for p in self.params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def zero_grad(self):
         for p in self.params:
@@ -194,10 +237,22 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.b1 ** self.t
         b2t = 1.0 - self.b2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = self.b1 * self.m[i] + (1.0 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1.0 - self.b2) * g * g
-            p.value -= self.lr * (self.m[i] / b1t) / (np.sqrt(self.v[i] / b2t) + self.eps)
+            t1, t2 = (buf[:m.size].reshape(m.shape) for buf in self._scratch)
+            np.multiply(m, self.b1, out=m)
+            np.multiply(g, 1.0 - self.b1, out=t1)
+            np.add(m, t1, out=m)
+            np.multiply(v, self.b2, out=v)
+            np.multiply(g, 1.0 - self.b2, out=t1)
+            np.multiply(t1, g, out=t1)
+            np.add(v, t1, out=v)
+            np.divide(v, b2t, out=t1)
+            np.sqrt(t1, out=t1)
+            np.add(t1, self.eps, out=t1)
+            np.divide(m, b1t, out=t2)
+            np.multiply(t2, self.lr, out=t2)
+            np.divide(t2, t1, out=t2)
+            np.subtract(p.value, t2, out=p.value)

@@ -5,8 +5,8 @@ SourceModel   u = (f ⊙ K(kappa)) @ G(x)^T : the quadrature-structured product
               width equal to the sample count the f-branch is the identity,
               which makes the output exactly linear in f.  G's head is
               linear, so G = H W^T + 1 b^T has rank at most r + 1 (r the
-              last hidden width) and inference applies it in that factored
-              form.
+              last hidden width); training and inference both apply it in
+              that factored form and never form the dense N x N G.
 BoundaryModel phi = Out[K(kappa) ⊙ Lin(g)] : boundary-density predictor whose
               g-branch and output head are single linear layers, so the map
               g -> phi is exactly affine for fixed kappa.
@@ -131,12 +131,22 @@ class SourceModel:
     def parameters(self):
         return self.nn_k.parameters() + self.nn_g.parameters()
 
+    def _split_g(self):
+        """nn_g as (hidden layers, last-layer W, last-layer b), so that
+        G = H_r W^T + 1 b^T with H_r the hidden layers' output."""
+        g = self.nn_g
+        head = Mlp(g.weights[:-1], g.biases[:-1], g.activations[:-1])
+        return head, g.weights[-1], g.biases[-1]
+
     def forward(self, kappa_col, f):
-        """Graph forward: kappa_col (m, 1) and f (m, N) are constants."""
-        kf = self.nn_k.forward(kappa_col)
-        a = eg.hadamard(f, kf)
-        g = self.nn_g.forward(self._coords)
-        return eg.matmul_t(a, g)
+        """Graph forward: kappa_col (m, 1) and f (m, N) are constants.
+
+        Builds (f ⊙ kf) G^T as (a W) H_r^T + (a . b) 1^T with a = f ⊙ kf,
+        the factored form that operator() uses; G itself is never formed."""
+        head, w, b = self._split_g()
+        a = eg.hadamard(f, self.nn_k.forward(kappa_col))
+        hidden = head.forward(self._coords)
+        return eg.add_row_dot(eg.matmul_t(eg.matmul(a, w), hidden), a, b)
 
     def invalidate(self):
         self._op_cache.clear()
@@ -144,20 +154,17 @@ class SourceModel:
     def operator(self, kappa):
         """Rank-(r+1) factors (A, H) of the operator frozen at one kappa value.
 
-        The coordinate branch ends in a linear layer, g = H_r W^T + 1 b^T with
-        H_r its last hidden activations (N, r), so
-        (f ⊙ kf) g^T = (f @ A) @ H^T with A = kf[:, None] * [W, b] and
-        H = [H_r, 1], both (N, r + 1).  The dense N x N g is never formed.
+        With _split_g's G = H_r W^T + 1 b^T (H_r the hidden layers' output,
+        (N, r)), (f ⊙ kf) G^T = (f @ A) @ H^T with A = kf[:, None] * [W, b]
+        and H = [H_r, 1], both (N, r + 1).
         """
         key = float(kappa)
         hit = self._op_cache.get(key)
         if hit is None:
             kf = self.nn_k.predict(np.array([[key]]))[0]
-            head = Mlp(self.nn_g.weights[:-1], self.nn_g.biases[:-1],
-                       self.nn_g.activations[:-1])
+            head, w, b = self._split_g()
             hidden = head.predict(self._coords)
-            w, b = self.nn_g.weights[-1].value, self.nn_g.biases[-1].value
-            A = kf[:, None] * np.column_stack([w, b])
+            A = kf[:, None] * np.column_stack([w.value, b.value])
             H = np.column_stack([hidden, np.ones(hidden.shape[0])])
             hit = (A, H)
             self._op_cache[key] = hit

@@ -28,8 +28,7 @@ from .nn import Adam, SourceModel, BoundaryModel, BranchTrunk, engine as eg
 
 __all__ = ["TrainConfig", "ErrorReport", "DivergenceError",
            "train_boundary_model", "train_source_model", "train_branch_trunk",
-           "boundary_loss", "error_metrics", "evaluate_fields",
-           "write_report_csv"]
+           "boundary_loss", "error_metrics", "write_report_csv"]
 
 
 @dataclass
@@ -89,13 +88,13 @@ def _train_loop(model, cfg, dataset, rng, loss_fn):
         opt.step()
         if step % cfg.log_every == 0 or step == cfg.epochs - 1:
             trace.append((step, float(loss.value)))
-        if (step + 1) % max(cfg.epochs // 4, 1) == 0:
+        # a snapshot after the last step could never be returned
+        if (step + 1) % max(cfg.epochs // 4, 1) == 0 and step + 1 < cfg.epochs:
             snapshot = _snapshot(params)
     if hasattr(model, "invalidate"):
         model.invalidate()
     return {"loss_trace": trace, "train_seconds": time.perf_counter() - t0,
-            "final_loss": trace[-1][1], "data_hash": dataset.content_hash(),
-            "seed": cfg.seed, "epochs": cfg.epochs}
+            "final_loss": trace[-1][1], "seed": cfg.seed, "epochs": cfg.epochs}
 
 
 def _rng(cfg, salt):
@@ -207,14 +206,6 @@ class ErrorReport:
         row.update(error_metrics(pred, ref))
         self.rows.append(row)
         return row
-
-
-def evaluate_fields(cases, model_id="", grid_desc=""):
-    """cases: iterable of (label, predicted, reference) triples."""
-    rep = ErrorReport(model_id=model_id, grid_desc=grid_desc)
-    for label, pred, ref in cases:
-        rep.add(label, pred, ref)
-    return rep
 
 
 def write_report_csv(report, path):

@@ -34,10 +34,16 @@ def test_validation_rejects_bad_theta(tmp_path, capsys):
     assert "[0, 1]" in err and "1.5" in err
 
 
+_CLASSICAL = {"kind": "classical", "domain": {"n": 9, "n_bd": 32}}
+
+
 @pytest.mark.parametrize("section, value, key", [
     ("backend", {"kind": "classical", "domain": {"kind": "square", "n": 9, "amp": 0.3}},
      "amp"),
     ("problem", {"equation": "wave", "tau": 0.25, "n_steps": 2, "b": 0.3}, "b"),
+    ("backend", {**_CLASSICAL, "lam_range": [0.05, 0.1]}, "lam_range"),
+    ("backend", {**_CLASSICAL, "coupled": True}, "coupled"),
+    ("backend", {**_CLASSICAL, "source_checkpoint": "s.ckpt"}, "source_checkpoint"),
 ])
 def test_validation_rejects_keys_of_other_kinds(tmp_path, capsys, section, value, key):
     cfg = {"version": 1, "command": "evolve", "seed": 0,
@@ -47,6 +53,59 @@ def test_validation_rejects_keys_of_other_kinds(tmp_path, capsys, section, value
     rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
     assert rc == 2
     assert f"[{key!r}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, value, name", [
+    ("backend", {**_CLASSICAL, "kind": "learnd"}, "'learnd' in 'backend.kind'"),
+    ("backend", {**_CLASSICAL, "kind": ["classical"]}, "backend.kind"),
+    ("backend", {**_CLASSICAL, "domain": {"kind": ["square"]}}, "backend domain"),
+    ("problem", {"equation": ["heat"], "tau": 0.25, "n_steps": 1}, "equation"),
+])
+def test_validation_rejects_unknown_kinds(tmp_path, capsys, section, value, name):
+    cfg = {"version": 1, "command": "evolve", "seed": 0,
+           "problem": {"equation": "heat", "tau": 0.25, "n_steps": 1},
+           "backend": _CLASSICAL, section: value}
+    rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+
+
+def test_validation_accepts_every_learned_backend_key():
+    cfg = {"version": 1, "command": "uq", "seed": 0, "uq": {"samples": 2},
+           "backend": {"kind": "nekm", "domain": {"n": 9, "n_bd": 32},
+                       "boundary_checkpoint": "b.ckpt", "source_checkpoint": "s.ckpt",
+                       "lam_range": [0.05, 0.1], "coupled": False}}
+    assert cli.validate_config(cfg) is cfg
+
+
+@pytest.mark.parametrize("problem, key", [
+    ({"equation": "heat", "a": 1.5}, "a"),
+    ({"equation": "heat", "a": -1.0000001}, "a"),
+    ({"equation": "wave", "a": 1.2}, "a"),
+    ({"equation": "heat", "a": 0.6, "b": 0.6}, "a"),
+    ({"equation": "heat", "b": 0.5}, "a"),       # the default a is off b's unit circle
+    ({"equation": "wave", "a": "0.5"}, "a"),
+    ({"equation": "heat", "a": 0.6, "b": None}, "b"),
+    ({"equation": "wave", "theta": "0.5"}, "theta"),
+])
+def test_validation_rejects_bad_problem_numbers(tmp_path, capsys, problem, key):
+    cfg = {"version": 1, "command": "evolve", "seed": 0,
+           "problem": {"tau": 0.25, "n_steps": 1, **problem}, "backend": _CLASSICAL}
+    rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    assert f"problem.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", [
+    {"equation": "heat", "a": 0.6, "b": 0.8},
+    {"equation": "heat", "a": -1.0},
+    {"equation": "heat", "b": 2**-0.5},
+    {"equation": "wave", "a": 1.0},
+])
+def test_validation_accepts_wave_numbers_on_the_unit_circle(problem):
+    cfg = {"version": 1, "command": "evolve", "seed": 0,
+           "problem": {"tau": 0.25, "n_steps": 1, **problem}, "backend": _CLASSICAL}
+    assert cli.validate_config(cfg) is cfg
 
 
 def test_datagen_train_eval_pipeline(tmp_path):

@@ -191,3 +191,97 @@ def test_parameter_count_helper():
     rng = np.random.default_rng(7)
     m = nn.Mlp.build([3, 5, 2], ["relu", "identity"], rng)
     assert sum(p.value.size for p in m.parameters()) == 3 * 5 + 5 + 5 * 2 + 2
+
+
+def _walk(root):
+    """Every Tensor reachable from root."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, eg.Tensor) and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+def _source_batch(coupled, rng):
+    pts = rng.uniform(0, 1, (10, 2))
+    model = nn.SourceModel.build(pts, [7, 6], [8, 5], rng, coupled=coupled)
+    n = model.n_samples
+    f = rng.standard_normal((3, n))
+    u = rng.standard_normal((3, n))
+    kap = np.array([[0.05], [0.07], [0.1]])
+    return model, kap, f, u
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_factored_source_forward_matches_dense_graph(coupled):
+    rng = np.random.default_rng(21)
+    model, kap, f, u = _source_batch(coupled, rng)
+
+    def dense(kap, f):
+        kf = model.nn_k.forward(kap)
+        return eg.matmul_t(eg.hadamard(f, kf), model.nn_g.forward(model._coords))
+
+    results = []
+    for fwd in (model.forward, dense):
+        for p in model.parameters():
+            p.grad = None
+        pred = fwd(kap, f)
+        eg.backward(eg.sum_squares(eg.sub_const(pred, u), scale=1.0 / u.size))
+        results.append((pred.value, [p.grad.copy() for p in model.parameters()]))
+    (out, grads), (out_ref, grads_ref) = results
+    assert np.max(np.abs(out - out_ref)) <= 1e-13 * np.max(np.abs(out_ref))
+    for g, g_ref in zip(grads, grads_ref):
+        assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_source_training_graph_never_forms_dense_features(coupled):
+    rng = np.random.default_rng(22)
+    model, kap, f, u = _source_batch(coupled, rng)
+    dense_shape = (model._coords.shape[0], model.nn_g.dims[-1])
+    loss = eg.sum_squares(eg.sub_const(model.forward(kap, f), u))
+    nodes = _walk(loss)
+    assert len(nodes) > 10
+    assert all(node.value.shape != dense_shape for node in nodes)
+    eg.backward(loss)
+    assert all(p.grad.shape != dense_shape for p in model.parameters())
+
+
+@pytest.mark.parametrize("bias_first", [True, False])
+def test_pass_through_gradient_does_not_alias(bias_first):
+    """x feeds add_bias (with a bias of x's own shape, so x and b both
+    receive the incoming gradient) and a second consumer; neither gradient
+    may be written through the other."""
+    rng = np.random.default_rng(23)
+    x = eg.Parameter(rng.standard_normal((4, 3)))
+    b = eg.Parameter(rng.standard_normal((4, 3)))
+    c = rng.standard_normal((4, 3))
+    terms = [eg.sum_squares(eg.add_bias(x, b)), eg.sum_squares(eg.hadamard(x, c))]
+    eg.backward(eg.add_scalars(terms if bias_first else terms[::-1]))
+    s = x.value + b.value
+    assert np.allclose(b.grad, 2.0 * s, rtol=1e-14, atol=0)
+    assert np.allclose(x.grad, 2.0 * s + 2.0 * c * c * x.value, rtol=1e-14, atol=0)
+    assert not np.shares_memory(x.grad, b.grad)
+
+
+def test_adam_in_place_is_bitwise_the_textbook_update():
+    rng = np.random.default_rng(24)
+    params = [eg.Parameter(rng.standard_normal((5, 4))), eg.Parameter(rng.standard_normal(4))]
+    ref = [p.value.copy() for p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    opt = eg.Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+    for t in range(1, 6):
+        grads = [rng.standard_normal(r.shape) for r in ref]
+        for p, g in zip(params, grads):
+            p.grad = g.copy()
+        opt.step()
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            ref[i] = ref[i] - lr * (m[i] / (1.0 - b1**t)) / (np.sqrt(v[i] / (1.0 - b2**t)) + eps)
+        for p, r in zip(params, ref):
+            assert np.array_equal(p.value, r)

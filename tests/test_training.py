@@ -124,7 +124,8 @@ def test_error_metrics_and_report(tmp_path):
     assert m["abs_linf"] == pytest.approx(0.1, rel=1e-12)
     assert m["rel_l2"] == pytest.approx(np.sqrt(0.02 / 3) / np.sqrt(3.0), rel=1e-12)
     assert m["rel_linf"] == pytest.approx(0.05, rel=1e-12)
-    rep = tr.evaluate_fields([("case-a", pred, ref)], model_id="x")
+    rep = tr.ErrorReport(model_id="x")
+    rep.add("case-a", pred, ref)
     path = tmp_path / "r.csv"
     tr.write_report_csv(rep, path)
     lines = path.read_text().strip().splitlines()
