@@ -18,7 +18,7 @@ for n in (21, 41, 81):
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([X, Y], axis=-1)
     sol = fd.fd_solve_scalar(kappa, f_exact(pts), np.zeros((n, n)))
-    err = np.max(np.abs(sol.values - u_exact(pts)))
+    err = np.max(np.abs(sol - u_exact(pts)))
     rate = "" if prev is None else f"   order {np.log2(prev / err):.2f}"
     print(f"  n={n:3d}  Linf={err:.3e}{rate}")
     prev = err
@@ -33,7 +33,7 @@ for n in (21, 41, 81):
     pts = np.stack([X, Y], axis=-1)
     sol = fd.fd_solve_complex(lam, f1(pts) + 1j * f2(pts),
                               np.zeros((n, n), complex))
-    err = np.max(np.abs(sol.values - (u1(pts) + 1j * u2(pts))))
+    err = np.max(np.abs(sol - (u1(pts) + 1j * u2(pts))))
     rate = "" if prev is None else f"   order {np.log2(prev / err):.2f}"
     print(f"  n={n:3d}  Linf={err:.3e}{rate}")
     prev = err

@@ -30,12 +30,12 @@ km = kernels.boundary_kernel(spec, grid)
 u = scalar_boundary_solution(kap)
 g = u(grid.points)
 phi_model = model.predict(kap, g)
-phi_oracle = bie.nystrom_solve(km, g).values
+phi_oracle = bie.nystrom_solve(km, g)
 print("density rel L2 vs classical solve:",
       np.linalg.norm(phi_model - phi_oracle) / np.linalg.norm(phi_oracle))
 
 egrid = square_lattice(16, 0.05, 0.95)
-field = bie.eval_double_layer(spec, grid, phi_model, egrid)
+field = bie.eval_double_layer(spec, grid, phi_model, egrid.points)
 ref = u(egrid.points)
 print("interior rel L2 vs exact solution:",
-      np.linalg.norm(field.values - ref) / np.linalg.norm(ref))
+      np.linalg.norm(field - ref) / np.linalg.norm(ref))

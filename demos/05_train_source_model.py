@@ -8,7 +8,7 @@ shape of the source matters.
 import numpy as np
 
 from evokernel import datagen, training
-from evokernel.experiments import eval_scalar_source
+from evokernel.experiments import EVAL_SUITES
 from evokernel.geometry import square_lattice
 
 n = 21
@@ -23,8 +23,7 @@ model, info = training.train_source_model(cfg, ds, pts)
 print(f"trained in {info['train_seconds']:.0f}s, final MSE "
       f"{info['final_loss']:.2e}")
 
-rep = eval_scalar_source(model, [0.055, 0.075, 0.095])
-for row in rep.rows:
+for row in EVAL_SUITES["scalar-source"](model, [0.055, 0.075, 0.095]):
     print(f"  {row['case']}: rel L2 {row['rel_l2']:.4f}")
 
 f = np.random.default_rng(0).standard_normal((2, n * n))

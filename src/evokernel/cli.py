@@ -47,11 +47,17 @@ _SUB_SCHEMAS = {
     "curve": {"kind", "n_bd", "side", "radius", "base", "amp", "lobes"},
     "points": {"domain", "n", "spacing", "margin"},
     "train": {"epochs", "batch_size", "lr", "lr_decay", "log_every"},
-    "suite": {"kind", "kappas", "n_bd", "eval_n", "eval_lo", "eval_hi"},
     "uq": {"samples", "probe", "tau", "n_steps", "mean", "std", "clip"},
 }
 
-# keys that each backend kind, backend domain kind and equation reads
+# keys that each suite kind, backend kind, backend domain kind and equation reads
+_BOUNDARY_SUITE_KEYS = {"kind", "kappas", "n_bd", "eval_n", "eval_lo", "eval_hi"}
+_SUITE_KEYS = {
+    "scalar-boundary": _BOUNDARY_SUITE_KEYS,
+    "system-boundary": _BOUNDARY_SUITE_KEYS,
+    "scalar-source": {"kind", "kappas"},
+    "system-source": {"kind", "kappas"},
+}
 _BACKEND_KEYS = {
     "classical": {"kind", "domain"},
     "nekm": {"kind", "domain", "boundary_checkpoint", "source_checkpoint",
@@ -93,6 +99,13 @@ def validate_config(cfg):
         section = cfg.get(key)
         if isinstance(section, dict):
             _check_keys(f"'{key}'", section, allowed)
+    suite = cfg.get("suite")
+    if isinstance(suite, dict):
+        skind = suite.get("kind")
+        if not isinstance(skind, str) or skind not in _SUITE_KEYS:
+            raise ValidationError(f"unknown suite kind {skind!r} in 'suite.kind', "
+                                  f"expected one of {sorted(_SUITE_KEYS)}")
+        _check_keys(f"'suite' for kind {skind!r}", suite, _SUITE_KEYS[skind])
     backend = cfg.get("backend")
     if isinstance(backend, dict):
         bkind = backend.get("kind", "classical")
@@ -117,6 +130,8 @@ def validate_config(cfg):
         if eq == "wave" and not (0.0 <= theta <= 1.0):
             raise ValidationError(f"wave theta={theta} outside the [0, 1] bound")
         _check_wave_numbers(eq, prob)
+    if isinstance(cfg.get("uq"), dict):
+        _check_uq(cfg["uq"], domain)
     return cfg
 
 
@@ -141,6 +156,35 @@ def _check_wave_numbers(eq, prob):
     elif abs(a) > 1.0:
         raise ValidationError(f"problem.a={a}: |a| must be at most 1, "
                               f"since b = sqrt(1 - a^2)")
+
+
+def _check_uq(u, domain):
+    """The probe lies in the unit square, the clip range keeps b = sqrt(1 - a^2)
+    real, and the domain is the square lattice that the probe interpolates."""
+    if isinstance(domain, dict) and domain.get("kind", "square") != "square":
+        raise ValidationError(f"uq needs a square backend domain, got "
+                              f"'backend.domain.kind' {domain['kind']!r}")
+    probe = u.get("probe")
+    if "probe" in u and not (_is_pair(probe) and all(0.0 <= c <= 1.0 for c in probe)):
+        raise ValidationError(f"uq.probe={probe!r} must be a point (x, y) "
+                              f"of the unit square [0, 1]^2")
+    clip = u.get("clip")
+    if "clip" in u and not (_is_pair(clip) and -1.0 <= clip[0] <= clip[1] <= 1.0):
+        raise ValidationError(f"uq.clip={clip!r} must be a range (lo, hi) with "
+                              f"-1 <= lo <= hi <= 1, since b = sqrt(1 - a^2)")
+
+
+def _is_pair(value):
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    for c in value))
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _write_manifest(out, cfg, artifacts, extra=None):
@@ -251,10 +295,8 @@ def cmd_train(cfg, out):
             "loss_tail": info["loss_trace"][-5:], "data_hash": ds.content_hash(),
             "kappas": [float(k) for k in ds.kappas]}
     save_checkpoint(model, os.path.join(out, "model.ckpt"), meta)
-    with open(os.path.join(out, "training_curve.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "loss"])
-        w.writerows(info["loss_trace"])
+    _write_csv(os.path.join(out, "training_curve.csv"), ["step", "loss"],
+               info["loss_trace"])
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump({"final_loss": info["final_loss"],
                    "train_seconds": info["train_seconds"]}, fh, indent=2,
@@ -263,29 +305,21 @@ def cmd_train(cfg, out):
     return 0
 
 
+_ERROR_COLUMNS = ["case", "abs_l2", "abs_linf", "rel_l2", "rel_linf"]
+
+
 def cmd_eval(cfg, out):
-    from . import experiments
+    from .experiments import EVAL_SUITES
     from .nn import load_checkpoint
-    from .training import write_report_csv
 
     model, meta = load_checkpoint(cfg["checkpoint"])
     s = cfg["suite"]
-    kappas = _kappa_list(s["kappas"])
-    kw = {k: s[k] for k in ("n_bd", "eval_n", "eval_lo", "eval_hi") if k in s}
-    kind = s["kind"]
-    if kind == "scalar-boundary":
-        rep = experiments.eval_scalar_boundary(model, kappas, **kw)
-    elif kind == "scalar-source":
-        rep = experiments.eval_scalar_source(model, kappas)
-    elif kind == "system-source":
-        rep = experiments.eval_system_source(model, kappas)
-    elif kind == "system-boundary":
-        rep = experiments.eval_system_boundary(model, kappas, **kw)
-    else:
-        raise ValidationError(f"unknown suite kind {kind!r}")
-    write_report_csv(rep, os.path.join(out, "errors.csv"))
+    options = {k: v for k, v in s.items() if k not in ("kind", "kappas")}
+    rows = EVAL_SUITES[s["kind"]](model, _kappa_list(s["kappas"]), **options)
+    _write_csv(os.path.join(out, "errors.csv"), _ERROR_COLUMNS,
+               [[row[c] for c in _ERROR_COLUMNS] for row in rows])
     with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump({"experiment": kind, "rows": rep.rows}, fh, indent=2,
+        json.dump({"experiment": s["kind"], "rows": rows}, fh, indent=2,
                   sort_keys=True)
     _write_manifest(out, cfg, ["errors.csv", "summary.json"])
     return 0
@@ -343,13 +377,10 @@ def _lam_range(configured, metas):
 
 def _write_field_csv(path, pts, fld):
     import numpy as np
-    cplx = np.iscomplexobj(fld)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y"] + (["re", "im"] if cplx else ["u"]))
-        for i in range(pts.shape[0]):
-            w.writerow([pts[i, 0], pts[i, 1]]
-                       + ([fld[i].real, fld[i].imag] if cplx else [fld[i]]))
+    if np.iscomplexobj(fld):
+        _write_csv(path, ["x", "y", "re", "im"], np.column_stack([pts, fld.real, fld.imag]))
+    else:
+        _write_csv(path, ["x", "y", "u"], np.column_stack([pts, fld]))
 
 
 def cmd_evolve(cfg, out):
@@ -382,11 +413,9 @@ def cmd_evolve(cfg, out):
                               store_fields=store)
     else:
         raise ValidationError(f"unknown equation {eq!r}")
-    with open(os.path.join(out, "error_trace.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "abs_l2", "abs_linf", "rel_l2"])
-        for e in res.error_trace:
-            w.writerow([e["t"], e["abs_l2"], e["abs_linf"], e["rel_l2"]])
+    trace_columns = ["t", "abs_l2", "abs_linf", "rel_l2"]
+    _write_csv(os.path.join(out, "error_trace.csv"), trace_columns,
+               [[e[c] for c in trace_columns] for e in res.error_trace])
     final = res.final
     pts = backend.domain.points
     _write_field_csv(os.path.join(out, "final_field.csv"), pts, final)
@@ -426,11 +455,8 @@ def cmd_uq(cfg, out):
                          clip=tuple(u.get("clip", (0.2, 0.8))))
     for name, arr in hist.items():
         counts, edges = np.histogram(arr, bins=40)
-        with open(os.path.join(out, f"hist_{name}.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin_left", "bin_right", "count"])
-            for i in range(counts.size):
-                w.writerow([edges[i], edges[i + 1], counts[i]])
+        _write_csv(os.path.join(out, f"hist_{name}.csv"),
+                   ["bin_left", "bin_right", "count"], zip(edges[:-1], edges[1:], counts))
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump({"experiment": "uq-heat-cn", **stats}, fh, indent=2, sort_keys=True)
     _write_manifest(out, cfg, [f"hist_{k}.csv" for k in hist] + ["summary.json"])
@@ -459,7 +485,7 @@ def cmd_oracle(cfg, out):
         th = np.linspace(0, 2 * np.pi, 32, endpoint=False)
         pts = np.stack([0.5 * np.cos(th), 0.5 * np.sin(th)], 1)
         field = bie.eval_double_layer(spec, grid, phi, pts)
-        errs.append(float(np.max(np.abs(field.values - u(pts)))))
+        errs.append(float(np.max(np.abs(field - u(pts)))))
     checks.append(("nystrom-disk-decay", errs[2] < 0.3 * errs[1] < 0.09 * errs[0],
                    errs))
     # FD oracle order
@@ -470,7 +496,7 @@ def cmd_oracle(cfg, out):
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         gfield = np.exp(-c * X) * np.sin(Y)
         sol = fd_solve_scalar(kap, np.zeros_like(gfield), gfield)
-        fd_errs.append(float(np.max(np.abs(sol.values - gfield))))
+        fd_errs.append(float(np.max(np.abs(sol - gfield))))
     orders = [np.log2(fd_errs[i] / fd_errs[i + 1]) for i in range(2)]
     checks.append(("fd-order-2", all(abs(o - 2.0) < 0.1 for o in orders), orders))
     # coupled-operator identity via finite differences
@@ -534,11 +560,9 @@ def cmd_report(cfg, out):
                          gate[1], status])
         else:
             rows.append([run_dir, manifest["command"], exp, "", "", "", "info"])
-    with open(os.path.join(out, "index.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "command", "experiment", "gate", "value",
-                    "threshold", "status"])
-        w.writerows(rows)
+    _write_csv(os.path.join(out, "index.csv"),
+               ["run", "command", "experiment", "gate", "value", "threshold", "status"],
+               rows)
     _write_manifest(out, cfg, ["index.csv"])
     return 0
 

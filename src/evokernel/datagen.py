@@ -178,13 +178,12 @@ def build_source_dataset(kappas, per_kappa, n, seed, mix=0.5, sigma_range=(1.0, 
                 f1, f2 = draw(), draw()
                 sol = fd_solve_complex(kap, f1 + 1j * f2, zeros.astype(complex))
                 f_arr[rec] = np.concatenate([f1.ravel(), f2.ravel()])
-                u_arr[rec] = np.concatenate([sol.values.real.ravel(),
-                                             sol.values.imag.ravel()])
+                u_arr[rec] = np.concatenate([sol.real.ravel(), sol.imag.ravel()])
             else:
                 f1 = draw()
                 sol = fd_solve_scalar(kap, f1, zeros)
                 f_arr[rec] = f1.ravel()
-                u_arr[rec] = sol.values.ravel()
+                u_arr[rec] = sol.ravel()
             k_idx[rec] = ik
             rec += 1
     prov = {"kind": "source", "seed": seed, "per_kappa": per_kappa, "n": n,
@@ -242,7 +241,7 @@ def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed,
     homogeneous problem with trace w|_boundary through the Nystrom oracle
     (spectrally accurate on smooth curves).
     """
-    from .bie import BoundaryData, eval_double_layer, nystrom_solve
+    from .bie import eval_double_layer, nystrom_solve
     from .kernels import ScalarKernelSpec, boundary_kernel
 
     kappas = np.asarray(kappas, dtype=np.float64)
@@ -268,8 +267,8 @@ def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed,
             coef = -(np.pi**2) * (b**2 + c**2) - 1.0 / kap
             f_arr[rec] = coef * w_pts
             trace = w(bpts[:, 0], bpts[:, 1])
-            phi = nystrom_solve(kmat, BoundaryData(trace, grid))
-            v = eval_double_layer(spec, grid, phi, pts).values
+            phi = nystrom_solve(kmat, trace)
+            v = eval_double_layer(spec, grid, phi, pts)
             u_arr[rec] = w_pts - v
             k_idx[rec] = ik
             rec += 1

@@ -129,7 +129,7 @@ class ClassicalBackend:
             f, g = F2[i].reshape(n, n), G2[i].reshape(n, n)
             sol = (fd_solve_complex(lam, f, g) if coupled
                    else fd_solve_scalar(lam, -f / lam, g))
-            out[i] = sol.values.ravel()
+            out[i] = sol.ravel()
         return out.reshape(F.shape)
 
 
@@ -453,10 +453,13 @@ def heat_family(domain, a, b, tau, n_steps):
 
 
 def bilinear_probe(domain, fields, point):
-    """Bilinear interpolation of lattice fields (..., n*n) at one point."""
+    """Bilinear interpolation of lattice fields (..., n*n) at one point of
+    the unit square."""
+    x, y = point
+    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+        raise ValueError(f"probe point {tuple(point)} outside the unit square")
     n = domain.n
     h = 1.0 / (n - 1)
-    x, y = point
     i = min(int(x / h), n - 2)
     j = min(int(y / h), n - 2)
     sx = x / h - i

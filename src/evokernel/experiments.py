@@ -1,4 +1,4 @@
-"""Manufactured test cases and evaluation harnesses.
+"""Manufactured test cases and the evaluation table.
 
 These are the standard verification problems shared by the CLI, the demo
 scripts and the tests:
@@ -17,17 +17,17 @@ The heat problem family lives in evolution.heat_family.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import bie, kernels
 from .geometry import make_curve, sample_quadrature, square_lattice
-from .training import ErrorReport
+from .training import error_metrics
 
 __all__ = [
     "scalar_boundary_solution", "scalar_source_case", "system_source_case",
-    "system_boundary_case", "eval_scalar_boundary", "eval_scalar_source",
-    "eval_system_source", "eval_system_boundary", "wave_problem",
-    "schrodinger_problem",
+    "system_boundary_case", "EVAL_SUITES", "wave_problem", "schrodinger_problem",
 ]
 
 
@@ -107,63 +107,56 @@ def system_boundary_case(lam, source_point=(1.2, 1.2)):
     return fields
 
 
-def eval_scalar_boundary(model, kappas, n_bd=256, eval_n=16,
-                         eval_lo=0.05, eval_hi=0.95):
-    """Boundary checkpoint -> density -> interior field vs exact solution."""
-    curve = make_curve("square")
-    grid = sample_quadrature(curve, n_bd)
-    egrid = square_lattice(eval_n, eval_lo, eval_hi)
-    rep = ErrorReport(model_id="scalar-boundary", grid_desc=f"{eval_n}x{eval_n}")
-    for kap in kappas:
-        spec = kernels.ScalarKernelSpec(float(kap))
-        u = scalar_boundary_solution(kap)
-        phi = model.predict(kap, u(grid.points))
-        field = bie.eval_double_layer(spec, grid, phi, egrid)
-        rep.add(f"kappa={kap:.6g}", field.values, u(egrid.points))
-    return rep
+def _rows(name, p, preds, exacts):
+    """One error row per field component, labelled name=p (one component)
+    or name=p:u1, name=p:u2."""
+    tags = [""] if len(exacts) == 1 else [f":u{i + 1}" for i in range(len(exacts))]
+    return [{"case": f"{name}={p:.6g}{tag}", **error_metrics(pred, ref)}
+            for tag, pred, ref in zip(tags, preds, exacts)]
 
 
-def eval_scalar_source(model, kappas):
-    """Source checkpoint evaluated on its own lattice against the closed form."""
+def _boundary_suite(name, spec_cls, case, model, params, n_bd=256, eval_n=16,
+                    eval_lo=0.05, eval_hi=0.95):
+    """Boundary checkpoint -> density -> double-layer field on an interior
+    lattice, against the exact field case(p), whose trace is the data;
+    coupled components are node-interleaved."""
+    grid = sample_quadrature(make_curve("square"), n_bd)
+    pts = square_lattice(eval_n, eval_lo, eval_hi).points
+    rows = []
+    for p in params:
+        fields = case(p)
+        trace = np.atleast_2d(fields(grid.points))
+        phi = model.predict(p, trace.T.ravel())
+        out = bie.eval_double_layer(spec_cls(float(p)), grid, phi, pts)
+        rows += _rows(name, p, out.reshape(-1, len(trace)).T, np.atleast_2d(fields(pts)))
+    return rows
+
+
+def _source_suite(name, case, model, params):
+    """Source checkpoint on its own sample points against the closed form;
+    case(p) gives the exact components, then as many source components,
+    which the model takes stacked in blocks."""
     pts = model.points
-    rep = ErrorReport(model_id="scalar-source", grid_desc=f"{pts.shape[0]} pts")
-    for kap in kappas:
-        u, f = scalar_source_case(kap)
-        pred = model.predict(kap, f(pts))
-        rep.add(f"kappa={kap:.6g}", pred, u(pts))
-    return rep
+    rows = []
+    for p in params:
+        fns = case(p)
+        k = len(fns) // 2
+        pred = model.predict(p, np.concatenate([f(pts) for f in fns[k:]]))
+        rows += _rows(name, p, np.split(pred, k), [u(pts) for u in fns[:k]])
+    return rows
 
 
-def eval_system_source(model, lams):
-    pts = model.points
-    n = pts.shape[0]
-    rep = ErrorReport(model_id="system-source", grid_desc=f"{n} pts x2")
-    for lam in lams:
-        u1, u2, f1, f2 = system_source_case(lam)
-        pred = model.predict(lam, np.concatenate([f1(pts), f2(pts)]))
-        rep.add(f"lam={lam:.6g}:u1", pred[:n], u1(pts))
-        rep.add(f"lam={lam:.6g}:u2", pred[n:], u2(pts))
-    return rep
-
-
-def eval_system_boundary(model, lams, n_bd=256, eval_n=16,
-                         eval_lo=0.05, eval_hi=0.95):
-    curve = make_curve("square")
-    grid = sample_quadrature(curve, n_bd)
-    egrid = square_lattice(eval_n, eval_lo, eval_hi)
-    rep = ErrorReport(model_id="system-boundary", grid_desc=f"{eval_n}x{eval_n}")
-    for lam in lams:
-        spec = kernels.SystemKernelSpec(float(lam))
-        fields = system_boundary_case(lam)
-        b1, b2 = fields(grid.points)
-        g = np.empty(2 * grid.n)
-        g[0::2], g[1::2] = b1, b2
-        phi = model.predict(lam, g)
-        out = bie.eval_double_layer(spec, grid, phi, egrid).values
-        e1, e2 = fields(egrid.points)
-        rep.add(f"lam={lam:.6g}:u1", out[0::2], e1)
-        rep.add(f"lam={lam:.6g}:u2", out[1::2], e2)
-    return rep
+# suite kind -> evaluate(model, params, **options) -> error rows, one per case
+# and component; only the boundary suites take options (n_bd, eval_n, eval_lo,
+# eval_hi)
+EVAL_SUITES = {
+    "scalar-boundary": partial(_boundary_suite, "kappa", kernels.ScalarKernelSpec,
+                               scalar_boundary_solution),
+    "scalar-source": partial(_source_suite, "kappa", scalar_source_case),
+    "system-source": partial(_source_suite, "lam", system_source_case),
+    "system-boundary": partial(_boundary_suite, "lam", kernels.SystemKernelSpec,
+                               system_boundary_case),
+}
 
 
 def wave_problem(domain, a, tau, n_steps, theta=0.5):

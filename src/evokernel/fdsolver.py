@@ -13,35 +13,12 @@ identical to L_lam (u1, u2)^T = (f1, f2)^T with u = u1 + i u2.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["LatticeField", "fd_solve_scalar", "fd_solve_complex",
-           "apply_operator", "lap5"]
-
-
-@dataclass
-class LatticeField:
-    """n x n values on the closed unit-square lattice, spacing 1/(n-1)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("lattice field must be square")
-        self.values = v
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-    @property
-    def h(self):
-        return 1.0 / (self.n - 1)
+__all__ = ["fd_solve_scalar", "fd_solve_complex", "apply_operator", "lap5"]
 
 
 class FdSolverError(RuntimeError):
@@ -93,14 +70,23 @@ def _check_residual(interior_apply, u_int, rhs, scale):
         raise FdSolverError(f"direct solve residual {res:.3e} above tolerance")
 
 
+def _lattice_pair(f, g, dtype):
+    """f and g as (n, n) arrays on one square lattice."""
+    f = np.asarray(f, dtype=dtype)
+    g = np.asarray(g, dtype=dtype)
+    if f.ndim != 2 or f.shape[0] != f.shape[1] or g.shape != f.shape:
+        raise ValueError(f"lattice fields must be square and of one shape, "
+                         f"got {f.shape} and {g.shape}")
+    return f, g
+
+
 def fd_solve_scalar(kappa, f, g):
     """Solve (Delta_h - 1/kappa) u = f with u = g on the ring.
 
-    f, g: (n, n) arrays (LatticeField accepted); only interior f values and
-    ring g values are read.  Returns a LatticeField.
+    f, g: (n, n) arrays; only interior f values and ring g values are read.
+    Returns u as an (n, n) array.
     """
-    f = f.values if isinstance(f, LatticeField) else np.asarray(f, dtype=np.float64)
-    g = g.values if isinstance(g, LatticeField) else np.asarray(g, dtype=np.float64)
+    f, g = _lattice_pair(f, g, np.float64)
     n = f.shape[0]
     solve = _factorize("scalar", kappa, n)
     rhs = f[1:-1, 1:-1] - _boundary_correction(g, n, np.float64)
@@ -112,31 +98,34 @@ def fd_solve_scalar(kappa, f, g):
     _check_residual(
         lambda v: (lap @ v - v / kappa) + _boundary_correction(g, n, np.float64).ravel(),
         u_int, f[1:-1, 1:-1].ravel(), scale)
-    return LatticeField(u)
+    return u
 
 
 def fd_solve_complex(lam, f, g):
-    """Solve (I + i lam Delta_h) u = f with u = g on the ring (complex fields)."""
-    f = f.values if isinstance(f, LatticeField) else np.asarray(f, dtype=np.complex128)
-    g = g.values if isinstance(g, LatticeField) else np.asarray(g, dtype=np.complex128)
+    """Solve (I + i lam Delta_h) u = f with u = g on the ring.
+
+    f, g: (n, n) complex arrays, read as in fd_solve_scalar.  Returns u as an
+    (n, n) complex array.
+    """
+    f, g = _lattice_pair(f, g, np.complex128)
     n = f.shape[0]
     solve = _factorize("complex", lam, n)
     rhs = f[1:-1, 1:-1] - 1j * lam * _boundary_correction(g, n, np.complex128)
     u_int = solve(rhs.ravel())
-    u = g.astype(np.complex128).copy()
+    u = g.copy()
     u[1:-1, 1:-1] = u_int.reshape(n - 2, n - 2)
     lap = _interior_laplacian(n)
     scale = float(np.max(np.abs(f))) + 4.0 * lam * (n - 1.0) ** 2 * float(np.max(np.abs(g)))
     _check_residual(
         lambda v: v + 1j * lam * (lap @ v + _boundary_correction(g, n, np.complex128).ravel()),
         u_int, f[1:-1, 1:-1].ravel(), scale)
-    return LatticeField(u)
+    return u
 
 
 def lap5(u):
     """5-point Laplacian of full-lattice fields (..., n, n) at interior nodes,
     shape (..., n-2, n-2)."""
-    u = u.values if isinstance(u, LatticeField) else np.asarray(u)
+    u = np.asarray(u)
     n = u.shape[-1]
     h2 = (n - 1.0) ** 2
     return (u[..., :-2, 1:-1] + u[..., 2:, 1:-1] + u[..., 1:-1, :-2] + u[..., 1:-1, 2:]
@@ -146,7 +135,7 @@ def lap5(u):
 def apply_operator(param, u, kind="scalar"):
     """Discrete operator at interior nodes: (Delta_h - 1/param) u, or
     (I + i param Delta_h) u for kind='complex'.  Returns (n-2, n-2)."""
-    u = u.values if isinstance(u, LatticeField) else np.asarray(u)
+    u = np.asarray(u)
     if kind == "scalar":
         return lap5(u) - u[1:-1, 1:-1] / param
     if kind == "complex":

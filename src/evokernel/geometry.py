@@ -8,7 +8,6 @@ midpoint offset guarantees no node ever lands on a corner.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,14 +245,13 @@ def sample_quadrature(curve, n_bd):
 
 @dataclass(frozen=True)
 class InteriorGrid:
-    """Evaluation points inside the domain with a boundary margin delta.
+    """Evaluation points inside the domain.
 
     For lattice-based grids ``shape`` holds (rows, cols) and ``spacing`` the
     lattice step; scattered point sets leave them None.
     """
 
     points: np.ndarray
-    margin: float
     shape: tuple | None = None
     spacing: float | None = None
 
@@ -262,13 +260,12 @@ class InteriorGrid:
         return self.points.shape[0]
 
 
-def square_lattice(n, lo=0.0, hi=1.0, margin=0.0):
+def square_lattice(n, lo=0.0, hi=1.0):
     """Uniform n x n lattice on [lo, hi]^2 (inclusive), row-major flattened."""
     xs = np.linspace(lo, hi, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    return InteriorGrid(points=pts, margin=margin, shape=(n, n),
-                        spacing=(hi - lo) / (n - 1))
+    return InteriorGrid(points=pts, shape=(n, n), spacing=(hi - lo) / (n - 1))
 
 
 def petal_lattice(curve, spacing=0.03, margin=None):
@@ -291,35 +288,4 @@ def petal_lattice(curve, spacing=0.03, margin=None):
     pts = pts[curve.distance(pts) >= margin]
     if pts.shape[0] == 0:
         raise ValueError("no interior points satisfy the margin; check spacing/margin")
-    return InteriorGrid(points=pts, margin=margin)
-
-
-def interior_points(domain, **spec):
-    """Dispatch on domain kind: square lattices or petal rejection lattices.
-
-    square: n (per side), lo/hi (default unit square), margin.
-    petal:  curve, spacing, margin.
-    """
-    if domain == "square":
-        return square_lattice(spec.get("n", 41), spec.get("lo", 0.0),
-                              spec.get("hi", 1.0), spec.get("margin", 0.0))
-    if domain == "petal":
-        return petal_lattice(spec["curve"], spec.get("spacing", 0.03),
-                             spec.get("margin"))
-    raise ValueError(f"unknown interior domain {domain!r}")
-
-
-def signed_area(grid):
-    """1/2 * contour integral of (x dy - y dx); positive for CCW curves."""
-    p = grid.points
-    d = grid.curve.derivative(grid.t)
-    return 0.5 * grid.weight * float(np.sum(p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]))
-
-
-def grid_to_csv(grid, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "y", "nx", "ny", "speed"])
-        for i in range(grid.n):
-            w.writerow([grid.t[i], grid.points[i, 0], grid.points[i, 1],
-                        grid.normals[i, 0], grid.normals[i, 1], grid.speeds[i]])
+    return InteriorGrid(points=pts)

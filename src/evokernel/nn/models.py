@@ -139,7 +139,8 @@ class SourceModel:
         return head, g.weights[-1], g.biases[-1]
 
     def forward(self, kappa_col, f):
-        """Graph forward: kappa_col (m, 1) and f (m, N) are constants.
+        """Graph forward: kappa_col (m, 1), or one (1, 1) row shared by the
+        batch, and f (m, N) are constants.
 
         Builds (f ⊙ kf) G^T as (a W) H_r^T + (a . b) 1^T with a = f ⊙ kf,
         the factored form that operator() uses; G itself is never formed."""

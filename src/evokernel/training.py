@@ -17,18 +17,17 @@ seed; two runs of one config produce bit-identical checkpoints.
 
 from __future__ import annotations
 
-import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bie
 from .nn import Adam, SourceModel, BoundaryModel, BranchTrunk, engine as eg
 
-__all__ = ["TrainConfig", "ErrorReport", "DivergenceError",
-           "train_boundary_model", "train_source_model", "train_branch_trunk",
-           "boundary_loss", "error_metrics", "write_report_csv"]
+__all__ = ["TrainConfig", "DivergenceError", "train_boundary_model",
+           "train_source_model", "train_branch_trunk", "boundary_loss",
+           "error_metrics"]
 
 
 @dataclass
@@ -108,9 +107,9 @@ def _mse(pred, target):
 def _boundary_loss_graph(model, B, kappa, g):
     """The self-supervised loss graph; the residual matrix B comes from
     bie.residual_operator, so this is the exact expression bie_residual
-    evaluates."""
-    kcol = np.full((g.shape[0], 1), kappa)
-    phi = model.forward(kcol, g)
+    evaluates.  The batch shares one kappa, so nn_k runs on a single row
+    that broadcasts over it."""
+    phi = model.forward(np.full((1, 1), kappa), g)
     resid = eg.sub_const(eg.matmul_t(phi, B), g)
     return eg.sum_squares(resid, scale=1.0 / (g.shape[0] * g.shape[1]))
 
@@ -152,8 +151,9 @@ def train_source_model(cfg, dataset, points, model=None, coupled=False):
                                   rng, coupled=coupled)
 
     def loss_fn(ik, rows):
-        kcol = np.full((rows.size, 1), dataset.kappas[ik])
-        return _mse(model.forward(kcol, dataset.f[rows]), dataset.u[rows])
+        # one kappa row broadcasts over the batch, as in _boundary_loss_graph
+        kappa = np.full((1, 1), dataset.kappas[ik])
+        return _mse(model.forward(kappa, dataset.f[rows]), dataset.u[rows])
 
     return model, _train_loop(model, cfg, dataset, rng, loss_fn)
 
@@ -191,27 +191,3 @@ def error_metrics(pred, ref):
         "rel_l2": abs_l2 / ref_l2 if ref_l2 > 0 else np.inf,
         "rel_linf": abs_linf / ref_linf if ref_linf > 0 else np.inf,
     }
-
-
-@dataclass
-class ErrorReport:
-    """Rows of per-case error metrics in the standard table schema."""
-
-    rows: list = field(default_factory=list)
-    model_id: str = ""
-    grid_desc: str = ""
-
-    def add(self, case, pred, ref):
-        row = {"case": case}
-        row.update(error_metrics(pred, ref))
-        self.rows.append(row)
-        return row
-
-
-def write_report_csv(report, path):
-    cols = ["case", "abs_l2", "abs_linf", "rel_l2", "rel_linf"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in report.rows:
-            w.writerow([row[c] for c in cols])

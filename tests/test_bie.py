@@ -45,14 +45,14 @@ def test_residual_operator_fresh_per_matrix():
         km = kernels.scalar_boundary_kernel(kernels.ScalarKernelSpec(kappa), grid)
         B = km.values * grid.weight + eye
         assert np.array_equal(bie.residual_operator(km), B)
-        phi = bie.nystrom_solve(km, np.ones(32)).values
+        phi = bie.nystrom_solve(km, np.ones(32))
         assert np.max(np.abs(B @ phi - 1.0)) <= 1e-10
 
 
 def test_solve_residual_property():
     spec, grid, km = _disk_setup(0.05, 128)
     g = scalar_boundary_solution(0.05)(grid.points)
-    phi = bie.nystrom_solve(km, bie.BoundaryData(g, grid))
+    phi = bie.nystrom_solve(km, g)
     r = bie.bie_residual(km, phi, g)
     assert np.max(np.abs(r)) <= 1e-10 * np.max(np.abs(g))
 
@@ -60,15 +60,15 @@ def test_solve_residual_property():
 def test_solve_zero_data():
     spec, grid, km = _disk_setup(0.08, 32)
     phi = bie.nystrom_solve(km, np.zeros(32))
-    assert np.max(np.abs(phi.values)) == 0.0
+    assert np.max(np.abs(phi)) == 0.0
 
 
 def test_solve_linearity():
     spec, grid, km = _disk_setup(0.08, 64)
     rng = np.random.default_rng(4)
     g1, g2 = rng.standard_normal(64), rng.standard_normal(64)
-    lhs = bie.nystrom_solve(km, g1 + g2).values
-    rhs = bie.nystrom_solve(km, g1).values + bie.nystrom_solve(km, g2).values
+    lhs = bie.nystrom_solve(km, g1 + g2)
+    rhs = bie.nystrom_solve(km, g1) + bie.nystrom_solve(km, g2)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
 
 
@@ -94,7 +94,7 @@ def test_manufactured_disk_field_convergence():
         spec, grid, km = _disk_setup(kappa, n)
         phi = bie.nystrom_solve(km, u(grid.points))
         field = bie.eval_double_layer(spec, grid, phi, pts)
-        errs.append(np.max(np.abs(field.values - u(pts))))
+        errs.append(np.max(np.abs(field - u(pts))))
     assert errs[1] < 0.35 * errs[0]
     assert errs[2] < 0.35 * errs[1]
     assert errs[2] < 2.0e-5
@@ -104,17 +104,7 @@ def test_manufactured_disk_field_convergence():
 def test_zero_density_zero_field():
     spec, grid, km = _disk_setup(0.05, 32)
     field = bie.eval_double_layer(spec, grid, np.zeros(32), _polar_points())
-    assert np.all(field.values == 0.0)
-
-
-def test_near_boundary_warning():
-    spec, grid, km = _disk_setup(0.05, 64)
-    from evokernel.geometry import InteriorGrid
-    pts = np.array([[0.0, 0.0], [0.97, 0.0]])
-    interior = InteriorGrid(points=pts, margin=0.05)
-    phi = np.ones(64)
-    field = bie.eval_double_layer(spec, grid, phi, interior)
-    assert list(field.near_boundary) == [1]
+    assert np.all(field == 0.0)
 
 
 def _system_disk(lam, n):
@@ -133,12 +123,12 @@ def test_system_solve_and_field():
         b1, b2 = fields(grid.points)
         g = np.empty(2 * n)
         g[0::2], g[1::2] = b1, b2
-        phi = bie.nystrom_solve(km, bie.BoundaryData(g, grid))
+        phi = bie.nystrom_solve(km, g)
         rr, th = np.meshgrid(np.linspace(0.05, 0.3, 5),
                              np.linspace(0, 2 * np.pi, 10, endpoint=False))
         pts = np.stack([0.5 + (rr * np.cos(th)).ravel(),
                         0.5 + (rr * np.sin(th)).ravel()], 1)
-        out = bie.eval_double_layer(spec, grid, phi, pts).values
+        out = bie.eval_double_layer(spec, grid, phi, pts)
         e1, e2 = fields(pts)
         errs.append(max(np.max(np.abs(out[0::2] - e1)),
                         np.max(np.abs(out[1::2] - e2))))
@@ -149,7 +139,7 @@ def test_system_solve_and_field():
 def test_system_zero_data():
     spec, grid, km = _system_disk(0.05, 32)
     phi = bie.nystrom_solve(km, np.zeros(64))
-    assert np.max(np.abs(phi.values)) == 0.0
+    assert np.max(np.abs(phi)) == 0.0
 
 
 def test_system_component_swap_symmetry():
@@ -161,11 +151,11 @@ def test_system_component_swap_symmetry():
     g1, g2 = rng.standard_normal(64), rng.standard_normal(64)
     g = np.empty(128)
     g[0::2], g[1::2] = g1, g2
-    phi = bie.nystrom_solve(km, g).values
+    phi = bie.nystrom_solve(km, g)
     # swapped data (g2, -g1): expect density (phi2, -phi1)
     gs = np.empty(128)
     gs[0::2], gs[1::2] = g2, -g1
-    phis = bie.nystrom_solve(km, gs).values
+    phis = bie.nystrom_solve(km, gs)
     assert np.allclose(phis[0::2], phi[1::2], rtol=1e-10, atol=1e-12)
     assert np.allclose(phis[1::2], -phi[0::2], rtol=1e-10, atol=1e-12)
 
@@ -173,21 +163,11 @@ def test_system_component_swap_symmetry():
 def test_density_validation():
     spec, grid, km = _disk_setup(0.05, 32)
     with pytest.raises(ValueError):
-        bie.Density(values=np.zeros(31), grid=grid, spec=spec)
+        bie.nystrom_solve(km, np.zeros(31))
+    with pytest.raises(ValueError):
+        bie.nystrom_solve(km, np.full(32, np.nan))
     with pytest.raises(ValueError):
         bie.bie_residual(km, np.zeros(16), np.zeros(16))
-
-
-def test_csv_exports(tmp_path):
-    spec, grid, km = _disk_setup(0.05, 16)
-    phi = bie.nystrom_solve(km, np.ones(16))
-    bie.density_to_csv(phi, tmp_path / "d.csv")
-    rows = (tmp_path / "d.csv").read_text().strip().splitlines()
-    assert rows[0] == "t,x,y,phi1" and len(rows) == 17
-    field = bie.eval_double_layer(spec, grid, phi, _polar_points(0.5, 2, 4))
-    bie.field_to_csv(field, tmp_path / "f.csv")
-    rows = (tmp_path / "f.csv").read_text().strip().splitlines()
-    assert rows[0] == "x,y,u" and len(rows) == 9
 
 
 def test_residual_batched_matches_rows():

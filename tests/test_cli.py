@@ -1,5 +1,6 @@
 """End-to-end CLI runs on tiny configurations."""
 
+import csv
 import json
 import os
 
@@ -108,6 +109,33 @@ def test_validation_accepts_wave_numbers_on_the_unit_circle(problem):
     assert cli.validate_config(cfg) is cfg
 
 
+_UQ = {"samples": 2, "tau": 0.1, "n_steps": 1}
+
+
+@pytest.mark.parametrize("cmd, section, value, key", [
+    ("uq", "uq", {**_UQ, "probe": [-0.5, 0.2]}, "uq.probe"),
+    ("uq", "uq", {**_UQ, "probe": [0.43, 1.01]}, "uq.probe"),
+    ("uq", "uq", {**_UQ, "probe": [0.43]}, "uq.probe"),
+    ("uq", "uq", {**_UQ, "clip": [0.2, 1.2]}, "uq.clip"),
+    ("uq", "uq", {**_UQ, "clip": [-1.5, 0.5]}, "uq.clip"),
+    ("uq", "backend", {"kind": "nekm", "domain": {"kind": "petal", "n_bd": 32},
+                       "boundary_checkpoint": "b.ckpt", "source_checkpoint": "s.ckpt"},
+     "backend.domain.kind"),
+    ("eval", "suite", {"kind": "scalar-bondary", "kappas": [0.05]}, "suite.kind"),
+    *[("eval", "suite", {"kind": kind, "kappas": [0.05], key: value}, key)
+      for kind in ("scalar-source", "system-source")
+      for key, value in (("n_bd", 32), ("eval_n", 8), ("eval_lo", 0.1), ("eval_hi", 0.9))],
+])
+def test_validation_rejects_bad_uq_and_suite_keys(tmp_path, capsys, cmd, section, value, key):
+    base = ({"backend": _CLASSICAL, "uq": _UQ} if cmd == "uq"
+            else {"checkpoint": str(tmp_path / "m.ckpt")})
+    cfg = {"version": 1, "command": cmd, "seed": 0, "out": str(tmp_path / "run"),
+           **base, section: value}
+    rc = cli.main([cmd, "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_datagen_train_eval_pipeline(tmp_path):
     d1 = tmp_path / "data"
     cfg = {"version": 1, "command": "datagen", "seed": 3, "out": str(d1),
@@ -138,6 +166,40 @@ def test_datagen_train_eval_pipeline(tmp_path):
     assert rows[1].startswith("kappa=0.067,")
 
 
+@pytest.mark.parametrize("kind, cases", [
+    ("scalar-boundary", ["kappa=0.05", "kappa=0.067"]),
+    ("system-boundary", ["lam=0.05:u1", "lam=0.05:u2", "lam=0.067:u1", "lam=0.067:u2"]),
+    ("scalar-source", ["kappa=0.05", "kappa=0.067"]),
+    ("system-source", ["lam=0.05:u1", "lam=0.05:u2", "lam=0.067:u1", "lam=0.067:u2"]),
+])
+def test_eval_every_suite_kind(tmp_path, kind, cases):
+    from evokernel import nn
+    from evokernel.geometry import square_lattice
+    rng = np.random.default_rng(0)
+    coupled = kind.startswith("system")
+    if kind.endswith("boundary"):
+        model = nn.BoundaryModel.build(32, rng, internal=8, coupled=coupled)
+        suite = {"n_bd": 32, "eval_n": 8}
+    else:
+        model = nn.SourceModel.build(square_lattice(9).points, [8], [8], rng,
+                                     coupled=coupled)
+        suite = {}
+    nn.save_checkpoint(model, str(tmp_path / "m.ckpt"))
+    out = tmp_path / "eval"
+    cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(out),
+           "checkpoint": str(tmp_path / "m.ckpt"),
+           "suite": {"kind": kind, "kappas": [0.05, 0.067], **suite}}
+    assert cli.main(["eval", "--config", _write(tmp_path, "e.json", cfg)]) == 0
+    rows = (out / "errors.csv").read_text().strip().splitlines()
+    assert rows[0] == "case,abs_l2,abs_linf,rel_l2,rel_linf"
+    assert [r.split(",")[0] for r in rows[1:]] == cases
+    values = np.array([[float(v) for v in r.split(",")[1:]] for r in rows[1:]])
+    assert np.all(np.isfinite(values)) and np.all(values > 0)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["experiment"] == kind
+    assert [r["case"] for r in summary["rows"]] == cases
+
+
 def test_evolve_classical_and_report(tmp_path):
     r1 = tmp_path / "run1"
     cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(r1),
@@ -157,6 +219,44 @@ def test_evolve_classical_and_report(tmp_path):
     rows = (rep / "index.csv").read_text().strip().splitlines()
     assert rows[0].startswith("run,command,experiment")
     assert "heat-be" in rows[1] and "pass" in rows[1]
+
+
+_GATE_TABLE = [
+    ("heat-be", "final_rel_l2", 0.015),
+    ("heat-cn", "final_rel_l2", 0.015),
+    ("wave-", "final_rel_l2", 0.01),
+    ("schrodinger-strang", "trajectory_rel_l2", 0.02),
+    ("schrodinger-lie", "trajectory_rel_l2", 0.05),
+    ("uq-heat-cn", "rel_l2_error", 0.01),
+]
+
+
+@pytest.mark.parametrize("experiment, key, value, status", [
+    *[(exp, key, threshold * factor, status) for exp, key, threshold in _GATE_TABLE
+      for factor, status in ((1 - 1e-9, "pass"), (1 + 1e-9, "fail"))],
+    ("heat-cn", "final_rel_l2", None, "info"),
+    ("oracle-suite", "final_rel_l2", 0.0, "info"),
+    ("scalar-source", "rel_l2", 0.0, "info"),
+])
+def test_report_gates(tmp_path, experiment, key, value, status):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text(json.dumps({"command": "evolve"}))
+    (run / "summary.json").write_text(json.dumps({"experiment": experiment, key: value}))
+    rep = tmp_path / "report"
+    cfg = {"version": 1, "command": "report", "out": str(rep), "runs": [str(run)]}
+    assert cli.main(["report", "--config", _write(tmp_path, "r.json", cfg)]) == 0
+    with open(rep / "index.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == ["run", "command", "experiment", "gate", "value", "threshold",
+                      "status"]
+    assert row[:3] == [str(run), "evolve", experiment]
+    assert row[6] == status
+    if status == "info":
+        assert row[3:6] == ["", "", ""]
+    else:
+        threshold = next(t for e, _, t in _GATE_TABLE if e == experiment)
+        assert row[3:6] == [key, repr(value), repr(threshold)]
 
 
 def test_report_empty_runs(tmp_path):

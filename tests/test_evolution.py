@@ -242,3 +242,10 @@ def test_bilinear_probe_matches_lattice_value():
     vals = DOMAIN.points[:, 0] * 2 + DOMAIN.points[:, 1]
     # exact for a bilinear function
     assert ev.bilinear_probe(DOMAIN, vals, (0.43, 0.2)) == pytest.approx(1.06)
+
+
+@pytest.mark.parametrize("point", [(-0.5, 0.2), (0.43, 1.01), (np.nan, 0.5)])
+def test_bilinear_probe_rejects_points_outside_unit_square(point):
+    vals = DOMAIN.points[:, 0] * 2 + DOMAIN.points[:, 1]
+    with pytest.raises(ValueError, match="unit square"):
+        ev.bilinear_probe(DOMAIN, vals, point)

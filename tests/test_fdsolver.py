@@ -20,7 +20,7 @@ def test_boundary_driven_manufactured_order():
         X, Y = _lattice(n)
         exact = np.exp(-c * X) * np.sin(Y)
         u = fd.fd_solve_scalar(kappa, np.zeros((n, n)), exact)
-        errs.append(np.max(np.abs(u.values - exact)))
+        errs.append(np.max(np.abs(u - exact)))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(abs(o - 2.0) <= 0.1 for o in orders)
 
@@ -33,7 +33,7 @@ def test_source_driven_manufactured_order():
         X, Y = _lattice(n)
         pts = np.stack([X, Y], axis=-1)
         u = fd.fd_solve_scalar(kappa, f_exact(pts), np.zeros((n, n)))
-        errs.append(np.max(np.abs(u.values - u_exact(pts))))
+        errs.append(np.max(np.abs(u - u_exact(pts))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(abs(o - 2.0) <= 0.1 for o in orders)
 
@@ -47,7 +47,7 @@ def test_system_manufactured_order():
         pts = np.stack([X, Y], axis=-1)
         f = f1(pts) + 1j * f2(pts)
         sol = fd.fd_solve_complex(lam, f, np.zeros((n, n), dtype=complex))
-        errs.append(np.max(np.abs(sol.values - (u1(pts) + 1j * u2(pts)))))
+        errs.append(np.max(np.abs(sol - (u1(pts) + 1j * u2(pts)))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(abs(o - 2.0) <= 0.1 for o in orders)
 
@@ -58,9 +58,9 @@ def test_linearity():
     f1, f2 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
     g1, g2 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
     a, b = 1.3, -0.4
-    lhs = fd.fd_solve_scalar(0.08, a * f1 + b * f2, a * g1 + b * g2).values
-    rhs = (a * fd.fd_solve_scalar(0.08, f1, g1).values
-           + b * fd.fd_solve_scalar(0.08, f2, g2).values)
+    lhs = fd.fd_solve_scalar(0.08, a * f1 + b * f2, a * g1 + b * g2)
+    rhs = (a * fd.fd_solve_scalar(0.08, f1, g1)
+           + b * fd.fd_solve_scalar(0.08, f2, g2))
     assert np.allclose(lhs, rhs, rtol=1e-11, atol=1e-11)
 
 
@@ -69,7 +69,7 @@ def test_complex_real_block_equivalence():
     n = 21
     lam = 0.1
     f1, f2 = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-    u = fd.fd_solve_complex(lam, f1 + 1j * f2, np.zeros((n, n), complex)).values
+    u = fd.fd_solve_complex(lam, f1 + 1j * f2, np.zeros((n, n), complex))
     u1, u2 = u.real, u.imag
     r1 = u1[1:-1, 1:-1] - lam * fd.lap5(u2) - f1[1:-1, 1:-1]
     r2 = u2[1:-1, 1:-1] + lam * fd.lap5(u1) - f2[1:-1, 1:-1]
@@ -86,7 +86,7 @@ def test_conjugation_consistency():
     lam = 0.07
     f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     g = np.zeros((n, n), complex)
-    u = fd.fd_solve_complex(lam, f, g).values
+    u = fd.fd_solve_complex(lam, f, g)
     # conj(u) solves (I - i lam Delta) v = conj(f); verify via residual
     v = np.conj(u)
     res = (v[1:-1, 1:-1] - 1j * lam * fd.lap5(v)) - np.conj(f)[1:-1, 1:-1]
@@ -116,7 +116,7 @@ def test_apply_solve_roundtrip():
     f_full = np.zeros((n, n))
     f_full[1:-1, 1:-1] = fd.apply_operator(kappa, u_target)
     back = fd.fd_solve_scalar(kappa, f_full, np.zeros((n, n)))
-    assert np.max(np.abs(back.values - u_target)) < 1e-10 * np.max(np.abs(u_target))
+    assert np.max(np.abs(back - u_target)) < 1e-10 * np.max(np.abs(u_target))
 
 
 def test_discrete_maximum_principle():
@@ -125,14 +125,14 @@ def test_discrete_maximum_principle():
     f = -np.abs(rng.standard_normal((n, n)))          # f <= 0
     g = np.abs(rng.standard_normal((n, n)))           # g >= 0
     u = fd.fd_solve_scalar(0.05, f, g)
-    assert np.min(u.values) >= -1e-13
+    assert np.min(u) >= -1e-13
 
 
 def test_lattice_field_validation():
-    with pytest.raises(ValueError):
-        fd.LatticeField(np.zeros((3, 4)))
-    lf = fd.LatticeField(np.zeros((5, 5)))
-    assert lf.h == pytest.approx(0.25)
+    with pytest.raises(ValueError, match="square"):
+        fd.fd_solve_scalar(0.05, np.zeros((3, 4)), np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="square"):
+        fd.fd_solve_complex(0.05, np.zeros((5, 5)), np.zeros((4, 4)))
 
 
 @pytest.mark.parametrize("kind", ["scalar", "complex"])

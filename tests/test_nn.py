@@ -216,24 +216,29 @@ def _source_batch(coupled, rng):
 
 @pytest.mark.parametrize("coupled", [False, True])
 def test_factored_source_forward_matches_dense_graph(coupled):
+    """Also for a batch of one kappa, given to the factored forward as a
+    single (1, 1) row (as the trainer does) and to the dense graph as a
+    full column."""
     rng = np.random.default_rng(21)
     model, kap, f, u = _source_batch(coupled, rng)
+    one_kappa = np.full_like(kap, 0.07)
 
     def dense(kap, f):
         kf = model.nn_k.forward(kap)
         return eg.matmul_t(eg.hadamard(f, kf), model.nn_g.forward(model._coords))
 
-    results = []
-    for fwd in (model.forward, dense):
-        for p in model.parameters():
-            p.grad = None
-        pred = fwd(kap, f)
-        eg.backward(eg.sum_squares(eg.sub_const(pred, u), scale=1.0 / u.size))
-        results.append((pred.value, [p.grad.copy() for p in model.parameters()]))
-    (out, grads), (out_ref, grads_ref) = results
-    assert np.max(np.abs(out - out_ref)) <= 1e-13 * np.max(np.abs(out_ref))
-    for g, g_ref in zip(grads, grads_ref):
-        assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
+    for kap_factored, kap_dense in ((kap, kap), (one_kappa[:1], one_kappa)):
+        results = []
+        for fwd, k in ((model.forward, kap_factored), (dense, kap_dense)):
+            for p in model.parameters():
+                p.grad = None
+            pred = fwd(k, f)
+            eg.backward(eg.sum_squares(eg.sub_const(pred, u), scale=1.0 / u.size))
+            results.append((pred.value, [p.grad.copy() for p in model.parameters()]))
+        (out, grads), (out_ref, grads_ref) = results
+        assert np.max(np.abs(out - out_ref)) <= 1e-13 * np.max(np.abs(out_ref))
+        for g, g_ref in zip(grads, grads_ref):
+            assert np.max(np.abs(g - g_ref)) <= 1e-13 * np.max(np.abs(g_ref))
 
 
 @pytest.mark.parametrize("coupled", [False, True])

@@ -113,7 +113,7 @@ def test_divergence_guard():
     assert exc.value.last_good is not None
 
 
-def test_error_metrics_and_report(tmp_path):
+def test_error_metrics_and_report():
     ref = np.array([1.0, 2.0, 2.0])
     m = tr.error_metrics(ref, ref)
     assert m["abs_l2"] == 0.0 and m["rel_linf"] == 0.0
@@ -124,13 +124,6 @@ def test_error_metrics_and_report(tmp_path):
     assert m["abs_linf"] == pytest.approx(0.1, rel=1e-12)
     assert m["rel_l2"] == pytest.approx(np.sqrt(0.02 / 3) / np.sqrt(3.0), rel=1e-12)
     assert m["rel_linf"] == pytest.approx(0.05, rel=1e-12)
-    rep = tr.ErrorReport(model_id="x")
-    rep.add("case-a", pred, ref)
-    path = tmp_path / "r.csv"
-    tr.write_report_csv(rep, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "case,abs_l2,abs_linf,rel_l2,rel_linf"
-    assert lines[1].startswith("case-a,")
 
 
 def test_holdout_hash_changes_with_data():
