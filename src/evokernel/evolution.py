@@ -48,8 +48,7 @@ class SquareLatticeDomain:
 
     def __init__(self, n=41, n_bd=256):
         self.n = n
-        self.grid = square_lattice(n)
-        self.points = self.grid.points
+        self.points = square_lattice(n).points
         self.curve = make_curve("square")
         self.quad = sample_quadrature(self.curve, n_bd)
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -80,7 +79,6 @@ class PointCloudDomain:
 
     def __init__(self, curve, interior: InteriorGrid, n_bd=256):
         self.curve = curve
-        self.grid = interior
         self.points = interior.points
         self.quad = sample_quadrature(curve, n_bd)
         self.interior_idx = np.arange(self.points.shape[0])
@@ -89,6 +87,14 @@ class PointCloudDomain:
 
 class BackendRangeError(ValueError):
     pass
+
+
+def _set_ring(u, domain, gfun, t):
+    """u with its boundary-ring entries set to g(., t); point clouds have none."""
+    ring = domain.ring_idx
+    if ring.size:
+        u[..., ring] = gfun(domain.points[ring], t)
+    return u
 
 
 class ClassicalBackend:
@@ -119,9 +125,8 @@ class ClassicalBackend:
     def _solve(self, lam, F, gfun, t, coupled):
         self._check(lam)
         n = self.domain.n
-        ring = self.domain.ring_idx
-        g_full = np.zeros(F.shape, dtype=np.complex128 if coupled else np.float64)
-        g_full[..., ring] = gfun(self.domain.points[ring], t)
+        dtype = np.complex128 if coupled else np.float64
+        g_full = _set_ring(np.zeros(F.shape, dtype=dtype), self.domain, gfun, t)
         F2 = np.atleast_2d(F)
         G2 = np.atleast_2d(g_full)
         out = np.empty_like(F2)
@@ -140,6 +145,13 @@ class NekmBackend:
     (the trained source-operator form) plus the boundary-driven double-layer
     field from the predicted density.  Refuses lam outside the trained range,
     and models whose sample points or widths do not match the domain.
+
+    Each lam gets one step operator, built at its first solve and kept:
+    u = (f A) H^T + (g M + c) P^T, with (A, H) the source model's factors,
+    (M, c) the boundary model's affine map and P the weighted double-layer
+    matrix.  The models' parameters are read at that first use, so the
+    models must not change after the backend is built.  Coupled fields are
+    stacked [real | imag] in f, g and u alike.
     """
 
     kind = "nekm"
@@ -160,7 +172,7 @@ class NekmBackend:
         self.source = source_model
         self.lam_range = lam_range
         self.coupled = coupled
-        self._pot_cache: dict = {}
+        self._ops: dict = {}
 
     def _check(self, lam):
         lo, hi = self.lam_range
@@ -168,54 +180,54 @@ class NekmBackend:
             raise BackendRangeError(
                 f"lam={lam:.6g} outside trained range [{lo:.6g}, {hi:.6g}]")
 
-    def _potential(self, lam):
-        """Weighted double-layer matrix over all domain points (zero rows on
-        the ring); coupled rows are [real parts; imaginary parts], the layout
-        of the stacked source output."""
+    def _operator(self, lam):
+        """The step operator (A, H, M, c, P) at one lam, built on first use.
+
+        The boundary model reads coupled values node-interleaved, so M's rows
+        are permuted to the stacked [real | imag] layout.  P is the weighted
+        double-layer matrix over all domain points (zero rows on the ring);
+        coupled rows are [real parts; imaginary parts], like the source output.
+        """
         key = float(lam)
-        P = self._pot_cache.get(key)
-        if P is None:
-            spec = (SystemKernelSpec(key) if self.coupled else ScalarKernelSpec(key))
-            idx = self.domain.interior_idx
-            P_int = potential_matrix(spec, self.domain.quad, self.domain.points[idx])
-            P_int *= self.domain.quad.weight
-            npts = self.domain.points.shape[0]
-            P = np.zeros((npts * (2 if self.coupled else 1), P_int.shape[1]))
+        op = self._ops.get(key)
+        if op is None:
+            A, H = self.source.operator(key)
+            M, c = self.boundary.operator(key)
+            dom = self.domain
+            spec = SystemKernelSpec(key) if self.coupled else ScalarKernelSpec(key)
+            P_int = potential_matrix(spec, dom.quad, dom.points[dom.interior_idx])
+            P_int *= dom.quad.weight
+            rows, npts = dom.interior_idx, dom.points.shape[0]
             if self.coupled:
-                P[idx] = P_int[0::2]
-                P[npts + idx] = P_int[1::2]
-            else:
-                P[idx] = P_int
-            self._pot_cache[key] = P
-        return P
+                M = np.concatenate([M[0::2], M[1::2]])
+                # P_int rows are node-interleaved: (real, imag) per point
+                rows = np.stack([rows, npts + rows], axis=1).ravel()
+            P = np.zeros((npts * (2 if self.coupled else 1), P_int.shape[1]))
+            P[rows] = P_int
+            op = self._ops[key] = (A, H, M, c, P)
+        return op
 
     def solve(self, lam, F, gfun, t):
-        self._check(lam)
-        u = self.source.predict(lam, -F / lam)
-        gq = gfun(self.domain.quad.points, t)
-        phi = self.boundary.predict(lam, gq)
-        u += phi @ self._potential(lam).T
-        if self.domain.ring_idx.size:
-            u[..., self.domain.ring_idx] = gfun(
-                self.domain.points[self.domain.ring_idx], t)
-        return u
+        """(I - lam Delta) u = F with Dirichlet data g(., t)."""
+        return self._solve(lam, -F / lam, gfun, t, coupled=False)
 
     def solve_coupled(self, lam, F, gfun, t):
+        """u + i lam Delta u = F over complex fields."""
+        return self._solve(lam, F, gfun, t, coupled=True)
+
+    def _solve(self, lam, f, gfun, t, coupled):
         self._check(lam)
-        npts = F.shape[-1]
-        f_stack = np.concatenate([F.real, F.imag], axis=-1)
-        u_stack = self.source.predict(lam, f_stack)
-        gq = gfun(self.domain.quad.points, t)
-        g_il = np.empty(gq.shape[:-1] + (2 * gq.shape[-1],))
-        g_il[..., 0::2] = gq.real
-        g_il[..., 1::2] = gq.imag
-        phi = self.boundary.predict(lam, g_il)
-        u_stack += phi @ self._potential(lam).T
-        u = u_stack[..., :npts] + 1j * u_stack[..., npts:]
-        if self.domain.ring_idx.size:
-            u[..., self.domain.ring_idx] = gfun(
-                self.domain.points[self.domain.ring_idx], t)
-        return u
+        A, H, M, c, P = self._operator(lam)
+        g = gfun(self.domain.quad.points, t)
+        if coupled:
+            f = np.concatenate([f.real, f.imag], axis=-1)
+            g = np.concatenate([g.real, g.imag], axis=-1)
+        u = (f @ A) @ H.T
+        u += (g @ M + c) @ P.T
+        if coupled:
+            npts = u.shape[-1] // 2
+            u = u[..., :npts] + 1j * u[..., npts:]
+        return _set_ring(u, self.domain, gfun, t)
 
 
 @dataclass

@@ -25,9 +25,6 @@ class FdSolverError(RuntimeError):
     pass
 
 
-_FACTOR_CACHE: dict = {}
-
-
 @functools.cache
 def _interior_laplacian(n):
     """Sparse Delta_h on the (n-2)^2 interior unknowns, Dirichlet-eliminated."""
@@ -38,19 +35,16 @@ def _interior_laplacian(n):
     return (sp.kron(eye, main) + sp.kron(main, eye)) * h2
 
 
+@functools.cache
 def _factorize(kind, param, n):
-    key = (kind, float(np.real(param)), float(np.imag(param)), n)
-    solve = _FACTOR_CACHE.get(key)
-    if solve is None:
-        lap = _interior_laplacian(n)
-        m2 = (n - 2) ** 2
-        if kind == "scalar":
-            A = (lap - (1.0 / param) * sp.identity(m2)).tocsc()
-        else:
-            A = (sp.identity(m2) + 1j * param * lap).tocsc().astype(np.complex128)
-        solve = spla.factorized(A)
-        _FACTOR_CACHE[key] = solve
-    return solve
+    """Sparse LU solve of the scalar or complex operator, one per (kind, param, n)."""
+    lap = _interior_laplacian(n)
+    m2 = (n - 2) ** 2
+    if kind == "scalar":
+        A = (lap - (1.0 / param) * sp.identity(m2)).tocsc()
+    else:
+        A = (sp.identity(m2) + 1j * param * lap).tocsc().astype(np.complex128)
+    return spla.factorized(A)
 
 
 def _boundary_correction(g, n, dtype):

@@ -245,15 +245,9 @@ def sample_quadrature(curve, n_bd):
 
 @dataclass(frozen=True)
 class InteriorGrid:
-    """Evaluation points inside the domain.
-
-    For lattice-based grids ``shape`` holds (rows, cols) and ``spacing`` the
-    lattice step; scattered point sets leave them None.
-    """
+    """Evaluation points inside the domain."""
 
     points: np.ndarray
-    shape: tuple | None = None
-    spacing: float | None = None
 
     @property
     def m(self):
@@ -265,7 +259,7 @@ def square_lattice(n, lo=0.0, hi=1.0):
     xs = np.linspace(lo, hi, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    return InteriorGrid(points=pts, shape=(n, n), spacing=(hi - lo) / (n - 1))
+    return InteriorGrid(points=pts)
 
 
 def petal_lattice(curve, spacing=0.03, margin=None):

@@ -9,7 +9,9 @@ SourceModel   u = (f ⊙ K(kappa)) @ G(x)^T : the quadrature-structured product
               that factored form and never form the dense N x N G.
 BoundaryModel phi = Out[K(kappa) ⊙ Lin(g)] : boundary-density predictor whose
               g-branch and output head are single linear layers, so the map
-              g -> phi is exactly affine for fixed kappa.
+              g -> phi is exactly affine for fixed kappa; inference folds it
+              to phi = g M + c with M = W_g^T diag(kf) W_out^T and
+              c = (b_g ⊙ kf) W_out^T + b_out.
 BranchTrunk   u = B([kappa, f]) @ T(x)^T : plain branch-trunk baseline used
               for the accuracy comparison at matched parameter count.
 
@@ -111,7 +113,6 @@ class SourceModel:
         if nn_g.activations[-1] != "identity":
             raise ValueError("coordinate branch head must be linear (factored operator)")
         self._coords = augmented_points(self.points) if coupled else self.points
-        self._op_cache: dict = {}
 
     @classmethod
     def build(cls, points, hidden_k, hidden_g, rng, coupled=False):
@@ -149,9 +150,6 @@ class SourceModel:
         hidden = head.forward(self._coords)
         return eg.add_row_dot(eg.matmul_t(eg.matmul(a, w), hidden), a, b)
 
-    def invalidate(self):
-        self._op_cache.clear()
-
     def operator(self, kappa):
         """Rank-(r+1) factors (A, H) of the operator frozen at one kappa value.
 
@@ -159,17 +157,12 @@ class SourceModel:
         (N, r)), (f ⊙ kf) G^T = (f @ A) @ H^T with A = kf[:, None] * [W, b]
         and H = [H_r, 1], both (N, r + 1).
         """
-        key = float(kappa)
-        hit = self._op_cache.get(key)
-        if hit is None:
-            kf = self.nn_k.predict(np.array([[key]]))[0]
-            head, w, b = self._split_g()
-            hidden = head.predict(self._coords)
-            A = kf[:, None] * np.column_stack([w.value, b.value])
-            H = np.column_stack([hidden, np.ones(hidden.shape[0])])
-            hit = (A, H)
-            self._op_cache[key] = hit
-        return hit
+        kf = self.nn_k.predict(np.array([[float(kappa)]]))[0]
+        head, w, b = self._split_g()
+        hidden = head.predict(self._coords)
+        A = kf[:, None] * np.column_stack([w.value, b.value])
+        H = np.column_stack([hidden, np.ones(hidden.shape[0])])
+        return A, H
 
     def predict(self, kappa, f):
         """f: (N,) or (m, N) -> solution values of matching shape."""
@@ -188,7 +181,6 @@ class BoundaryModel:
         self.nn_k = nn_k
         self.nn_g = nn_g
         self.nn_out = nn_out
-        self._kf_cache: dict = {}
 
     @classmethod
     def build(cls, n_bd, rng, internal=None, hidden_k=None, coupled=False):
@@ -210,17 +202,21 @@ class BoundaryModel:
         gf = self.nn_g.forward(g)
         return self.nn_out.forward(eg.hadamard(kf, gf))
 
-    def invalidate(self):
-        self._kf_cache.clear()
+    def operator(self, kappa):
+        """The affine map g -> phi frozen at one kappa, as (M, c) with
+        phi = g @ M + c: M = W_g^T diag(kf) W_out^T (width x width) and
+        c = (b_g ⊙ kf) W_out^T + b_out."""
+        kf = self.nn_k.predict(np.array([[float(kappa)]]))[0]
+        (wg,), (bg,) = self.nn_g.weights, self.nn_g.biases
+        (wo,), (bo,) = self.nn_out.weights, self.nn_out.biases
+        M = (wg.value.T * kf) @ wo.value.T
+        c = (bg.value * kf) @ wo.value.T + bo.value
+        return M, c
 
     def predict(self, kappa, g):
-        key = float(kappa)
-        kf = self._kf_cache.get(key)
-        if kf is None:
-            kf = self.nn_k.predict(np.array([[key]]))[0]
-            self._kf_cache[key] = kf
-        gf = self.nn_g.predict(g)
-        return self.nn_out.predict(kf * gf)
+        """g: (W,) or (m, W) boundary values -> densities of matching shape."""
+        M, c = self.operator(kappa)
+        return np.asarray(g, dtype=np.float64) @ M + c
 
 
 class BranchTrunk:
@@ -234,7 +230,6 @@ class BranchTrunk:
         if branch.dims[-1] != trunk.dims[-1]:
             raise ValueError("branch and trunk latent widths differ")
         self._coords = augmented_points(self.points) if coupled else self.points
-        self._trunk_cache = None
 
     @classmethod
     def build(cls, points, width, latent, depth, rng, coupled=False):
@@ -258,13 +253,7 @@ class BranchTrunk:
         t = self.trunk.forward(self._coords)
         return eg.matmul_t(b, t)
 
-    def invalidate(self):
-        self._trunk_cache = None
-
     def predict(self, kappa, f):
         f = np.atleast_2d(np.asarray(f, dtype=np.float64))
         binput = np.column_stack([np.full(f.shape[0], float(kappa)), f])
-        if self._trunk_cache is None:
-            self._trunk_cache = self.trunk.predict(self._coords)
-        out = self.branch.predict(binput) @ self._trunk_cache.T
-        return out
+        return self.branch.predict(binput) @ self.trunk.predict(self._coords).T

@@ -90,8 +90,6 @@ def _train_loop(model, cfg, dataset, rng, loss_fn):
         # a snapshot after the last step could never be returned
         if (step + 1) % max(cfg.epochs // 4, 1) == 0 and step + 1 < cfg.epochs:
             snapshot = _snapshot(params)
-    if hasattr(model, "invalidate"):
-        model.invalidate()
     return {"loss_trace": trace, "train_seconds": time.perf_counter() - t0,
             "final_loss": trace[-1][1], "seed": cfg.seed, "epochs": cfg.epochs}
 

@@ -144,8 +144,27 @@ def test_residual_check_catches_wrong_factor(kind, monkeypatch):
     f = rng.standard_normal((n, n))
     g = np.zeros((n, n))
     good = fd._factorize(kind, param, n)
-    monkeypatch.setitem(fd._FACTOR_CACHE, (kind, param, 0.0, n),
-                        lambda rhs: 1.001 * good(rhs))
+    monkeypatch.setattr(fd, "_factorize", lambda kind, p, n: lambda rhs: 1.001 * good(rhs))
     solver = fd.fd_solve_scalar if kind == "scalar" else fd.fd_solve_complex
     with pytest.raises(fd.FdSolverError):
         solver(param, f, g)
+
+
+def test_one_factorization_per_kind_param_and_size(monkeypatch):
+    calls = []
+    factorized = fd.spla.factorized
+
+    def counting(A):
+        calls.append(A.shape)
+        return factorized(A)
+
+    monkeypatch.setattr(fd.spla, "factorized", counting)
+    n = 7
+    zeros = np.zeros((n, n))
+    # parameters no other test uses, so every first solve factorizes
+    for param in (0.0123, np.float64(0.0123), 0.0125):
+        for _ in range(2):
+            fd.fd_solve_scalar(param, zeros, zeros)
+            fd.fd_solve_complex(param, zeros, zeros)
+    fd.fd_solve_scalar(0.0123, np.zeros((8, 8)), np.zeros((8, 8)))
+    assert calls == [(25, 25)] * 4 + [(36, 36)]

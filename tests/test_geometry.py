@@ -108,7 +108,9 @@ def test_quadrature_validation():
 def test_square_lattice_41():
     grid = geo.square_lattice(41)
     assert grid.m == 1681
-    assert grid.spacing == pytest.approx(1 / 40)
+    xs = grid.points[:41, 1]
+    assert np.allclose(np.diff(xs), 1 / 40, rtol=0, atol=1e-15)
+    assert np.array_equal(grid.points[::41, 0], xs)
     sub = geo.square_lattice(16, lo=0.05, hi=0.95)
     assert sub.points[0] == pytest.approx([0.05, 0.05])
 

@@ -1,5 +1,7 @@
 """Learned backend: factored source operator, full-width potential, guards."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,15 @@ def _dense_source(src, kappa, f):
     return (f * kf) @ src.nn_g.predict(coords).T
 
 
+def _layered_boundary(bnd, kappa, g):
+    """The boundary model as its layers read: nn_out(kf ⊙ nn_g(g))."""
+    kf = bnd.nn_k.predict(np.array([[kappa]]))[0]
+    return bnd.nn_out.predict(kf * bnd.nn_g.predict(g))
+
+
 def _unfused_solve(backend, lam, F, gfun, t):
-    """Dense source, interior-only potential scattered in, ring overwritten."""
+    """Dense source, layered boundary model on node-interleaved coupled
+    values, interior-only potential scattered in, ring overwritten."""
     dom = backend.domain
     idx = dom.interior_idx
     spec = SystemKernelSpec(lam) if backend.coupled else ScalarKernelSpec(lam)
@@ -48,11 +57,11 @@ def _unfused_solve(backend, lam, F, gfun, t):
         g_il = np.empty(gq.shape[:-1] + (2 * gq.shape[-1],))
         g_il[..., 0::2] = gq.real
         g_il[..., 1::2] = gq.imag
-        ub = backend.boundary.predict(lam, g_il) @ P.T
+        ub = _layered_boundary(backend.boundary, lam, g_il) @ P.T
         u[..., idx] += ub[..., 0::2] + 1j * ub[..., 1::2]
     else:
         u = _dense_source(backend.source, lam, -F / lam)
-        u[..., idx] += backend.boundary.predict(lam, gq) @ P.T
+        u[..., idx] += _layered_boundary(backend.boundary, lam, gq) @ P.T
     u[..., dom.ring_idx] = gfun(dom.points[dom.ring_idx], t)
     return u
 
@@ -67,6 +76,46 @@ def test_factored_source_matches_dense(coupled, rows):
     out = src.predict(0.07, f)
     assert out.shape == dense.shape
     assert np.max(np.abs(out - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_folded_boundary_matches_layers(coupled, rows):
+    bnd, _ = _models(coupled)
+    width = bnd.nn_g.dims[0]
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal(width if rows is None else (rows, width))
+    layered = _layered_boundary(bnd, 0.07, g)
+    M, c = bnd.operator(0.07)
+    for out in (g @ M + c, bnd.predict(0.07, g)):
+        assert out.shape == layered.shape
+        assert np.max(np.abs(out - layered)) <= 1e-13 * np.max(np.abs(layered))
+
+
+def test_step_operator_built_once_per_lam(monkeypatch):
+    """Each model operator and potential matrix is evaluated once per lam over
+    whole runs: two heat schemes (lam = 0.05, 0.1) and a Strang NLS run."""
+    calls = []
+
+    def count(owner, name, lam_of):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append((f"{owner.__name__}.{name}", float(lam_of(*args))))
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(nn.SourceModel, "operator", lambda model, lam: lam)
+    count(nn.BoundaryModel, "operator", lambda model, lam: lam)
+    count(ev, "potential_matrix", lambda spec, quad, pts: astuple(spec)[0])
+    heat = _backend(False)
+    for scheme in ("cn", "be"):
+        ev.run_heat(ev.heat_family(DOMAIN, [0.6, 0.8], [0.8, 0.6], 0.1, 3), heat, scheme)
+    ev.run_schrodinger(schrodinger_problem(DOMAIN, 0.01, 3), _backend(True))
+    names = ("SourceModel.operator", "BoundaryModel.operator",
+             f"{ev.__name__}.potential_matrix")
+    assert sorted(calls) == sorted((n, lam) for lam in (0.05, 0.1, 0.005) for n in names)
 
 
 def test_source_head_must_be_linear():

@@ -19,12 +19,8 @@ def _fd_check(model, loss_fn, rng, n_probe=4, h=1e-6, tol=1e-6):
         for i in idx:
             keep = flat[i]
             flat[i] = keep + h
-            if hasattr(model, "invalidate"):
-                model.invalidate()
             lp = float(loss_fn().value)
             flat[i] = keep - h
-            if hasattr(model, "invalidate"):
-                model.invalidate()
             lm = float(loss_fn().value)
             flat[i] = keep
             fd = (lp - lm) / (2 * h)
@@ -151,6 +147,23 @@ def test_boundary_exact_affinity_in_g():
     assert np.max(np.abs(lhs)) < 1e-13
 
 
+@pytest.mark.parametrize("kind", ["source", "boundary"])
+def test_predict_reads_current_weights(kind):
+    """predict recomputes from the parameters: an in-place weight change
+    between two calls at the same kappa changes the output."""
+    rng = np.random.default_rng(8)
+    if kind == "source":
+        m = nn.SourceModel.build(rng.uniform(0, 1, (8, 2)), [6], [6], rng)
+    else:
+        m = nn.BoundaryModel.build(8, rng)
+    x = rng.standard_normal((2, 8))
+    before = m.predict(0.07, x)
+    for p in m.nn_k.parameters():
+        p.value *= 2.0
+    after = m.predict(0.07, x)
+    assert not np.allclose(after, before)
+
+
 def test_branch_trunk_zero_branch():
     rng = np.random.default_rng(5)
     pts = rng.uniform(0, 1, (6, 2))
@@ -158,7 +171,6 @@ def test_branch_trunk_zero_branch():
     # zero the branch output head: output must vanish identically
     m.branch.weights[-1].value[:] = 0.0
     m.branch.biases[-1].value[:] = 0.0
-    m.invalidate()
     out = m.predict(0.07, rng.standard_normal((3, 6)))
     assert np.all(out == 0.0)
 

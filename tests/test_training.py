@@ -79,7 +79,6 @@ def test_source_capacity_interpolates_small_dataset():
     W, *_ = np.linalg.lstsq(A, C.T, rcond=None)         # A W = C^T
     fresh.nn_g.weights[-1].value[:] = W
     fresh.nn_g.biases[-1].value[:] = 0.0
-    fresh.invalidate()
     pred = fresh.predict(0.07, ds.f)
     assert float(np.mean((pred - ds.u) ** 2)) < 1e-8
 
