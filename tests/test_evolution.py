@@ -1,5 +1,7 @@
 """Steppers with the classical backend: orders, recursions, Newton, batching."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,29 @@ def test_cn_f_recursion_consistency():
         # interior: discrete Laplacian of the solve equals the recursion
         assert np.max(np.abs((F - direct)[ii])) < 1e-10 * max(1.0, np.max(np.abs(F)))
         u = u_new
+
+
+def test_cn_in_place_recursion_matches_reference_loop():
+    """run_heat's in-place F update gives bitwise the fields of F = 2u - F,
+    and leaves the arrays that the problem's u0 and lap_u0 return unchanged."""
+    dom = ev.SquareLatticeDomain(n=9, n_bd=32)
+    backend = ev.ClassicalBackend(dom)
+    base = ev.heat_family(dom, [0.6, 0.8], [0.8, 0.6], 0.1, 4)
+    u0, lap0 = base.u0(dom.points), base.lap_u0(dom.points)
+    u0_before, lap0_before = u0.copy(), lap0.copy()
+    prob = replace(base, u0=lambda pts: u0, lap_u0=lambda pts: lap0)
+    res = ev.run_heat(prob, backend, scheme="cn", store_fields=True)
+    lam = 0.05
+    F = u0 + lam * lap0
+    ref = {0: u0_before}
+    for step in range(1, 5):
+        ref[step] = backend.solve(lam, F, prob.g, step * 0.1)
+        F = 2.0 * ref[step] - F
+    assert list(res.fields) == list(ref)
+    for step, u in ref.items():
+        assert np.array_equal(res.fields[step], u)
+    assert np.array_equal(res.final, ref[4])
+    assert np.array_equal(u0, u0_before) and np.array_equal(lap0, lap0_before)
 
 
 def test_wave_order_and_theta_validation():

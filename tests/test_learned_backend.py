@@ -118,6 +118,40 @@ def test_step_operator_built_once_per_lam(monkeypatch):
     assert sorted(calls) == sorted((n, lam) for lam in (0.05, 0.1, 0.005) for n in names)
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+def test_step_record_layout(coupled):
+    """The record is (A, M, c, R) with R = [H | P]: H is bitwise the source
+    factor, P the weighted potential with exactly zero ring rows, the scalar
+    A the source A times -1/lam, and no copy of H or P is kept."""
+    backend = _backend(coupled)
+    lam = LAM_RANGE[coupled][0]
+    record = backend._operator(lam)
+    A, M, c, R = record
+    A_src, H = backend.source.operator(lam)
+    M_bnd, c_bnd = backend.boundary.operator(lam)
+    k, width = H.shape[1], M_bnd.shape[1]
+    spec = SystemKernelSpec(lam) if coupled else ScalarKernelSpec(lam)
+    P_int = potential_matrix(spec, DOMAIN.quad, DOMAIN.points[DOMAIN.interior_idx])
+    P_int *= DOMAIN.quad.weight
+    npts, ring, interior = DOMAIN.points.shape[0], DOMAIN.ring_idx, DOMAIN.interior_idx
+    assert R.shape == (H.shape[0], k + width) and R.base is None
+    assert np.array_equal(R[:, :k], H)
+    if coupled:
+        assert not np.any(R[ring, k:]) and not np.any(R[npts + ring, k:])
+        assert np.array_equal(R[interior, k:], P_int[0::2])
+        assert np.array_equal(R[npts + interior, k:], P_int[1::2])
+        assert np.array_equal(A, A_src)
+        assert np.array_equal(M, np.concatenate([M_bnd[0::2], M_bnd[1::2]]))
+    else:
+        assert not np.any(R[ring, k:])
+        assert np.array_equal(R[interior, k:], P_int)
+        assert np.array_equal(A, A_src * (-1.0 / lam))
+        assert np.array_equal(M, M_bnd)
+    assert np.array_equal(c, c_bnd)
+    assert sum(x.nbytes for x in record) == sum(
+        x.nbytes for x in (A_src, M_bnd, c_bnd)) + R.shape[0] * (k + width) * 8
+
+
 def test_source_head_must_be_linear():
     _, src = _models(False)
     src.nn_g.activations[-1] = "relu"
@@ -169,22 +203,33 @@ def test_learned_rerun_bit_identical():
 
 
 def test_uq_run_stats_match_traced_run_heat():
-    backend = _backend(False)
+    # this random-init model's errors all share one sign; the classical
+    # backend's have both, so a stat read from |err| instead of err shows
     tau, n_steps = 0.1, 3
-    stats, hist = ev.uq_run(backend, 6, seed=3, tau=tau, n_steps=n_steps)
-    a = hist["a"]
-    prob = ev.heat_family(DOMAIN, a, np.sqrt(1.0 - a * a), tau, n_steps)
-    res = ev.run_heat(prob, backend, scheme="cn")
-    assert len(res.error_trace) == n_steps
-    exact = prob.exact(DOMAIN.points, tau * n_steps)
-    err = res.final - exact
-    assert stats["mean_pred"] == float(res.final.mean())
-    assert stats["std_pred"] == float(res.final.std())
-    assert stats["mean_exact"] == float(exact.mean())
-    assert stats["max_abs_error"] == float(np.max(np.abs(err)))
-    assert stats["rel_l2_error"] == float(np.linalg.norm(err) / np.linalg.norm(exact))
-    assert np.array_equal(hist["probe_pred"],
-                          ev.bilinear_probe(DOMAIN, res.final, (0.43, 0.2)))
+    for backend in (_backend(False), ev.ClassicalBackend(DOMAIN)):
+        stats, hist = ev.uq_run(backend, 6, seed=3, tau=tau, n_steps=n_steps)
+        a = hist["a"]
+        prob = ev.heat_family(DOMAIN, a, np.sqrt(1.0 - a * a), tau, n_steps)
+        res = ev.run_heat(prob, backend, scheme="cn")
+        assert len(res.error_trace) == n_steps
+        pred, exact = res.final, prob.exact(DOMAIN.points, tau * n_steps)
+        err = pred - exact
+        expected = {
+            "samples": 6,
+            "mean_exact": float(exact.mean()),
+            "std_exact": float(exact.std()),
+            "mean_pred": float(pred.mean()),
+            "std_pred": float(pred.std()),
+            "mean_error": float(err.mean()),
+            "std_error": float(err.std()),
+            "max_abs_error": float(np.max(np.abs(err))),
+            "rel_l2_error": float(np.linalg.norm(err) / np.linalg.norm(exact)),
+            "q95_abs_error": float(np.quantile(np.abs(err), 0.95)),
+        }
+        # same keys in the same order, every value bitwise
+        assert list(stats.items()) == list(expected.items())
+        assert np.array_equal(hist["probe_pred"],
+                              ev.bilinear_probe(DOMAIN, res.final, (0.43, 0.2)))
 
 
 def test_guard_rejects_source_points_off_domain():
