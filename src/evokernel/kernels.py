@@ -211,16 +211,21 @@ def _double_layer(spec, grid, r, drdn):
 
     Scalar: (m, n).  Coupled: (2m, 2n) interleaved with the swap and sign
     folded in: with D = [[-dkei, dker], [dker, dkei]] * f the folded block
-    is K[a, b] = -D[a, 1-b].
+    is K[a, b] = -D[a, 1-b].  The coupled branch evaluates the Kelvin
+    derivatives once per distinct distance r and gathers them per pair;
+    the functions act elementwise, so the entries are the all-pairs ones.
     """
     if spec.kind == "scalar":
+        # every pair: K1 is cheaper than the sort np.unique would need
         sk = np.sqrt(spec.kappa)
         return specfun.k1(r / sk) / (2.0 * np.pi * sk) * drdn * grid.speeds[None, :]
     sl = np.sqrt(spec.lam)
-    z = r / sl
+    ru, inv = np.unique(r, return_inverse=True)
+    inv = inv.reshape(r.shape)      # numpy 1.x returns it flat, 2.x shaped like r
+    z = ru / sl
     f = drdn / (2.0 * np.pi * sl) * grid.speeds[None, :]
-    dker = specfun.dker0(z.ravel()).reshape(z.shape)
-    dkei = specfun.dkei0(z.ravel()).reshape(z.shape)
+    dker = specfun.dker0(z)[inv]
+    dkei = specfun.dkei0(z)[inv]
     m, n = r.shape
     K = np.empty((2 * m, 2 * n))
     K[0::2, 0::2] = -dker * f

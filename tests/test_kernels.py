@@ -5,7 +5,8 @@ import pytest
 
 from evokernel import kernels as ker
 from evokernel import specfun as sf
-from evokernel.geometry import make_curve, sample_quadrature
+from evokernel.evolution import SquareLatticeDomain
+from evokernel.geometry import make_curve, petal_lattice, sample_quadrature
 
 
 def test_scalar_g0_pinned():
@@ -239,3 +240,95 @@ def test_disk_cache_name_covers_magic(tmp_path, monkeypatch):
         ker.boundary_kernel(spec, grid)
     assert len(list(tmp_path.iterdir())) == 2
     ker.clear_cache()
+
+
+def _distances(grid, pts):
+    d = grid.points[None, :, :] - pts[:, None, :]
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def _all_pairs_coupled(spec, grid, pts):
+    """Folded coupled kernel with dker0/dkei0 evaluated on every pair."""
+    d = grid.points[None, :, :] - pts[:, None, :]
+    r = np.hypot(d[..., 0], d[..., 1])
+    r[r == 0.0] = 1.0
+    drdn = (d[..., 0] * grid.normals[None, :, 0] + d[..., 1] * grid.normals[None, :, 1]) / r
+    sl = np.sqrt(spec.lam)
+    z = r / sl
+    f = drdn / (2.0 * np.pi * sl) * grid.speeds[None, :]
+    dker = sf.dker0(z.ravel()).reshape(z.shape)
+    dkei = sf.dkei0(z.ravel()).reshape(z.shape)
+    K = np.empty((2 * r.shape[0], 2 * r.shape[1]))
+    K[0::2, 0::2] = -dker * f
+    K[0::2, 1::2] = dkei * f
+    K[1::2, 0::2] = -dkei * f
+    K[1::2, 1::2] = -dker * f
+    return K
+
+
+def _lattice_cases():
+    # square: distances repeat across the lattice; petal: they rarely do
+    dom = SquareLatticeDomain(17, 64)
+    petal = make_curve("petal")
+    return [(dom.quad, dom.points[dom.interior_idx]),
+            (sample_quadrature(petal, 64), petal_lattice(petal, spacing=0.08).points)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["square", "petal"])
+def test_coupled_matrices_bitwise_all_pairs(case):
+    grid, pts = _lattice_cases()[case]
+    spec = ker.SystemKernelSpec(0.0075)
+    assert np.array_equal(ker.potential_matrix(spec, grid, pts),
+                          _all_pairs_coupled(spec, grid, pts))
+    ref = _all_pairs_coupled(spec, grid, grid.points)
+    c = grid.curvatures * grid.speeds / (4.0 * np.pi)
+    for a in range(2):
+        for b in range(2):
+            np.fill_diagonal(ref[a::2, b::2], c if a == b else 0.0)
+    assert np.array_equal(ker.system_boundary_kernel(spec, grid).values, ref)
+
+
+def test_coupled_potential_evaluates_distinct_distances_once(monkeypatch):
+    dom = SquareLatticeDomain(17, 64)
+    pts = dom.points[dom.interior_idx]
+    counts = {}
+
+    def counting(name):
+        fn = getattr(sf, name)
+
+        def wrapper(x):
+            counts[name] = counts.get(name, 0) + np.size(x)
+            return fn(x)
+        return wrapper
+
+    for name in ("dker0", "dkei0"):
+        monkeypatch.setattr(ker.specfun, name, counting(name))
+    ker.potential_matrix(ker.SystemKernelSpec(0.0075), dom.quad, pts)
+    distinct = np.unique(_distances(dom.quad, pts)).size
+    assert distinct < pts.shape[0] * dom.quad.n
+    assert counts == {"dker0": distinct, "dkei0": distinct}
+
+
+@pytest.mark.parametrize("spec", [ker.ScalarKernelSpec(0.05), ker.SystemKernelSpec(0.0075)],
+                         ids=["scalar", "system"])
+def test_potential_rejects_target_on_node(spec):
+    grid = sample_quadrature(make_curve("disk"), 32)
+    pts = np.array([[0.1, 0.2], grid.points[5], [-0.3, 0.0]])
+    with pytest.raises(ValueError, match="boundary grid"):
+        ker.potential_matrix(spec, grid, pts)
+
+
+def test_potential_fold_matches_pointwise_kernels():
+    grid, pts = _lattice_cases()[1]
+    rng = np.random.default_rng(4)
+    scalar, system = ker.ScalarKernelSpec(0.05), ker.SystemKernelSpec(0.0075)
+    P = ker.potential_matrix(scalar, grid, pts)
+    K = ker.potential_matrix(system, grid, pts)
+    for i, j in zip(rng.integers(0, pts.shape[0], 12), rng.integers(0, grid.n, 12)):
+        x, y, n_y, speed = pts[i], grid.points[j], grid.normals[j], grid.speeds[j]
+        np.testing.assert_allclose(P[i, j], ker.scalar_dln(scalar, x, y, n_y) * speed,
+                                   rtol=1e-14, atol=0)
+        D = ker.system_dkdn(system, x, y, n_y) * speed
+        folded = np.array([[-D[a, 1 - b] for b in range(2)] for a in range(2)])
+        np.testing.assert_allclose(K[2 * i:2 * i + 2, 2 * j:2 * j + 2], folded,
+                                   rtol=1e-14, atol=0)
