@@ -16,6 +16,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -132,6 +133,9 @@ def validate_config(cfg):
         _check_wave_numbers(eq, prob)
     if isinstance(cfg.get("uq"), dict):
         _check_uq(cfg["uq"], domain)
+    for key in ("dataset", "suite"):
+        if isinstance(cfg.get(key), dict) and "kappas" in cfg[key]:
+            _kappa_list(cfg[key]["kappas"], f"{key}.kappas")
     return cfg
 
 
@@ -203,11 +207,21 @@ def _write_manifest(out, cfg, artifacts, extra=None):
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _kappa_list(spec):
+def _kappa_list(spec, where):
+    """The kappas that a list or a span {start, stop, count} names; each must
+    be finite and positive, since the operators hold 1/kappa."""
     import numpy as np
-    if isinstance(spec, list):
-        return [float(k) for k in spec]
-    return [float(k) for k in np.linspace(spec["start"], spec["stop"], spec["count"])]
+    try:
+        if isinstance(spec, list):
+            kappas = [float(k) for k in spec]
+        else:
+            kappas = [float(k) for k in np.linspace(spec["start"], spec["stop"], spec["count"])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}={spec!r} must be a list of numbers "
+                              f"or {{start, stop, count}}") from exc
+    if not all(0.0 < k < math.inf for k in kappas):
+        raise ValidationError(f"{where}={spec!r}: every kappa must be finite and positive")
+    return kappas
 
 
 def _build_curve_grid(section):
@@ -221,7 +235,7 @@ def cmd_datagen(cfg, out):
     from . import datagen
     from .geometry import petal_lattice
     d = cfg["dataset"]
-    kappas = _kappa_list(d["kappas"])
+    kappas = _kappa_list(d["kappas"], "dataset.kappas")
     seed = cfg.get("seed", 0)
     kind = d["kind"]
     if kind == "boundary":
@@ -315,7 +329,8 @@ def cmd_eval(cfg, out):
     model, meta = load_checkpoint(cfg["checkpoint"])
     s = cfg["suite"]
     options = {k: v for k, v in s.items() if k not in ("kind", "kappas")}
-    rows = EVAL_SUITES[s["kind"]](model, _kappa_list(s["kappas"]), **options)
+    rows = EVAL_SUITES[s["kind"]](model, _kappa_list(s["kappas"], "suite.kappas"),
+                                 **options)
     _write_csv(os.path.join(out, "errors.csv"), _ERROR_COLUMNS,
                [[row[c] for c in _ERROR_COLUMNS] for row in rows])
     with open(os.path.join(out, "summary.json"), "w") as fh:

@@ -37,16 +37,26 @@ def gaussian_filtered_field(seed, n, sigma):
     sigma is the filter standard deviation in lattice units; the result is
     rescaled to unit max-abs.
     """
-    if sigma <= 0:
+    return _filtered_fields([seed], n, [sigma])[0]
+
+
+def _filtered_fields(seeds, n, sigmas):
+    """gaussian_filtered_field for each (seed, sigma) pair, as (k, n, n);
+    the whole batch shares one fft2 and one ifft2 call."""
+    if any(sigma <= 0 for sigma in sigmas):
         raise ValueError("sigma must be positive")
-    rng = _rng(seed, 0xF1E1D)
-    noise = rng.standard_normal((n, n))
+    noise = np.array([_rng(seed, 0xF1E1D).standard_normal((n, n))
+                      for seed in seeds]).reshape(-1, n, n)
     k = np.fft.fftfreq(n) * n
     kx, ky = np.meshgrid(k, k, indexing="ij")
-    transfer = np.exp(-2.0 * (np.pi * sigma / n) ** 2 * (kx**2 + ky**2))
-    smooth = np.real(np.fft.ifft2(np.fft.fft2(noise) * transfer))
-    peak = np.max(np.abs(smooth))
-    return smooth / peak if peak > 0 else smooth
+    # each record's factor is formed in Python floats, as a lone record's
+    # is, so a batched field is bitwise the single-record one
+    decay = np.array([-2.0 * (np.pi * float(sigma) / n) ** 2 for sigma in sigmas])
+    spectrum = np.fft.fft2(noise)
+    spectrum *= np.exp(decay[:, None, None] * (kx**2 + ky**2))
+    smooth = np.fft.ifft2(spectrum).real
+    peak = np.max(np.abs(smooth), axis=(-2, -1), keepdims=True)
+    return smooth / np.where(peak > 0, peak, 1.0)
 
 
 _TRIG = {0: np.sin, 1: np.cos}
@@ -69,14 +79,21 @@ def trig_family(a, b, c, form, lo=0.0, hi=1.0):
 
 def random_trig_source(seed, n, amp_range=(-1.0, 1.0), freq_range=(0.5, 3.0)):
     """Random product-of-trigonometrics field on the closed n x n unit lattice."""
-    rng = _rng(seed, 0x7A16)
-    a = rng.uniform(*amp_range)
-    b = rng.uniform(*freq_range)
-    c = rng.uniform(*freq_range)
-    form = int(rng.integers(0, 4))
+    return _trig_sources([seed], n, amp_range, freq_range)[0]
+
+
+def _trig_sources(seeds, n, amp_range=(-1.0, 1.0), freq_range=(0.5, 3.0)):
+    """random_trig_source for each seed, as (k, n, n) on one lattice."""
     xs = np.linspace(0.0, 1.0, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    return trig_family(a, b, c, form)(X, Y)
+    return np.array([trig_family(*_trig_draw(_rng(seed, 0x7A16), amp_range, freq_range))(X, Y)
+                     for seed in seeds]).reshape(-1, n, n)
+
+
+def _trig_draw(rng, amp_range, freq_range):
+    """(a, b, c, form) of a random trig_family member."""
+    return (rng.uniform(*amp_range), rng.uniform(*freq_range), rng.uniform(*freq_range),
+            int(rng.integers(0, 4)))
 
 
 def grf_boundary(seed, grid: QuadratureGrid, length_scale):
@@ -162,30 +179,29 @@ def build_source_dataset(kappas, per_kappa, n, seed, mix=0.5, sigma_range=(1.0, 
     total = len(kappas) * per_kappa
     f_arr = np.empty((total, width))
     u_arr = np.empty((total, width))
-    k_idx = np.empty(total, dtype=np.int64)
-    zeros = np.zeros((n, n))
-    rec = 0
+    k_idx = np.repeat(np.arange(len(kappas), dtype=np.int64), per_kappa)
     for ik, kap in enumerate(kappas):
+        # every record keeps its own stream; the fields of one kappa are
+        # filtered and solved as one batch
+        subs, sigmas = [], []  # per field; a nan sigma marks a trig product
         for j in range(per_kappa):
             rng = _rng(seed, ik, j)
-            def draw():
-                sub = int(rng.integers(0, 2**31))
-                if rng.uniform() < mix:
-                    sigma = rng.uniform(*sigma_range)
-                    return gaussian_filtered_field(sub, n, sigma)
-                return random_trig_source(sub, n)
-            if coupled:
-                f1, f2 = draw(), draw()
-                sol = fd_solve_complex(kap, f1 + 1j * f2, zeros.astype(complex))
-                f_arr[rec] = np.concatenate([f1.ravel(), f2.ravel()])
-                u_arr[rec] = np.concatenate([sol.real.ravel(), sol.imag.ravel()])
-            else:
-                f1 = draw()
-                sol = fd_solve_scalar(kap, f1, zeros)
-                f_arr[rec] = f1.ravel()
-                u_arr[rec] = sol.ravel()
-            k_idx[rec] = ik
-            rec += 1
+            for _ in range(1 + coupled):
+                subs.append(int(rng.integers(0, 2**31)))
+                sigmas.append(rng.uniform(*sigma_range) if rng.uniform() < mix else np.nan)
+        subs, sigmas = np.array(subs, dtype=np.int64), np.array(sigmas)
+        noisy = ~np.isnan(sigmas)
+        rows = slice(ik * per_kappa, (ik + 1) * per_kappa)
+        # views: a coupled record stacks its fields as [f1 | f2], [u1 | u2]
+        fields, labels = f_arr[rows].reshape(-1, n, n), u_arr[rows].reshape(-1, n, n)
+        fields[noisy] = _filtered_fields(subs[noisy], n, sigmas[noisy])
+        fields[~noisy] = _trig_sources(subs[~noisy], n)
+        if coupled:
+            f = fields[0::2] + 1j * fields[1::2]
+            sol = fd_solve_complex(kap, f, np.zeros_like(f))
+            labels[0::2], labels[1::2] = sol.real, sol.imag
+        else:
+            labels[:] = fd_solve_scalar(kap, fields, np.zeros_like(fields))
     prov = {"kind": "source", "seed": seed, "per_kappa": per_kappa, "n": n,
             "mix": mix, "sigma_range": list(sigma_range), "coupled": coupled,
             "kappas": [float(k) for k in kappas]}
@@ -257,11 +273,7 @@ def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed,
         spec = ScalarKernelSpec(float(kap))
         kmat = boundary_kernel(spec, grid)
         for j in range(per_kappa):
-            rng = _rng(seed, 0x9E7A1, ik, j)
-            a = rng.uniform(*amp_range)
-            b = rng.uniform(*freq_range)
-            c = rng.uniform(*freq_range)
-            form = int(rng.integers(0, 4))
+            a, b, c, form = _trig_draw(_rng(seed, 0x9E7A1, ik, j), amp_range, freq_range)
             w = trig_family(a, b, c, form)
             w_pts = w(pts[:, 0], pts[:, 1])
             coef = -(np.pi**2) * (b**2 + c**2) - 1.0 / kap

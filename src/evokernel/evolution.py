@@ -124,18 +124,11 @@ class ClassicalBackend:
 
     def _solve(self, lam, F, gfun, t, coupled):
         self._check(lam)
-        n = self.domain.n
-        dtype = np.complex128 if coupled else np.float64
-        g_full = _set_ring(np.zeros(F.shape, dtype=dtype), self.domain, gfun, t)
-        F2 = np.atleast_2d(F)
-        G2 = np.atleast_2d(g_full)
-        out = np.empty_like(F2)
-        for i in range(F2.shape[0]):
-            f, g = F2[i].reshape(n, n), G2[i].reshape(n, n)
-            sol = (fd_solve_complex(lam, f, g) if coupled
-                   else fd_solve_scalar(lam, -f / lam, g))
-            out[i] = sol.ravel()
-        return out.reshape(F.shape)
+        g = _set_ring(np.zeros(F.shape, complex if coupled else float), self.domain, gfun, t)
+        f, g = self.domain.reshape(F), self.domain.reshape(g)
+        sol = (fd_solve_complex(lam, f, g) if coupled
+               else fd_solve_scalar(lam, -f / lam, g))
+        return sol.reshape(F.shape)
 
 
 class NekmBackend:
@@ -463,14 +456,19 @@ def heat_family(domain, a, b, tau, n_steps):
     and b give one row."""
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))[:, None]
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))[:, None]
+    tables = {}
 
     def shape(pts, t):
         # lattice and boundary points repeat few coordinate values, so the
-        # trigonometry runs on the unique ones and is gathered per point
-        x, ix = np.unique(pts[:, 0], return_inverse=True)
-        y, iy = np.unique(pts[:, 1], return_inverse=True)
-        return (np.exp(-t) * np.sin(a * x).take(ix, axis=1)
-                * np.cos(b * y).take(iy, axis=1))
+        # trigonometry runs once per point set, keyed by its content, on the
+        # unique values, and each call gathers it per point
+        key = pts.tobytes()
+        if key not in tables:
+            x, ix = np.unique(pts[:, 0], return_inverse=True)
+            y, iy = np.unique(pts[:, 1], return_inverse=True)
+            tables[key] = np.sin(a * x), ix, np.cos(b * y), iy
+        sin_x, ix, cos_y, iy = tables[key]
+        return np.exp(-t) * sin_x.take(ix, axis=1) * cos_y.take(iy, axis=1)
 
     return EvolutionProblem(
         equation="heat", domain=domain, tau=tau, n_steps=n_steps,

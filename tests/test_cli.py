@@ -109,6 +109,27 @@ def test_validation_accepts_wave_numbers_on_the_unit_circle(problem):
     assert cli.validate_config(cfg) is cfg
 
 
+@pytest.mark.parametrize("kind", ["source", "boundary"])
+@pytest.mark.parametrize("kappas", [
+    [-0.05, 0.05], [0.0], [0.05, float("nan")], [float("inf")],
+    {"start": -0.05, "stop": 0.05, "count": 3}, {"start": 0.0, "stop": 0.1, "count": 2},
+])
+def test_validation_rejects_non_positive_kappas(tmp_path, capsys, kind, kappas):
+    out = tmp_path / "run"
+    cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(out),
+           "dataset": {"kind": kind, "kappas": kappas, "per_kappa": 1, "n": 9, "n_g": 1}}
+    rc = cli.main(["datagen", "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    assert "dataset.kappas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validation_accepts_a_positive_kappa_range():
+    cfg = {"version": 1, "command": "datagen", "seed": 0,
+           "dataset": {"kind": "source", "kappas": {"start": 0.05, "stop": 0.1, "count": 3}}}
+    assert cli.validate_config(cfg) is cfg
+
+
 _UQ = {"samples": 2, "tau": 0.1, "n_steps": 1}
 
 
@@ -125,6 +146,8 @@ _UQ = {"samples": 2, "tau": 0.1, "n_steps": 1}
     *[("eval", "suite", {"kind": kind, "kappas": [0.05], key: value}, key)
       for kind in ("scalar-source", "system-source")
       for key, value in (("n_bd", 32), ("eval_n", 8), ("eval_lo", 0.1), ("eval_hi", 0.9))],
+    ("eval", "suite", {"kind": "scalar-source", "kappas": [0.0, 0.05]}, "suite.kappas"),
+    ("eval", "suite", {"kind": "scalar-source", "kappas": {"start": 0.05}}, "suite.kappas"),
 ])
 def test_validation_rejects_bad_uq_and_suite_keys(tmp_path, capsys, cmd, section, value, key):
     base = ({"backend": _CLASSICAL, "uq": _UQ} if cmd == "uq"

@@ -78,6 +78,42 @@ def test_source_dataset_consistency_and_determinism():
     assert ds.content_hash() == ds2.content_hash()
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+def test_source_dataset_equals_per_record_reference(coupled):
+    # the record loop of single-field draws and solves that the per-kappa
+    # batches replace; every record keeps its own RNG stream
+    kappas, per_kappa, n, seed, mix = [0.05, 0.1], 8, 17, 3, 0.5
+    ds = dg.build_source_dataset(kappas, per_kappa, n, seed, mix=mix, coupled=coupled)
+    zeros = np.zeros((n, n))
+    kinds = set()
+    rec = 0
+    for ik, kap in enumerate(kappas):
+        for j in range(per_kappa):
+            rng = dg._rng(seed, ik, j)
+
+            def draw():
+                sub = int(rng.integers(0, 2**31))
+                noisy = rng.uniform() < mix
+                kinds.add(noisy)
+                if noisy:
+                    return dg.gaussian_filtered_field(sub, n, rng.uniform(1.0, 4.0))
+                return dg.random_trig_source(sub, n)
+
+            if coupled:
+                f1, f2 = draw(), draw()
+                sol = fd.fd_solve_complex(kap, f1 + 1j * f2, zeros.astype(complex))
+                f = np.concatenate([f1.ravel(), f2.ravel()])
+                u = np.concatenate([sol.real.ravel(), sol.imag.ravel()])
+            else:
+                f = draw()
+                u = fd.fd_solve_scalar(kap, f, zeros).ravel()
+            assert np.array_equal(ds.f[rec], f.ravel())
+            assert np.array_equal(ds.u[rec], u)
+            assert ds.kappa_index[rec] == ik
+            rec += 1
+    assert rec == ds.n_records and kinds == {False, True}
+
+
 def test_boundary_dataset_structure():
     grid = sample_quadrature(make_curve("square"), 32)
     ds = dg.build_boundary_dataset([0.05, 0.1], 6, grid, seed=2)

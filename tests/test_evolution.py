@@ -202,6 +202,20 @@ def test_heat_family_rows_are_the_closed_form():
                               np.concatenate([getattr(r, name)(*args) for r in rows]))
 
 
+def test_heat_family_calls_return_fresh_arrays_keyed_by_point_content():
+    prob = ev.heat_family(DOMAIN, [0.3, 0.6], [0.9, 0.8], 0.1, 3)
+    pts = DOMAIN.points.copy()
+    for name, args in (("u0", (pts,)), ("exact", (pts, 0.2)), ("lap_u0", (pts,))):
+        first = getattr(prob, name)(*args)
+        ref = first.copy()
+        first[...] = np.nan
+        assert np.array_equal(getattr(prob, name)(*args), ref)
+    # the same array with new coordinates is a new point set
+    pts[:, 0] += 0.1
+    fresh = ev.heat_family(DOMAIN, [0.3, 0.6], [0.9, 0.8], 0.1, 3)
+    assert np.array_equal(prob.exact(pts, 0.2), fresh.exact(pts, 0.2))
+
+
 def test_classical_solve_coupled_batch_equals_rows():
     rng = np.random.default_rng(2)
     F = rng.standard_normal((3, DOMAIN.points.shape[0])) * (1 + 1j)

@@ -168,3 +168,57 @@ def test_one_factorization_per_kind_param_and_size(monkeypatch):
             fd.fd_solve_complex(param, zeros, zeros)
     fd.fd_solve_scalar(0.0123, np.zeros((8, 8)), np.zeros((8, 8)))
     assert calls == [(25, 25)] * 4 + [(36, 36)]
+
+
+@pytest.mark.parametrize("kappa", [0.0, -0.05, np.nan, np.inf])
+def test_scalar_solve_rejects_non_positive_kappa(kappa):
+    zeros = np.zeros((7, 7))
+    with pytest.raises(ValueError, match="kappa"):
+        fd.fd_solve_scalar(kappa, zeros, zeros)
+
+
+def _batch(kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(shape)
+    return out if kind == "scalar" else out + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "complex"])
+def test_batched_solve_equals_per_field_calls(kind):
+    # ring values of g are non-zero, so the boundary correction is exercised
+    n, param = 11, 0.06
+    f, g = _batch(kind, (2, 3, n, n), 12), _batch(kind, (2, 3, n, n), 13)
+    solver = fd.fd_solve_scalar if kind == "scalar" else fd.fd_solve_complex
+    batched = solver(param, f, g)
+    assert batched.shape == f.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(batched[i, j], solver(param, f[i, j], g[i, j]))
+
+
+@pytest.mark.parametrize("kind", ["scalar", "complex"])
+def test_residual_check_catches_one_wrong_field_in_a_batch(kind, monkeypatch):
+    n, param = 9, 0.07
+    f, g = _batch(kind, (3, n, n), 14), np.zeros((3, n, n))
+    good = fd._factorize(kind, param, n)
+    calls = []
+
+    def second_call_wrong(rhs):
+        calls.append(rhs)
+        return 1.001 * good(rhs) if len(calls) == 2 else good(rhs)
+
+    monkeypatch.setattr(fd, "_factorize", lambda kind, p, n: second_call_wrong)
+    solver = fd.fd_solve_scalar if kind == "scalar" else fd.fd_solve_complex
+    with pytest.raises(fd.FdSolverError):
+        solver(param, f, g)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("kind", ["scalar", "complex"])
+def test_apply_operator_batch_equals_per_field_calls(kind):
+    u = _batch(kind, (2, 3, 9, 9), 15)
+    out = fd.apply_operator(0.08, u, kind)
+    assert out.shape == (2, 3, 7, 7)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(out[i, j], fd.apply_operator(0.08, u[i, j], kind))
