@@ -40,10 +40,6 @@ _SCHEMAS = {
 }
 
 _SUB_SCHEMAS = {
-    "dataset": {"kind", "kappas", "n_g", "per_kappa", "n", "curve", "coupled",
-                "length_scales", "mix", "sigma_range", "spacing", "margin"},
-    "model": {"kind", "coupled", "hidden_k", "hidden_g", "internal", "width",
-              "latent", "depth"},
     "data": {"path"},
     "curve": {"kind", "n_bd", "side", "radius", "base", "amp", "lobes"},
     "points": {"domain", "n", "spacing", "margin"},
@@ -51,7 +47,18 @@ _SUB_SCHEMAS = {
     "uq": {"samples", "probe", "tau", "n_steps", "mean", "std", "clip"},
 }
 
-# keys that each suite kind, backend kind, backend domain kind and equation reads
+# keys that each dataset, model, suite, backend and backend domain kind and
+# each equation reads
+_DATASET_KEYS = {
+    "boundary": {"kind", "kappas", "n_g", "curve", "length_scales", "coupled"},
+    "source": {"kind", "kappas", "per_kappa", "n", "mix", "sigma_range", "coupled"},
+    "source-offlattice": {"kind", "kappas", "per_kappa", "curve", "spacing", "margin"},
+}
+_MODEL_KEYS = {
+    "boundary": {"kind", "coupled", "internal"},
+    "source": {"kind", "coupled", "hidden_k", "hidden_g"},
+    "branch_trunk": {"kind", "coupled", "width", "latent", "depth"},
+}
 _BOUNDARY_SUITE_KEYS = {"kind", "kappas", "n_bd", "eval_n", "eval_lo", "eval_hi"}
 _SUITE_KEYS = {
     "scalar-boundary": _BOUNDARY_SUITE_KEYS,
@@ -64,6 +71,9 @@ _BACKEND_KEYS = {
     "nekm": {"kind", "domain", "boundary_checkpoint", "source_checkpoint",
              "lam_range", "coupled"},
 }
+# (section, keys per kind, default kind) of every section that has a kind
+_KINDED = (("dataset", _DATASET_KEYS, None), ("model", _MODEL_KEYS, None),
+           ("suite", _SUITE_KEYS, None), ("backend", _BACKEND_KEYS, "classical"))
 _DOMAIN_KEYS = {
     "square": {"kind", "n", "n_bd"},
     "petal": {"kind", "n_bd", "spacing", "margin", "base", "amp", "lobes"},
@@ -100,20 +110,15 @@ def validate_config(cfg):
         section = cfg.get(key)
         if isinstance(section, dict):
             _check_keys(f"'{key}'", section, allowed)
-    suite = cfg.get("suite")
-    if isinstance(suite, dict):
-        skind = suite.get("kind")
-        if not isinstance(skind, str) or skind not in _SUITE_KEYS:
-            raise ValidationError(f"unknown suite kind {skind!r} in 'suite.kind', "
-                                  f"expected one of {sorted(_SUITE_KEYS)}")
-        _check_keys(f"'suite' for kind {skind!r}", suite, _SUITE_KEYS[skind])
+    for key, kinds, default in _KINDED:
+        section = cfg.get(key)
+        if isinstance(section, dict):
+            kind = section.get("kind", default)
+            if not isinstance(kind, str) or kind not in kinds:
+                raise ValidationError(f"unknown {key} kind {kind!r} in '{key}.kind', "
+                                      f"expected one of {sorted(kinds)}")
+            _check_keys(f"'{key}' for kind {kind!r}", section, kinds[kind])
     backend = cfg.get("backend")
-    if isinstance(backend, dict):
-        bkind = backend.get("kind", "classical")
-        if not isinstance(bkind, str) or bkind not in _BACKEND_KEYS:
-            raise ValidationError(f"unknown backend kind {bkind!r} in 'backend.kind', "
-                                  f"expected one of {sorted(_BACKEND_KEYS)}")
-        _check_keys(f"'backend' for kind {bkind!r}", backend, _BACKEND_KEYS[bkind])
     domain = backend.get("domain") if isinstance(backend, dict) else None
     if isinstance(domain, dict):
         kind = domain.get("kind", "square")
@@ -247,14 +252,12 @@ def cmd_datagen(cfg, out):
     elif kind == "source":
         ds = datagen.build_source_dataset(
             kappas, d.get("per_kappa", 2000), d.get("n", 41), seed,
-            mix=d.get("mix", 0.5), coupled=d.get("coupled", False))
-    elif kind == "source-offlattice":
+            **{k: d[k] for k in ("mix", "sigma_range", "coupled") if k in d})
+    else:
         curve, grid = _build_curve_grid(d.get("curve", {"kind": "petal"}))
         interior = petal_lattice(curve, d.get("spacing", 0.03), d.get("margin"))
         ds = datagen.build_offlattice_source_dataset(
             kappas, d.get("per_kappa", 500), grid, interior.points, seed)
-    else:
-        raise ValidationError(f"unknown dataset kind {kind!r}")
     path = os.path.join(out, "dataset.bin")
     datagen.save_dataset(ds, path)
     with open(os.path.join(out, "summary.json"), "w") as fh:
@@ -271,20 +274,16 @@ def cmd_train(cfg, out):
     from .nn import save_checkpoint
 
     ds = datagen.load_dataset(cfg["data"]["path"])
-    m = cfg["model"]
-    tc = cfg.get("train", {})
+    # the model's keys other than the kind and TrainConfig fields are
+    # arguments of its training function
+    m = dict(cfg["model"])
+    kind = m.pop("kind")
     tcfg = training.TrainConfig(
-        epochs=tc.get("epochs", 20000), batch_size=tc.get("batch_size", 128),
-        lr=tc.get("lr", 1e-3), lr_decay=tc.get("lr_decay", 0.5),
-        seed=cfg.get("seed", 0),
-        hidden_k=tuple(m.get("hidden_k", (192, 192))),
-        hidden_g=tuple(m.get("hidden_g", (256, 256))),
-        internal=m.get("internal"),
-        log_every=tc.get("log_every", 500))
-    coupled = m.get("coupled", False)
-    if m["kind"] == "boundary":
+        seed=cfg.get("seed", 0), **cfg.get("train", {}),
+        **{k: m.pop(k) for k in ("hidden_k", "hidden_g", "internal") if k in m})
+    if kind == "boundary":
         _, grid = _build_curve_grid(cfg.get("curve", {}))
-        spec_cls = SystemKernelSpec if coupled else ScalarKernelSpec
+        spec_cls = SystemKernelSpec if m.get("coupled", False) else ScalarKernelSpec
         kmats = [boundary_kernel(spec_cls(float(k)), grid) for k in ds.kappas]
         model, info = training.train_boundary_model(tcfg, ds, kmats)
     else:
@@ -295,15 +294,9 @@ def cmd_train(cfg, out):
             curve, _ = _build_curve_grid(cfg.get("curve", {"kind": "petal"}))
             points = petal_lattice(curve, psec.get("spacing", 0.03),
                                    psec.get("margin")).points
-        if m["kind"] == "source":
-            model, info = training.train_source_model(tcfg, ds, points,
-                                                      coupled=coupled)
-        elif m["kind"] == "branch_trunk":
-            model, info = training.train_branch_trunk(
-                tcfg, ds, points, m.get("width", 256), m.get("latent", 512),
-                m.get("depth", 3), coupled=coupled)
-        else:
-            raise ValidationError(f"unknown model kind {m['kind']!r}")
+        train = (training.train_source_model if kind == "source"
+                 else training.train_branch_trunk)
+        model, info = train(tcfg, ds, points, **m)
     meta = {"seed": tcfg.seed, "epochs": tcfg.epochs,
             "final_loss": info["final_loss"],
             "loss_tail": info["loss_trace"][-5:], "data_hash": ds.content_hash(),
@@ -462,12 +455,8 @@ def cmd_uq(cfg, out):
     from .evolution import uq_run
 
     backend = _build_backend(cfg["backend"])
-    u = cfg["uq"]
-    stats, hist = uq_run(backend, u.get("samples", 10000), cfg.get("seed", 0),
-                         probe=tuple(u.get("probe", (0.43, 0.2))),
-                         tau=u.get("tau", 0.1), n_steps=u.get("n_steps", 10),
-                         mean=u.get("mean", 0.5), std=u.get("std", 0.05),
-                         clip=tuple(u.get("clip", (0.2, 0.8))))
+    u = dict(cfg["uq"])
+    stats, hist = uq_run(backend, u.pop("samples", 10000), cfg.get("seed", 0), **u)
     for name, arr in hist.items():
         counts, edges = np.histogram(arr, bins=40)
         _write_csv(os.path.join(out, f"hist_{name}.csv"),

@@ -1,4 +1,4 @@
-"""The one binary file format: checkpoints, datasets and kernel matrices.
+"""The one binary file format: checkpoints and datasets.
 
 Layout:
     line 1   magic, e.g. b"EVOKERNEL-CKPT/2\\n"

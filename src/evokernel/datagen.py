@@ -10,6 +10,7 @@ rebuilt from its provenance record is bit-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -110,23 +111,17 @@ def grf_boundary(seed, grid: QuadratureGrid, length_scale):
     return L @ rng.standard_normal(grid.n)
 
 
-_GRF_CACHE: dict = {}
-
-
+@functools.cache
 def _grf_factor(grid, length_scale):
-    key = (grid.cache_key, float(length_scale))
-    L = _GRF_CACHE.get(key)
-    if L is None:
-        t = grid.t
-        d = t[:, None] - t[None, :]
-        C = np.exp(-2.0 * np.sin(0.5 * d) ** 2 / length_scale**2)
-        jitter = 1e-10 * grid.n
-        try:
-            L = np.linalg.cholesky(C + jitter * np.eye(grid.n))
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("boundary covariance not positive definite after jitter") from exc
-        _GRF_CACHE[key] = L
-    return L
+    """Jittered Cholesky factor of the node covariance, one per (grid, length_scale)."""
+    t = grid.t
+    d = t[:, None] - t[None, :]
+    C = np.exp(-2.0 * np.sin(0.5 * d) ** 2 / length_scale**2)
+    jitter = 1e-10 * grid.n
+    try:
+        return np.linalg.cholesky(C + jitter * np.eye(grid.n))
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("boundary covariance not positive definite after jitter") from exc
 
 
 @dataclass

@@ -102,17 +102,10 @@ class ClassicalBackend:
 
     kind = "classical"
 
-    def __init__(self, domain, lam_range=(0.0, np.inf)):
+    def __init__(self, domain):
         if not isinstance(domain, SquareLatticeDomain):
             raise ValueError("the finite-difference backend needs a square lattice")
         self.domain = domain
-        self.lam_range = lam_range
-
-    def _check(self, lam):
-        lo, hi = self.lam_range
-        if not (lo <= lam <= hi):
-            raise BackendRangeError(
-                f"lam={lam:.6g} outside backend range [{lo:.6g}, {hi:.6g}]")
 
     def solve(self, lam, F, gfun, t):
         """(I - lam Delta) u = F, u = g(., t) on the boundary ring."""
@@ -123,7 +116,6 @@ class ClassicalBackend:
         return self._solve(lam, F, gfun, t, coupled=True)
 
     def _solve(self, lam, F, gfun, t, coupled):
-        self._check(lam)
         g = _set_ring(np.zeros(F.shape, complex if coupled else float), self.domain, gfun, t)
         f, g = self.domain.reshape(F), self.domain.reshape(g)
         sol = (fd_solve_complex(lam, f, g) if coupled

@@ -193,9 +193,13 @@ def make_curve(kind, **params):
     raise ValueError(f"unknown curve kind {kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Midpoint periodic-trapezoid nodes with cached geometry."""
+    """Midpoint periodic-trapezoid nodes with cached geometry.
+
+    Grids hash and compare by cache_key (curve kind, curve parameters, n),
+    so memos keyed by a grid are keyed by its content.
+    """
 
     curve: BoundaryCurve
     t: np.ndarray
@@ -219,6 +223,14 @@ class QuadratureGrid:
     @property
     def cache_key(self):
         return self.curve.cache_key + (self.n,)
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadratureGrid):
+            return NotImplemented
+        return self.cache_key == other.cache_key
+
+    def __hash__(self):
+        return hash(self.cache_key)
 
 
 def sample_quadrature(curve, n_bd):

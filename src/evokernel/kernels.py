@@ -40,23 +40,19 @@ near-diagonal extrapolation in the test suite.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from . import container, specfun
+from . import specfun
 
 __all__ = [
     "ScalarKernelSpec", "SystemKernelSpec", "BoundaryKernelMatrix",
     "scalar_g0", "scalar_dln", "system_g0", "system_dkdn",
     "scalar_boundary_kernel", "system_boundary_kernel", "boundary_kernel",
-    "potential_matrix", "save_kernel_matrix", "load_kernel_matrix",
-    "clear_cache",
+    "potential_matrix",
 ]
 
 
@@ -172,12 +168,12 @@ class BoundaryKernelMatrix:
     grid: object
     spec: object
 
-    @cached_property
+    @functools.cached_property
     def operator(self):
         """B = I/2 + Ktilde diag(omega); read it through bie.residual_operator."""
         return self.values * self.grid.weight + 0.5 * np.eye(self.n_unknowns)
 
-    @cached_property
+    @functools.cached_property
     def lu(self):
         """scipy.linalg.lu_factor of the residual operator B."""
         return scipy.linalg.lu_factor(self.operator)
@@ -262,44 +258,16 @@ def system_boundary_kernel(spec, grid):
     return BoundaryKernelMatrix(values=K, grid=grid, spec=spec)
 
 
-_CACHE: dict = {}
-
-
+@functools.cache
 def boundary_kernel(spec, grid):
-    """Cached kernel-matrix builder keyed by (spec kind+value, curve, n_bd).
+    """The kernel matrix of (spec, grid), built once per distinct pair.
 
-    Matrices are reused across time steps; an optional on-disk cache is
-    enabled by the EVOKERNEL_CACHE_DIR environment variable.  Its files are
-    named by a sha256 of the magic and the file header (spec, curve with its
-    parameters, n_bd), and the header is checked again on load.
+    Specs compare by kind and value, grids by curve and n_bd, so one matrix
+    serves every time step, batch and equal grid of a process.
     """
-    key = (spec.kind, spec.value, grid.cache_key)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    cache_dir = os.environ.get("EVOKERNEL_CACHE_DIR")
-    path = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        full_key = _MAGIC + json.dumps(_header(spec, grid), sort_keys=True).encode()
-        digest = hashlib.sha256(full_key).hexdigest()
-        path = os.path.join(cache_dir, digest + ".kmat")
-        if os.path.exists(path):
-            kmat = load_kernel_matrix(path, grid=grid, spec=spec)
-            _CACHE[key] = kmat
-            return kmat
     if spec.kind == "scalar":
-        kmat = scalar_boundary_kernel(spec, grid)
-    else:
-        kmat = system_boundary_kernel(spec, grid)
-    _CACHE[key] = kmat
-    if path:
-        save_kernel_matrix(kmat, path)
-    return kmat
-
-
-def clear_cache():
-    _CACHE.clear()
+        return scalar_boundary_kernel(spec, grid)
+    return system_boundary_kernel(spec, grid)
 
 
 def potential_matrix(spec, grid, pts):
@@ -313,36 +281,3 @@ def potential_matrix(spec, grid, pts):
         raise ValueError("potential evaluation point lies on the boundary grid")
     return _double_layer(spec, grid, r, drdn)
 
-
-_MAGIC = b"EVOKERNEL-KMAT/2\n"
-
-
-def _header(spec, grid):
-    """File header of the (spec, grid) kernel matrix, as it reads back from JSON."""
-    return json.loads(json.dumps({
-        "kind": spec.kind, "param": float(spec.value),
-        "curve": grid.curve.kind, "params": grid.curve.params, "n_bd": grid.n,
-    }))
-
-
-def save_kernel_matrix(kmat, path):
-    """An evokernel.container file: header (spec, curve, n_bd), array "values"."""
-    container.write(path, _MAGIC, _header(kmat.spec, kmat.grid), {"values": kmat.values})
-
-
-def load_kernel_matrix(path, grid=None, spec=None):
-    """Read a saved matrix; raises ValueError on a header or matrix shape that
-    does not match the requested spec/grid, or on any container check."""
-    header, arrays = container.read(path, _MAGIC)
-    vals = arrays["values"]
-    if spec is None:
-        spec = (ScalarKernelSpec(header["param"]) if header["kind"] == "scalar"
-                else SystemKernelSpec(header["param"]))
-    elif (header["kind"], header["param"]) != (spec.kind, float(spec.value)):
-        raise ValueError(f"{path}: header {header} does not match {spec}")
-    if grid is not None:
-        n = grid.n * (1 if spec.kind == "scalar" else 2)
-        if header != _header(spec, grid) or vals.shape != (n, n):
-            raise ValueError(f"{path}: header {header} and shape {vals.shape} do "
-                             "not match the requested grid")
-    return BoundaryKernelMatrix(values=vals, grid=grid, spec=spec)

@@ -156,7 +156,8 @@ def train_source_model(cfg, dataset, points, model=None, coupled=False):
     return model, _train_loop(model, cfg, dataset, rng, loss_fn)
 
 
-def train_branch_trunk(cfg, dataset, points, width, latent, depth=3, coupled=False):
+def train_branch_trunk(cfg, dataset, points, width=256, latent=512, depth=3,
+                       coupled=False):
     """Train the branch-trunk baseline on the same supervised data."""
     if dataset.kind != "source-supervised":
         raise ValueError("baseline training expects a supervised dataset")

@@ -56,6 +56,63 @@ def test_validation_rejects_keys_of_other_kinds(tmp_path, capsys, section, value
     assert f"[{key!r}]" in capsys.readouterr().err
 
 
+_DATASET_KEYS = {
+    "boundary": {"n_g": 4, "curve": {"kind": "disk", "n_bd": 16},
+                 "length_scales": [0.4], "coupled": True},
+    "source": {"per_kappa": 2, "n": 9, "mix": 1.0, "sigma_range": [1, 4], "coupled": True},
+    "source-offlattice": {"per_kappa": 2, "curve": {"kind": "petal"}, "spacing": 0.1,
+                          "margin": 0.1},
+}
+_MODEL_KEYS = {
+    "boundary": {"coupled": True, "internal": 8},
+    "source": {"coupled": True, "hidden_k": [4], "hidden_g": [4]},
+    "branch_trunk": {"coupled": True, "width": 8, "latent": 8, "depth": 2},
+}
+
+
+def _dataset_or_model_config(tmp_path, section, value):
+    if section == "dataset":
+        return {"version": 1, "command": "datagen", "seed": 0, "out": str(tmp_path / "run"),
+                "dataset": {"kappas": [0.05], **value}}
+    return {"version": 1, "command": "train", "seed": 0, "out": str(tmp_path / "run"),
+            "data": {"path": str(tmp_path / "d.bin")}, "model": value}
+
+
+@pytest.mark.parametrize("section, kind", [
+    *[("dataset", kind) for kind in _DATASET_KEYS],
+    *[("model", kind) for kind in _MODEL_KEYS],
+])
+def test_validation_accepts_every_dataset_and_model_key(tmp_path, section, kind):
+    keys = (_DATASET_KEYS if section == "dataset" else _MODEL_KEYS)[kind]
+    cfg = _dataset_or_model_config(tmp_path, section, {"kind": kind, **keys})
+    assert cli.validate_config(cfg) is cfg
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("dataset", {"kind": "boundary", "per_kappa": 2}, "['per_kappa']"),
+    ("dataset", {"kind": "boundary", "sigma_range": [1, 4]}, "['sigma_range']"),
+    ("dataset", {"kind": "source", "n_g": 4}, "['n_g']"),
+    ("dataset", {"kind": "source", "curve": {"kind": "disk"}}, "['curve']"),
+    ("dataset", {"kind": "source-offlattice", "coupled": True}, "['coupled']"),
+    ("dataset", {"kind": "source-offlattice", "n": 9}, "['n']"),
+    ("dataset", {"kind": "sourc"}, "'sourc' in 'dataset.kind'"),
+    ("model", {"kind": "boundary", "hidden_k": [4]}, "['hidden_k']"),
+    ("model", {"kind": "boundary", "width": 8}, "['width']"),
+    ("model", {"kind": "source", "internal": 8}, "['internal']"),
+    ("model", {"kind": "source", "latent": 8}, "['latent']"),
+    ("model", {"kind": "branch_trunk", "hidden_g": [4]}, "['hidden_g']"),
+    ("model", {"kind": "branch_trunk", "internal": 8}, "['internal']"),
+    ("model", {"coupled": True}, "None in 'model.kind'"),
+])
+def test_validation_rejects_dataset_and_model_keys_of_other_kinds(tmp_path, capsys, section,
+                                                                   value, message):
+    cfg = _dataset_or_model_config(tmp_path, section, value)
+    rc = cli.main([cfg["command"], "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("section, value, name", [
     ("backend", {**_CLASSICAL, "kind": "learnd"}, "'learnd' in 'backend.kind'"),
     ("backend", {**_CLASSICAL, "kind": ["classical"]}, "backend.kind"),
@@ -117,11 +174,25 @@ def test_validation_accepts_wave_numbers_on_the_unit_circle(problem):
 def test_validation_rejects_non_positive_kappas(tmp_path, capsys, kind, kappas):
     out = tmp_path / "run"
     cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(out),
-           "dataset": {"kind": kind, "kappas": kappas, "per_kappa": 1, "n": 9, "n_g": 1}}
+           "dataset": {"kind": kind, "kappas": kappas,
+                       **({"n_g": 1} if kind == "boundary" else {"per_kappa": 1, "n": 9})}}
     rc = cli.main(["datagen", "--config", _write(tmp_path, "c.json", cfg)])
     assert rc == 2
     assert "dataset.kappas" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_datagen_source_reads_sigma_range(tmp_path):
+    hashes = []
+    for run, extra in (("default", {}), ("low", {"sigma_range": [1.0, 4.0]}),
+                       ("high", {"sigma_range": [5.0, 9.0]})):
+        out = tmp_path / run
+        cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(out),
+               "dataset": {"kind": "source", "kappas": [0.05], "per_kappa": 2, "n": 9,
+                           "mix": 1.0, **extra}}
+        assert cli.main(["datagen", "--config", _write(tmp_path, f"{run}.json", cfg)]) == 0
+        hashes.append(json.loads((out / "summary.json").read_text())["hash"])
+    assert hashes[0] == hashes[1] != hashes[2]
 
 
 def test_validation_accepts_a_positive_kappa_range():

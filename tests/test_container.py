@@ -5,11 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from evokernel import datagen, kernels, nn
+from evokernel import datagen, nn
 from evokernel.geometry import make_curve, sample_quadrature
 
 GRID = sample_quadrature(make_curve("square"), 16)
-SPEC = kernels.ScalarKernelSpec(0.05)
 
 
 def _checkpoint(path):
@@ -22,11 +21,6 @@ def _dataset(path):
     return datagen.load_dataset
 
 
-def _kernel_matrix(path):
-    kernels.save_kernel_matrix(kernels.scalar_boundary_kernel(SPEC, GRID), path)
-    return lambda p: kernels.load_kernel_matrix(p, grid=GRID, spec=SPEC)
-
-
 CORRUPTIONS = {
     "trailing_bytes": lambda d: d + bytes(8),
     "truncated_body": lambda d: d[:-8],
@@ -37,8 +31,7 @@ CORRUPTIONS = {
 
 
 @pytest.mark.parametrize("corrupt", CORRUPTIONS)
-@pytest.mark.parametrize("save", [_checkpoint, _dataset, _kernel_matrix],
-                         ids=["checkpoint", "dataset", "kernel_matrix"])
+@pytest.mark.parametrize("save", [_checkpoint, _dataset], ids=["checkpoint", "dataset"])
 def test_loaders_reject_damaged_files(tmp_path, save, corrupt):
     path = tmp_path / "file.bin"
     load = save(path)

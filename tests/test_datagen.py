@@ -48,6 +48,16 @@ def test_grf_unit_variance_and_limits():
     assert smooth.max() - smooth.min() < 0.2
 
 
+def test_grf_factor_keyed_by_grid_content():
+    grids = [sample_quadrature(make_curve("disk", radius=r), n)
+             for r, n in ((1.0, 32), (1.0, 32), (2.0, 32), (1.0, 64))]
+    factors = [dg._grf_factor(grid, 0.4) for grid in grids]
+    assert factors[0] is factors[1]
+    assert len({id(L) for L in factors}) == 3
+    assert dg._grf_factor(grids[0], 0.8) is not factors[0]
+    assert np.array_equal(dg.grf_boundary(7, grids[0], 0.4), dg.grf_boundary(7, grids[1], 0.4))
+
+
 def test_grf_empirical_covariance():
     grid = sample_quadrature(make_curve("disk", radius=1.0), 32)
     ell = 0.8

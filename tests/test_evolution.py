@@ -1,5 +1,7 @@
-"""Steppers with the classical backend: orders, recursions, Newton, batching."""
+"""Steppers with the classical backend: orders, recursions, Newton, batching;
+the learned backend's lambda range."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from evokernel import evolution as ev
 from evokernel import experiments as ex
+from evokernel import nn
 from evokernel.fdsolver import lap5
 
 DOMAIN = ev.SquareLatticeDomain(n=41, n_bd=64)
@@ -167,10 +170,17 @@ def test_newton_converges_at_large_rhs():
 
 
 def test_backend_range_error_names_interval():
-    backend = ev.ClassicalBackend(DOMAIN, lam_range=(0.05, 0.1))
-    prob = ev.heat_family(DOMAIN, 0.6, 0.8, 1.0, 1)  # lam = tau = 1.0
-    with pytest.raises(ev.BackendRangeError, match="0.05"):
-        ev.run_heat(prob, backend, "be")
+    # the learned backend refuses any lam outside the range it was trained on
+    domain = ev.SquareLatticeDomain(n=9, n_bd=32)
+    rng = np.random.default_rng(0)
+    backend = ev.NekmBackend(domain, nn.BoundaryModel.build(32, rng, internal=8),
+                             nn.SourceModel.build(domain.points, [8], [8], rng), (0.05, 0.1))
+    F = np.ones((1, domain.points.shape[0]))
+    zero = lambda pts, t: np.zeros(pts.shape[0])  # noqa: E731
+    assert np.all(np.isfinite(backend.solve(0.1, F, zero, 0.0)))
+    for lam in (0.1 + 1e-11, 0.04):
+        with pytest.raises(ev.BackendRangeError, match=re.escape("[0.05, 0.1]")):
+            backend.solve(lam, F, zero, 0.0)
 
 
 def test_batched_equals_sequential():

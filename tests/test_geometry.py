@@ -105,6 +105,21 @@ def test_quadrature_validation():
         geo.make_curve("blob")
 
 
+def test_quadrature_grid_hash_and_eq_follow_cache_key():
+    grids = [geo.sample_quadrature(geo.make_curve(kind, **params), n)
+             for kind, params, n in (("disk", {"radius": 1.0}, 32), ("disk", {"radius": 1}, 32),
+                                     ("disk", {"radius": 2.0}, 32), ("disk", {"radius": 1.0}, 64),
+                                     ("square", {}, 32), ("petal", {"lobes": 5}, 32))]
+    for a in grids:
+        for b in grids:
+            assert (a == b) == (a.cache_key == b.cache_key)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert grids[0] == grids[1] and grids[0] is not grids[1]
+    assert len(set(grids)) == 5
+    assert grids[0] != grids[0].curve
+
+
 def test_square_lattice_41():
     grid = geo.square_lattice(41)
     assert grid.m == 1681

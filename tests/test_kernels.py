@@ -170,76 +170,29 @@ def test_kernel_matrix_finite_rows():
     assert np.max(np.sum(np.abs(km.values), axis=1)) < 1e3
 
 
-def test_kernel_cache_and_roundtrip(tmp_path):
+def test_kernel_cache_and_roundtrip():
     grid = sample_quadrature(make_curve("disk", radius=1.0), 32)
     spec = ker.ScalarKernelSpec(0.06)
     a = ker.boundary_kernel(spec, grid)
     b = ker.boundary_kernel(ker.ScalarKernelSpec(0.06), grid)
     assert a is b
-    path = tmp_path / "k.kmat"
-    ker.save_kernel_matrix(a, path)
-    loaded = ker.load_kernel_matrix(path)
-    assert np.array_equal(loaded.values, a.values)
-    assert loaded.spec.kappa == spec.kappa
+    assert np.array_equal(a.values, ker.scalar_boundary_kernel(spec, grid).values)
+    assert ker.boundary_kernel(ker.SystemKernelSpec(0.06), grid).kind == "system"
 
 
-def test_disk_cache_keys_curve_params(tmp_path, monkeypatch):
-    # two disks that differ only in radius need separate cache files
-    monkeypatch.setenv("EVOKERNEL_CACHE_DIR", str(tmp_path))
-    spec = ker.ScalarKernelSpec(0.1)
-    grids = [sample_quadrature(make_curve("disk", radius=r), 32) for r in (1.0, 2.0)]
-    for grid in grids:
-        ker.clear_cache()
-        ker.boundary_kernel(spec, grid)
-    assert len(list(tmp_path.iterdir())) == 2
-    for grid in grids:
-        ker.clear_cache()
-        cached = ker.boundary_kernel(spec, grid)
-        assert np.array_equal(cached.values, ker.scalar_boundary_kernel(spec, grid).values)
-    ker.clear_cache()
-    path = tmp_path / "k.kmat"
-    ker.save_kernel_matrix(cached, path)
-    with pytest.raises(ValueError):
-        ker.load_kernel_matrix(path, grid=grids[0], spec=spec)
-    with pytest.raises(ValueError):
-        ker.load_kernel_matrix(path, grid=grids[1], spec=ker.ScalarKernelSpec(0.2))
-
-
-def test_load_rejects_truncated_file(tmp_path):
-    grid = sample_quadrature(make_curve("disk"), 32)
-    spec = ker.ScalarKernelSpec(0.1)
-    path = tmp_path / "k.kmat"
-    ker.save_kernel_matrix(ker.scalar_boundary_kernel(spec, grid), path)
-    data = path.read_bytes()
-    for body in (data[:-8], data + bytes(8)):
-        path.write_bytes(body)
-        with pytest.raises(ValueError, match=r"k\.kmat: body has \d+ bytes, expected 8192"):
-            ker.load_kernel_matrix(path, grid=grid, spec=spec)
-
-
-def test_load_rejects_matrix_shape_other_than_grid(tmp_path):
-    # same bytes and body hash, array table edited to another shape
-    grid = sample_quadrature(make_curve("disk"), 32)
-    spec = ker.ScalarKernelSpec(0.1)
-    path = tmp_path / "k.kmat"
-    ker.save_kernel_matrix(ker.scalar_boundary_kernel(spec, grid), path)
-    path.write_bytes(path.read_bytes().replace(b"[32, 32]", b"[16, 64]", 1))
-    assert ker.load_kernel_matrix(path).values.shape == (16, 64)
-    with pytest.raises(ValueError, match="shape"):
-        ker.load_kernel_matrix(path, grid=grid, spec=spec)
-
-
-def test_disk_cache_name_covers_magic(tmp_path, monkeypatch):
-    # a file of another format version is never found under the current name
-    monkeypatch.setenv("EVOKERNEL_CACHE_DIR", str(tmp_path))
-    grid = sample_quadrature(make_curve("disk"), 32)
-    spec = ker.ScalarKernelSpec(0.1)
-    for magic in (b"EVOKERNEL-KMAT/1\n", ker._MAGIC):
-        monkeypatch.setattr(ker, "_MAGIC", magic)
-        ker.clear_cache()
-        ker.boundary_kernel(spec, grid)
-    assert len(list(tmp_path.iterdir())) == 2
-    ker.clear_cache()
+@pytest.mark.parametrize("spec", [ker.ScalarKernelSpec(0.11), ker.SystemKernelSpec(0.11)],
+                         ids=["scalar", "system"])
+def test_kernel_memo_keyed_by_grid_content(spec):
+    # equal curves from separate calls share one matrix; another radius or
+    # n_bd gets its own, each bitwise the direct build
+    direct = ker.scalar_boundary_kernel if spec.kind == "scalar" else ker.system_boundary_kernel
+    grids = [sample_quadrature(make_curve("disk", radius=r), n)
+             for r, n in ((1.0, 32), (1.0, 32), (2.0, 32), (1.0, 64))]
+    kmats = [ker.boundary_kernel(spec, grid) for grid in grids]
+    assert kmats[0] is kmats[1]
+    assert len({id(k) for k in kmats}) == 3
+    for grid, kmat in zip(grids, kmats):
+        assert np.array_equal(kmat.values, direct(spec, grid).values)
 
 
 def _distances(grid, pts):
