@@ -1,8 +1,9 @@
 """Wave equation (implicit theta-scheme) and nonlinear Schrodinger (splitting).
 
 Both reduce each time step to the same elliptic solve contract the heat
-equation uses; the Schrodinger splitting adds a pointwise Newton stage for
-the nonlinear term and a coupled (complex) linear solve.
+equation uses; the Schrodinger splitting adds a pointwise nonlinear
+Crank-Nicolson stage, solved in closed form and checked by Newton, and a
+coupled (complex) linear solve.
 """
 
 from evokernel import evolution as ev

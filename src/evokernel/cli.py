@@ -247,8 +247,7 @@ def cmd_datagen(cfg, out):
         _, grid = _build_curve_grid(d.get("curve", {}))
         ds = datagen.build_boundary_dataset(
             kappas, d.get("n_g", 2000), grid, seed,
-            length_scales=tuple(d.get("length_scales", (0.2, 0.4, 0.8, 1.6))),
-            coupled=d.get("coupled", False))
+            **{k: d[k] for k in ("length_scales", "coupled") if k in d})
     elif kind == "source":
         ds = datagen.build_source_dataset(
             kappas, d.get("per_kappa", 2000), d.get("n", 41), seed,

@@ -9,7 +9,8 @@ wave and Schrodinger drivers only differ in how they build F and lam:
     theta-scheme     lam = theta tau^2,    F^{n+1} = 2 u^n
                          + ((1 - 2 theta)/theta) (u^n - F^n) - F^{n-1}
     splitting        lam = tau/2 or tau,   F from the pointwise nonlinear
-                                           stage; the explicit half step
+                                           stage, whose exact root is closed
+                                           form; the explicit half step
                                            reuses u* = 2 u^n - u**_{prev}
 
 The recursions re-express every Laplacian of a computed field through
@@ -370,17 +371,26 @@ class NewtonError(RuntimeError):
     pass
 
 
-def newton_nonlinear(v, w, tau, rhs, tol=1e-12, maxit=50):
+def newton_nonlinear(v, w, tau, rhs, tol=1e-12, maxit=50, z0=None):
     """Solve z + i (tau/2)(v + w |z|^2) z = rhs pointwise (vectorized Newton).
 
     |z|^2 is not complex-differentiable, so Newton runs on (Re z, Im z) with
-    the exact 2x2 Jacobian; initial guess rhs.  Converged when every point's
-    residual is at most tol * max(1, |rhs|), which float64 can reach.
+    the exact 2x2 Jacobian, starting from z0 (default rhs).  Converged when
+    every point's residual is at most tol * max(1, |rhs|), which float64 can
+    reach; a start that passes the first check is returned unchanged.
+
+    The steppers' start is exact: they build rhs = u - i c s(u) u with
+    c = tau/2 and the real s(u) = v + w |u|^2, and z0 = rhs / (1 + i c s(u))
+    = u (1 - i c s)/(1 + i c s) has |z0| = |u|, so s(z0) = s(u) and
+    z0 (1 + i c s(z0)) = rhs.
     """
     c = 0.5 * tau
     rhs = np.asarray(rhs, dtype=np.complex128)
-    p = rhs.real.copy()
-    q = rhs.imag.copy()
+    start = rhs if z0 is None else np.asarray(z0, dtype=np.complex128)
+    if start.shape != rhs.shape:
+        raise ValueError(f"z0 shape {start.shape} != rhs shape {rhs.shape}")
+    p = start.real.copy()
+    q = start.imag.copy()
     rr, ri = rhs.real, rhs.imag
     scale = np.maximum(np.abs(rhs), 1.0)
     for _ in range(maxit):
@@ -402,6 +412,13 @@ def newton_nonlinear(v, w, tau, rhs, tol=1e-12, maxit=50):
                       f"residual {res.max():.3e} relative to max(1, |rhs|)")
 
 
+def _nonlinear_stage(vpot, w, tau, u):
+    """The Crank-Nicolson nonlinear stage from u, started at its exact root."""
+    s = vpot + w * np.abs(u) ** 2
+    rhs = u - 0.5j * tau * s * u
+    return newton_nonlinear(vpot, w, tau, rhs, z0=rhs / (1.0 + 0.5j * tau * s))
+
+
 def run_schrodinger(prob, backend, splitting="strang", store_fields=False):
     """Nonlinear Schrodinger step driver by Strang or Lie-Trotter splitting.
 
@@ -409,6 +426,10 @@ def run_schrodinger(prob, backend, splitting="strang", store_fields=False):
     after the first step), pointwise nonlinear Crank-Nicolson solve, then
     the implicit linear solve u^{n+1} + i (tau/2) Delta u^{n+1} = u**.
     Lie: nonlinear stage from u^n, then u^{n+1} + i tau Delta u^{n+1} = u*.
+
+    The nonlinear stage conserves |u| pointwise (the mass-conserving scheme
+    of Delfour, Fortin & Payre, 1981), so Newton starts at its closed-form
+    root (see newton_nonlinear) and stops at the first check.
     """
     if splitting not in ("strang", "lie"):
         raise ValueError("splitting must be 'strang' or 'lie'")
@@ -426,13 +447,11 @@ def run_schrodinger(prob, backend, splitting="strang", store_fields=False):
                 u_star = u - 0.5j * tau * _initial_lap(prob, pts)
             else:
                 u_star = 2.0 * u - ustar_prev
-            rhs = u_star - 0.5j * tau * (vpot + prob.w * np.abs(u_star) ** 2) * u_star
-            u_dd = newton_nonlinear(vpot, prob.w, tau, rhs)
+            u_dd = _nonlinear_stage(vpot, prob.w, tau, u_star)
             u = backend.solve_coupled(0.5 * tau, u_dd, prob.g, t)
             ustar_prev = u_dd
         else:
-            rhs = u - 0.5j * tau * (vpot + prob.w * np.abs(u) ** 2) * u
-            u_star = newton_nonlinear(vpot, prob.w, tau, rhs)
+            u_star = _nonlinear_stage(vpot, prob.w, tau, u)
             u = backend.solve_coupled(tau, u_star, prob.g, t)
         _trace_error(prob, pts, u, t, trace)
         if store_fields:

@@ -8,6 +8,7 @@ midpoint offset guarantees no node ever lands on a corner.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,7 +199,9 @@ class QuadratureGrid:
     """Midpoint periodic-trapezoid nodes with cached geometry.
 
     Grids hash and compare by cache_key (curve kind, curve parameters, n),
-    so memos keyed by a grid are keyed by its content.
+    so memos keyed by a grid are keyed by its content.  A curve that keeps
+    the base class's kind or params names no content, so its key adds the
+    bytes of the grid's node arrays.
     """
 
     curve: BoundaryCurve
@@ -220,9 +223,13 @@ class QuadratureGrid:
     def length_estimate(self):
         return float(self.weight * np.sum(self.speeds))
 
-    @property
+    @functools.cached_property
     def cache_key(self):
-        return self.curve.cache_key + (self.n,)
+        key = self.curve.cache_key + (self.n,)
+        if self.curve.kind == BoundaryCurve.kind or self.curve.params is BoundaryCurve.params:
+            key += tuple(a.tobytes() for a in (self.points, self.normals, self.speeds,
+                                               self.curvatures))
+        return key
 
     def __eq__(self, other):
         if not isinstance(other, QuadratureGrid):

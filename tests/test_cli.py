@@ -195,6 +195,19 @@ def test_datagen_source_reads_sigma_range(tmp_path):
     assert hashes[0] == hashes[1] != hashes[2]
 
 
+def test_datagen_boundary_uses_library_length_scales(tmp_path):
+    from evokernel import datagen
+    from evokernel.geometry import make_curve, sample_quadrature
+    out = tmp_path / "run"
+    cfg = {"version": 1, "command": "datagen", "seed": 4, "out": str(out),
+           "dataset": {"kind": "boundary", "kappas": [0.05, 0.1], "n_g": 6,
+                       "curve": {"kind": "disk", "n_bd": 32}}}
+    assert cli.main(["datagen", "--config", _write(tmp_path, "b.json", cfg)]) == 0
+    grid = sample_quadrature(make_curve("disk"), 32)
+    ds = datagen.build_boundary_dataset([0.05, 0.1], 6, grid, 4)
+    assert json.loads((out / "summary.json").read_text())["hash"] == ds.content_hash()
+
+
 def test_validation_accepts_a_positive_kappa_range():
     cfg = {"version": 1, "command": "datagen", "seed": 0,
            "dataset": {"kind": "source", "kappas": {"start": 0.05, "stop": 0.1, "count": 3}}}

@@ -169,6 +169,50 @@ def test_newton_converges_at_large_rhs():
     assert np.all(np.abs(resid) <= 1e-12 * np.abs(rhs) * np.sqrt(2))
 
 
+def _stage_residual(v, w, tau, rhs, z):
+    """max |z + i (tau/2)(v + w |z|^2) z - rhs| relative to max(1, |rhs|)."""
+    resid = z + 0.5j * tau * (v + w * np.abs(z) ** 2) * z - rhs
+    return float(np.max(np.abs(resid) / np.maximum(np.abs(rhs), 1.0)))
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, 1e3])
+@pytest.mark.parametrize("tau", [1e-3, 0.1])
+def test_newton_exact_start_returns_unchanged(w, tau):
+    # |u| from 1e-3 to 1e8 (random-weight learned fields reach 1e8), v of both signs
+    rng = np.random.default_rng(13)
+    u = 10.0 ** rng.uniform(-3, 8, 2000) * np.exp(2j * np.pi * rng.random(2000))
+    v = rng.uniform(-2.0, 2.0, 2000)
+    s = v + w * np.abs(u) ** 2
+    rhs = u - 0.5j * tau * s * u
+    z0 = rhs / (1 + 0.5j * tau * s)
+    z = ev.newton_nonlinear(v, w, tau, rhs, z0=z0.copy())
+    assert np.array_equal(z.view(np.uint64), z0.view(np.uint64))
+    assert np.max(np.abs(np.abs(z) - np.abs(u)) / np.abs(u)) <= 1e-15
+    assert _stage_residual(v, w, tau, rhs, z) <= 1e-14
+
+
+def test_newton_rejects_start_of_other_shape():
+    with pytest.raises(ValueError, match="z0 shape"):
+        ev.newton_nonlinear(1.0, 1.0, 0.1, np.ones(3, complex), z0=np.ones(2, complex))
+
+
+@pytest.mark.parametrize("splitting", ["strang", "lie"])
+def test_schrodinger_stages_solved_to_rounding(monkeypatch, splitting):
+    residuals = []
+    newton = ev.newton_nonlinear
+
+    def recording(v, w, tau, rhs, **kw):
+        z = newton(v, w, tau, rhs, **kw)
+        residuals.append(_stage_residual(v, w, tau, rhs, z))
+        return z
+
+    monkeypatch.setattr(ev, "newton_nonlinear", recording)
+    for tau, n in [(0.16, 10), (0.08, 20), (0.04, 40)]:
+        ev.run_schrodinger(ex.schrodinger_problem(DOMAIN, tau, n), BACKEND, splitting)
+    assert len(residuals) == 70
+    assert max(residuals) <= 1e-14
+
+
 def test_backend_range_error_names_interval():
     # the learned backend refuses any lam outside the range it was trained on
     domain = ev.SquareLatticeDomain(n=9, n_bd=32)

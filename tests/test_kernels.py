@@ -6,7 +6,7 @@ import pytest
 from evokernel import kernels as ker
 from evokernel import specfun as sf
 from evokernel.evolution import SquareLatticeDomain
-from evokernel.geometry import make_curve, petal_lattice, sample_quadrature
+from evokernel.geometry import BoundaryCurve, make_curve, petal_lattice, sample_quadrature
 
 
 def test_scalar_g0_pinned():
@@ -193,6 +193,36 @@ def test_kernel_memo_keyed_by_grid_content(spec):
     assert len({id(k) for k in kmats}) == 3
     for grid, kmat in zip(grids, kmats):
         assert np.array_equal(kmat.values, direct(spec, grid).values)
+
+
+class _Ellipse(BoundaryCurve):
+    """A user curve that keeps the base class's kind and params."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def point(self, t):
+        return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
+
+    def derivative(self, t):
+        return np.stack([-self.a * np.sin(t), self.b * np.cos(t)], axis=-1)
+
+    def second_derivative(self, t):
+        return np.stack([-self.a * np.cos(t), -self.b * np.sin(t)], axis=-1)
+
+
+def test_kernel_memo_keeps_custom_curves_apart():
+    # custom curves carry no parameters, so their grids are keyed by their nodes
+    spec = ker.ScalarKernelSpec(0.11)
+    grids = [sample_quadrature(_Ellipse(a, b), 32) for a, b in ((1.0, 0.5), (2.0, 1.0), (1.0, 0.5))]
+    assert grids[0] != grids[1] and grids[0] == grids[2]
+    kmats = [ker.boundary_kernel(spec, grid) for grid in grids]
+    assert kmats[0] is not kmats[1] and kmats[0] is kmats[2]
+    for grid, kmat in zip(grids, kmats):
+        assert np.array_equal(kmat.values, ker.scalar_boundary_kernel(spec, grid).values)
+    # built-in curves keep their parameter keys
+    assert sample_quadrature(make_curve("disk"), 32).cache_key == (
+        "disk", (("center", (0.0, 0.0)), ("radius", 1.0)), 32)
 
 
 def _distances(grid, pts):
