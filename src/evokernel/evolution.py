@@ -387,8 +387,6 @@ def newton_nonlinear(v, w, tau, rhs, tol=1e-12, maxit=50, z0=None):
     c = 0.5 * tau
     rhs = np.asarray(rhs, dtype=np.complex128)
     start = rhs if z0 is None else np.asarray(z0, dtype=np.complex128)
-    if start.shape != rhs.shape:
-        raise ValueError(f"z0 shape {start.shape} != rhs shape {rhs.shape}")
     p = start.real.copy()
     q = start.imag.copy()
     rr, ri = rhs.real, rhs.imag

@@ -25,7 +25,6 @@ class BoundaryCurve:
     """
 
     kind = "custom"
-    params: dict = {}
 
     def point(self, t):
         raise NotImplementedError
@@ -53,10 +52,6 @@ class BoundaryCurve:
         s = np.hypot(d[..., 0], d[..., 1])
         return (d[..., 0] * dd[..., 1] - d[..., 1] * dd[..., 0]) / s**3
 
-    @property
-    def cache_key(self):
-        return (self.kind, tuple(sorted(self.params.items())))
-
     def polyline(self, n=2048):
         """Dense point sample used for distance queries."""
         t = TWO_PI * np.arange(n) / n
@@ -77,7 +72,6 @@ class DiskCurve(BoundaryCurve):
             raise ValueError("disk radius must be positive")
         self.radius = float(radius)
         self.center = (float(center[0]), float(center[1]))
-        self.params = {"radius": self.radius, "center": self.center}
 
     def point(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -108,7 +102,6 @@ class SquareCurve(BoundaryCurve):
             raise ValueError("square side must be positive")
         self.side = float(side)
         self.origin = (float(origin[0]), float(origin[1]))
-        self.params = {"side": self.side, "origin": self.origin}
 
     def _edge_pos(self, t):
         u = (np.asarray(t, dtype=np.float64) % TWO_PI) * (4.0 / TWO_PI)
@@ -149,7 +142,6 @@ class PetalCurve(BoundaryCurve):
         self.base = float(base)
         self.amp = float(amp)
         self.lobes = int(lobes)
-        self.params = {"base": self.base, "amp": self.amp, "lobes": self.lobes}
 
     def radius(self, t):
         return self.base * (1.0 + self.amp * np.sin(self.lobes * np.asarray(t, dtype=np.float64)))
@@ -198,10 +190,9 @@ def make_curve(kind, **params):
 class QuadratureGrid:
     """Midpoint periodic-trapezoid nodes with cached geometry.
 
-    Grids hash and compare by cache_key (curve kind, curve parameters, n),
-    so memos keyed by a grid are keyed by its content.  A curve that keeps
-    the base class's kind or params names no content, so its key adds the
-    bytes of the grid's node arrays.
+    Grids hash and compare by cache_key: n and the bytes of the node arrays,
+    which is all a kernel build or GRF factor reads of a grid.  So memos
+    keyed by a grid are keyed by its content, whatever class the curve is.
     """
 
     curve: BoundaryCurve
@@ -225,11 +216,8 @@ class QuadratureGrid:
 
     @functools.cached_property
     def cache_key(self):
-        key = self.curve.cache_key + (self.n,)
-        if self.curve.kind == BoundaryCurve.kind or self.curve.params is BoundaryCurve.params:
-            key += tuple(a.tobytes() for a in (self.points, self.normals, self.speeds,
-                                               self.curvatures))
-        return key
+        return (self.n,) + tuple(a.tobytes() for a in (self.points, self.normals,
+                                                         self.speeds, self.curvatures))
 
     def __eq__(self, other):
         if not isinstance(other, QuadratureGrid):

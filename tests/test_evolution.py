@@ -191,11 +191,6 @@ def test_newton_exact_start_returns_unchanged(w, tau):
     assert _stage_residual(v, w, tau, rhs, z) <= 1e-14
 
 
-def test_newton_rejects_start_of_other_shape():
-    with pytest.raises(ValueError, match="z0 shape"):
-        ev.newton_nonlinear(1.0, 1.0, 0.1, np.ones(3, complex), z0=np.ones(2, complex))
-
-
 @pytest.mark.parametrize("splitting", ["strang", "lie"])
 def test_schrodinger_stages_solved_to_rounding(monkeypatch, splitting):
     residuals = []

@@ -6,7 +6,8 @@ import pytest
 from evokernel import kernels as ker
 from evokernel import specfun as sf
 from evokernel.evolution import SquareLatticeDomain
-from evokernel.geometry import BoundaryCurve, make_curve, petal_lattice, sample_quadrature
+from evokernel.geometry import (BoundaryCurve, DiskCurve, make_curve, petal_lattice,
+                                sample_quadrature)
 
 
 def test_scalar_g0_pinned():
@@ -211,18 +212,36 @@ class _Ellipse(BoundaryCurve):
         return np.stack([-self.a * np.cos(t), -self.b * np.sin(t)], axis=-1)
 
 
+class _DiskEllipse(DiskCurve):
+    """An ellipse that inherits the disk's kind and attributes."""
+
+    def __init__(self, b):
+        super().__init__()
+        self.b = b
+
+    def point(self, t):
+        return np.stack([np.cos(t), self.b * np.sin(t)], axis=-1)
+
+    def derivative(self, t):
+        return np.stack([-np.sin(t), self.b * np.cos(t)], axis=-1)
+
+    def second_derivative(self, t):
+        return np.stack([-np.cos(t), -self.b * np.sin(t)], axis=-1)
+
+
 def test_kernel_memo_keeps_custom_curves_apart():
-    # custom curves carry no parameters, so their grids are keyed by their nodes
+    # grids are keyed by their nodes, so user curves share entries only when equal
     spec = ker.ScalarKernelSpec(0.11)
-    grids = [sample_quadrature(_Ellipse(a, b), 32) for a, b in ((1.0, 0.5), (2.0, 1.0), (1.0, 0.5))]
-    assert grids[0] != grids[1] and grids[0] == grids[2]
+    curves = [_Ellipse(1.0, 0.5), _Ellipse(2.0, 1.0), _Ellipse(1.0, 0.5),
+              make_curve("disk"), _DiskEllipse(0.5)]
+    grids = [sample_quadrature(curve, 32) for curve in curves]
+    assert len(set(grids)) == 3
+    assert grids[0] == grids[2] == grids[4] and grids[0] != grids[1] != grids[3] != grids[0]
     kmats = [ker.boundary_kernel(spec, grid) for grid in grids]
-    assert kmats[0] is not kmats[1] and kmats[0] is kmats[2]
+    assert kmats[0] is kmats[2] is kmats[4]
+    assert len({id(k) for k in kmats}) == 3
     for grid, kmat in zip(grids, kmats):
         assert np.array_equal(kmat.values, ker.scalar_boundary_kernel(spec, grid).values)
-    # built-in curves keep their parameter keys
-    assert sample_quadrature(make_curve("disk"), 32).cache_key == (
-        "disk", (("center", (0.0, 0.0)), ("radius", 1.0)), 32)
 
 
 def _distances(grid, pts):
