@@ -272,14 +272,18 @@ def cmd_train(cfg, out):
     from .geometry import petal_lattice, square_lattice
     from .nn import save_checkpoint
 
-    ds = datagen.load_dataset(cfg["data"]["path"])
     # the model's keys other than the kind and TrainConfig fields are
     # arguments of its training function
     m = dict(cfg["model"])
     kind = m.pop("kind")
-    tcfg = training.TrainConfig(
-        seed=cfg.get("seed", 0), **cfg.get("train", {}),
-        **{k: m.pop(k) for k in ("hidden_k", "hidden_g", "internal") if k in m})
+    try:
+        tcfg = training.TrainConfig(
+            seed=cfg.get("seed", 0), **cfg.get("train", {}),
+            **{k: m.pop(k) for k in ("hidden_k", "hidden_g", "internal") if k in m})
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"'train': {exc}") from exc
+    ds = datagen.load_dataset(cfg["data"]["path"])
+    kmats = None
     if kind == "boundary":
         _, grid = _build_curve_grid(cfg.get("curve", {}))
         spec_cls = SystemKernelSpec if m.get("coupled", False) else ScalarKernelSpec
@@ -296,15 +300,17 @@ def cmd_train(cfg, out):
         train = (training.train_source_model if kind == "source"
                  else training.train_branch_trunk)
         model, info = train(tcfg, ds, points, **m)
+    metric, errors = training.training_error(model, ds, kmats)
+    train_error = {"metric": metric, "per_kappa": errors}
     meta = {"seed": tcfg.seed, "epochs": tcfg.epochs,
-            "final_loss": info["final_loss"],
+            "final_loss": info["final_loss"], "train_error": train_error,
             "loss_tail": info["loss_trace"][-5:], "data_hash": ds.content_hash(),
             "kappas": [float(k) for k in ds.kappas]}
     save_checkpoint(model, os.path.join(out, "model.ckpt"), meta)
     _write_csv(os.path.join(out, "training_curve.csv"), ["step", "loss"],
                info["loss_trace"])
     with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump({"final_loss": info["final_loss"],
+        json.dump({"final_loss": info["final_loss"], "train_error": train_error,
                    "train_seconds": info["train_seconds"]}, fh, indent=2,
                   sort_keys=True)
     _write_manifest(out, cfg, ["model.ckpt", "training_curve.csv", "summary.json"])

@@ -1,27 +1,27 @@
 """Minimal reverse-mode engine over float64 numpy arrays.
 
-Covers exactly the node types the operator models need: matmul (plain and
-transposed), bias add, row-dot add (x + (a @ b) 1^T, the bias column of a
-factored linear head), relu, Hadamard product (with leading-axis
-broadcast), subtraction against constants, and sum-of-squares losses.
-Constants (training data, lattice coordinates, precomputed operators) are
-passed as plain ndarrays; no backward forms a gradient for them.
+Covers exactly the node types the operator models need: matmul_t (a @ b.T),
+dense (one MLP layer, x @ w.T + b with an optional ReLU), factored_linear
+(the source model's head, (a @ w) @ h.T + (a @ b) 1^T), hadamard (with
+leading-axis broadcast) and squared_error (against a constant).  Constants
+(training data, lattice coordinates, precomputed operators) are passed as
+plain ndarrays; no backward forms a gradient for them.
 
 Gradients move rather than copy: a backward hands each operand a freshly
 computed array, which the operand's .grad takes over, and `backward`
-releases every interior node's .grad once it has been propagated, so a
-gradient passed straight through (bias add, constant subtraction) is held
-by one node only.  Leaves keep their gradients; Parameter grads accumulate
-across backward calls until zeroed.
+releases every interior node's .grad once it has been propagated.  Leaves
+keep their gradients; Parameter grads accumulate across backward calls
+until zeroed.  Invariant: no node hands its incoming gradient to a parent
+unchanged, so each gradient array has one holder, and dense masks the one it
+receives in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "Parameter", "matmul", "matmul_t", "add_bias", "add_row_dot",
-           "relu", "hadamard", "sub_const", "add_scalars", "sum_squares", "backward",
-           "Adam"]
+__all__ = ["Tensor", "Parameter", "backward", "Adam", "matmul_t", "hadamard",
+           "dense", "factored_linear", "squared_error"]
 
 
 class Tensor:
@@ -33,16 +33,13 @@ class Tensor:
         self.parents = parents
         self.bwd = bwd
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 class Parameter(Tensor):
     """Trainable leaf; grad persists across backward calls until zeroed."""
 
     def __init__(self, value):
-        super().__init__(np.asarray(value, dtype=np.float64))
+        # C order, so that Adam's flat views of the value write through
+        super().__init__(np.require(value, np.float64, "C"))
 
 
 def _val(x):
@@ -60,80 +57,72 @@ def _accum(node, g):
         node.grad += g
 
 
-def matmul(a, b):
-    """a @ b with grads to whichever operands are tensors."""
-    av, bv = _val(a), _val(b)
-    out = Tensor(av @ bv, parents=(a, b))
-
-    def bwd(g):
-        if isinstance(a, Tensor):
-            _accum(a, g @ bv.T)
-        if isinstance(b, Tensor):
-            _accum(b, av.T @ g)
-    out.bwd = bwd
-    return out
-
-
 def matmul_t(a, b):
     """a @ b.T."""
     av, bv = _val(a), _val(b)
-    out = Tensor(av @ bv.T, parents=(a, b))
 
     def bwd(g):
         if isinstance(a, Tensor):
             _accum(a, g @ bv)
         if isinstance(b, Tensor):
             _accum(b, g.T @ av)
-    out.bwd = bwd
-    return out
+    return Tensor(av @ bv.T, (a, b), bwd)
 
 
-def add_bias(x, b):
-    """x + b broadcast over rows."""
-    xv, bv = _val(x), _val(b)
-    out = Tensor(xv + bv, parents=(x, b))
+def dense(x, w, b, relu):
+    """One MLP layer, x @ w.T + b, then a ReLU if relu is true.
+
+    The bias add and the ReLU work in place on the product, which this node
+    owns.  The ReLU keeps the entries with z > 0 and sets every other entry,
+    -0.0 and NaN included, to +0.0."""
+    xv, wv, bv = _val(x), _val(w), _val(b)
+    z = xv @ wv.T
+    z += bv
+    mask = None
+    if relu:
+        mask = z > 0.0
+        np.copyto(z, 0.0, where=~mask)
 
     def bwd(g):
-        _accum(x, g)
+        if mask is not None:
+            np.multiply(g, mask, out=g)
         if isinstance(b, Tensor):
-            _accum(b, g.sum(axis=0) if g.ndim > bv.ndim else g.copy())
-    out.bwd = bwd
-    return out
+            _accum(b, g.sum(axis=0))
+        if isinstance(x, Tensor):
+            _accum(x, g @ wv)
+        if isinstance(w, Tensor):
+            _accum(w, g.T @ xv)
+    return Tensor(z, (x, w, b), bwd)
 
 
-def add_row_dot(x, a, b):
-    """x + (a @ b)[:, None]: row i of x plus the dot product a_i . b in every
-    column.  x and a are (m, n), b is (n,)."""
-    av, bv = _val(a), _val(b)
-    out = Tensor(_val(x) + (av @ bv)[:, None], parents=(x, a, b))
+def factored_linear(a, w, b, h):
+    """(a @ w) @ h.T + (a @ b)[:, None], which is a @ G.T for the linear head
+    G = h w.T + 1 b.T, without forming G.  a is (m, n), w (n, r), b (n,) and
+    h (k, r)."""
+    av, wv, bv, hv = _val(a), _val(w), _val(b), _val(h)
+    aw = av @ wv
+    z = aw @ hv.T
+    z += (av @ bv)[:, None]
 
     def bwd(g):
         s = g.sum(axis=1)
-        if isinstance(a, Tensor):
-            _accum(a, np.outer(s, bv))
         if isinstance(b, Tensor):
             _accum(b, s @ av)
-        _accum(x, g)
-    out.bwd = bwd
-    return out
-
-
-def relu(x):
-    xv = _val(x)
-    mask = xv > 0.0
-    out = Tensor(np.where(mask, xv, 0.0), parents=(x,))
-
-    def bwd(g):
-        if isinstance(x, Tensor):
-            _accum(x, g * mask)
-    out.bwd = bwd
-    return out
+        if isinstance(h, Tensor):
+            _accum(h, g.T @ aw)
+        gaw = g @ hv
+        if isinstance(a, Tensor):
+            ga = gaw @ wv.T
+            ga += np.outer(s, bv)
+            _accum(a, ga)
+        if isinstance(w, Tensor):
+            _accum(w, av.T @ gaw)
+    return Tensor(z, (a, w, b, h), bwd)
 
 
 def hadamard(a, b):
     """Elementwise product; a row vector (1, n) broadcasts over (m, n)."""
     av, bv = _val(a), _val(b)
-    out = Tensor(av * bv, parents=(a, b))
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -142,41 +131,18 @@ def hadamard(a, b):
         if isinstance(b, Tensor):
             gb = g * av
             _accum(b, gb.sum(axis=0, keepdims=True) if bv.shape != g.shape else gb)
-    out.bwd = bwd
-    return out
+    return Tensor(av * bv, (a, b), bwd)
 
 
-def sub_const(x, c):
-    """x - c for constant c (targets, boundary data)."""
-    out = Tensor(_val(x) - c, parents=(x,))
-
-    def bwd(g):
-        _accum(x, g)
-    out.bwd = bwd
-    return out
-
-
-def sum_squares(x, scale=1.0):
-    """scale * sum(x_ij^2) as a scalar-rooted loss node."""
-    xv = _val(x)
-    out = Tensor(np.float64(scale * np.sum(xv * xv)), parents=(x,))
+def squared_error(x, c, scale):
+    """scale * sum((x - c)^2) for a constant c (targets, boundary data), as a
+    scalar-rooted loss node."""
+    r = _val(x) - c
 
     def bwd(g):
         if isinstance(x, Tensor):
-            _accum(x, (2.0 * scale * g) * xv)
-    out.bwd = bwd
-    return out
-
-
-def add_scalars(nodes):
-    """Sum of scalar loss nodes (per-group losses within one batch)."""
-    out = Tensor(np.float64(sum(float(_val(n)) for n in nodes)), parents=tuple(nodes))
-
-    def bwd(g):
-        for n in nodes:
-            _accum(n, np.array(g, dtype=np.float64))
-    out.bwd = bwd
-    return out
+            _accum(x, (2.0 * scale * g) * r)
+    return Tensor(np.float64(scale * np.sum(r * r)), (x,), bwd)
 
 
 def backward(root):
@@ -205,15 +171,21 @@ def backward(root):
             node.bwd(grad)
 
 
+# elements per slice in Adam.step (256 KB of float64)
+_ADAM_CHUNK = 32768
+
+
 class Adam:
     """Standard Adam with bias correction; deterministic update order.
 
-    Moments are updated in place with out= ufuncs, through two scratch
-    buffers sized for the largest parameter, in the operation order of the
+    The update runs in place with out= ufuncs, in the operation order of the
     textbook update
     m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
     p -= lr (m / b1t) / (sqrt(v / b2t) + eps),
-    so the result is bitwise that of the allocating form.
+    one slice of _ADAM_CHUNK elements of each parameter at a time, so that
+    its fourteen passes and two scratch buffers stay in cache instead of
+    streaming a 1681 x 256 weight through memory fourteen times.  Every
+    operation is elementwise, so the result is bitwise the textbook one.
     """
 
     def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8):
@@ -224,7 +196,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
-        size = max((p.value.size for p in self.params), default=0)
+        size = min(max((p.value.size for p in self.params), default=0), _ADAM_CHUNK)
         self._scratch = (np.empty(size), np.empty(size))
 
     def zero_grad(self):
@@ -237,22 +209,26 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.b1 ** self.t
         b2t = 1.0 - self.b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if g is None:
+        for param, m_param, v_param in zip(self.params, self.m, self.v):
+            if param.grad is None:
                 continue
-            t1, t2 = (buf[:m.size].reshape(m.shape) for buf in self._scratch)
-            np.multiply(m, self.b1, out=m)
-            np.multiply(g, 1.0 - self.b1, out=t1)
-            np.add(m, t1, out=m)
-            np.multiply(v, self.b2, out=v)
-            np.multiply(g, 1.0 - self.b2, out=t1)
-            np.multiply(t1, g, out=t1)
-            np.add(v, t1, out=v)
-            np.divide(v, b2t, out=t1)
-            np.sqrt(t1, out=t1)
-            np.add(t1, self.eps, out=t1)
-            np.divide(m, b1t, out=t2)
-            np.multiply(t2, self.lr, out=t2)
-            np.divide(t2, t1, out=t2)
-            np.subtract(p.value, t2, out=p.value)
+            if not param.value.flags.c_contiguous:
+                raise ValueError("Adam needs C-contiguous parameter values")
+            flat = [a.reshape(-1) for a in (param.value, param.grad, m_param, v_param)]
+            for i in range(0, m_param.size, _ADAM_CHUNK):
+                p, g, m, v = (a[i:i + _ADAM_CHUNK] for a in flat)
+                t1, t2 = (buf[:m.size] for buf in self._scratch)
+                np.multiply(m, self.b1, out=m)
+                np.multiply(g, 1.0 - self.b1, out=t1)
+                np.add(m, t1, out=m)
+                np.multiply(v, self.b2, out=v)
+                np.multiply(g, 1.0 - self.b2, out=t1)
+                np.multiply(t1, g, out=t1)
+                np.add(v, t1, out=v)
+                np.divide(v, b2t, out=t1)
+                np.sqrt(t1, out=t1)
+                np.add(t1, self.eps, out=t1)
+                np.divide(m, b1t, out=t2)
+                np.multiply(t2, self.lr, out=t2)
+                np.divide(t2, t1, out=t2)
+                np.subtract(p, t2, out=p)

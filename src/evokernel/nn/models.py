@@ -75,9 +75,7 @@ class Mlp:
         """Graph-building forward; x may be a Tensor or a constant ndarray."""
         h = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = eg.add_bias(eg.matmul_t(h, w), b)
-            if act == "relu":
-                h = eg.relu(h)
+            h = eg.dense(h, w, b, act == "relu")
         return h
 
     def predict(self, x):
@@ -148,7 +146,7 @@ class SourceModel:
         head, w, b = self._split_g()
         a = eg.hadamard(f, self.nn_k.forward(kappa_col))
         hidden = head.forward(self._coords)
-        return eg.add_row_dot(eg.matmul_t(eg.matmul(a, w), hidden), a, b)
+        return eg.factored_linear(a, w, b, hidden)
 
     def operator(self, kappa):
         """Rank-(r+1) factors (A, H) of the operator frozen at one kappa value.

@@ -27,7 +27,7 @@ from .nn import Adam, SourceModel, BoundaryModel, BranchTrunk, engine as eg
 
 __all__ = ["TrainConfig", "DivergenceError", "train_boundary_model",
            "train_source_model", "train_branch_trunk", "boundary_loss",
-           "error_metrics"]
+           "error_metrics", "training_error"]
 
 
 @dataclass
@@ -43,8 +43,12 @@ class TrainConfig:
     log_every: int = 500
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.lr <= 0:
+        if self.epochs <= 0 or self.batch_size <= 0 or not self.lr > 0:
             raise ValueError("epochs, batch_size and lr must be positive")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be at least 1, got {self.log_every}")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError(f"lr_decay must lie in (0, 1], got {self.lr_decay}")
 
 
 class DivergenceError(RuntimeError):
@@ -58,11 +62,6 @@ def _snapshot(params):
     return [p.value.copy() for p in params]
 
 
-def _lr_schedule(cfg, step):
-    quarter = max(cfg.epochs // 4, 1)
-    return cfg.lr * (cfg.lr_decay ** (step // quarter))
-
-
 def _train_loop(model, cfg, dataset, rng, loss_fn):
     """Shared loop: each step draws one kappa index ik and a batch of its
     record indices from rng and minimizes loss_fn(ik, rows); lr schedule,
@@ -74,8 +73,9 @@ def _train_loop(model, cfg, dataset, rng, loss_fn):
     opt = Adam(params, lr=cfg.lr)
     trace = []
     snapshot = _snapshot(params)
+    quarter = max(cfg.epochs // 4, 1)
     for step in range(cfg.epochs):
-        opt.lr = _lr_schedule(cfg, step)
+        opt.lr = cfg.lr * (cfg.lr_decay ** (step // quarter))
         opt.zero_grad()
         ik = int(rng.integers(0, len(kappas)))
         rows = rng.choice(groups[ik], size=min(cfg.batch_size, groups[ik].size),
@@ -88,7 +88,7 @@ def _train_loop(model, cfg, dataset, rng, loss_fn):
         if step % cfg.log_every == 0 or step == cfg.epochs - 1:
             trace.append((step, float(loss.value)))
         # a snapshot after the last step could never be returned
-        if (step + 1) % max(cfg.epochs // 4, 1) == 0 and step + 1 < cfg.epochs:
+        if (step + 1) % quarter == 0 and step + 1 < cfg.epochs:
             snapshot = _snapshot(params)
     return {"loss_trace": trace, "train_seconds": time.perf_counter() - t0,
             "final_loss": trace[-1][1], "seed": cfg.seed, "epochs": cfg.epochs}
@@ -99,7 +99,7 @@ def _rng(cfg, salt):
 
 
 def _mse(pred, target):
-    return eg.sum_squares(eg.sub_const(pred, target), scale=1.0 / target.size)
+    return eg.squared_error(pred, target, 1.0 / target.size)
 
 
 def _boundary_loss_graph(model, B, kappa, g):
@@ -108,8 +108,7 @@ def _boundary_loss_graph(model, B, kappa, g):
     evaluates.  The batch shares one kappa, so nn_k runs on a single row
     that broadcasts over it."""
     phi = model.forward(np.full((1, 1), kappa), g)
-    resid = eg.sub_const(eg.matmul_t(phi, B), g)
-    return eg.sum_squares(resid, scale=1.0 / (g.shape[0] * g.shape[1]))
+    return eg.squared_error(eg.matmul_t(phi, B), g, 1.0 / (g.shape[0] * g.shape[1]))
 
 
 def boundary_loss(model, kmat, kappa, g):
@@ -190,3 +189,20 @@ def error_metrics(pred, ref):
         "rel_l2": abs_l2 / ref_l2 if ref_l2 > 0 else np.inf,
         "rel_linf": abs_linf / ref_linf if ref_linf > 0 else np.inf,
     }
+
+
+def training_error(model, dataset, kmats=None):
+    """(metric, per-kappa values) of a trained model on its training set:
+    relative L2 against the labels, or, for a boundary model (kmats given,
+    one per kappa), the relative BIE residual ||bie_residual|| / ||g||."""
+    values = []
+    for ik, kappa in enumerate(dataset.kappas):
+        rows = dataset.kappa_index == ik
+        if kmats is None:
+            pred = model.predict(kappa, dataset.f[rows])
+            values.append(error_metrics(pred, dataset.u[rows])["rel_l2"])
+        else:
+            g = dataset.g[rows]
+            resid = bie.bie_residual(kmats[ik], model.predict(kappa, g), g)
+            values.append(float(np.linalg.norm(resid) / np.linalg.norm(g)))
+    return ("rel_l2" if kmats is None else "rel_bie_residual"), values

@@ -261,6 +261,22 @@ def test_datagen_train_eval_pipeline(tmp_path):
     assert (m1 / "model.ckpt").exists()
     curve_rows = (m1 / "training_curve.csv").read_text().strip().splitlines()
     assert curve_rows[0] == "step,loss"
+    # the boundary data have no labels: the training error is the relative
+    # BIE residual of the predicted densities
+    from evokernel import bie, datagen
+    from evokernel.geometry import make_curve, sample_quadrature
+    from evokernel.kernels import ScalarKernelSpec, boundary_kernel
+    from evokernel.nn import load_checkpoint
+    model, meta = load_checkpoint(str(m1 / "model.ckpt"))
+    error = json.loads((m1 / "summary.json").read_text())["train_error"]
+    assert meta["train_error"] == error and error["metric"] == "rel_bie_residual"
+    ds = datagen.load_dataset(str(d1 / "dataset.bin"))
+    grid = sample_quadrature(make_curve("square"), 32)
+    for ik, k in enumerate(ds.kappas):
+        g = ds.g[ds.kappa_index == ik]
+        r = bie.bie_residual(boundary_kernel(ScalarKernelSpec(float(k)), grid),
+                             model.predict(k, g), g)
+        assert error["per_kappa"][ik] == np.linalg.norm(r) / np.linalg.norm(g)
 
     e1 = tmp_path / "eval"
     cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(e1),
@@ -271,6 +287,60 @@ def test_datagen_train_eval_pipeline(tmp_path):
     rows = (e1 / "errors.csv").read_text().strip().splitlines()
     assert rows[0] == "case,abs_l2,abs_linf,rel_l2,rel_linf"
     assert rows[1].startswith("kappa=0.067,")
+
+
+def _tiny_source_dataset(tmp_path):
+    from evokernel import datagen
+    path = str(tmp_path / "d.bin")
+    datagen.save_dataset(datagen.build_source_dataset([0.05, 0.08], 6, 9, seed=1), path)
+    return path
+
+
+def _source_train_config(tmp_path, train):
+    return {"version": 1, "command": "train", "seed": 2, "out": str(tmp_path / "run"),
+            "model": {"kind": "source", "hidden_k": [4], "hidden_g": [6]},
+            "data": {"path": _tiny_source_dataset(tmp_path)},
+            "points": {"domain": "square", "n": 9}, "train": train}
+
+
+@pytest.mark.parametrize("train, message", [
+    ({"epochs": 0}, "epochs"),
+    ({"epochs": 3, "log_every": 0}, "log_every"),
+    ({"epochs": 3, "lr_decay": -0.5}, "lr_decay"),
+    ({"epochs": 3, "lr_decay": 2.0}, "lr_decay"),
+])
+def test_train_rejects_invalid_train_settings(tmp_path, capsys, train, message):
+    cfg = _source_train_config(tmp_path, train)
+    rc = cli.main(["train", "--config", _write(tmp_path, "t.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_train_records_training_error_per_kappa(tmp_path):
+    """summary.json and the checkpoint carry the relative L2 training error per
+    kappa, and computing it leaves the trained weights as the API gives them."""
+    from evokernel import datagen, training
+    from evokernel.geometry import square_lattice
+    from evokernel.nn import checkpoint_bytes, load_checkpoint
+    cfg = _source_train_config(tmp_path, {"epochs": 20, "batch_size": 4, "log_every": 5})
+    assert cli.main(["train", "--config", _write(tmp_path, "t.json", cfg)]) == 0
+    run = tmp_path / "run"
+    summary = json.loads((run / "summary.json").read_text())
+    model, meta = load_checkpoint(str(run / "model.ckpt"))
+    assert meta["train_error"] == summary["train_error"]
+    assert summary["train_error"]["metric"] == "rel_l2"
+    ds = datagen.load_dataset(cfg["data"]["path"])
+    expected = [training.error_metrics(model.predict(k, ds.f[ds.kappa_index == i]),
+                                       ds.u[ds.kappa_index == i])["rel_l2"]
+                for i, k in enumerate(ds.kappas)]
+    assert summary["train_error"]["per_kappa"] == expected
+    assert all(0.0 < e < np.inf for e in expected)
+    tcfg = training.TrainConfig(epochs=20, batch_size=4, log_every=5, seed=2,
+                                hidden_k=(4,), hidden_g=(6,))
+    api_model, _ = training.train_source_model(tcfg, ds, square_lattice(9).points)
+    assert checkpoint_bytes(api_model) == checkpoint_bytes(model)
 
 
 @pytest.mark.parametrize("kind, cases", [

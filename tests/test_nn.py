@@ -7,12 +7,12 @@ from evokernel import nn
 from evokernel.nn import engine as eg
 
 
-def _fd_check(model, loss_fn, rng, n_probe=4, h=1e-6, tol=1e-6):
+def _fd_check(params, loss_fn, rng, n_probe=4, h=1e-6, tol=1e-6):
     """Central finite differences against reverse-mode, random entries."""
     root = loss_fn()
     eg.backward(root)
     worst = 0.0
-    for p in model.parameters():
+    for p in params:
         flat = p.value.ravel()
         gflat = p.grad.ravel()
         idx = rng.choice(flat.size, size=min(n_probe, flat.size), replace=False)
@@ -37,9 +37,12 @@ def test_mlp_identity_layer():
 
 
 def test_relu_clamps():
-    x = eg.Tensor(np.array([[-1.0, 2.0], [0.0, -3.5]]))
-    out = eg.relu(x)
-    assert np.array_equal(out.value, [[0.0, 2.0], [0.0, 0.0]])
+    """Entries with z > 0 stay; every other entry, NaN included, becomes +0.0
+    (np.maximum would keep the NaN)."""
+    x = eg.Tensor(np.array([[-1.0], [2.0], [0.0], [-3.5], [np.nan], [np.inf], [-np.inf]]))
+    out = eg.dense(x, np.ones((1, 1)), np.zeros(1), relu=True)
+    assert np.array_equal(out.value.ravel(), [0.0, 2.0, 0.0, 0.0, 0.0, np.inf, 0.0])
+    assert not np.any(np.signbit(out.value))
 
 
 def test_batch_row_consistency():
@@ -58,8 +61,8 @@ def test_grad_linear_model_closed_form():
     y = rng.standard_normal((10, 2))
     w = eg.Parameter(rng.standard_normal((2, 4)))
     b = eg.Parameter(np.zeros(2))
-    out = eg.add_bias(eg.matmul_t(X, w), b)
-    loss = eg.sum_squares(eg.sub_const(out, y), scale=1.0)
+    out = eg.dense(X, w, b, relu=False)
+    loss = eg.squared_error(out, y, 1.0)
     eg.backward(loss)
     pred = X @ w.value.T + b.value
     expected_w = 2.0 * (pred - y).T @ X
@@ -78,7 +81,7 @@ def test_dead_relu_zero_gradient():
     b = eg.Parameter(np.array([-10.0]))
     m = nn.Mlp([w], [b], ["relu"])
     x = np.array([[1.0]])
-    loss = eg.sum_squares(m.forward(x))
+    loss = eg.squared_error(m.forward(x), 0.0, 1.0)
     eg.backward(loss)
     assert w.grad is None or np.all(w.grad == 0.0)
 
@@ -96,8 +99,7 @@ def test_gradients_all_architectures(builder, loss_builder):
 
         def loss_fn():
             phi = model.forward(kap, g)
-            r = eg.sub_const(eg.matmul_t(phi, B), g)
-            return eg.sum_squares(r, scale=1.0 / 48)
+            return eg.squared_error(eg.matmul_t(phi, B), g, 1.0 / 48)
     elif builder in ("source", "source_sys"):
         pts = rng.uniform(0, 1, (6, 2))
         coupled = builder == "source_sys"
@@ -109,7 +111,7 @@ def test_gradients_all_architectures(builder, loss_builder):
 
         def loss_fn():
             pred = model.forward(kap, f)
-            return eg.sum_squares(eg.sub_const(pred, u), scale=1.0 / f.size)
+            return eg.squared_error(pred, u, 1.0 / f.size)
     else:
         pts = rng.uniform(0, 1, (6, 2))
         model = nn.BranchTrunk.build(pts, 8, 5, 2, rng)
@@ -118,10 +120,9 @@ def test_gradients_all_architectures(builder, loss_builder):
         binput = np.column_stack([np.full(3, 0.07), f])
 
         def loss_fn():
-            return eg.sum_squares(eg.sub_const(model.forward(binput), u),
-                                  scale=1.0 / u.size)
+            return eg.squared_error(model.forward(binput), u, 1.0 / u.size)
 
-    _fd_check(model, loss_fn, rng, n_probe=5)
+    _fd_check(model.parameters(), loss_fn, rng, n_probe=5)
 
 
 def test_source_exact_linearity_in_f():
@@ -245,7 +246,7 @@ def test_factored_source_forward_matches_dense_graph(coupled):
             for p in model.parameters():
                 p.grad = None
             pred = fwd(k, f)
-            eg.backward(eg.sum_squares(eg.sub_const(pred, u), scale=1.0 / u.size))
+            eg.backward(eg.squared_error(pred, u, 1.0 / u.size))
             results.append((pred.value, [p.grad.copy() for p in model.parameters()]))
         (out, grads), (out_ref, grads_ref) = results
         assert np.max(np.abs(out - out_ref)) <= 1e-13 * np.max(np.abs(out_ref))
@@ -255,37 +256,54 @@ def test_factored_source_forward_matches_dense_graph(coupled):
 
 @pytest.mark.parametrize("coupled", [False, True])
 def test_source_training_graph_never_forms_dense_features(coupled):
+    """Also: the graph holds one node per MLP layer, plus the hadamard, the
+    factored head and the loss, and nothing else."""
     rng = np.random.default_rng(22)
     model, kap, f, u = _source_batch(coupled, rng)
     dense_shape = (model._coords.shape[0], model.nn_g.dims[-1])
-    loss = eg.sum_squares(eg.sub_const(model.forward(kap, f), u))
+    loss = eg.squared_error(model.forward(kap, f), u, 1.0)
     nodes = _walk(loss)
     assert len(nodes) > 10
     assert all(node.value.shape != dense_shape for node in nodes)
+    interior = [node for node in nodes if not isinstance(node, eg.Parameter)]
+    # the last layer of nn_g is the factored head, not a node of its own
+    layers = [(w, b) for mlp in (model.nn_k, model.nn_g)
+              for w, b in zip(mlp.weights, mlp.biases)][:-1]
+    assert len(interior) == len(layers) + 3
+    for w, b in layers:
+        users = [node for node in interior if any(p is w for p in node.parents)]
+        assert len(users) == 1 and any(p is b for p in users[0].parents)
     eg.backward(loss)
     assert all(p.grad.shape != dense_shape for p in model.parameters())
 
 
-@pytest.mark.parametrize("bias_first", [True, False])
-def test_pass_through_gradient_does_not_alias(bias_first):
-    """x feeds add_bias (with a bias of x's own shape, so x and b both
-    receive the incoming gradient) and a second consumer; neither gradient
-    may be written through the other."""
+def test_in_place_relu_masks_do_not_alias_gradients():
+    """One parameter feeds two ReLU dense layers and a hadamard; the dense
+    backwards mask the gradients they receive in place, which must leave
+    every other gradient intact."""
     rng = np.random.default_rng(23)
     x = eg.Parameter(rng.standard_normal((4, 3)))
-    b = eg.Parameter(rng.standard_normal((4, 3)))
+    layers = [(eg.Parameter(rng.standard_normal((3, 3))), eg.Parameter(rng.standard_normal(3)))
+              for _ in range(2)]
     c = rng.standard_normal((4, 3))
-    terms = [eg.sum_squares(eg.add_bias(x, b)), eg.sum_squares(eg.hadamard(x, c))]
-    eg.backward(eg.add_scalars(terms if bias_first else terms[::-1]))
-    s = x.value + b.value
-    assert np.allclose(b.grad, 2.0 * s, rtol=1e-14, atol=0)
-    assert np.allclose(x.grad, 2.0 * s + 2.0 * c * c * x.value, rtol=1e-14, atol=0)
-    assert not np.shares_memory(x.grad, b.grad)
+    params = [x] + [p for layer in layers for p in layer]
+
+    def loss_fn():
+        h1, h2 = (eg.dense(x, w, b, relu=True) for w, b in layers)
+        return eg.squared_error(eg.hadamard(x, eg.hadamard(h1, h2)), c, 0.5)
+
+    _fd_check(params, loss_fn, rng, n_probe=12)
+    for i, p in enumerate(params):
+        assert all(not np.shares_memory(p.grad, q.grad) for q in params[i + 1:])
 
 
 def test_adam_in_place_is_bitwise_the_textbook_update():
+    """Also for a 1-D parameter longer than two chunks and a 2-D one whose
+    size is not a multiple of the chunk length."""
     rng = np.random.default_rng(24)
-    params = [eg.Parameter(rng.standard_normal((5, 4))), eg.Parameter(rng.standard_normal(4))]
+    chunk = eg._ADAM_CHUNK
+    shapes = [(5, 4), (4,), (2 * chunk + 5,), (3, chunk // 2 + 7)]
+    params = [eg.Parameter(rng.standard_normal(shape)) for shape in shapes]
     ref = [p.value.copy() for p in params]
     m = [np.zeros_like(r) for r in ref]
     v = [np.zeros_like(r) for r in ref]

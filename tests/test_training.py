@@ -103,6 +103,19 @@ def test_branch_trunk_trains():
     assert losses[-1] < losses[0]
 
 
+@pytest.mark.parametrize("setting", [
+    {"epochs": 0}, {"lr": float("nan")}, {"log_every": 0}, {"log_every": -1}, {"lr_decay": -0.5},
+    {"lr_decay": 0.0}, {"lr_decay": 1.5}, {"lr_decay": float("nan")},
+])
+def test_train_config_rejects_invalid_settings(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        tr.TrainConfig(**setting)
+
+
+def test_train_config_accepts_a_constant_rate():
+    assert tr.TrainConfig(lr_decay=1.0, log_every=1).lr_decay == 1.0
+
+
 def test_divergence_guard():
     grid, ds, kmats = _tiny_boundary_setup()
     # a step size past float range overflows the squared residual to inf
