@@ -297,6 +297,32 @@ def test_in_place_relu_masks_do_not_alias_gradients():
         assert all(not np.shares_memory(p.grad, q.grad) for q in params[i + 1:])
 
 
+@pytest.mark.parametrize("bias_first", [True, False])
+def test_pass_through_gradient_does_not_alias(bias_first):
+    """x feeds a ReLU dense layer with an identity weight (so x and b both
+    receive the incoming gradient, b summed over rows) and a second consumer;
+    no gradient may be written through another, in either operand order."""
+    rng = np.random.default_rng(23)
+    x = eg.Parameter(rng.standard_normal((4, 3)))
+    w = eg.Parameter(np.eye(3))
+    b = eg.Parameter(rng.standard_normal(3))
+    c = rng.standard_normal((4, 3))
+    t = rng.standard_normal((4, 3))
+    terms = [eg.dense(x, w, b, relu=True), eg.hadamard(x, c)]
+    eg.backward(eg.squared_error(eg.hadamard(*(terms if bias_first else terms[::-1])), t, 0.5))
+    u = x.value + b.value
+    mask = u > 0.0
+    h, v = np.where(mask, u, 0.0), x.value * c
+    r = h * v - t
+    gz = r * v * mask
+    assert np.allclose(b.grad, gz.sum(axis=0), rtol=1e-14, atol=0)
+    assert np.allclose(w.grad, gz.T @ x.value, rtol=1e-14, atol=0)
+    assert np.allclose(x.grad, gz + r * h * c, rtol=1e-14, atol=0)
+    params = [x, w, b]
+    for i, p in enumerate(params):
+        assert all(not np.shares_memory(p.grad, q.grad) for q in params[i + 1:])
+
+
 def test_adam_in_place_is_bitwise_the_textbook_update():
     """Also for a 1-D parameter longer than two chunks and a 2-D one whose
     size is not a multiple of the chunk length."""
