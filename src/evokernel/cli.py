@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 One JSON config per run; subcommands: datagen, train, eval, evolve, uq,
-oracle, report.  Artifacts land in the output directory together with a
+report.  Artifacts land in the output directory together with a
 manifest (config hash, seeds, package version, artifact list) so any run
 can be reproduced from its manifest.  Exit codes: 0 success, 1 runtime
 error, 2 config validation error.
@@ -21,9 +21,6 @@ import os
 import sys
 from dataclasses import replace
 
-USAGE_COMMANDS = ("datagen", "train", "eval", "evolve", "uq", "oracle", "report")
-
-
 class ValidationError(ValueError):
     pass
 
@@ -35,7 +32,6 @@ _SCHEMAS = {
     "eval": {"version", "command", "seed", "out", "checkpoint", "suite"},
     "evolve": {"version", "command", "seed", "out", "problem", "backend"},
     "uq": {"version", "command", "seed", "out", "backend", "uq"},
-    "oracle": {"version", "command", "seed", "out"},
     "report": {"version", "command", "seed", "out", "runs"},
 }
 
@@ -57,7 +53,6 @@ _DATASET_KEYS = {
 _MODEL_KEYS = {
     "boundary": {"kind", "coupled", "internal"},
     "source": {"kind", "coupled", "hidden_k", "hidden_g"},
-    "branch_trunk": {"kind", "coupled", "width", "latent", "depth"},
 }
 _BOUNDARY_SUITE_KEYS = {"kind", "kappas", "n_bd", "eval_n", "eval_lo", "eval_hi"}
 _SUITE_KEYS = {
@@ -297,9 +292,7 @@ def cmd_train(cfg, out):
             curve, _ = _build_curve_grid(cfg.get("curve", {"kind": "petal"}))
             points = petal_lattice(curve, psec.get("spacing", 0.03),
                                    psec.get("margin")).points
-        train = (training.train_source_model if kind == "source"
-                 else training.train_branch_trunk)
-        model, info = train(tcfg, ds, points, **m)
+        model, info = training.train_source_model(tcfg, ds, points, **m)
     metric, errors = training.training_error(model, ds, kmats)
     train_error = {"metric": metric, "per_kappa": errors}
     meta = {"seed": tcfg.seed, "epochs": tcfg.epochs,
@@ -472,71 +465,6 @@ def cmd_uq(cfg, out):
     return 0
 
 
-def cmd_oracle(cfg, out):
-    """Classical cross-validation suite; exits nonzero if a tolerance fails."""
-    import numpy as np
-    from . import bie, kernels
-    from .experiments import scalar_boundary_solution
-    from .fdsolver import fd_solve_scalar
-    from .geometry import make_curve, sample_quadrature
-
-    checks = []
-    # Nystrom on the disk: manufactured homogeneous solution
-    kap = 0.05
-    curve = make_curve("disk", radius=1.0)
-    u = scalar_boundary_solution(kap)
-    spec = kernels.ScalarKernelSpec(kap)
-    errs = []
-    for n in (64, 128, 256):
-        grid = sample_quadrature(curve, n)
-        km = kernels.boundary_kernel(spec, grid)
-        phi = bie.nystrom_solve(km, u(grid.points))
-        th = np.linspace(0, 2 * np.pi, 32, endpoint=False)
-        pts = np.stack([0.5 * np.cos(th), 0.5 * np.sin(th)], 1)
-        field = bie.eval_double_layer(spec, grid, phi, pts)
-        errs.append(float(np.max(np.abs(field - u(pts)))))
-    checks.append(("nystrom-disk-decay", errs[2] < 0.3 * errs[1] < 0.09 * errs[0],
-                   errs))
-    # FD oracle order
-    c = np.sqrt(1 + 1 / kap)
-    fd_errs = []
-    for n in (21, 41, 81):
-        xs = np.linspace(0, 1, n)
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        gfield = np.exp(-c * X) * np.sin(Y)
-        sol = fd_solve_scalar(kap, np.zeros_like(gfield), gfield)
-        fd_errs.append(float(np.max(np.abs(sol - gfield))))
-    orders = [np.log2(fd_errs[i] / fd_errs[i + 1]) for i in range(2)]
-    checks.append(("fd-order-2", all(abs(o - 2.0) < 0.1 for o in orders), orders))
-    # coupled-operator identity via finite differences
-    lam = 0.1
-    sysspec = kernels.SystemKernelSpec(lam)
-    h = 1e-3
-    x0 = np.array([0.4, 0.1])
-    y0 = np.array([0.0, 0.0])
-    def col(pt):
-        G = kernels.system_g0(sysspec, pt[None, :], y0[None, :])[0]
-        return G[0, 0], G[1, 0]
-    def lap(fn):
-        return ((fn(x0 + [h, 0])[0] + fn(x0 - [h, 0])[0] + fn(x0 + [0, h])[0]
-                 + fn(x0 - [0, h])[0] - 4 * fn(x0)[0]) / h**2,
-                (fn(x0 + [h, 0])[1] + fn(x0 - [h, 0])[1] + fn(x0 + [0, h])[1]
-                 + fn(x0 - [0, h])[1] - 4 * fn(x0)[1]) / h**2)
-    l1, l2 = lap(col)
-    g1, g2 = col(x0)
-    resid = max(abs(g1 - lam * l2), abs(lam * l1 + g2))
-    checks.append(("system-kernel-identity", resid < 1e-4, resid))
-    ok = all(c[1] for c in checks)
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump({"experiment": "oracle-suite",
-                   "checks": [{"name": n, "passed": bool(p), "value": repr(v)}
-                              for n, p, v in checks]}, fh, indent=2, sort_keys=True)
-    _write_manifest(out, cfg, ["summary.json"])
-    for name, passed, value in checks:
-        print(f"[oracle] {name}: {'pass' if passed else 'FAIL'} ({value})")
-    return 0 if ok else 1
-
-
 _GATES = {
     "heat-be": ("final_rel_l2", 0.015),
     "heat-cn": ("final_rel_l2", 0.015),
@@ -578,15 +506,14 @@ def cmd_report(cfg, out):
 
 _COMMANDS = {
     "datagen": cmd_datagen, "train": cmd_train, "eval": cmd_eval,
-    "evolve": cmd_evolve, "uq": cmd_uq, "oracle": cmd_oracle,
-    "report": cmd_report,
+    "evolve": cmd_evolve, "uq": cmd_uq, "report": cmd_report,
 }
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="evokernel",
                                      description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=USAGE_COMMANDS)
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed-override", type=int, default=None)

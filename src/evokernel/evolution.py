@@ -549,7 +549,7 @@ def observed_order(final_fields):
     """log2 ratios of successive differences of same-time fields for halved tau."""
     diffs = [np.sqrt(np.mean(np.abs(final_fields[i] - final_fields[i + 1]) ** 2))
              for i in range(len(final_fields) - 1)]
-    return [float(np.log2(diffs[i] / diffs[i + 1])) for i in range(len(diffs) - 1)]
+    return order_from_errors(diffs)
 
 
 def trajectory_rel_l2(result):

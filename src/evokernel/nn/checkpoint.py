@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .. import container
 from . import engine as eg
-from .models import BoundaryModel, BranchTrunk, Mlp, SourceModel
+from .models import BoundaryModel, Mlp, SourceModel
 
 __all__ = ["save_checkpoint", "load_checkpoint", "checkpoint_bytes"]
 
@@ -22,7 +22,6 @@ _MAGIC = b"EVOKERNEL-CKPT/2\n"
 _KINDS = {
     "source": (SourceModel, ("nn_k", "nn_g"), True),
     "boundary": (BoundaryModel, ("nn_k", "nn_g", "nn_out"), False),
-    "branch_trunk": (BranchTrunk, ("branch", "trunk"), True),
 }
 
 

@@ -12,8 +12,6 @@ BoundaryModel phi = Out[K(kappa) ⊙ Lin(g)] : boundary-density predictor whose
               g -> phi is exactly affine for fixed kappa; inference folds it
               to phi = g M + c with M = W_g^T diag(kf) W_out^T and
               c = (b_g ⊙ kf) W_out^T + b_out.
-BranchTrunk   u = B([kappa, f]) @ T(x)^T : plain branch-trunk baseline used
-              for the accuracy comparison at matched parameter count.
 
 Coupled-system variants reuse the same classes with doubled channel counts;
 the coordinate network of the coupled source model receives a +-1 component
@@ -26,8 +24,7 @@ import numpy as np
 
 from . import engine as eg
 
-__all__ = ["Mlp", "SourceModel", "BoundaryModel", "BranchTrunk",
-           "augmented_points"]
+__all__ = ["Mlp", "SourceModel", "BoundaryModel", "augmented_points"]
 
 
 class Mlp:
@@ -215,43 +212,3 @@ class BoundaryModel:
         """g: (W,) or (m, W) boundary values -> densities of matching shape."""
         M, c = self.operator(kappa)
         return np.asarray(g, dtype=np.float64) @ M + c
-
-
-class BranchTrunk:
-    """Inner-product baseline: branch on [kappa, f], trunk on coordinates."""
-
-    def __init__(self, points, branch, trunk, coupled=False):
-        self.points = np.asarray(points, dtype=np.float64)
-        self.branch = branch
-        self.trunk = trunk
-        self.coupled = coupled
-        if branch.dims[-1] != trunk.dims[-1]:
-            raise ValueError("branch and trunk latent widths differ")
-        self._coords = augmented_points(self.points) if coupled else self.points
-
-    @classmethod
-    def build(cls, points, width, latent, depth, rng, coupled=False):
-        n = points.shape[0] * (2 if coupled else 1)
-        d = 3 if coupled else 2
-        branch = Mlp.build([1 + n] + [width] * depth + [latent],
-                           ["relu"] * depth + ["identity"], rng)
-        trunk = Mlp.build([d] + [width] * depth + [latent],
-                          ["relu"] * depth + ["identity"], rng)
-        # same head rescale as the product model: the inner product contracts
-        # `latent` channels
-        trunk.weights[-1].value *= 1.0 / np.sqrt(latent)
-        trunk.biases[-1].value *= 1.0 / np.sqrt(latent)
-        return cls(points, branch, trunk, coupled=coupled)
-
-    def parameters(self):
-        return self.branch.parameters() + self.trunk.parameters()
-
-    def forward(self, branch_in):
-        b = self.branch.forward(branch_in)
-        t = self.trunk.forward(self._coords)
-        return eg.matmul_t(b, t)
-
-    def predict(self, kappa, f):
-        f = np.atleast_2d(np.asarray(f, dtype=np.float64))
-        binput = np.column_stack([np.full(f.shape[0], float(kappa)), f])
-        return self.branch.predict(binput) @ self.trunk.predict(self._coords).T

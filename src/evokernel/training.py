@@ -6,7 +6,7 @@ Boundary models minimize the self-supervised integral-equation residual
 
 built from the same residual operator the classical solver uses, so a loss
 value can be recomputed after the fact through bie.bie_residual on the same
-batch and matches to the last bit.  Source and baseline models minimize
+batch and matches to the last bit.  Source models minimize
 plain mean squared error against solver labels.
 
 Each optimizer step draws one kappa uniformly and a batch of records for it,
@@ -17,16 +17,17 @@ seed; two runs of one config produce bit-identical checkpoints.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bie
-from .nn import Adam, SourceModel, BoundaryModel, BranchTrunk, engine as eg
+from .nn import Adam, SourceModel, BoundaryModel, engine as eg
 
 __all__ = ["TrainConfig", "DivergenceError", "train_boundary_model",
-           "train_source_model", "train_branch_trunk", "boundary_loss",
+           "train_source_model", "boundary_loss",
            "error_metrics", "training_error"]
 
 
@@ -43,6 +44,10 @@ class TrainConfig:
     log_every: int = 500
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "log_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs <= 0 or self.batch_size <= 0 or not self.lr > 0:
             raise ValueError("epochs, batch_size and lr must be positive")
         if self.log_every < 1:
@@ -151,21 +156,6 @@ def train_source_model(cfg, dataset, points, model=None, coupled=False):
         # one kappa row broadcasts over the batch, as in _boundary_loss_graph
         kappa = np.full((1, 1), dataset.kappas[ik])
         return _mse(model.forward(kappa, dataset.f[rows]), dataset.u[rows])
-
-    return model, _train_loop(model, cfg, dataset, rng, loss_fn)
-
-
-def train_branch_trunk(cfg, dataset, points, width=256, latent=512, depth=3,
-                       coupled=False):
-    """Train the branch-trunk baseline on the same supervised data."""
-    if dataset.kind != "source-supervised":
-        raise ValueError("baseline training expects a supervised dataset")
-    rng = _rng(cfg, 0xD1)
-    model = BranchTrunk.build(points, width, latent, depth, rng, coupled=coupled)
-
-    def loss_fn(ik, rows):
-        binput = np.column_stack([np.full(rows.size, dataset.kappas[ik]), dataset.f[rows]])
-        return _mse(model.forward(binput), dataset.u[rows])
 
     return model, _train_loop(model, cfg, dataset, rng, loss_fn)
 

@@ -66,7 +66,6 @@ _DATASET_KEYS = {
 _MODEL_KEYS = {
     "boundary": {"coupled": True, "internal": 8},
     "source": {"coupled": True, "hidden_k": [4], "hidden_g": [4]},
-    "branch_trunk": {"coupled": True, "width": 8, "latent": 8, "depth": 2},
 }
 
 
@@ -100,8 +99,8 @@ def test_validation_accepts_every_dataset_and_model_key(tmp_path, section, kind)
     ("model", {"kind": "boundary", "width": 8}, "['width']"),
     ("model", {"kind": "source", "internal": 8}, "['internal']"),
     ("model", {"kind": "source", "latent": 8}, "['latent']"),
-    ("model", {"kind": "branch_trunk", "hidden_g": [4]}, "['hidden_g']"),
-    ("model", {"kind": "branch_trunk", "internal": 8}, "['internal']"),
+    ("model", {"kind": "branch_trunk"}, "'branch_trunk' in 'model.kind'"),
+    ("model", {"kind": "source", "depth": 2}, "['depth']"),
     ("model", {"coupled": True}, "None in 'model.kind'"),
 ])
 def test_validation_rejects_dataset_and_model_keys_of_other_kinds(tmp_path, capsys, section,
@@ -308,6 +307,9 @@ def _source_train_config(tmp_path, train):
     ({"epochs": 3, "log_every": 0}, "log_every"),
     ({"epochs": 3, "lr_decay": -0.5}, "lr_decay"),
     ({"epochs": 3, "lr_decay": 2.0}, "lr_decay"),
+    ({"epochs": 2.5}, "epochs"),
+    ({"epochs": 3, "batch_size": 2.5}, "batch_size"),
+    ({"epochs": True}, "epochs"),
 ])
 def test_train_rejects_invalid_train_settings(tmp_path, capsys, train, message):
     cfg = _source_train_config(tmp_path, train)
@@ -412,7 +414,6 @@ _GATE_TABLE = [
     *[(exp, key, threshold * factor, status) for exp, key, threshold in _GATE_TABLE
       for factor, status in ((1 - 1e-9, "pass"), (1 + 1e-9, "fail"))],
     ("heat-cn", "final_rel_l2", None, "info"),
-    ("oracle-suite", "final_rel_l2", 0.0, "info"),
     ("scalar-source", "rel_l2", 0.0, "info"),
 ])
 def test_report_gates(tmp_path, experiment, key, value, status):
@@ -451,12 +452,13 @@ def test_report_missing_manifest_errors(tmp_path):
     assert rc == 1
 
 
-def test_oracle_command(tmp_path):
-    out = tmp_path / "oracle"
-    cfg = {"version": 1, "command": "oracle", "out": str(out)}
-    assert cli.main(["oracle", "--config", _write(tmp_path, "o.json", cfg)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert all(c["passed"] for c in summary["checks"])
+def test_removed_command_is_refused(tmp_path, capsys):
+    cfg = {"version": 1, "command": "oracle", "out": str(tmp_path / "run")}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--config", _write(tmp_path, "o.json", cfg)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'oracle'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_determinism_rerun_identical(tmp_path):

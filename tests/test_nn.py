@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from evokernel import nn
-from evokernel.nn import engine as eg
+from evokernel import container, nn
+from evokernel.nn import checkpoint, engine as eg
 
 
 def _fd_check(params, loss_fn, rng, n_probe=4, h=1e-6, tol=1e-6):
@@ -87,7 +87,7 @@ def test_dead_relu_zero_gradient():
 
 
 @pytest.mark.parametrize("builder,loss_builder", [
-    ("boundary", None), ("source", None), ("branch", None), ("source_sys", None),
+    ("boundary", None), ("source", None), ("source_sys", None),
 ])
 def test_gradients_all_architectures(builder, loss_builder):
     rng = np.random.default_rng(11)
@@ -100,7 +100,7 @@ def test_gradients_all_architectures(builder, loss_builder):
         def loss_fn():
             phi = model.forward(kap, g)
             return eg.squared_error(eg.matmul_t(phi, B), g, 1.0 / 48)
-    elif builder in ("source", "source_sys"):
+    else:
         pts = rng.uniform(0, 1, (6, 2))
         coupled = builder == "source_sys"
         model = nn.SourceModel.build(pts, [5], [5], rng, coupled=coupled)
@@ -112,15 +112,6 @@ def test_gradients_all_architectures(builder, loss_builder):
         def loss_fn():
             pred = model.forward(kap, f)
             return eg.squared_error(pred, u, 1.0 / f.size)
-    else:
-        pts = rng.uniform(0, 1, (6, 2))
-        model = nn.BranchTrunk.build(pts, 8, 5, 2, rng)
-        f = rng.standard_normal((3, 6))
-        u = rng.standard_normal((3, 6))
-        binput = np.column_stack([np.full(3, 0.07), f])
-
-        def loss_fn():
-            return eg.squared_error(model.forward(binput), u, 1.0 / u.size)
 
     _fd_check(model.parameters(), loss_fn, rng, n_probe=5)
 
@@ -165,17 +156,6 @@ def test_predict_reads_current_weights(kind):
     assert not np.allclose(after, before)
 
 
-def test_branch_trunk_zero_branch():
-    rng = np.random.default_rng(5)
-    pts = rng.uniform(0, 1, (6, 2))
-    m = nn.BranchTrunk.build(pts, 8, 5, 2, rng)
-    # zero the branch output head: output must vanish identically
-    m.branch.weights[-1].value[:] = 0.0
-    m.branch.biases[-1].value[:] = 0.0
-    out = m.predict(0.07, rng.standard_normal((3, 6)))
-    assert np.all(out == 0.0)
-
-
 def test_adam_contract():
     p = eg.Parameter(np.zeros(3))
     opt = eg.Adam([p], lr=1e-3)
@@ -191,8 +171,7 @@ def test_checkpoint_roundtrip_bit_identity(tmp_path):
     rng = np.random.default_rng(6)
     pts = rng.uniform(0, 1, (5, 2))
     for model in (nn.SourceModel.build(pts, [4], [4], rng),
-                  nn.BoundaryModel.build(8, rng),
-                  nn.BranchTrunk.build(pts, 6, 4, 2, rng)):
+                  nn.BoundaryModel.build(8, rng)):
         path = tmp_path / "m.ckpt"
         meta = {"seed": 6, "epochs": 0}
         nn.save_checkpoint(model, path, meta)
@@ -346,3 +325,13 @@ def test_adam_in_place_is_bitwise_the_textbook_update():
             ref[i] = ref[i] - lr * (m[i] / (1.0 - b1**t)) / (np.sqrt(v[i] / (1.0 - b2**t)) + eps)
         for p, r in zip(params, ref):
             assert np.array_equal(p.value, r)
+
+
+def test_checkpoint_of_unknown_kind_rejected(tmp_path):
+    """A well-formed file of a kind that no model class reads, such as a
+    checkpoint of a removed architecture, fails with a ValueError naming it."""
+    path = tmp_path / "m.ckpt"
+    container.write(path, checkpoint._MAGIC,
+                    {"kind": "retired", "arch": {}, "metadata": {}}, {})
+    with pytest.raises(ValueError, match="unknown checkpoint kind 'retired'"):
+        nn.load_checkpoint(path)

@@ -93,19 +93,10 @@ def test_source_training_determinism():
     assert checkpoint_bytes(m1, {}) == checkpoint_bytes(m2, {})
 
 
-def test_branch_trunk_trains():
-    ds = dg.build_source_dataset([0.07], 30, 9, seed=5)
-    pts = square_lattice(9).points
-    cfg = tr.TrainConfig(epochs=300, batch_size=16, seed=2, log_every=100)
-    model, info = tr.train_branch_trunk(cfg, ds, pts, width=32, latent=24,
-                                        depth=2)
-    losses = [v for _, v in info["loss_trace"]]
-    assert losses[-1] < losses[0]
-
-
 @pytest.mark.parametrize("setting", [
     {"epochs": 0}, {"lr": float("nan")}, {"log_every": 0}, {"log_every": -1}, {"lr_decay": -0.5},
     {"lr_decay": 0.0}, {"lr_decay": 1.5}, {"lr_decay": float("nan")},
+    {"epochs": 2.5}, {"batch_size": 2.5}, {"log_every": 2.5}, {"epochs": True},
 ])
 def test_train_config_rejects_invalid_settings(setting):
     with pytest.raises(ValueError, match=next(iter(setting))):
@@ -114,6 +105,11 @@ def test_train_config_rejects_invalid_settings(setting):
 
 def test_train_config_accepts_a_constant_rate():
     assert tr.TrainConfig(lr_decay=1.0, log_every=1).lr_decay == 1.0
+
+
+def test_train_config_accepts_numpy_integers():
+    cfg = tr.TrainConfig(epochs=np.int64(3), batch_size=np.int32(2), log_every=np.uint8(1))
+    assert (cfg.epochs, cfg.batch_size, cfg.log_every) == (3, 2, 1)
 
 
 def test_divergence_guard():
