@@ -101,6 +101,9 @@ def validate_config(cfg):
     unknown = set(cfg) - _SCHEMAS[cmd]
     if unknown:
         raise ValidationError(f"unknown top-level keys for {cmd}: {sorted(unknown)}")
+    seed = cfg.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     for key, allowed in _SUB_SCHEMAS.items():
         section = cfg.get(key)
         if isinstance(section, dict):
@@ -203,8 +206,12 @@ def _write_manifest(out, cfg, artifacts, extra=None):
     }
     if extra:
         manifest.update(extra)
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out, "manifest.json"), manifest)
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
 
 
 def _kappa_list(spec, where):
@@ -254,9 +261,8 @@ def cmd_datagen(cfg, out):
             kappas, d.get("per_kappa", 500), grid, interior.points, seed)
     path = os.path.join(out, "dataset.bin")
     datagen.save_dataset(ds, path)
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump({"records": int(ds.n_records), "hash": ds.content_hash(),
-                   "kind": ds.kind}, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out, "summary.json"),
+                {"records": int(ds.n_records), "hash": ds.content_hash(), "kind": ds.kind})
     _write_manifest(out, cfg, ["dataset.bin", "summary.json"])
     return 0
 
@@ -302,10 +308,9 @@ def cmd_train(cfg, out):
     save_checkpoint(model, os.path.join(out, "model.ckpt"), meta)
     _write_csv(os.path.join(out, "training_curve.csv"), ["step", "loss"],
                info["loss_trace"])
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump({"final_loss": info["final_loss"], "train_error": train_error,
-                   "train_seconds": info["train_seconds"]}, fh, indent=2,
-                  sort_keys=True)
+    _write_json(os.path.join(out, "summary.json"),
+                {"final_loss": info["final_loss"], "train_error": train_error,
+                 "train_seconds": info["train_seconds"]})
     _write_manifest(out, cfg, ["model.ckpt", "training_curve.csv", "summary.json"])
     return 0
 
@@ -324,9 +329,7 @@ def cmd_eval(cfg, out):
                                  **options)
     _write_csv(os.path.join(out, "errors.csv"), _ERROR_COLUMNS,
                [[row[c] for c in _ERROR_COLUMNS] for row in rows])
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump({"experiment": s["kind"], "rows": rows}, fh, indent=2,
-                  sort_keys=True)
+    _write_json(os.path.join(out, "summary.json"), {"experiment": s["kind"], "rows": rows})
     _write_manifest(out, cfg, ["errors.csv", "summary.json"])
     return 0
 
@@ -442,8 +445,7 @@ def cmd_evolve(cfg, out):
     if res.error_trace:
         from .evolution import trajectory_rel_l2
         summary["trajectory_rel_l2"] = trajectory_rel_l2(res)
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out, "summary.json"), summary)
     _write_manifest(out, cfg, artifacts)
     return 0
 
@@ -459,8 +461,7 @@ def cmd_uq(cfg, out):
         counts, edges = np.histogram(arr, bins=40)
         _write_csv(os.path.join(out, f"hist_{name}.csv"),
                    ["bin_left", "bin_right", "count"], zip(edges[:-1], edges[1:], counts))
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump({"experiment": "uq-heat-cn", **stats}, fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out, "summary.json"), {"experiment": "uq-heat-cn", **stats})
     _write_manifest(out, cfg, [f"hist_{k}.csv" for k in hist] + ["summary.json"])
     return 0
 

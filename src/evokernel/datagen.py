@@ -220,20 +220,12 @@ def build_boundary_dataset(kappas, n_g, grid, seed, length_scales=(0.4, 0.8, 1.6
         ell = float(length_scales[int(rng.integers(0, len(length_scales)))])
         sub = int(rng.integers(0, 2**31))
         if coupled:
-            g1 = grf_boundary(sub, grid, ell)
-            g2 = grf_boundary(sub + 1, grid, ell)
-            g_rows[j, 0::2] = g1
-            g_rows[j, 1::2] = g2
+            g_rows[j, 0::2] = grf_boundary(sub, grid, ell)
+            g_rows[j, 1::2] = grf_boundary(sub + 1, grid, ell)
         else:
             g_rows[j] = grf_boundary(sub, grid, ell)
-    total = len(kappas) * n_g
-    g_arr = np.empty((total, width))
-    k_idx = np.empty(total, dtype=np.int64)
-    rec = 0
-    for ik in range(len(kappas)):
-        g_arr[rec:rec + n_g] = g_rows
-        k_idx[rec:rec + n_g] = ik
-        rec += n_g
+    g_arr = np.tile(g_rows, (len(kappas), 1))
+    k_idx = np.repeat(np.arange(len(kappas), dtype=np.int64), n_g)
     prov = {"kind": "boundary", "seed": seed, "n_g": n_g, "n_bd": grid.n,
             "length_scales": [float(x) for x in length_scales],
             "coupled": coupled, "kappas": [float(k) for k in kappas],
@@ -261,13 +253,13 @@ def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed,
     total = len(kappas) * per_kappa
     f_arr = np.empty((total, m))
     u_arr = np.empty((total, m))
-    k_idx = np.empty(total, dtype=np.int64)
+    k_idx = np.repeat(np.arange(len(kappas), dtype=np.int64), per_kappa)
     bpts = grid.points
-    rec = 0
     for ik, kap in enumerate(kappas):
         spec = ScalarKernelSpec(float(kap))
         kmat = boundary_kernel(spec, grid)
         for j in range(per_kappa):
+            rec = ik * per_kappa + j
             a, b, c, form = _trig_draw(_rng(seed, 0x9E7A1, ik, j), amp_range, freq_range)
             w = trig_family(a, b, c, form)
             w_pts = w(pts[:, 0], pts[:, 1])
@@ -277,8 +269,6 @@ def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed,
             phi = nystrom_solve(kmat, trace)
             v = eval_double_layer(spec, grid, phi, pts)
             u_arr[rec] = w_pts - v
-            k_idx[rec] = ik
-            rec += 1
     prov = {"kind": "source-offlattice", "seed": seed, "per_kappa": per_kappa,
             "points": m, "curve": grid.curve.kind, "n_bd": grid.n,
             "kappas": [float(k) for k in kappas],

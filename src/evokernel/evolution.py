@@ -138,8 +138,10 @@ class NekmBackend:
     factors, with the scalar normalization's -1/lam folded into A, (M, c)
     the boundary model's affine map and P the weighted double-layer matrix.
     The models' parameters are read at that first use, so the models must
-    not change after the backend is built.  Coupled fields are stacked
-    [real | imag] in F, g and u alike.
+    not change after the backend is built.  The coupled step runs in
+    complex128, whose R is a third smaller than a real layout's; that pays at
+    batch 1, its only use (run_schrodinger), but a large batch would do a
+    third more flops.
     """
 
     kind = "nekm"
@@ -172,10 +174,10 @@ class NekmBackend:
         """The record (A, M, c, R) at one lam, built on first use.
 
         H = R[:, :k] (k = A.shape[1]) and the weighted double-layer matrix
-        P = R[:, k:] over all domain points, zero rows on the ring.  Coupled
-        rows are [real parts; imaginary parts], like the source output, and
-        M's rows are permuted to that layout from the boundary model's
-        node-interleaved one.
+        P = R[:, k:] over all domain points, zero rows on the ring.  A coupled
+        R is complex, H's [real; imaginary] halves as R.real and R.imag, and
+        P holds the potential's interleaved blocks [[a, b], [-b, a]] as a - ib;
+        A's rows are permuted to the (re, im) pairs in which M's already are.
         """
         key = float(lam)
         op = self._ops.get(key)
@@ -184,24 +186,25 @@ class NekmBackend:
             spec = SystemKernelSpec(key) if self.coupled else ScalarKernelSpec(key)
             P_int = potential_matrix(spec, dom.quad, dom.points[dom.interior_idx])
             P_int *= dom.quad.weight
-            rows, npts = dom.interior_idx, dom.points.shape[0]
-            if self.coupled:
-                # P_int rows are node-interleaved: (real, imag) per point
-                rows = np.stack([rows, npts + rows], axis=1).ravel()
             # R is allocated after the potential's temporaries are freed and
             # before the source factors exist; other orders raised the peak
             # RSS of a coupled n = 41, n_bd = 256 run by 9-21%
             k = self.source.nn_g.dims[-2] + 1     # last hidden width + bias
-            R = np.zeros((self.source.n_samples, k + P_int.shape[1]))
-            R[rows, k:] = P_int
+            npts, rows = dom.points.shape[0], dom.interior_idx
+            R = np.zeros((npts, k + dom.quad.n), complex if self.coupled else float)
+            if self.coupled:      # each block [[a, b], [-b, a]] acts as a - ib
+                R.imag[rows, k:] = -P_int[0::2, 1::2]
+                P_int = P_int[0::2, 0::2]
+            R.real[rows, k:] = P_int
             del P_int
             A, H = self.source.operator(key)
-            R[:, :k] = H
-            M, c = self.boundary.operator(key)
+            R.real[:, :k] = H[:npts]
             if self.coupled:
-                M = np.concatenate([M[0::2], M[1::2]])
+                R.imag[:, :k] = H[npts:]
+                A = A.reshape(2, npts, k).swapaxes(0, 1).reshape(2 * npts, k)
             else:
                 A *= -1.0 / key
+            M, c = self.boundary.operator(key)
             op = self._ops[key] = (A, M, c, R)
         return op
 
@@ -217,19 +220,20 @@ class NekmBackend:
         self._check(lam)
         A, M, c, R = self._operator(lam)
         g = gfun(self.domain.quad.points, t)
-        if coupled:
-            F = np.concatenate([F.real, F.imag], axis=-1)
-            g = np.concatenate([g.real, g.imag], axis=-1)
         k = A.shape[1]
-        X = np.empty(F.shape[:-1] + (R.shape[1],))
-        np.matmul(F, A, out=X[..., :k])
-        np.matmul(g, M, out=X[..., k:])
-        X[..., k:] += c
-        u = X @ R.T
+        X = np.empty(F.shape[:-1] + (R.shape[1],), R.dtype)
+        phi = X[..., k:]
         if coupled:
-            npts = u.shape[-1] // 2
-            u = u[..., :npts] + 1j * u[..., npts:]
-        return _set_ring(u, self.domain, gfun, t)
+            # complex fields as (re, im) pairs; F A is real, phi complex
+            F = np.ascontiguousarray(F, np.complex128).view(np.float64)
+            g = np.ascontiguousarray(g, np.complex128).view(np.float64)
+            X[..., :k] = F @ A
+            phi = phi.view(np.float64)
+        else:
+            np.matmul(F, A, out=X[..., :k])
+        np.matmul(g, M, out=phi)
+        phi += c
+        return _set_ring(X @ R.T, self.domain, gfun, t)
 
 
 @dataclass
@@ -278,12 +282,13 @@ def _trace_error(prob, pts, u, t, trace):
         return
     ref = prob.exact(pts, t)
     diff = np.abs(u - ref)
+    abs_l2 = np.sqrt(np.mean(diff**2))
     ref_l2 = np.sqrt(np.mean(np.abs(ref) ** 2))
     trace.append({
         "t": float(t),
-        "abs_l2": float(np.sqrt(np.mean(diff**2))),
+        "abs_l2": float(abs_l2),
         "abs_linf": float(np.max(diff)),
-        "rel_l2": float(np.sqrt(np.mean(diff**2)) / ref_l2) if ref_l2 > 0 else np.inf,
+        "rel_l2": float(abs_l2 / ref_l2) if ref_l2 > 0 else np.inf,
         "ref_l2": float(ref_l2),
     })
 

@@ -48,6 +48,9 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr", "lr_decay"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.epochs <= 0 or self.batch_size <= 0 or not self.lr > 0:
             raise ValueError("epochs, batch_size and lr must be positive")
         if self.log_every < 1:

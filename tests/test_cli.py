@@ -35,6 +35,17 @@ def test_validation_rejects_bad_theta(tmp_path, capsys):
     assert "[0, 1]" in err and "1.5" in err
 
 
+@pytest.mark.parametrize("seed", [2.5, True, -1, "0"])
+def test_validation_rejects_bad_seed(tmp_path, capsys, seed):
+    cfg = {"version": 1, "command": "datagen", "seed": seed, "out": str(tmp_path / "run"),
+           "dataset": {"kind": "source", "kappas": [0.05], "per_kappa": 2, "n": 9}}
+    rc = cli.main(["datagen", "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "seed" in err and repr(seed) in err
+    assert not (tmp_path / "run").exists()
+
+
 _CLASSICAL = {"kind": "classical", "domain": {"n": 9, "n_bd": 32}}
 
 
@@ -310,6 +321,8 @@ def _source_train_config(tmp_path, train):
     ({"epochs": 2.5}, "epochs"),
     ({"epochs": 3, "batch_size": 2.5}, "batch_size"),
     ({"epochs": True}, "epochs"),
+    ({"epochs": 3, "lr": True}, "lr"),
+    ({"epochs": 3, "lr_decay": True}, "lr_decay"),
 ])
 def test_train_rejects_invalid_train_settings(tmp_path, capsys, train, message):
     cfg = _source_train_config(tmp_path, train)

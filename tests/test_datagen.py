@@ -136,6 +136,40 @@ def test_boundary_dataset_structure():
                    f=np.zeros((1, 4)))
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+def test_boundary_dataset_equals_per_record_reference(coupled):
+    # every kappa repeats the same n_g traces; a coupled trace interleaves
+    # two independent draws node by node
+    grid = sample_quadrature(make_curve("square"), 32)
+    kappas, n_g, seed = [0.05, 0.08, 0.1], 4, 2
+    ds = dg.build_boundary_dataset(kappas, n_g, grid, seed, coupled=coupled)
+    for j in range(n_g):
+        rng = dg._rng(seed, 0xB0, j)
+        ell = float((0.4, 0.8, 1.6)[int(rng.integers(0, 3))])
+        sub = int(rng.integers(0, 2**31))
+        g = dg.grf_boundary(sub, grid, ell)
+        if coupled:
+            g = np.stack([g, dg.grf_boundary(sub + 1, grid, ell)], axis=-1).ravel()
+        for ik in range(len(kappas)):
+            assert np.array_equal(ds.g[ik * n_g + j], g)
+    assert np.array_equal(ds.kappa_index, np.repeat(np.arange(len(kappas)), n_g))
+
+
+def test_offlattice_dataset_equals_per_record_reference():
+    curve = make_curve("petal")
+    pts = petal_lattice(curve, spacing=0.1, margin=0.1).points
+    kappas, per_kappa, seed = [0.05, 0.1], 2, 3
+    ds = dg.build_offlattice_source_dataset(kappas, per_kappa, sample_quadrature(curve, 64),
+                                            pts, seed)
+    for ik, kap in enumerate(kappas):
+        for j in range(per_kappa):
+            a, b, c, form = dg._trig_draw(dg._rng(seed, 0x9E7A1, ik, j), (-1.0, 1.0), (0.5, 3.0))
+            w = dg.trig_family(a, b, c, form)(pts[:, 0], pts[:, 1])
+            coef = -(np.pi**2) * (b**2 + c**2) - 1.0 / kap
+            assert np.array_equal(ds.f[ik * per_kappa + j], coef * w)
+    assert np.array_equal(ds.kappa_index, np.repeat(np.arange(len(kappas)), per_kappa))
+
+
 def test_kappa_grid_11_values():
     ks = np.linspace(0.05, 0.1, 11)
     assert np.allclose(ks, [0.05, 0.055, 0.06, 0.065, 0.07, 0.075, 0.08,

@@ -121,35 +121,41 @@ def test_step_operator_built_once_per_lam(monkeypatch):
 @pytest.mark.parametrize("coupled", [False, True])
 def test_step_record_layout(coupled):
     """The record is (A, M, c, R) with R = [H | P]: H is bitwise the source
-    factor, P the weighted potential with exactly zero ring rows, the scalar
-    A the source A times -1/lam, and no copy of H or P is kept."""
+    factor, P the weighted potential with exactly zero ring rows, (M, c)
+    bitwise the boundary model's, and no copy of H or P is kept.  The scalar
+    A is the source A times -1/lam.  The coupled R is complex: H's [real;
+    imaginary] halves are R.real and R.imag, P folds each 2 x 2 block
+    [[a, b], [-b, a]] of the interleaved potential to a - ib, and A's rows
+    are permuted to (re, im) pairs."""
     backend = _backend(coupled)
     lam = LAM_RANGE[coupled][0]
     record = backend._operator(lam)
     A, M, c, R = record
     A_src, H = backend.source.operator(lam)
     M_bnd, c_bnd = backend.boundary.operator(lam)
-    k, width = H.shape[1], M_bnd.shape[1]
+    k = H.shape[1]
     spec = SystemKernelSpec(lam) if coupled else ScalarKernelSpec(lam)
     P_int = potential_matrix(spec, DOMAIN.quad, DOMAIN.points[DOMAIN.interior_idx])
     P_int *= DOMAIN.quad.weight
     npts, ring, interior = DOMAIN.points.shape[0], DOMAIN.ring_idx, DOMAIN.interior_idx
-    assert R.shape == (H.shape[0], k + width) and R.base is None
-    assert np.array_equal(R[:, :k], H)
+    assert R.shape == (npts, k + N_BD) and R.base is None
+    assert not np.any(R[ring, k:])
     if coupled:
-        assert not np.any(R[ring, k:]) and not np.any(R[npts + ring, k:])
-        assert np.array_equal(R[interior, k:], P_int[0::2])
-        assert np.array_equal(R[npts + interior, k:], P_int[1::2])
-        assert np.array_equal(A, A_src)
-        assert np.array_equal(M, np.concatenate([M_bnd[0::2], M_bnd[1::2]]))
+        a, b = P_int[0::2, 0::2], P_int[0::2, 1::2]
+        # the blocks are exactly complex multiplications, so the fold is exact
+        assert np.array_equal(P_int[1::2, 1::2], a) and np.array_equal(P_int[1::2, 0::2], -b)
+        assert R.dtype == np.complex128
+        assert np.array_equal(R.real[:, :k], H[:npts]) and np.array_equal(R.imag[:, :k], H[npts:])
+        assert np.array_equal(R[interior, k:], a - 1j * b)
+        assert A.flags.c_contiguous
+        assert np.array_equal(A[0::2], A_src[:npts]) and np.array_equal(A[1::2], A_src[npts:])
     else:
-        assert not np.any(R[ring, k:])
+        assert np.array_equal(R[:, :k], H)
         assert np.array_equal(R[interior, k:], P_int)
         assert np.array_equal(A, A_src * (-1.0 / lam))
-        assert np.array_equal(M, M_bnd)
-    assert np.array_equal(c, c_bnd)
+    assert np.array_equal(M, M_bnd) and np.array_equal(c, c_bnd)
     assert sum(x.nbytes for x in record) == sum(
-        x.nbytes for x in (A_src, M_bnd, c_bnd)) + R.shape[0] * (k + width) * 8
+        x.nbytes for x in (A_src, M_bnd, c_bnd)) + R.size * (16 if coupled else 8)
 
 
 def test_source_head_must_be_linear():
@@ -177,6 +183,30 @@ def test_solve_matches_unfused_composition(coupled, rows):
     ref = _unfused_solve(backend, lam, F, gfun, 0.3)
     assert out.shape == ref.shape and out.dtype == ref.dtype
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _coupled_case(seed, shape):
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    gfun = lambda pts, t: np.exp(1j * (pts[:, 0] - t)) * np.cos(pts[:, 1])  # noqa: E731
+    return _backend(True), LAM_RANGE[True][0], F, gfun
+
+
+def test_coupled_batched_solve_equals_rows():
+    backend, lam, F, gfun = _coupled_case(8, (4, DOMAIN.points.shape[0]))
+    batched = backend.solve_coupled(lam, F, gfun, 0.3)
+    for i in range(F.shape[0]):
+        row = backend.solve_coupled(lam, F[i], gfun, 0.3)
+        assert np.max(np.abs(row - batched[i])) <= 1e-12 * np.max(np.abs(row))
+
+
+@pytest.mark.parametrize("rows", [slice(None), 1])
+def test_coupled_solve_of_strided_field_is_its_copy(rows):
+    backend, lam, F, gfun = _coupled_case(9, (4, 2 * DOMAIN.points.shape[0]))
+    F = F[rows, ::2]
+    assert not F.flags.c_contiguous
+    out = backend.solve_coupled(lam, F, gfun, 0.3)
+    assert np.array_equal(out, backend.solve_coupled(lam, F.copy(), gfun, 0.3))
 
 
 def test_learned_batched_equals_sequential():

@@ -97,6 +97,7 @@ def test_source_training_determinism():
     {"epochs": 0}, {"lr": float("nan")}, {"log_every": 0}, {"log_every": -1}, {"lr_decay": -0.5},
     {"lr_decay": 0.0}, {"lr_decay": 1.5}, {"lr_decay": float("nan")},
     {"epochs": 2.5}, {"batch_size": 2.5}, {"log_every": 2.5}, {"epochs": True},
+    {"lr": True}, {"lr_decay": True},
 ])
 def test_train_config_rejects_invalid_settings(setting):
     with pytest.raises(ValueError, match=next(iter(setting))):
