@@ -74,4 +74,6 @@ def eval_double_layer(spec, grid, phi, pts):
     shape (..., m), or node-interleaved (..., 2m) for a coupled spec.
     """
     P = potential_matrix(spec, grid, pts)
-    return (np.asarray(phi, dtype=np.float64) * grid.weight) @ P.T
+    # a coupled P is complex; interleaved phi and u are views of phi1 + i phi2
+    phi = np.ascontiguousarray(phi, dtype=np.float64).view(P.dtype)
+    return ((phi * grid.weight) @ P.T).view(np.float64)

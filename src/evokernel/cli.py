@@ -51,8 +51,8 @@ _DATASET_KEYS = {
     "source-offlattice": {"kind", "kappas", "per_kappa", "curve", "spacing", "margin"},
 }
 _MODEL_KEYS = {
-    "boundary": {"kind", "coupled", "internal"},
-    "source": {"kind", "coupled", "hidden_k", "hidden_g"},
+    "boundary": {"kind", "internal"},
+    "source": {"kind", "hidden_k", "hidden_g"},
 }
 _BOUNDARY_SUITE_KEYS = {"kind", "kappas", "n_bd", "eval_n", "eval_lo", "eval_hi"}
 _SUITE_KEYS = {
@@ -63,8 +63,7 @@ _SUITE_KEYS = {
 }
 _BACKEND_KEYS = {
     "classical": {"kind", "domain"},
-    "nekm": {"kind", "domain", "boundary_checkpoint", "source_checkpoint",
-             "lam_range", "coupled"},
+    "nekm": {"kind", "domain", "boundary_checkpoint", "source_checkpoint"},
 }
 # (section, keys per kind, default kind) of every section that has a kind
 _KINDED = (("dataset", _DATASET_KEYS, None), ("model", _MODEL_KEYS, None),
@@ -273,21 +272,24 @@ def cmd_train(cfg, out):
     from .geometry import petal_lattice, square_lattice
     from .nn import save_checkpoint
 
-    # the model's keys other than the kind and TrainConfig fields are
-    # arguments of its training function
-    m = dict(cfg["model"])
-    kind = m.pop("kind")
+    # the model's keys other than the kind are TrainConfig fields
+    kind = cfg["model"]["kind"]
     try:
         tcfg = training.TrainConfig(
             seed=cfg.get("seed", 0), **cfg.get("train", {}),
-            **{k: m.pop(k) for k in ("hidden_k", "hidden_g", "internal") if k in m})
+            **{k: v for k, v in cfg["model"].items() if k != "kind"})
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"'train': {exc}") from exc
     ds = datagen.load_dataset(cfg["data"]["path"])
     kmats = None
     if kind == "boundary":
         _, grid = _build_curve_grid(cfg.get("curve", {}))
-        spec_cls = SystemKernelSpec if m.get("coupled", False) else ScalarKernelSpec
+        built = {k: ds.provenance.get(k) for k in ("kind", "curve", "n_bd")}
+        wanted = {"kind": "boundary", "curve": grid.curve.kind, "n_bd": grid.n}
+        if built != wanted:
+            raise ValidationError(f"the dataset was built with {built}, but the "
+                                  f"boundary model trains on {wanted}")
+        spec_cls = SystemKernelSpec if _coupled_layout(ds, grid.n) else ScalarKernelSpec
         kmats = [boundary_kernel(spec_cls(float(k)), grid) for k in ds.kappas]
         model, info = training.train_boundary_model(tcfg, ds, kmats)
     else:
@@ -298,7 +300,8 @@ def cmd_train(cfg, out):
             curve, _ = _build_curve_grid(cfg.get("curve", {"kind": "petal"}))
             points = petal_lattice(curve, psec.get("spacing", 0.03),
                                    psec.get("margin")).points
-        model, info = training.train_source_model(tcfg, ds, points, **m)
+        _coupled_layout(ds, len(points))
+        model, info = training.train_source_model(tcfg, ds, points)
     metric, errors = training.training_error(model, ds, kmats)
     train_error = {"metric": metric, "per_kappa": errors}
     meta = {"seed": tcfg.seed, "epochs": tcfg.epochs,
@@ -313,6 +316,15 @@ def cmd_train(cfg, out):
                  "train_seconds": info["train_seconds"]})
     _write_manifest(out, cfg, ["model.ckpt", "training_curve.csv", "summary.json"])
     return 0
+
+
+def _coupled_layout(ds, n):
+    """Whether the dataset's records hold 2 n values (coupled) or n (scalar)."""
+    width = (ds.g if ds.g is not None else ds.f).shape[1]
+    if width not in (n, 2 * n):
+        raise ValidationError(f"the dataset's records hold {width} values, neither "
+                              f"{n} (scalar) nor {2 * n} (coupled)")
+    return width == 2 * n
 
 
 _ERROR_COLUMNS = ["case", "abs_l2", "abs_linf", "rel_l2", "rel_linf"]
@@ -357,31 +369,18 @@ def _build_backend(section):
         return ClassicalBackend(domain)
     bnd, bnd_meta = load_checkpoint(section["boundary_checkpoint"])
     src, src_meta = load_checkpoint(section["source_checkpoint"])
-    lam_range = _lam_range(section.get("lam_range"), [bnd_meta, src_meta])
-    return NekmBackend(domain, bnd, src, lam_range,
-                       coupled=section.get("coupled", False))
-
-
-def _lam_range(configured, metas):
-    """The configured lambda range, checked against (and by default equal to)
-    the kappa span that every checkpoint carrying kappas was trained on."""
-    spans = [(min(m["kappas"]), max(m["kappas"])) for m in metas if m.get("kappas")]
-    if not spans:
-        if configured is None:
-            raise ValidationError("backend.lam_range is required: no checkpoint "
-                                  "records the kappas it was trained on")
-        return tuple(configured)
-    lo = max(s[0] for s in spans)
-    hi = min(s[1] for s in spans)
-    if lo > hi:
+    # the lambda range is the overlap of the kappa spans the checkpoints record
+    if not (bnd_meta.get("kappas") and src_meta.get("kappas")):
+        raise ValidationError("a learned backend needs checkpoints that record "
+                              "the kappas they were trained on")
+    spans = [(min(m["kappas"]), max(m["kappas"])) for m in (bnd_meta, src_meta)]
+    lam_range = (max(s[0] for s in spans), min(s[1] for s in spans))
+    if lam_range[0] > lam_range[1]:
         raise ValidationError(f"checkpoint kappa spans {spans} do not overlap")
-    if configured is None:
-        return (lo, hi)
-    c_lo, c_hi = configured
-    if not (lo <= c_lo <= c_hi <= hi):
-        raise ValidationError(f"backend.lam_range [{c_lo}, {c_hi}] outside the "
-                              f"trained kappa span [{lo}, {hi}]")
-    return (c_lo, c_hi)
+    try:
+        return NekmBackend(domain, bnd, src, lam_range, coupled=src.coupled)
+    except ValueError as exc:     # models that do not fit the domain
+        raise ValidationError(f"backend: {exc}") from exc
 
 
 def _write_field_csv(path, pts, fld):

@@ -175,9 +175,9 @@ class NekmBackend:
 
         H = R[:, :k] (k = A.shape[1]) and the weighted double-layer matrix
         P = R[:, k:] over all domain points, zero rows on the ring.  A coupled
-        R is complex, H's [real; imaginary] halves as R.real and R.imag, and
-        P holds the potential's interleaved blocks [[a, b], [-b, a]] as a - ib;
-        A's rows are permuted to the (re, im) pairs in which M's already are.
+        R is complex like the coupled potential, with H's [real; imaginary]
+        halves as R.real and R.imag; A's rows are permuted to the (re, im)
+        pairs in which M's already are.
         """
         key = float(lam)
         op = self._ops.get(key)
@@ -191,11 +191,8 @@ class NekmBackend:
             # RSS of a coupled n = 41, n_bd = 256 run by 9-21%
             k = self.source.nn_g.dims[-2] + 1     # last hidden width + bias
             npts, rows = dom.points.shape[0], dom.interior_idx
-            R = np.zeros((npts, k + dom.quad.n), complex if self.coupled else float)
-            if self.coupled:      # each block [[a, b], [-b, a]] acts as a - ib
-                R.imag[rows, k:] = -P_int[0::2, 1::2]
-                P_int = P_int[0::2, 0::2]
-            R.real[rows, k:] = P_int
+            R = np.zeros((npts, k + dom.quad.n), P_int.dtype)
+            R[rows, k:] = P_int
             del P_int
             A, H = self.source.operator(key)
             R.real[:, :k] = H[:npts]

@@ -28,6 +28,9 @@ and the interior double-layer field is  u(x) = Ptilde(x) (omega * phi).
 For the coupled case Ktilde folds in both the density component swap
 (phi1, phi2) -> (phi2, phi1) and the leading minus sign of the
 representation, which is what makes the two cases share one code path.
+Each folded 2x2 block [[a, b], [-b, a]] acts on phi1 + i phi2 as a - ib, so
+the coupled potential matrix is complex; only the coupled boundary kernel
+expands it to real node-interleaved blocks, for the residual operator.
 
 Parametrized kernels include the speed factor |gamma'(t)|.  On smooth
 curves the diagonal limit is curvature * speed / (4 pi): the Bessel/Kelvin
@@ -203,13 +206,13 @@ def _node_geometry(grid, pts):
 
 
 def _double_layer(spec, grid, r, drdn):
-    """Kernel entries dG/dn_y * |gamma'| for the pair geometry (r, drdn).
+    """Kernel entries dG/dn_y * |gamma'| for the pair geometry (r, drdn), (m, n).
 
-    Scalar: (m, n).  Coupled: (2m, 2n) interleaved with the swap and sign
-    folded in: with D = [[-dkei, dker], [dker, dkei]] * f the folded block
-    is K[a, b] = -D[a, 1-b].  The coupled branch evaluates the Kelvin
-    derivatives once per distinct distance r and gathers them per pair;
-    the functions act elementwise, so the entries are the all-pairs ones.
+    Scalar: real.  Coupled: with D = [[-dkei, dker], [dker, dkei]] * f the
+    folded block K[p, q] = -D[p, 1-q] is [[a, b], [-b, a]], stored as the
+    complex a - ib = -(dker + i dkei) * f.  The coupled branch evaluates
+    the Kelvin derivatives once per distinct distance r and gathers them per
+    pair; the functions act elementwise, so the entries are the all-pairs ones.
     """
     if spec.kind == "scalar":
         # every pair: K1 is cheaper than the sort np.unique would need
@@ -220,42 +223,39 @@ def _double_layer(spec, grid, r, drdn):
     inv = inv.reshape(r.shape)      # numpy 1.x returns it flat, 2.x shaped like r
     z = ru / sl
     f = drdn / (2.0 * np.pi * sl) * grid.speeds[None, :]
-    dker = specfun.dker0(z)[inv]
-    dkei = specfun.dkei0(z)[inv]
-    m, n = r.shape
-    K = np.empty((2 * m, 2 * n))
-    K[0::2, 0::2] = -dker * f
-    K[0::2, 1::2] = dkei * f
-    K[1::2, 0::2] = -dkei * f
-    K[1::2, 1::2] = -dker * f
+    K = -(specfun.dker0(z) + 1j * specfun.dkei0(z))[inv]
+    K *= f
+    return K
+
+
+def _self_kernel(spec, grid):
+    """_double_layer between the grid's own nodes, diagonal curv * speed / (4 pi)."""
+    r, drdn, _ = _node_geometry(grid, grid.points)
+    K = _double_layer(spec, grid, r, drdn)
+    np.fill_diagonal(K, grid.curvatures * grid.speeds / (4.0 * np.pi))
     return K
 
 
 def scalar_boundary_kernel(spec, grid):
     """K(s_j, t_l) = dG0/dn_y * |gamma'(t_l)|, diagonal = curv * speed / (4 pi)."""
-    r, drdn, _ = _node_geometry(grid, grid.points)
-    K = _double_layer(spec, grid, r, drdn)
-    np.fill_diagonal(K, grid.curvatures * grid.speeds / (4.0 * np.pi))
-    return BoundaryKernelMatrix(values=K, grid=grid, spec=spec)
+    return BoundaryKernelMatrix(values=_self_kernel(spec, grid), grid=grid, spec=spec)
 
 
 def system_boundary_kernel(spec, grid):
     """Coupled-case kernel with swap and representation sign folded in.
 
-    With D the raw normal-derivative block (system_dkdn) the folded entries
-    acting on the interleaved density (phi1, phi2) are
-    Ktilde[:, :, a, 0] = -D[a, 1], Ktilde[:, :, a, 1] = -D[a, 0];
-    diagonal blocks are (curv * speed / 4 pi) * Id.
+    The complex kernel a - ib of _double_layer, with the scalar diagonal,
+    expanded to the real blocks [[a, b], [-b, a]] that act on the
+    node-interleaved density (phi1, phi2); diagonal blocks are
+    (curv * speed / 4 pi) * Id.
     """
-    r, drdn, _ = _node_geometry(grid, grid.points)
-    K = _double_layer(spec, grid, r, drdn)
-    c = grid.curvatures * grid.speeds / (4.0 * np.pi)
-    idx = np.arange(grid.n)
-    K[2 * idx, 2 * idx] = c
-    K[2 * idx + 1, 2 * idx + 1] = c
-    K[2 * idx, 2 * idx + 1] = 0.0
-    K[2 * idx + 1, 2 * idx] = 0.0
-    return BoundaryKernelMatrix(values=K, grid=grid, spec=spec)
+    C = _self_kernel(spec, grid)
+    K = np.empty((grid.n, 2, grid.n, 2))
+    K[:, 0, :, 0] = K[:, 1, :, 1] = C.real
+    K[:, 0, :, 1] = -C.imag
+    K[:, 1, :, 0] = C.imag
+    return BoundaryKernelMatrix(values=K.reshape(2 * grid.n, 2 * grid.n), grid=grid,
+                                spec=spec)
 
 
 @functools.cache
@@ -273,8 +273,9 @@ def boundary_kernel(spec, grid):
 def potential_matrix(spec, grid, pts):
     """Interior evaluation matrix Ptilde with u = Ptilde (omega * phi).
 
-    pts: (m, 2) strictly interior points.  Scalar: (m, n); coupled: (2m, 2n)
-    interleaved, swap and sign folded exactly as in the boundary kernel.
+    pts: (m, 2) strictly interior points.  Returns (m, n), real for a scalar
+    spec and complex for a coupled one, whose entries a - ib are the folded
+    blocks [[a, b], [-b, a]] of the boundary kernel (see _double_layer).
     """
     r, drdn, coincident = _node_geometry(grid, np.asarray(pts, dtype=np.float64))
     if np.any(coincident):

@@ -135,9 +135,8 @@ def train_boundary_model(cfg, dataset, kmats, model=None):
         raise ValueError("boundary training expects a boundary dataset")
     rng = _rng(cfg, 0xB7)
     if model is None:
-        coupled = kmats[0].spec.kind == "system"
-        model = BoundaryModel.build(dataset.g.shape[1] // (2 if coupled else 1), rng,
-                                    internal=cfg.internal, coupled=coupled)
+        model = BoundaryModel.build(kmats[0].grid.n, rng, internal=cfg.internal,
+                                    coupled=kmats[0].kind == "system")
     ops = [bie.residual_operator(km) for km in kmats]
 
     def loss_fn(ik, rows):
@@ -146,14 +145,15 @@ def train_boundary_model(cfg, dataset, kmats, model=None):
     return model, _train_loop(model, cfg, dataset, rng, loss_fn)
 
 
-def train_source_model(cfg, dataset, points, model=None, coupled=False):
-    """Train the product-structure source model with MSE loss."""
+def train_source_model(cfg, dataset, points, model=None):
+    """Train the product-structure source model with MSE loss; records of
+    2 len(points) values, [real | imaginary], train a coupled model."""
     if dataset.kind != "source-supervised":
         raise ValueError("source training expects a supervised dataset")
     rng = _rng(cfg, 0x50)
     if model is None:
-        model = SourceModel.build(points, list(cfg.hidden_k), list(cfg.hidden_g),
-                                  rng, coupled=coupled)
+        model = SourceModel.build(points, list(cfg.hidden_k), list(cfg.hidden_g), rng,
+                                  coupled=dataset.f.shape[1] == 2 * len(points))
 
     def loss_fn(ik, rows):
         # one kappa row broadcasts over the batch, as in _boundary_loss_graph

@@ -56,6 +56,9 @@ _CLASSICAL = {"kind": "classical", "domain": {"n": 9, "n_bd": 32}}
     ("backend", {**_CLASSICAL, "lam_range": [0.05, 0.1]}, "lam_range"),
     ("backend", {**_CLASSICAL, "coupled": True}, "coupled"),
     ("backend", {**_CLASSICAL, "source_checkpoint": "s.ckpt"}, "source_checkpoint"),
+    *[("backend", {"kind": "nekm", "boundary_checkpoint": "b.ckpt",
+                   "source_checkpoint": "s.ckpt", key: value}, key)
+      for key, value in (("lam_range", [0.05, 0.1]), ("coupled", True))],
 ])
 def test_validation_rejects_keys_of_other_kinds(tmp_path, capsys, section, value, key):
     cfg = {"version": 1, "command": "evolve", "seed": 0,
@@ -75,8 +78,8 @@ _DATASET_KEYS = {
                           "margin": 0.1},
 }
 _MODEL_KEYS = {
-    "boundary": {"coupled": True, "internal": 8},
-    "source": {"coupled": True, "hidden_k": [4], "hidden_g": [4]},
+    "boundary": {"internal": 8},
+    "source": {"hidden_k": [4], "hidden_g": [4]},
 }
 
 
@@ -113,6 +116,8 @@ def test_validation_accepts_every_dataset_and_model_key(tmp_path, section, kind)
     ("model", {"kind": "branch_trunk"}, "'branch_trunk' in 'model.kind'"),
     ("model", {"kind": "source", "depth": 2}, "['depth']"),
     ("model", {"coupled": True}, "None in 'model.kind'"),
+    ("model", {"kind": "boundary", "coupled": True}, "['coupled']"),
+    ("model", {"kind": "source", "coupled": False}, "['coupled']"),
 ])
 def test_validation_rejects_dataset_and_model_keys_of_other_kinds(tmp_path, capsys, section,
                                                                    value, message):
@@ -141,8 +146,7 @@ def test_validation_rejects_unknown_kinds(tmp_path, capsys, section, value, name
 def test_validation_accepts_every_learned_backend_key():
     cfg = {"version": 1, "command": "uq", "seed": 0, "uq": {"samples": 2},
            "backend": {"kind": "nekm", "domain": {"n": 9, "n_bd": 32},
-                       "boundary_checkpoint": "b.ckpt", "source_checkpoint": "s.ckpt",
-                       "lam_range": [0.05, 0.1], "coupled": False}}
+                       "boundary_checkpoint": "b.ckpt", "source_checkpoint": "s.ckpt"}}
     assert cli.validate_config(cfg) is cfg
 
 
@@ -297,6 +301,72 @@ def test_datagen_train_eval_pipeline(tmp_path):
     rows = (e1 / "errors.csv").read_text().strip().splitlines()
     assert rows[0] == "case,abs_l2,abs_linf,rel_l2,rel_linf"
     assert rows[1].startswith("kappa=0.067,")
+
+
+@pytest.mark.parametrize("curve, configured", [
+    ({"kind": "square", "n_bd": 32}, "'square'"),
+    (None, "256"),
+    ({"kind": "disk", "n_bd": 16}, "16"),
+])
+def test_boundary_train_refuses_dataset_of_another_grid(tmp_path, capsys, curve, configured):
+    data = tmp_path / "data"
+    cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(data),
+           "dataset": {"kind": "boundary", "kappas": [0.05], "n_g": 4,
+                       "curve": {"kind": "disk", "n_bd": 32}}}
+    assert cli.main(["datagen", "--config", _write(tmp_path, "d.json", cfg)]) == 0
+    cfg = {"version": 1, "command": "train", "seed": 0, "out": str(tmp_path / "run"),
+           "model": {"kind": "boundary", "internal": 8},
+           "data": {"path": str(data / "dataset.bin")}, "train": {"epochs": 1}}
+    if curve is not None:
+        cfg["curve"] = curve
+    rc = cli.main(["train", "--config", _write(tmp_path, "t.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'disk'" in err and configured in err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_source_train_refuses_records_of_neither_layout(tmp_path, capsys):
+    cfg = _source_train_config(tmp_path, {"epochs": 1})
+    cfg["points"]["n"] = 11                 # the records hold 9 x 9 values
+    rc = cli.main(["train", "--config", _write(tmp_path, "t.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "81 values" in err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_coupled_pipeline_takes_coupled_from_the_data(tmp_path):
+    """Coupled datagen, then training and a learned Strang run with no
+    coupled key: the datasets' widths and the checkpoints carry it."""
+    grid = {"kind": "square", "n_bd": 32}
+    configs = [
+        ("datagen", "bdata", {"dataset": {"kind": "boundary", "kappas": [0.005, 0.01],
+                                          "n_g": 4, "curve": grid, "coupled": True}}),
+        ("datagen", "sdata", {"dataset": {"kind": "source", "kappas": [0.005, 0.01],
+                                          "per_kappa": 4, "n": 9, "coupled": True}}),
+        ("train", "bmodel", {"model": {"kind": "boundary", "internal": 8}, "curve": grid,
+                             "data": {"path": str(tmp_path / "bdata" / "dataset.bin")},
+                             "train": {"epochs": 2, "batch_size": 4}}),
+        ("train", "smodel", {"model": {"kind": "source", "hidden_k": [4], "hidden_g": [4]},
+                             "points": {"domain": "square", "n": 9},
+                             "data": {"path": str(tmp_path / "sdata" / "dataset.bin")},
+                             "train": {"epochs": 2, "batch_size": 4}}),
+        ("evolve", "run", {"problem": {"equation": "schrodinger", "splitting": "strang",
+                                       "tau": 0.01, "n_steps": 2},
+                           "backend": {"kind": "nekm", "domain": {"n": 9, "n_bd": 32},
+                                       "boundary_checkpoint": str(tmp_path / "bmodel"
+                                                                  / "model.ckpt"),
+                                       "source_checkpoint": str(tmp_path / "smodel"
+                                                                / "model.ckpt")}}),
+    ]
+    for cmd, out, cfg in configs:
+        cfg = {"version": 1, "command": cmd, "seed": 0, "out": str(tmp_path / out), **cfg}
+        assert cli.main([cmd, "--config", _write(tmp_path, f"{out}.json", cfg)]) == 0
+    with open(tmp_path / "run" / "error_trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert all(np.isfinite(float(v)) for row in rows for v in row.values())
 
 
 def _tiny_source_dataset(tmp_path):
@@ -502,7 +572,7 @@ def test_seed_override_changes_artifacts(tmp_path):
     assert outs[0] != outs[1]
 
 
-def _learned_section(tmp_path, bnd_kappas, src_kappas, lam_range=None, points=None):
+def _learned_section(tmp_path, bnd_kappas, src_kappas, points=None):
     """Backend config over tiny random checkpoints with the given kappa metadata;
     the source model samples points (default: the 9 x 9 square lattice)."""
     from evokernel import nn
@@ -518,34 +588,37 @@ def _learned_section(tmp_path, bnd_kappas, src_kappas, lam_range=None, points=No
     section = {"kind": "nekm", "domain": {"n": 9, "n_bd": 32},
                "boundary_checkpoint": paths["boundary"],
                "source_checkpoint": paths["source"]}
-    if lam_range is not None:
-        section["lam_range"] = lam_range
     return section
+
+
+def _heat_config(tmp_path, backend):
+    return {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
+            "problem": {"equation": "heat", "scheme": "cn", "tau": 0.14, "n_steps": 1},
+            "backend": backend}
 
 
 def test_lam_range_defaults_to_checkpoint_kappa_overlap(tmp_path):
     section = _learned_section(tmp_path, [0.04, 0.07, 0.1], [0.05, 0.12])
     assert cli._build_backend(section).lam_range == (0.05, 0.1)
-    section["lam_range"] = [0.06, 0.08]
-    assert cli._build_backend(section).lam_range == (0.06, 0.08)
 
 
-@pytest.mark.parametrize("lam_range", [[0.03, 0.08], [0.06, 0.11]])
-def test_lam_range_outside_trained_span_rejected(tmp_path, capsys, lam_range):
-    cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
-           "problem": {"equation": "heat", "scheme": "cn", "tau": 0.14, "n_steps": 1},
-           "backend": _learned_section(tmp_path, [0.04, 0.1], [0.05, 0.12], lam_range)}
-    rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
+def test_lam_range_refused_without_checkpoint_kappas(tmp_path, capsys):
+    for bnd_kappas, src_kappas in ((None, None), ([0.05, 0.1], None), (None, [0.05, 0.1])):
+        cfg = _heat_config(tmp_path, _learned_section(tmp_path, bnd_kappas, src_kappas))
+        rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
+        assert rc == 2
+        assert "record the kappas" in capsys.readouterr().err
+
+
+def test_backend_refuses_source_checkpoint_of_another_lattice(tmp_path, capsys):
+    from evokernel.geometry import square_lattice
+    section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1],
+                               points=square_lattice(11).points)
+    rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json",
+                                                _heat_config(tmp_path, section))])
     assert rc == 2
-    assert "outside the trained kappa span" in capsys.readouterr().err
-
-
-def test_lam_range_required_without_checkpoint_kappas(tmp_path):
-    section = _learned_section(tmp_path, None, None)
-    with pytest.raises(cli.ValidationError, match="lam_range"):
-        cli._build_backend(section)
-    section["lam_range"] = [0.05, 0.1]
-    assert cli._build_backend(section).lam_range == (0.05, 0.1)
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "sample points" in err
 
 
 def test_disjoint_checkpoint_kappas_rejected(tmp_path):

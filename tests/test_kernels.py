@@ -278,10 +278,14 @@ def _lattice_cases():
 
 @pytest.mark.parametrize("case", [0, 1], ids=["square", "petal"])
 def test_coupled_matrices_bitwise_all_pairs(case):
+    """The complex potential holds each all-pairs folded block [[a, b], [-b, a]]
+    as a - ib bit for bit, and the boundary kernel expands it back to them."""
     grid, pts = _lattice_cases()[case]
     spec = ker.SystemKernelSpec(0.0075)
-    assert np.array_equal(ker.potential_matrix(spec, grid, pts),
-                          _all_pairs_coupled(spec, grid, pts))
+    C, ref = ker.potential_matrix(spec, grid, pts), _all_pairs_coupled(spec, grid, pts)
+    assert C.dtype == np.complex128 and C.shape == (pts.shape[0], grid.n)
+    for a, b, part in ((0, 0, C.real), (1, 1, C.real), (1, 0, C.imag), (0, 1, -C.imag)):
+        assert np.array_equal(ref[a::2, b::2], part)
     ref = _all_pairs_coupled(spec, grid, grid.points)
     c = grid.curvatures * grid.speeds / (4.0 * np.pi)
     for a in range(2):
@@ -332,5 +336,6 @@ def test_potential_fold_matches_pointwise_kernels():
                                    rtol=1e-14, atol=0)
         D = ker.system_dkdn(system, x, y, n_y) * speed
         folded = np.array([[-D[a, 1 - b] for b in range(2)] for a in range(2)])
-        np.testing.assert_allclose(K[2 * i:2 * i + 2, 2 * j:2 * j + 2], folded,
-                                   rtol=1e-14, atol=0)
+        a_ib = K[i, j]      # the block [[a, b], [-b, a]] as a - ib
+        np.testing.assert_allclose([[a_ib.real, -a_ib.imag], [a_ib.imag, a_ib.real]],
+                                   folded, rtol=1e-14, atol=0)
