@@ -37,7 +37,6 @@ _SCHEMAS = {
 
 _SUB_SCHEMAS = {
     "data": {"path"},
-    "curve": {"kind", "n_bd", "side", "radius", "base", "amp", "lobes"},
     "points": {"domain", "n", "spacing", "margin"},
     "train": {"epochs", "batch_size", "lr", "lr_decay", "log_every"},
     "uq": {"samples", "probe", "tau", "n_steps", "mean", "std", "clip"},
@@ -65,9 +64,16 @@ _BACKEND_KEYS = {
     "classical": {"kind", "domain"},
     "nekm": {"kind", "domain", "boundary_checkpoint", "source_checkpoint"},
 }
+# make_curve's parameters per kind, in the top-level and the dataset.curve section
+_CURVE_KEYS = {
+    "square": {"kind", "n_bd", "side"},
+    "disk": {"kind", "n_bd", "radius"},
+    "petal": {"kind", "n_bd", "base", "amp", "lobes"},
+}
 # (section, keys per kind, default kind) of every section that has a kind
 _KINDED = (("dataset", _DATASET_KEYS, None), ("model", _MODEL_KEYS, None),
-           ("suite", _SUITE_KEYS, None), ("backend", _BACKEND_KEYS, "classical"))
+           ("suite", _SUITE_KEYS, None), ("backend", _BACKEND_KEYS, "classical"),
+           ("curve", _CURVE_KEYS, "square"))
 _DOMAIN_KEYS = {
     "square": {"kind", "n", "n_bd"},
     "petal": {"kind", "n_bd", "spacing", "margin", "base", "amp", "lobes"},
@@ -78,6 +84,8 @@ _EQUATION_KEYS = {
     "wave": {"a", "theta"},
     "schrodinger": {"splitting", "w"},
 }
+# the values of the problem keys that name a scheme
+_SCHEMES = {"scheme": ("be", "cn"), "splitting": ("strang", "lie")}
 # default wave numbers of the heat and wave problems; b = sqrt(1 - a^2)
 _HEAT_A = 2**-0.5
 _WAVE_A = 0.6
@@ -108,20 +116,12 @@ def validate_config(cfg):
         if isinstance(section, dict):
             _check_keys(f"'{key}'", section, allowed)
     for key, kinds, default in _KINDED:
-        section = cfg.get(key)
-        if isinstance(section, dict):
-            kind = section.get("kind", default)
-            if not isinstance(kind, str) or kind not in kinds:
-                raise ValidationError(f"unknown {key} kind {kind!r} in '{key}.kind', "
-                                      f"expected one of {sorted(kinds)}")
-            _check_keys(f"'{key}' for kind {kind!r}", section, kinds[kind])
+        _check_kinded(key, cfg.get(key), kinds, default)
+    if isinstance(cfg.get("dataset"), dict):
+        _check_kinded("dataset.curve", cfg["dataset"].get("curve"), _CURVE_KEYS, "square")
     backend = cfg.get("backend")
     domain = backend.get("domain") if isinstance(backend, dict) else None
-    if isinstance(domain, dict):
-        kind = domain.get("kind", "square")
-        if not isinstance(kind, str) or kind not in _DOMAIN_KEYS:
-            raise ValidationError(f"unknown backend domain {kind!r}")
-        _check_keys(f"'backend.domain' for kind {kind!r}", domain, _DOMAIN_KEYS[kind])
+    _check_kinded("backend.domain", domain, _DOMAIN_KEYS, "square")
     prob = cfg.get("problem")
     if isinstance(prob, dict):
         eq = prob.get("equation")
@@ -130,8 +130,12 @@ def validate_config(cfg):
         _check_keys(f"'problem' for equation {eq!r}", prob,
                     _PROBLEM_KEYS | _EQUATION_KEYS[eq])
         theta = _number(prob, "theta", 0.5)
-        if eq == "wave" and not (0.0 <= theta <= 1.0):
-            raise ValidationError(f"wave theta={theta} outside the [0, 1] bound")
+        if not 0.0 < theta <= 1.0:
+            raise ValidationError(f"problem.theta={theta} outside the (0, 1] bound")
+        for key, schemes in _SCHEMES.items():
+            if key in prob and prob[key] not in schemes:
+                raise ValidationError(f"problem.{key}={prob[key]!r} must be one of "
+                                      f"{list(schemes)}")
         _check_wave_numbers(eq, prob)
     if isinstance(cfg.get("uq"), dict):
         _check_uq(cfg["uq"], domain)
@@ -139,6 +143,17 @@ def validate_config(cfg):
         if isinstance(cfg.get(key), dict) and "kappas" in cfg[key]:
             _kappa_list(cfg[key]["kappas"], f"{key}.kappas")
     return cfg
+
+
+def _check_kinded(where, section, kinds, default):
+    """A section's kind is one of kinds, and its keys are those of its kind."""
+    if not isinstance(section, dict):
+        return
+    kind = section.get("kind", default)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValidationError(f"unknown {where} kind {kind!r} in '{where}.kind', "
+                              f"expected one of {sorted(kinds)}")
+    _check_keys(f"'{where}' for kind {kind!r}", section, kinds[kind])
 
 
 def _number(prob, key, default):
@@ -193,7 +208,7 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _write_manifest(out, cfg, artifacts, extra=None):
+def _write_manifest(out, cfg, artifacts):
     from . import __version__
     manifest = {
         "command": cfg["command"],
@@ -203,8 +218,6 @@ def _write_manifest(out, cfg, artifacts, extra=None):
         "version": __version__,
         "artifacts": sorted(artifacts),
     }
-    if extra:
-        manifest.update(extra)
     _write_json(os.path.join(out, "manifest.json"), manifest)
 
 
@@ -346,7 +359,8 @@ def cmd_eval(cfg, out):
     return 0
 
 
-def _build_backend(section):
+def _build_backend(section, equation):
+    """The backend for equation; learned ones are coupled for Schrodinger only."""
     from .evolution import ClassicalBackend, NekmBackend, PointCloudDomain, \
         SquareLatticeDomain
     from .geometry import make_curve, petal_lattice
@@ -357,14 +371,12 @@ def _build_backend(section):
     if dkind == "square":
         domain = SquareLatticeDomain(n=dom_cfg.get("n", 41),
                                      n_bd=dom_cfg.get("n_bd", 256))
-    elif dkind == "petal":
+    else:                         # validate_config admits square and petal only
         curve = make_curve("petal", **{k: dom_cfg[k] for k in ("base", "amp", "lobes")
                                        if k in dom_cfg})
         interior = petal_lattice(curve, dom_cfg.get("spacing", 0.03),
                                  dom_cfg.get("margin"))
         domain = PointCloudDomain(curve, interior, n_bd=dom_cfg.get("n_bd", 256))
-    else:
-        raise ValidationError(f"unknown backend domain {dkind!r}")
     if section.get("kind", "classical") == "classical":
         return ClassicalBackend(domain)
     bnd, bnd_meta = load_checkpoint(section["boundary_checkpoint"])
@@ -377,6 +389,10 @@ def _build_backend(section):
     lam_range = (max(s[0] for s in spans), min(s[1] for s in spans))
     if lam_range[0] > lam_range[1]:
         raise ValidationError(f"checkpoint kappa spans {spans} do not overlap")
+    if src.coupled != (equation == "schrodinger"):
+        need, have = ("scalar", "coupled") if src.coupled else ("coupled", "scalar")
+        raise ValidationError(f"equation {equation!r} needs {need} checkpoints, but the "
+                              f"source checkpoint is {have}")
     try:
         return NekmBackend(domain, bnd, src, lam_range, coupled=src.coupled)
     except ValueError as exc:     # models that do not fit the domain
@@ -397,9 +413,9 @@ def cmd_evolve(cfg, out):
     from .evolution import heat_family, run_heat, run_schrodinger, run_wave
     from .plotting import svg_heatmap
 
-    backend = _build_backend(cfg["backend"])
     p = cfg["problem"]
     eq = p["equation"]
+    backend = _build_backend(cfg["backend"], eq)
     tau, n_steps = p["tau"], p["n_steps"]
     store = bool(p.get("store_fields", False))
     if eq == "heat":
@@ -414,13 +430,11 @@ def cmd_evolve(cfg, out):
         prob = experiments.wave_problem(backend.domain, p.get("a", _WAVE_A), tau,
                                         n_steps, theta=p.get("theta", 0.5))
         res = run_wave(prob, backend, store_fields=store)
-    elif eq == "schrodinger":
+    else:                         # schrodinger; validate_config admits no other
         prob = experiments.schrodinger_problem(backend.domain, tau, n_steps,
                                                w=p.get("w", 1.0))
         res = run_schrodinger(prob, backend, splitting=p.get("splitting", "strang"),
                               store_fields=store)
-    else:
-        raise ValidationError(f"unknown equation {eq!r}")
     trace_columns = ["t", "abs_l2", "abs_linf", "rel_l2"]
     _write_csv(os.path.join(out, "error_trace.csv"), trace_columns,
                [[e[c] for c in trace_columns] for e in res.error_trace])
@@ -438,7 +452,9 @@ def cmd_evolve(cfg, out):
         svg_heatmap(os.path.join(out, "final_field.svg"),
                     field.reshape(n, n), title=f"{eq} final field")
         artifacts.append("final_field.svg")
-    summary = {"experiment": f"{eq}-{p.get('scheme', p.get('splitting', ''))}",
+    # the label names the scheme that the run recorded, defaults included
+    scheme = res.meta.get("scheme", res.meta.get("splitting", ""))
+    summary = {"experiment": f"{eq}-{scheme}",
                "tau": tau, "n_steps": n_steps,
                "final_rel_l2": res.error_trace[-1]["rel_l2"] if res.error_trace else None}
     if res.error_trace:
@@ -453,7 +469,7 @@ def cmd_uq(cfg, out):
     import numpy as np
     from .evolution import uq_run
 
-    backend = _build_backend(cfg["backend"])
+    backend = _build_backend(cfg["backend"], "heat")
     u = dict(cfg["uq"])
     stats, hist = uq_run(backend, u.pop("samples", 10000), cfg.get("seed", 0), **u)
     for name, arr in hist.items():

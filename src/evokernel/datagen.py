@@ -255,20 +255,21 @@ def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed,
     u_arr = np.empty((total, m))
     k_idx = np.repeat(np.arange(len(kappas), dtype=np.int64), per_kappa)
     bpts = grid.points
+    traces = np.empty((per_kappa, grid.n))
     for ik, kap in enumerate(kappas):
         spec = ScalarKernelSpec(float(kap))
-        kmat = boundary_kernel(spec, grid)
+        rows = slice(ik * per_kappa, (ik + 1) * per_kappa)
         for j in range(per_kappa):
             rec = ik * per_kappa + j
             a, b, c, form = _trig_draw(_rng(seed, 0x9E7A1, ik, j), amp_range, freq_range)
             w = trig_family(a, b, c, form)
-            w_pts = w(pts[:, 0], pts[:, 1])
+            u_arr[rec] = w(pts[:, 0], pts[:, 1])
             coef = -(np.pi**2) * (b**2 + c**2) - 1.0 / kap
-            f_arr[rec] = coef * w_pts
-            trace = w(bpts[:, 0], bpts[:, 1])
-            phi = nystrom_solve(kmat, trace)
-            v = eval_double_layer(spec, grid, phi, pts)
-            u_arr[rec] = w_pts - v
+            f_arr[rec] = coef * u_arr[rec]
+            traces[j] = w(bpts[:, 0], bpts[:, 1])
+        # one Nystrom solve and one potential matrix serve the kappa's records
+        phi = nystrom_solve(boundary_kernel(spec, grid), traces)
+        u_arr[rows] -= eval_double_layer(spec, grid, phi, pts)
     prov = {"kind": "source-offlattice", "seed": seed, "per_kappa": per_kappa,
             "points": m, "curve": grid.curve.kind, "n_bd": grid.n,
             "kappas": [float(k) for k in kappas],

@@ -19,6 +19,10 @@ differentiated numerically (only the initial data need a Laplacian, taken
 analytically when the problem provides one and by the 5-point stencil
 otherwise).
 
+Each stepper checks its arguments and then only yields (step, u) pairs of
+its recursion; one run loop, _march, records the error trace, the stored
+fields and the EvolutionResult of every run.
+
 Backends share one contract; swapping the learned backend for the
 finite-difference oracle changes errors, never shapes or protocols.
 """
@@ -32,6 +36,7 @@ import numpy as np
 from .fdsolver import fd_solve_complex, fd_solve_scalar, lap5
 from .geometry import InteriorGrid, make_curve, sample_quadrature, square_lattice
 from .kernels import ScalarKernelSpec, SystemKernelSpec, potential_matrix
+from .training import error_metrics
 
 __all__ = [
     "SquareLatticeDomain", "PointCloudDomain", "ClassicalBackend", "NekmBackend",
@@ -44,8 +49,6 @@ __all__ = [
 
 class SquareLatticeDomain:
     """Closed n x n lattice on the unit square plus its boundary quadrature."""
-
-    kind = "square-lattice"
 
     def __init__(self, n=41, n_bd=256):
         self.n = n
@@ -76,8 +79,6 @@ class SquareLatticeDomain:
 class PointCloudDomain:
     """Scattered strictly-interior points (petal-style domains)."""
 
-    kind = "point-cloud"
-
     def __init__(self, curve, interior: InteriorGrid, n_bd=256):
         self.curve = curve
         self.points = interior.points
@@ -100,8 +101,6 @@ def _set_ring(u, domain, gfun, t):
 
 class ClassicalBackend:
     """Finite-difference oracle backend on the square lattice."""
-
-    kind = "classical"
 
     def __init__(self, domain):
         if not isinstance(domain, SquareLatticeDomain):
@@ -143,8 +142,6 @@ class NekmBackend:
     batch 1, its only use (run_schrodinger), but a large batch would do a
     third more flops.
     """
-
-    kind = "nekm"
 
     def __init__(self, domain, boundary_model, source_model, lam_range,
                  coupled=False):
@@ -214,13 +211,17 @@ class NekmBackend:
         return self._solve(lam, F, gfun, t, coupled=True)
 
     def _solve(self, lam, F, gfun, t, coupled):
+        if coupled != self.coupled:
+            have, want = ("coupled", "scalar") if self.coupled else ("scalar", "coupled")
+            raise ValueError(f"a {want} solve on a {have} backend, whose checkpoints "
+                             f"were trained for {have} equations")
         self._check(lam)
         A, M, c, R = self._operator(lam)
         g = gfun(self.domain.quad.points, t)
         k = A.shape[1]
         X = np.empty(F.shape[:-1] + (R.shape[1],), R.dtype)
         phi = X[..., k:]
-        if coupled:
+        if self.coupled:
             # complex fields as (re, im) pairs; F A is real, phi complex
             F = np.ascontiguousarray(F, np.complex128).view(np.float64)
             g = np.ascontiguousarray(g, np.complex128).view(np.float64)
@@ -259,35 +260,41 @@ class EvolutionProblem:
     def __post_init__(self):
         if self.tau <= 0 or self.n_steps <= 0:
             raise ValueError("tau and n_steps must be positive")
-        if self.equation == "wave" and not (0.0 <= self.theta <= 1.0):
-            raise ValueError("wave theta must lie in [0, 1]")
+        if not 0.0 < self.theta <= 1.0:
+            raise ValueError(f"theta={self.theta} must lie in (0, 1]")
         if self.equation == "schrodinger" and self.w < 0:
             raise ValueError("nonlinear coefficient w must be nonnegative")
 
 
 @dataclass
 class EvolutionResult:
-    times: np.ndarray
+    """What _march records of a run: the final field, the error-trace rows
+    (t and training.error_metrics' keys), the stored fields by step, meta."""
+
     final: np.ndarray
     error_trace: list = field(default_factory=list)
     fields: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
 
-def _trace_error(prob, pts, u, t, trace):
-    if prob.exact is None:
-        return
-    ref = prob.exact(pts, t)
-    diff = np.abs(u - ref)
-    abs_l2 = np.sqrt(np.mean(diff**2))
-    ref_l2 = np.sqrt(np.mean(np.abs(ref) ** 2))
-    trace.append({
-        "t": float(t),
-        "abs_l2": float(abs_l2),
-        "abs_linf": float(np.max(diff)),
-        "rel_l2": float(abs_l2 / ref_l2) if ref_l2 > 0 else np.inf,
-        "ref_l2": float(ref_l2),
-    })
+def _march(prob, steps, store_fields, meta):
+    """The run loop over a stepper's (step, u), from step 0, the initial field,
+    to step n_steps, the final one: a trace row against prob.exact(., step tau)
+    for each later step when the problem has one, and a copy of every u when
+    store_fields is set."""
+    trace, fields = [], {}
+    for step, u in steps:
+        if step and prob.exact is not None:
+            t = step * prob.tau
+            trace.append({"t": float(t), **error_metrics(u, prob.exact(prob.domain.points, t))})
+        if store_fields:
+            fields[step] = u.copy()
+        if step == prob.n_steps:
+            final = u
+        # only the stepper holds a field while it computes the next: one more
+        # live batch of fields slowed the 1000-sample CN step by about 10%
+        del u
+    return EvolutionResult(final=final, error_trace=trace, fields=fields, meta=meta)
 
 
 def _initial_lap(prob, pts):
@@ -302,29 +309,23 @@ def run_heat(prob, backend, scheme="be", store_fields=False):
     """Heat equation u_t = Delta u by backward Euler or Crank-Nicolson."""
     if scheme not in ("be", "cn"):
         raise ValueError("scheme must be 'be' or 'cn'")
-    pts = prob.domain.points
-    tau = prob.tau
-    u = np.asarray(prob.u0(pts), dtype=np.float64)
-    trace = []
-    fields = {0: u.copy()} if store_fields else {}
-    if scheme == "cn":
-        lam = 0.5 * tau
-        F = u + lam * _initial_lap(prob, pts)
-    else:
-        lam = tau
-    for step in range(1, prob.n_steps + 1):
-        t = step * tau
-        if scheme == "be":
-            u = backend.solve(lam, u, prob.g, t)
-        else:
-            u = backend.solve(lam, F, prob.g, t)
-            np.subtract(2.0 * u, F, out=F)   # F is this run's own array
-        _trace_error(prob, pts, u, t, trace)
-        if store_fields:
-            fields[step] = u.copy()
-    return EvolutionResult(times=tau * np.arange(prob.n_steps + 1), final=u,
-                           error_trace=trace, fields=fields,
-                           meta={"scheme": scheme, "lam": lam})
+    lam = prob.tau if scheme == "be" else 0.5 * prob.tau
+
+    def steps():
+        pts = prob.domain.points
+        u = np.asarray(prob.u0(pts), dtype=np.float64)
+        yield 0, u
+        if scheme == "cn":
+            F = u + lam * _initial_lap(prob, pts)
+        for step in range(1, prob.n_steps + 1):
+            if scheme == "be":
+                u = backend.solve(lam, u, prob.g, step * prob.tau)
+            else:
+                u = backend.solve(lam, F, prob.g, step * prob.tau)
+                np.subtract(2.0 * u, F, out=F)   # F is this run's own array
+            yield step, u
+
+    return _march(prob, steps(), store_fields, {"scheme": scheme, "lam": lam})
 
 
 def run_wave(prob, backend, store_fields=False):
@@ -334,39 +335,33 @@ def run_wave(prob, backend, store_fields=False):
     u^0 + tau v^0 + (tau^2/2) Delta u^0; F^1 and F^2 are formed directly
     from initial-data Laplacians, after which the two-level recursion runs.
     """
-    theta, tau = prob.theta, prob.tau
-    if theta <= 0.0:
-        raise ValueError("the implicit theta-scheme requires theta > 0")
-    pts = prob.domain.points
-    lam = theta * tau * tau
-    u_prev = np.asarray(prob.u0(pts), dtype=np.float64)
-    lap0 = _initial_lap(prob, pts)
-    u_cur = u_prev + tau * np.asarray(prob.v0(pts)) + 0.5 * tau * tau * lap0
-    trace = []
-    fields = {0: u_prev.copy(), 1: u_cur.copy()} if store_fields else {}
-    _trace_error(prob, pts, u_cur, tau, trace)
-    if prob.n_steps <= 1:
-        return EvolutionResult(times=tau * np.arange(prob.n_steps + 1),
-                               final=u_cur, error_trace=trace, fields=fields,
-                               meta={"lam": lam})
-    if not hasattr(prob.domain, "lap_full"):
+    if prob.n_steps > 1 and not hasattr(prob.domain, "lap_full"):
         raise ValueError("the theta-scheme startup needs a lattice domain "
                          "(Laplacian of the Taylor-started level)")
-    lap1 = prob.domain.lap_full(u_cur)
-    F_prev = u_cur - lam * lap1                                    # F^1
-    F_cur = 2.0 * u_cur - u_prev + tau * tau * ((1.0 - 2.0 * theta) * lap1
-                                                + theta * lap0)   # F^2
-    ratio = (1.0 - 2.0 * theta) / theta
-    for step in range(2, prob.n_steps + 1):
-        t = step * tau
-        u_next = backend.solve(lam, F_cur, prob.g, t)
-        _trace_error(prob, pts, u_next, t, trace)
-        if store_fields:
-            fields[step] = u_next.copy()
-        F_next = 2.0 * u_next + ratio * (u_next - F_cur) - F_prev  # F^{n+1}
-        u_cur, F_prev, F_cur = u_next, F_cur, F_next
-    return EvolutionResult(times=tau * np.arange(prob.n_steps + 1), final=u_cur,
-                           error_trace=trace, fields=fields, meta={"lam": lam})
+    theta, tau = prob.theta, prob.tau
+    lam = theta * tau * tau
+
+    def steps():
+        pts = prob.domain.points
+        u_prev = np.asarray(prob.u0(pts), dtype=np.float64)
+        lap0 = _initial_lap(prob, pts)
+        u_cur = u_prev + tau * np.asarray(prob.v0(pts)) + 0.5 * tau * tau * lap0
+        yield 0, u_prev
+        yield 1, u_cur
+        if prob.n_steps <= 1:
+            return
+        lap1 = prob.domain.lap_full(u_cur)
+        F_prev = u_cur - lam * lap1                                    # F^1
+        F_cur = 2.0 * u_cur - u_prev + tau * tau * ((1.0 - 2.0 * theta) * lap1
+                                                    + theta * lap0)   # F^2
+        ratio = (1.0 - 2.0 * theta) / theta
+        for step in range(2, prob.n_steps + 1):
+            u_next = backend.solve(lam, F_cur, prob.g, step * tau)
+            yield step, u_next
+            F_next = 2.0 * u_next + ratio * (u_next - F_cur) - F_prev  # F^{n+1}
+            F_prev, F_cur = F_cur, F_next
+
+    return _march(prob, steps(), store_fields, {"lam": lam})
 
 
 class NewtonError(RuntimeError):
@@ -433,32 +428,26 @@ def run_schrodinger(prob, backend, splitting="strang", store_fields=False):
     """
     if splitting not in ("strang", "lie"):
         raise ValueError("splitting must be 'strang' or 'lie'")
-    pts = prob.domain.points
     tau = prob.tau
-    vpot = np.asarray(prob.v_potential(pts), dtype=np.float64)
-    u = np.asarray(prob.u0(pts), dtype=np.complex128)
-    trace = []
-    fields = {0: u.copy()} if store_fields else {}
-    ustar_prev = None
-    for step in range(1, prob.n_steps + 1):
-        t = step * tau
-        if splitting == "strang":
-            if ustar_prev is None:
+    lam = 0.5 * tau if splitting == "strang" else tau
+
+    def steps():
+        pts = prob.domain.points
+        vpot = np.asarray(prob.v_potential(pts), dtype=np.float64)
+        u = np.asarray(prob.u0(pts), dtype=np.complex128)
+        yield 0, u
+        for step in range(1, prob.n_steps + 1):
+            if splitting == "lie":
+                u_star = u
+            elif step == 1:
                 u_star = u - 0.5j * tau * _initial_lap(prob, pts)
             else:
-                u_star = 2.0 * u - ustar_prev
+                u_star = 2.0 * u - u_dd          # u_dd: the last u**
             u_dd = _nonlinear_stage(vpot, prob.w, tau, u_star)
-            u = backend.solve_coupled(0.5 * tau, u_dd, prob.g, t)
-            ustar_prev = u_dd
-        else:
-            u_star = _nonlinear_stage(vpot, prob.w, tau, u)
-            u = backend.solve_coupled(tau, u_star, prob.g, t)
-        _trace_error(prob, pts, u, t, trace)
-        if store_fields:
-            fields[step] = u.copy()
-    return EvolutionResult(times=tau * np.arange(prob.n_steps + 1), final=u,
-                           error_trace=trace, fields=fields,
-                           meta={"splitting": splitting})
+            u = backend.solve_coupled(lam, u_dd, prob.g, step * tau)
+            yield step, u
+
+    return _march(prob, steps(), store_fields, {"splitting": splitting})
 
 
 def heat_family(domain, a, b, tau, n_steps):
@@ -548,10 +537,9 @@ def uq_run(backend, m_samples, seed, probe=(0.43, 0.2), tau=0.1, n_steps=10,
 
 
 def observed_order(final_fields):
-    """log2 ratios of successive differences of same-time fields for halved tau."""
-    diffs = [np.sqrt(np.mean(np.abs(final_fields[i] - final_fields[i + 1]) ** 2))
-             for i in range(len(final_fields) - 1)]
-    return order_from_errors(diffs)
+    """log2 ratios of successive RMS differences of same-time fields for halved tau."""
+    return order_from_errors([error_metrics(a, b)["abs_l2"]
+                              for a, b in zip(final_fields, final_fields[1:])])
 
 
 def trajectory_rel_l2(result):

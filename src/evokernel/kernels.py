@@ -63,38 +63,24 @@ __all__ = [
 class ScalarKernelSpec:
     """Parameter kappa > 0 of Delta u - u/kappa (equals lam of (I - lam Delta))."""
 
+    kind = "scalar"
     kappa: float
 
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError("kappa must be positive")
 
-    @property
-    def kind(self):
-        return "scalar"
-
-    @property
-    def value(self):
-        return self.kappa
-
 
 @dataclass(frozen=True)
 class SystemKernelSpec:
     """Parameter lam > 0 of the coupled operator L_lam."""
 
+    kind = "system"
     lam: float
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("lam must be positive")
-
-    @property
-    def kind(self):
-        return "system"
-
-    @property
-    def value(self):
-        return self.lam
 
 
 def _pair_geometry(x, y):

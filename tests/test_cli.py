@@ -25,14 +25,15 @@ def test_validation_rejects_unknown_keys(tmp_path, capsys):
 
 
 def test_validation_rejects_bad_theta(tmp_path, capsys):
-    cfg = {"version": 1, "command": "evolve", "seed": 0,
-           "problem": {"equation": "wave", "tau": 0.25, "n_steps": 2,
-                       "theta": 1.5},
-           "backend": {"kind": "classical", "domain": {"n": 21, "n_bd": 32}}}
-    rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "[0, 1]" in err and "1.5" in err
+    for theta in (1.5, 0):
+        cfg = {"version": 1, "command": "evolve", "seed": 0,
+               "problem": {"equation": "wave", "tau": 0.25, "n_steps": 2,
+                           "theta": theta},
+               "backend": {"kind": "classical", "domain": {"n": 21, "n_bd": 32}}}
+        rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "(0, 1]" in err and f"theta={theta}" in err
 
 
 @pytest.mark.parametrize("seed", [2.5, True, -1, "0"])
@@ -87,8 +88,10 @@ def _dataset_or_model_config(tmp_path, section, value):
     if section == "dataset":
         return {"version": 1, "command": "datagen", "seed": 0, "out": str(tmp_path / "run"),
                 "dataset": {"kappas": [0.05], **value}}
+    # a model or a top-level curve section, in a boundary-model train config
     return {"version": 1, "command": "train", "seed": 0, "out": str(tmp_path / "run"),
-            "data": {"path": str(tmp_path / "d.bin")}, "model": value}
+            "data": {"path": str(tmp_path / "d.bin")}, "model": {"kind": "boundary"},
+            section: value}
 
 
 @pytest.mark.parametrize("section, kind", [
@@ -118,6 +121,13 @@ def test_validation_accepts_every_dataset_and_model_key(tmp_path, section, kind)
     ("model", {"coupled": True}, "None in 'model.kind'"),
     ("model", {"kind": "boundary", "coupled": True}, "['coupled']"),
     ("model", {"kind": "source", "coupled": False}, "['coupled']"),
+    ("dataset", {"kind": "boundary", "curve": {"kind": "disk", "radiuss": 2}}, "['radiuss']"),
+    ("dataset", {"kind": "boundary", "curve": {"kind": "disc"}}, "'disc' in 'dataset.curve.kind'"),
+    ("dataset", {"kind": "source-offlattice", "curve": {"kind": "square", "lobes": 4}},
+     "['lobes']"),
+    ("curve", {"kind": "disc"}, "'disc' in 'curve.kind'"),
+    ("curve", {"kind": "square", "radius": 2}, "['radius']"),
+    ("curve", {"kind": "petal", "side": 2}, "['side']"),
 ])
 def test_validation_rejects_dataset_and_model_keys_of_other_kinds(tmp_path, capsys, section,
                                                                    value, message):
@@ -131,7 +141,7 @@ def test_validation_rejects_dataset_and_model_keys_of_other_kinds(tmp_path, caps
 @pytest.mark.parametrize("section, value, name", [
     ("backend", {**_CLASSICAL, "kind": "learnd"}, "'learnd' in 'backend.kind'"),
     ("backend", {**_CLASSICAL, "kind": ["classical"]}, "backend.kind"),
-    ("backend", {**_CLASSICAL, "domain": {"kind": ["square"]}}, "backend domain"),
+    ("backend", {**_CLASSICAL, "domain": {"kind": ["square"]}}, "backend.domain"),
     ("problem", {"equation": ["heat"], "tau": 0.25, "n_steps": 1}, "equation"),
 ])
 def test_validation_rejects_unknown_kinds(tmp_path, capsys, section, value, name):
@@ -159,6 +169,8 @@ def test_validation_accepts_every_learned_backend_key():
     ({"equation": "wave", "a": "0.5"}, "a"),
     ({"equation": "heat", "a": 0.6, "b": None}, "b"),
     ({"equation": "wave", "theta": "0.5"}, "theta"),
+    ({"equation": "heat", "scheme": "rk4"}, "scheme"),
+    ({"equation": "schrodinger", "splitting": "yoshida"}, "splitting"),
 ])
 def test_validation_rejects_bad_problem_numbers(tmp_path, capsys, problem, key):
     cfg = {"version": 1, "command": "evolve", "seed": 0,
@@ -483,6 +495,25 @@ def test_evolve_classical_and_report(tmp_path):
     assert "heat-be" in rows[1] and "pass" in rows[1]
 
 
+@pytest.mark.parametrize("problem, experiment", [
+    ({"equation": "heat", "tau": 0.25, "n_steps": 2}, "heat-be"),
+    ({"equation": "schrodinger", "tau": 0.05, "n_steps": 2}, "schrodinger-strang"),
+    ({"equation": "wave", "tau": 0.25, "n_steps": 2}, "wave-"),
+])
+def test_report_gates_runs_by_the_scheme_they_ran(tmp_path, problem, experiment):
+    run = tmp_path / "run"
+    cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(run),
+           "problem": problem, "backend": {"kind": "classical", "domain": {"n": 21}}}
+    assert cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)]) == 0
+    assert json.loads((run / "summary.json").read_text())["experiment"] == experiment
+    rep = tmp_path / "report"
+    cfg = {"version": 1, "command": "report", "out": str(rep), "runs": [str(run)]}
+    assert cli.main(["report", "--config", _write(tmp_path, "r.json", cfg)]) == 0
+    with open(rep / "index.csv", newline="") as fh:
+        _, row = csv.reader(fh)
+    assert row[2] == experiment and row[6] in ("pass", "fail")
+
+
 _GATE_TABLE = [
     ("heat-be", "final_rel_l2", 0.015),
     ("heat-cn", "final_rel_l2", 0.015),
@@ -572,7 +603,7 @@ def test_seed_override_changes_artifacts(tmp_path):
     assert outs[0] != outs[1]
 
 
-def _learned_section(tmp_path, bnd_kappas, src_kappas, points=None):
+def _learned_section(tmp_path, bnd_kappas, src_kappas, points=None, coupled=False):
     """Backend config over tiny random checkpoints with the given kappa metadata;
     the source model samples points (default: the 9 x 9 square lattice)."""
     from evokernel import nn
@@ -581,8 +612,10 @@ def _learned_section(tmp_path, bnd_kappas, src_kappas, points=None):
     points = square_lattice(9).points if points is None else points
     paths = {}
     for kind, model, kappas in (
-            ("boundary", nn.BoundaryModel.build(32, rng, internal=8), bnd_kappas),
-            ("source", nn.SourceModel.build(points, [8], [8], rng), src_kappas)):
+            ("boundary", nn.BoundaryModel.build(32, rng, internal=8, coupled=coupled),
+             bnd_kappas),
+            ("source", nn.SourceModel.build(points, [8], [8], rng, coupled=coupled),
+             src_kappas)):
         paths[kind] = str(tmp_path / f"{kind}.ckpt")
         nn.save_checkpoint(model, paths[kind], {} if kappas is None else {"kappas": kappas})
     section = {"kind": "nekm", "domain": {"n": 9, "n_bd": 32},
@@ -599,7 +632,7 @@ def _heat_config(tmp_path, backend):
 
 def test_lam_range_defaults_to_checkpoint_kappa_overlap(tmp_path):
     section = _learned_section(tmp_path, [0.04, 0.07, 0.1], [0.05, 0.12])
-    assert cli._build_backend(section).lam_range == (0.05, 0.1)
+    assert cli._build_backend(section, "heat").lam_range == (0.05, 0.1)
 
 
 def test_lam_range_refused_without_checkpoint_kappas(tmp_path, capsys):
@@ -621,10 +654,31 @@ def test_backend_refuses_source_checkpoint_of_another_lattice(tmp_path, capsys):
     assert err.startswith("config error") and "sample points" in err
 
 
+@pytest.mark.parametrize("cmd, problem, coupled", [
+    ("evolve", {"equation": "heat", "tau": 0.14, "n_steps": 1}, True),
+    ("evolve", {"equation": "wave", "tau": 0.2, "n_steps": 2}, True),
+    ("evolve", {"equation": "schrodinger", "tau": 0.01, "n_steps": 1}, False),
+    ("uq", None, True),
+])
+def test_learned_backend_of_the_other_kind_is_refused(tmp_path, capsys, cmd, problem,
+                                                      coupled):
+    section = _learned_section(tmp_path, [0.005, 0.1], [0.005, 0.1], coupled=coupled)
+    cfg = {"version": 1, "command": cmd, "seed": 0, "out": str(tmp_path / "run"),
+           "backend": section,
+           **({"problem": problem} if cmd == "evolve" else {"uq": {"samples": 2}})}
+    rc = cli.main([cmd, "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    equation = problem["equation"] if problem else "heat"
+    kind = "coupled" if coupled else "scalar"
+    assert err.startswith("config error") and repr(equation) in err and kind in err
+    assert not (tmp_path / "run" / "summary.json").exists()
+
+
 def test_disjoint_checkpoint_kappas_rejected(tmp_path):
     section = _learned_section(tmp_path, [0.01, 0.02], [0.05, 0.1])
     with pytest.raises(cli.ValidationError, match="overlap"):
-        cli._build_backend(section)
+        cli._build_backend(section, "heat")
 
 
 def test_validation_rejects_kappa_diff():
@@ -645,4 +699,5 @@ def test_petal_backend_serves_non_default_curve(tmp_path):
            "problem": {"equation": "heat", "scheme": "be", "tau": 0.07, "n_steps": 1},
            "backend": backend}
     assert cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)]) == 0
-    assert np.array_equal(cli._build_backend(backend).domain.points, interior.points)
+    assert np.array_equal(cli._build_backend(backend, "heat").domain.points,
+                          interior.points)

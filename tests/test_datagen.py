@@ -156,18 +156,31 @@ def test_boundary_dataset_equals_per_record_reference(coupled):
 
 
 def test_offlattice_dataset_equals_per_record_reference():
+    """Sources are bitwise the per-record closed form; the labels, solved and
+    summed per kappa as one batch, match one Nystrom solve and one
+    double-layer sum per record; reruns are bit-identical."""
+    from evokernel.bie import eval_double_layer, nystrom_solve
+    from evokernel.kernels import ScalarKernelSpec, boundary_kernel
     curve = make_curve("petal")
+    grid = sample_quadrature(curve, 64)
     pts = petal_lattice(curve, spacing=0.1, margin=0.1).points
-    kappas, per_kappa, seed = [0.05, 0.1], 2, 3
-    ds = dg.build_offlattice_source_dataset(kappas, per_kappa, sample_quadrature(curve, 64),
-                                            pts, seed)
+    kappas, per_kappa, seed = [0.05, 0.1], 3, 3
+    ds = dg.build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed)
     for ik, kap in enumerate(kappas):
+        spec = ScalarKernelSpec(kap)
         for j in range(per_kappa):
             a, b, c, form = dg._trig_draw(dg._rng(seed, 0x9E7A1, ik, j), (-1.0, 1.0), (0.5, 3.0))
-            w = dg.trig_family(a, b, c, form)(pts[:, 0], pts[:, 1])
+            w = dg.trig_family(a, b, c, form)
+            w_pts = w(pts[:, 0], pts[:, 1])
             coef = -(np.pi**2) * (b**2 + c**2) - 1.0 / kap
-            assert np.array_equal(ds.f[ik * per_kappa + j], coef * w)
+            assert np.array_equal(ds.f[ik * per_kappa + j], coef * w_pts)
+            phi = nystrom_solve(boundary_kernel(spec, grid),
+                                w(grid.points[:, 0], grid.points[:, 1]))
+            u = w_pts - eval_double_layer(spec, grid, phi, pts)
+            assert np.max(np.abs(ds.u[ik * per_kappa + j] - u)) <= 1e-13 * np.max(np.abs(u))
     assert np.array_equal(ds.kappa_index, np.repeat(np.arange(len(kappas)), per_kappa))
+    rerun = dg.build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed)
+    assert rerun.content_hash() == ds.content_hash()
 
 
 def test_kappa_grid_11_values():

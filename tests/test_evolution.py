@@ -89,9 +89,10 @@ def test_wave_order_and_theta_validation():
         errs.append(ev.trajectory_rel_l2(ev.run_wave(prob, BACKEND)))
     orders = ev.order_from_errors(errs)
     assert all(abs(o - 2.0) <= 0.2 for o in orders)
-    with pytest.raises(ValueError):
-        ev.EvolutionProblem(equation="wave", domain=DOMAIN, tau=0.1, n_steps=2,
-                            u0=None, g=None, theta=1.5)
+    for theta in (1.5, 0.0, -0.5):
+        with pytest.raises(ValueError, match=re.escape("(0, 1]")):
+            ev.EvolutionProblem(equation="wave", domain=DOMAIN, tau=0.1, n_steps=2,
+                                u0=None, g=None, theta=theta)
 
 
 def test_lambda_mapping_theta_tau():

@@ -273,6 +273,17 @@ def test_guard_rejects_coupled_mismatch(coupled):
 
 
 @pytest.mark.parametrize("coupled", [False, True])
+def test_solve_of_the_other_kind_is_refused(coupled):
+    backend = _backend(coupled)
+    other = backend.solve if coupled else backend.solve_coupled
+    F = np.ones((1, DOMAIN.points.shape[0]), float if coupled else complex)
+    zero = lambda pts, t: np.zeros(pts.shape[0])  # noqa: E731
+    kinds = ("scalar", "coupled") if coupled else ("coupled", "scalar")
+    with pytest.raises(ValueError, match=f"{kinds[0]} solve.*{kinds[1]} backend"):
+        other(LAM_RANGE[coupled][0], F, zero, 0.0)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
 def test_guard_rejects_boundary_width(coupled):
     _, src = _models(coupled)
     rng = np.random.default_rng(5)
