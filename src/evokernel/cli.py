@@ -108,9 +108,7 @@ def validate_config(cfg):
     unknown = set(cfg) - _SCHEMAS[cmd]
     if unknown:
         raise ValidationError(f"unknown top-level keys for {cmd}: {sorted(unknown)}")
-    seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    _integer("seed", cfg.get("seed", 0), 0)
     for key, allowed in _SUB_SCHEMAS.items():
         section = cfg.get(key)
         if isinstance(section, dict):
@@ -129,6 +127,11 @@ def validate_config(cfg):
             raise ValidationError(f"unknown equation {eq!r}")
         _check_keys(f"'problem' for equation {eq!r}", prob,
                     _PROBLEM_KEYS | _EQUATION_KEYS[eq])
+        _positive(prob, "tau", "problem")
+        _integer("problem.n_steps", prob.get("n_steps"), 1)
+        if not isinstance(prob.get("store_fields", False), bool):
+            raise ValidationError(f"problem.store_fields={prob['store_fields']!r} must be "
+                                  f"true or false")
         theta = _number(prob, "theta", 0.5)
         if not 0.0 < theta <= 1.0:
             raise ValidationError(f"problem.theta={theta} outside the (0, 1] bound")
@@ -154,13 +157,30 @@ def _check_kinded(where, section, kinds, default):
         raise ValidationError(f"unknown {where} kind {kind!r} in '{where}.kind', "
                               f"expected one of {sorted(kinds)}")
     _check_keys(f"'{where}' for kind {kind!r}", section, kinds[kind])
+    for key in ("side", "radius"):
+        if key in section:
+            _positive(section, key, where)
+    # n_bd: sample_quadrature's minimum; n: the smallest lattice with an interior
+    for key, low in (("n_bd", 8), ("n", 3)):
+        if key in section:
+            _integer(f"{where}.{key}", section[key], low)
 
 
-def _number(prob, key, default):
-    value = prob.get(key, default)
+def _number(section, key, default, where="problem"):
+    value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"problem.{key} must be a number, got {value!r}")
+        raise ValidationError(f"{where}.{key}={value!r} must be a number")
     return value
+
+
+def _positive(section, key, where):
+    if not 0.0 < _number(section, key, None, where) < math.inf:
+        raise ValidationError(f"{where}.{key}={section[key]!r} must be a finite number > 0")
+
+
+def _integer(where, value, low):
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValidationError(f"{where}={value!r} must be an integer >= {low}")
 
 
 def _check_wave_numbers(eq, prob):
@@ -417,7 +437,7 @@ def cmd_evolve(cfg, out):
     eq = p["equation"]
     backend = _build_backend(cfg["backend"], eq)
     tau, n_steps = p["tau"], p["n_steps"]
-    store = bool(p.get("store_fields", False))
+    store = p.get("store_fields", False)
     if eq == "heat":
         a = p.get("a", _HEAT_A)
         b = p.get("b", float(np.sqrt(1.0 - a * a)))

@@ -7,9 +7,12 @@ Layout:
              "<i8", and "sha256": the hex digest of the body
     body     the arrays' little-endian bytes, concatenated in table order
 
-read() checks the magic, the body length against the table and the body
-hash, and raises ValueError naming the file on any mismatch.  Callers check
-their own header fields.
+write() streams the pieces to the file and hashes them on the way, so a
+save holds no second copy of its arrays.  read() reads the body once into one
+byte buffer and returns every array as a writable view of it, so a load holds
+the arrays once.  It checks the magic, the body length against the table (a
+byte past the end fails too) and the body hash, and raises ValueError naming
+the file on any mismatch.  Callers check their own header fields.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ def _block(name, a):
     return np.ascontiguousarray(a, dtype=_DTYPES[a.dtype.kind])
 
 
-def pack(magic, header, arrays):
-    """File bytes for header (a JSON-able dict) and arrays ({name: array})."""
+def _chunks(magic, header, arrays):
+    """The file's pieces in order: magic, header line, then each array block."""
     blocks = {name: _block(name, a) for name, a in arrays.items()}
     digest = hashlib.sha256()
     for b in blocks.values():
@@ -42,15 +45,23 @@ def pack(magic, header, arrays):
              for n, b in blocks.items()]
     line = json.dumps({**header, "arrays": table, "sha256": digest.hexdigest()},
                       sort_keys=True)
-    return b"".join([magic, line.encode(), b"\n", *blocks.values()])
+    return [magic, line.encode() + b"\n", *blocks.values()]
+
+
+def pack(magic, header, arrays):
+    """File bytes for header (a JSON-able dict) and arrays ({name: array})."""
+    return b"".join(_chunks(magic, header, arrays))
 
 
 def write(path, magic, header, arrays):
-    """Write pack(magic, header, arrays) to path; returns the file's sha256."""
-    data = pack(magic, header, arrays)
+    """Write pack(magic, header, arrays) to path piece by piece, without
+    joining it in memory; returns the file's sha256."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+        for chunk in _chunks(magic, header, arrays):
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def read(path, magic):
@@ -65,16 +76,18 @@ def read(path, magic):
             if any(a["dtype"] not in _DTYPES.values() for a in table):
                 raise ValueError("array dtypes must be <f8 or <i8")
             sizes = [8 * math.prod(a["shape"]) for a in table]
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            body = np.empty(sum(sizes), np.uint8)     # the one buffer of every array
+        except (ValueError, KeyError, TypeError, AttributeError, MemoryError) as exc:
             raise ValueError(f"{path}: unreadable header ({exc})") from exc
-        body = fh.read()
-    if len(body) != sum(sizes):
-        raise ValueError(f"{path}: body has {len(body)} bytes, expected {sum(sizes)}")
+        got = fh.readinto(body)
+        extra = fh.read(1)                             # a byte past the end: trailing bytes
+    if got != body.size or extra:
+        raise ValueError(f"{path}: body has {'more than ' * bool(extra)}{got} bytes, "
+                         f"expected {body.size}")
     if hashlib.sha256(body).hexdigest() != digest:
         raise ValueError(f"{path}: body does not match its sha256")
     arrays, offset = {}, 0
     for a, size in zip(table, sizes):
-        flat = np.frombuffer(body, a["dtype"], size // 8, offset)
-        arrays[a["name"]] = flat.reshape(a["shape"]).copy()
+        arrays[a["name"]] = body[offset:offset + size].view(a["dtype"]).reshape(a["shape"])
         offset += size
     return header, arrays

@@ -180,15 +180,20 @@ def _node_geometry(grid, pts):
     """r = |y - x| and dr/dn_y from targets x = pts (m, 2) to the grid nodes y.
 
     Coincident pairs get the placeholder r = 1 (so drdn = 0) and are flagged
-    in the returned mask; callers overwrite or reject them.
+    in the returned mask; callers overwrite or reject them.  The components
+    of y - x are two (m, n) outer differences, and dr/dn is formed in place
+    in the first, in the operation order of (dx nx + dy ny) / r.
     """
-    d = grid.points[None, :, :] - pts[:, None, :]
-    r = np.hypot(d[..., 0], d[..., 1])
+    dx = grid.points[:, 0] - pts[:, 0, None]
+    dy = grid.points[:, 1] - pts[:, 1, None]
+    r = np.hypot(dx, dy)
     coincident = r == 0.0
     r[coincident] = 1.0
-    drdn = (d[..., 0] * grid.normals[None, :, 0]
-            + d[..., 1] * grid.normals[None, :, 1]) / r
-    return r, drdn, coincident
+    dx *= grid.normals[:, 0]
+    dy *= grid.normals[:, 1]
+    dx += dy
+    dx /= r
+    return r, dx, coincident
 
 
 def _double_layer(spec, grid, r, drdn):
@@ -199,18 +204,25 @@ def _double_layer(spec, grid, r, drdn):
     complex a - ib = -(dker + i dkei) * f.  The coupled branch evaluates
     the Kelvin derivatives once per distinct distance r and gathers them per
     pair; the functions act elementwise, so the entries are the all-pairs ones.
+    The scalar branch overwrites r and the coupled one drdn, in the operation
+    order of the formulas above, so callers pass arrays they no longer need.
     """
     if spec.kind == "scalar":
         # every pair: K1 is cheaper than the sort np.unique would need
         sk = np.sqrt(spec.kappa)
-        return specfun.k1(r / sk) / (2.0 * np.pi * sk) * drdn * grid.speeds[None, :]
+        r /= sk
+        K = specfun.k1(r)
+        K /= 2.0 * np.pi * sk
+        K *= drdn
+        K *= grid.speeds
+        return K
     sl = np.sqrt(spec.lam)
     ru, inv = np.unique(r, return_inverse=True)
     inv = inv.reshape(r.shape)      # numpy 1.x returns it flat, 2.x shaped like r
-    z = ru / sl
-    f = drdn / (2.0 * np.pi * sl) * grid.speeds[None, :]
-    K = -(specfun.dker0(z) + 1j * specfun.dkei0(z))[inv]
-    K *= f
+    drdn /= 2.0 * np.pi * sl
+    drdn *= grid.speeds
+    K = (-specfun.dkelvin0(ru / sl))[inv]
+    K *= drdn
     return K
 
 

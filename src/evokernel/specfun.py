@@ -16,7 +16,7 @@ Limits as x -> 0+: K0, K1, ker0, ker1, kei1 diverge; kei0(0+) = -pi/4.
 import numpy as np
 import scipy.special
 
-__all__ = ["bessel_k", "kelvin", "k0", "k1", "ker", "kei", "dker0", "dkei0"]
+__all__ = ["bessel_k", "kelvin", "k0", "k1", "ker", "kei", "dker0", "dkei0", "dkelvin0"]
 
 _ROT = np.exp(0.25j * np.pi)
 
@@ -71,13 +71,24 @@ def kei(order, x):
     return kelvin(order, "kei", x)
 
 
+def _dkelvin0_parts(x):
+    kz = _kelvin_complex(1, np.asarray(x, dtype=np.float64))
+    return ((np.real(kz) + np.imag(kz)) / np.sqrt(2.0),
+            (np.imag(kz) - np.real(kz)) / np.sqrt(2.0))
+
+
 def dker0(x):
     """d/dx ker_0(x) = (ker_1(x) + kei_1(x)) / sqrt(2)."""
-    kz = _kelvin_complex(1, np.asarray(x, dtype=np.float64))
-    return ((np.real(kz) + np.imag(kz)) / np.sqrt(2.0))[()]
+    return _dkelvin0_parts(x)[0][()]
 
 
 def dkei0(x):
     """d/dx kei_0(x) = (kei_1(x) - ker_1(x)) / sqrt(2)."""
-    kz = _kelvin_complex(1, np.asarray(x, dtype=np.float64))
-    return ((np.imag(kz) - np.real(kz)) / np.sqrt(2.0))[()]
+    return _dkelvin0_parts(x)[1][()]
+
+
+def dkelvin0(x):
+    """dker0(x) + 1j * dkei0(x), bit for bit, from one complex Bessel evaluation
+    where the two functions take one each."""
+    dker, dkei = _dkelvin0_parts(x)
+    return (dker + 1j * dkei)[()]

@@ -153,6 +153,44 @@ def test_validation_rejects_unknown_kinds(tmp_path, capsys, section, value, name
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, value, key", [
+    ("dataset", {"kind": "boundary", "curve": {"kind": "disk", "radius": -1}},
+     "dataset.curve.radius"),
+    ("dataset", {"kind": "boundary", "curve": {"kind": "square", "side": 0}},
+     "dataset.curve.side"),
+    ("dataset", {"kind": "boundary", "curve": {"kind": "petal", "n_bd": 4}},
+     "dataset.curve.n_bd"),
+    ("dataset", {"kind": "source", "n": 2}, "dataset.n"),
+    ("curve", {"kind": "disk", "radius": "1"}, "curve.radius"),
+    ("curve", {"kind": "square", "side": float("nan")}, "curve.side"),
+    ("curve", {"kind": "square", "n_bd": 32.0}, "curve.n_bd"),
+    ("backend", {"kind": "classical", "domain": {"n": 2}}, "backend.domain.n"),
+    ("backend", {"kind": "classical", "domain": {"n": 9, "n_bd": 0}}, "backend.domain.n_bd"),
+    ("backend", {"kind": "classical", "domain": {"kind": "petal", "n_bd": True}},
+     "backend.domain.n_bd"),
+])
+def test_validation_rejects_bad_curve_and_domain_values(tmp_path, capsys, section, value,
+                                                        key):
+    if section == "backend":
+        cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
+               "problem": {"equation": "heat", "tau": 0.25, "n_steps": 1}, "backend": value}
+    else:
+        cfg = _dataset_or_model_config(tmp_path, section, value)
+    rc = cli.main([cfg["command"], "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    assert f"{key}=" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("equation", ["heat", "wave", "schrodinger"])
+def test_evolve_runs_on_the_smallest_valid_lattice_and_grid(tmp_path, equation):
+    cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
+           "problem": {"equation": equation, "tau": 0.1, "n_steps": 2, "store_fields": True},
+           "backend": {"kind": "classical", "domain": {"n": 3, "n_bd": 8}}}
+    assert cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)]) == 0
+    assert (tmp_path / "run" / "field_step_0002.csv").exists()
+
+
 def test_validation_accepts_every_learned_backend_key():
     cfg = {"version": 1, "command": "uq", "seed": 0, "uq": {"samples": 2},
            "backend": {"kind": "nekm", "domain": {"n": 9, "n_bd": 32},
@@ -171,13 +209,25 @@ def test_validation_accepts_every_learned_backend_key():
     ({"equation": "wave", "theta": "0.5"}, "theta"),
     ({"equation": "heat", "scheme": "rk4"}, "scheme"),
     ({"equation": "schrodinger", "splitting": "yoshida"}, "splitting"),
+    ({"equation": "heat", "n_steps": 2.5}, "n_steps"),
+    ({"equation": "heat", "n_steps": 0}, "n_steps"),
+    ({"equation": "wave", "n_steps": True}, "n_steps"),
+    ({"equation": "heat", "n_steps": "2"}, "n_steps"),
+    ({"equation": "heat", "tau": "0.1"}, "tau"),
+    ({"equation": "wave", "tau": 0}, "tau"),
+    ({"equation": "heat", "tau": -0.1}, "tau"),
+    ({"equation": "schrodinger", "tau": float("inf")}, "tau"),
+    ({"equation": "heat", "tau": None}, "tau"),
+    ({"equation": "heat", "store_fields": "no"}, "store_fields"),
+    ({"equation": "heat", "store_fields": 1}, "store_fields"),
 ])
 def test_validation_rejects_bad_problem_numbers(tmp_path, capsys, problem, key):
-    cfg = {"version": 1, "command": "evolve", "seed": 0,
+    cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
            "problem": {"tau": 0.25, "n_steps": 1, **problem}, "backend": _CLASSICAL}
     rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
     assert rc == 2
     assert f"problem.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("problem", [

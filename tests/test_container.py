@@ -1,14 +1,16 @@
 """Every persisted format goes through evokernel.container and shares its checks."""
 
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
-from evokernel import datagen, nn
+from evokernel import container, datagen, nn
 from evokernel.geometry import make_curve, sample_quadrature
 
 GRID = sample_quadrature(make_curve("square"), 16)
+MAGIC = b"EVOKERNEL-TEST/1\n"
 
 
 def _checkpoint(path):
@@ -39,3 +41,55 @@ def test_loaders_reject_damaged_files(tmp_path, save, corrupt):
     path.write_bytes(CORRUPTIONS[corrupt](path.read_bytes()))
     with pytest.raises(ValueError, match=re.escape(str(path))):
         load(path)
+
+
+def test_write_streams_the_bytes_pack_joins(tmp_path):
+    header, arrays = {"kind": "demo"}, {"a": np.arange(6.0).reshape(2, 3), "i": np.arange(4)}
+    path = tmp_path / "file.bin"
+    digest = container.write(path, MAGIC, header, arrays)
+    data = container.pack(MAGIC, header, arrays)
+    assert path.read_bytes() == data
+    assert digest == hashlib.sha256(data).hexdigest()
+
+
+def test_read_returns_views_of_one_buffer(tmp_path):
+    """One read holds the body once: every array is a writable, C-contiguous
+    view of the same buffer, and writing one leaves the others and the file
+    as they were."""
+    path = tmp_path / "file.bin"
+    written = {"a": np.arange(6.0).reshape(2, 3), "i": np.arange(-2, 3),
+               "e": np.zeros((0, 4))}
+    container.write(path, MAGIC, {}, written)
+    _, arrays = container.read(path, MAGIC)
+    assert {id(a.base) for a in arrays.values()} == {id(arrays["a"].base)}
+    assert arrays["a"].base is not None
+    for name, a in arrays.items():
+        assert a.flags.writeable and a.flags.c_contiguous and a.flags.aligned
+        assert a.dtype == written[name].dtype and np.array_equal(a, written[name])
+    arrays["a"][:] = -1.0
+    arrays["i"][0] = 99
+    assert np.array_equal(arrays["i"][1:], written["i"][1:])
+    _, fresh = container.read(path, MAGIC)
+    for name, a in fresh.items():
+        assert np.array_equal(a, written[name])
+
+
+def test_loaded_checkpoint_trains_through_its_views(tmp_path):
+    """Adam updates a loaded model's parameters in place, in the shared
+    buffer, exactly as it updates a model built in memory."""
+    built = nn.SourceModel.build(np.random.default_rng(1).uniform(0, 1, (5, 2)), [4], [4],
+                                 np.random.default_rng(2))
+    path, again = tmp_path / "m.ckpt", tmp_path / "m2.ckpt"
+    nn.save_checkpoint(built, path)
+    loaded, _ = nn.load_checkpoint(path)
+    for model in (built, loaded):
+        params = model.parameters()
+        for k, p in enumerate(params):
+            p.grad = np.full_like(p.value, 0.1 * (k + 1))
+        nn.Adam(params, lr=1e-2).step()
+    buffer = loaded.points.base
+    assert buffer is not None and all(p.value.base is buffer for p in loaded.parameters())
+    assert nn.checkpoint_bytes(loaded) == nn.checkpoint_bytes(built)
+    assert nn.checkpoint_bytes(loaded) != path.read_bytes()
+    nn.save_checkpoint(loaded, again)
+    assert nn.checkpoint_bytes(nn.load_checkpoint(again)[0]) == again.read_bytes()

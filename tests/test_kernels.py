@@ -244,17 +244,19 @@ def test_kernel_memo_keeps_custom_curves_apart():
         assert np.array_equal(kmat.values, ker.scalar_boundary_kernel(spec, grid).values)
 
 
-def _distances(grid, pts):
+def _pair_geometry(grid, pts):
+    """(r, dr/dn, coincident) from one (m, n, 2) difference array."""
     d = grid.points[None, :, :] - pts[:, None, :]
-    return np.hypot(d[..., 0], d[..., 1])
+    r = np.hypot(d[..., 0], d[..., 1])
+    coincident = r == 0.0
+    r[coincident] = 1.0
+    drdn = (d[..., 0] * grid.normals[None, :, 0] + d[..., 1] * grid.normals[None, :, 1]) / r
+    return r, drdn, coincident
 
 
 def _all_pairs_coupled(spec, grid, pts):
     """Folded coupled kernel with dker0/dkei0 evaluated on every pair."""
-    d = grid.points[None, :, :] - pts[:, None, :]
-    r = np.hypot(d[..., 0], d[..., 1])
-    r[r == 0.0] = 1.0
-    drdn = (d[..., 0] * grid.normals[None, :, 0] + d[..., 1] * grid.normals[None, :, 1]) / r
+    r, drdn, _ = _pair_geometry(grid, pts)
     sl = np.sqrt(spec.lam)
     z = r / sl
     f = drdn / (2.0 * np.pi * sl) * grid.speeds[None, :]
@@ -276,6 +278,24 @@ def _lattice_cases():
             (sample_quadrature(petal, 64), petal_lattice(petal, spacing=0.08).points)]
 
 
+@pytest.mark.parametrize("case", ["square", "disk", "petal"])
+def test_node_geometry_bitwise_difference_array(case):
+    """The outer-difference pair geometry equals the (m, n, 2) formula byte for
+    byte, for interior targets and for the grid's own nodes."""
+    if case == "square":
+        dom = SquareLatticeDomain(41, 256)
+        grid, pts = dom.quad, dom.points[dom.interior_idx]
+    elif case == "disk":
+        grid = sample_quadrature(make_curve("disk", radius=0.7), 96)
+        pts = np.random.default_rng(3).uniform(-0.45, 0.45, (200, 2))
+    else:
+        grid, pts = _lattice_cases()[1]
+    for targets in (pts, grid.points):
+        got, ref = ker._node_geometry(grid, targets), _pair_geometry(grid, targets)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("case", [0, 1], ids=["square", "petal"])
 def test_coupled_matrices_bitwise_all_pairs(case):
     """The complex potential holds each all-pairs folded block [[a, b], [-b, a]]
@@ -295,24 +315,22 @@ def test_coupled_matrices_bitwise_all_pairs(case):
 
 
 def test_coupled_potential_evaluates_distinct_distances_once(monkeypatch):
+    """One complex Bessel evaluation per distinct distance serves both Kelvin
+    derivatives."""
     dom = SquareLatticeDomain(17, 64)
     pts = dom.points[dom.interior_idx]
     counts = {}
+    kelvin_complex = sf._kelvin_complex
 
-    def counting(name):
-        fn = getattr(sf, name)
+    def counting(order, x):
+        counts[order] = counts.get(order, 0) + np.size(x)
+        return kelvin_complex(order, x)
 
-        def wrapper(x):
-            counts[name] = counts.get(name, 0) + np.size(x)
-            return fn(x)
-        return wrapper
-
-    for name in ("dker0", "dkei0"):
-        monkeypatch.setattr(ker.specfun, name, counting(name))
+    monkeypatch.setattr(sf, "_kelvin_complex", counting)
     ker.potential_matrix(ker.SystemKernelSpec(0.0075), dom.quad, pts)
-    distinct = np.unique(_distances(dom.quad, pts)).size
+    distinct = np.unique(_pair_geometry(dom.quad, pts)[0]).size
     assert distinct < pts.shape[0] * dom.quad.n
-    assert counts == {"dker0": distinct, "dkei0": distinct}
+    assert counts == {1: distinct}
 
 
 @pytest.mark.parametrize("spec", [ker.ScalarKernelSpec(0.05), ker.SystemKernelSpec(0.0075)],

@@ -79,6 +79,8 @@ def test_kelvin_derivative_identities():
     fd_kei = (sf.kei(0, xs + h) - sf.kei(0, xs - h)) / (2 * h)
     assert np.max(np.abs(fd_ker - sf.dker0(xs))) < 1e-6
     assert np.max(np.abs(fd_kei - sf.dkei0(xs))) < 1e-6
+    both = sf.dkelvin0(LOG_GRID)
+    assert both.tobytes() == (sf.dker0(LOG_GRID) + 1j * sf.dkei0(LOG_GRID)).tobytes()
 
 
 def test_monotone_decay():
