@@ -6,6 +6,9 @@ manifest (config hash, seeds, package version, artifact list) so any run
 can be reproduced from its manifest.  Exit codes: 0 success, 1 runtime
 error, 2 config validation error.
 
+_TABLES is the one place where config rules live: each command's keys and
+each key's rule.  validate_config walks it before any work starts.
+
 Heavy imports happen inside main() after --threads is applied, so the BLAS
 thread count can still be pinned from the command line.
 """
@@ -20,205 +23,205 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import NamedTuple
+
 
 class ValidationError(ValueError):
     pass
 
 
-_SCHEMAS = {
-    "datagen": {"version", "command", "seed", "out", "dataset"},
-    "train": {"version", "command", "seed", "out", "model", "data", "curve",
-              "points", "train"},
-    "eval": {"version", "command", "seed", "out", "checkpoint", "suite"},
-    "evolve": {"version", "command", "seed", "out", "problem", "backend"},
-    "uq": {"version", "command", "seed", "out", "backend", "uq"},
-    "report": {"version", "command", "seed", "out", "runs"},
-}
+class _Rule(NamedTuple):
+    """A leaf key's rule: ok(value) says whether value is valid, text says what is."""
+    ok: object
+    text: str
 
-_SUB_SCHEMAS = {
-    "data": {"path"},
-    "points": {"domain", "n", "spacing", "margin"},
-    "train": {"epochs", "batch_size", "lr", "lr_decay", "log_every"},
-    "uq": {"samples", "probe", "tau", "n_steps", "mean", "std", "clip"},
-}
+    def __call__(self, value, where):
+        if not self.ok(value):
+            raise ValidationError(f"{where}={value!r} must be {self.text}")
 
-# keys that each dataset, model, suite, backend and backend domain kind and
-# each equation reads
-_DATASET_KEYS = {
-    "boundary": {"kind", "kappas", "n_g", "curve", "length_scales", "coupled"},
-    "source": {"kind", "kappas", "per_kappa", "n", "mix", "sigma_range", "coupled"},
-    "source-offlattice": {"kind", "kappas", "per_kappa", "curve", "spacing", "margin"},
-}
-_MODEL_KEYS = {
-    "boundary": {"kind", "internal"},
-    "source": {"kind", "hidden_k", "hidden_g"},
-}
-_BOUNDARY_SUITE_KEYS = {"kind", "kappas", "n_bd", "eval_n", "eval_lo", "eval_hi"}
-_SUITE_KEYS = {
-    "scalar-boundary": _BOUNDARY_SUITE_KEYS,
-    "system-boundary": _BOUNDARY_SUITE_KEYS,
-    "scalar-source": {"kind", "kappas"},
-    "system-source": {"kind", "kappas"},
-}
-_BACKEND_KEYS = {
-    "classical": {"kind", "domain"},
-    "nekm": {"kind", "domain", "boundary_checkpoint", "source_checkpoint"},
-}
+
+class _Kinds(NamedTuple):
+    """A section whose keys depend on its kind, the value of its key (default:
+    default): kinds maps each kind to its own keys, common holds every kind's.
+    The section admits the kinds in admit (default: all), checked after the keys."""
+    key: str
+    default: object
+    kinds: dict
+    common: dict = {}
+    admit: tuple = ()
+
+    def table(self, section, where):
+        kind = section.get(self.key, self.default)
+        if not isinstance(kind, str) or kind not in self.kinds:
+            raise ValidationError(f"unknown {where} {self.key} {kind!r} in "
+                                  f"'{where}.{self.key}', expected one of {sorted(self.kinds)}")
+        return {**self.common, **self.kinds[kind],
+                self.key: _choice(*(self.admit or self.kinds))}
+
+
+def _int(low, step=1):
+    return _Rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low
+                 and v % step == 0,
+                 f"an integer >= {low}" + (f" divisible by {step}" if step > 1 else ""))
+
+
+def _num(lo=-math.inf, hi=math.inf, ends="()"):
+    """A finite number from lo to hi, each end open or closed as ends shows."""
+    return _Rule(lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                            and -math.inf < v < math.inf
+                            and (lo < v if ends[0] == "(" else lo <= v)
+                            and (v < hi if ends[1] == ")" else v <= hi)),
+                 f"a finite number in {ends[0]}{lo:g}, {hi:g}{ends[1]}")
+
+
+def _choice(*options):
+    return _Rule(lambda v: not isinstance(v, bool) and v in options, f"one of {list(options)}")
+
+
+def _pair(item, ordered=False):
+    return _Rule(lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
+                            and all(item.ok(c) for c in v) and (not ordered or v[0] <= v[1])),
+                 f"a pair{' (lo, hi) with lo <= hi' if ordered else ''}, each {item.text}")
+
+
+def _list(item, min_len=0):
+    return _Rule(lambda v: (isinstance(v, list) and len(v) >= min_len
+                            and all(item.ok(c) for c in v)),
+                 f"a {'non-empty ' if min_len else ''}list, each {item.text}")
+
+
+def _kappa_list(spec, where):
+    """The kappas that a list or a span {start, stop, count} names; each must
+    be finite and positive, since the operators hold 1/kappa."""
+    import numpy as np
+    try:
+        if isinstance(spec, list):
+            kappas = [float(k) for k in spec]
+        else:
+            kappas = [float(k) for k in np.linspace(spec["start"], spec["stop"], spec["count"])]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where}={spec!r} must be a list of numbers "
+                              f"or {{start, stop, count}}") from exc
+    if not all(0.0 < k < math.inf for k in kappas):
+        raise ValidationError(f"{where}={spec!r}: every kappa must be finite and positive")
+    return kappas
+
+
+_STR = _Rule(lambda v: isinstance(v, str), "a string")
+_BOOL = _Rule(lambda v: isinstance(v, bool), "true or false")
+_POSITIVE = _num(0)
+_NONNEGATIVE = _num(0, ends="[)")
+_A = _num(-1, 1, "[]")                      # a wave number: b = sqrt(1 - a^2) is real
+_SPACING = {"spacing": _POSITIVE, "margin": _NONNEGATIVE}
+_PETAL = {"n_bd": _int(8), "base": _POSITIVE, "amp": _num(0, 1, "[)"), "lobes": _int(1)}
+# n_bd >= 8 is sample_quadrature's minimum, and on the square its nodes split
+# evenly over the four edges; n >= 3 is the smallest lattice with an interior
+_SQUARE = {"n": _int(3), "n_bd": _int(8, step=4)}
 # make_curve's parameters per kind, in the top-level and the dataset.curve section
-_CURVE_KEYS = {
-    "square": {"kind", "n_bd", "side"},
-    "disk": {"kind", "n_bd", "radius"},
-    "petal": {"kind", "n_bd", "base", "amp", "lobes"},
+_CURVE = _Kinds("kind", "square", {
+    "square": {"n_bd": _SQUARE["n_bd"], "side": _POSITIVE},
+    "disk": {"n_bd": _int(8), "radius": _POSITIVE},
+    "petal": _PETAL,
+})
+_DATASET = _Kinds("kind", None, {
+    "boundary": {"n_g": _int(1), "curve": _CURVE, "length_scales": _list(_POSITIVE, 1),
+                 "coupled": _BOOL},
+    "source": {"per_kappa": _int(1), "n": _SQUARE["n"], "mix": _num(0, 1, "[]"),
+               "sigma_range": _pair(_POSITIVE, ordered=True), "coupled": _BOOL},
+    "source-offlattice": {"per_kappa": _int(1), "curve": _CURVE, **_SPACING},
+}, common={"kappas": _kappa_list})
+_BOUNDARY_SUITE = {"n_bd": _SQUARE["n_bd"], "eval_n": _int(2), "eval_lo": _num(0, 1),
+                   "eval_hi": _num(0, 1)}
+_SUITE = _Kinds("kind", None, {
+    "scalar-boundary": _BOUNDARY_SUITE, "system-boundary": _BOUNDARY_SUITE,
+    "scalar-source": {}, "system-source": {},
+}, common={"kappas": _kappa_list})
+_PROBLEM = _Kinds("equation", None, {
+    "heat": {"scheme": _choice("be", "cn"), "a": _A, "b": _num()},
+    "wave": {"a": _A, "theta": _num(0, 1, "(]")},
+    "schrodinger": {"splitting": _choice("strang", "lie"), "w": _NONNEGATIVE},
+}, common={"tau": _POSITIVE, "n_steps": _int(1), "store_fields": _BOOL})
+_DOMAIN = _Kinds("kind", "square", {"square": _SQUARE, "petal": {**_PETAL, **_SPACING}})
+_ON_SQUARE = _DOMAIN._replace(admit=("square",))
+
+
+def _backend(nekm_domain):
+    """The backend section; the classical backend runs on the square lattice only."""
+    return _Kinds("kind", "classical", {
+        "classical": {"domain": _ON_SQUARE},
+        "nekm": {"domain": nekm_domain, "boundary_checkpoint": _STR, "source_checkpoint": _STR},
+    })
+
+
+_TOP = {"version": _choice(1), "command": _STR, "seed": _int(0), "out": _STR}
+_TABLES = {
+    "datagen": {**_TOP, "dataset": _DATASET},
+    "train": {**_TOP, "model": _Kinds("kind", None, {
+                  "boundary": {"internal": _int(1)},
+                  "source": {"hidden_k": _list(_int(1)), "hidden_g": _list(_int(1))}}),
+              "data": {"path": _STR}, "curve": _CURVE,
+              "points": {"domain": _choice("square", "petal"), "n": _SQUARE["n"], **_SPACING},
+              "train": {"epochs": _int(1), "batch_size": _int(1), "lr": _POSITIVE,
+                        "lr_decay": _num(0, 1, "(]"), "log_every": _int(1)}},
+    "eval": {**_TOP, "checkpoint": _STR, "suite": _SUITE},
+    "evolve": {**_TOP, "problem": _PROBLEM, "backend": _backend(_DOMAIN)},
+    # uq's probe interpolates the square lattice
+    "uq": {**_TOP, "backend": _backend(_ON_SQUARE), "uq": {
+        "samples": _int(1), "probe": _pair(_num(0, 1, "[]")), "tau": _POSITIVE,
+        "n_steps": _int(1), "mean": _num(), "std": _NONNEGATIVE,
+        "clip": _pair(_A, ordered=True)}},
+    "report": {**_TOP, "runs": _list(_STR)},
 }
-# (section, keys per kind, default kind) of every section that has a kind
-_KINDED = (("dataset", _DATASET_KEYS, None), ("model", _MODEL_KEYS, None),
-           ("suite", _SUITE_KEYS, None), ("backend", _BACKEND_KEYS, "classical"),
-           ("curve", _CURVE_KEYS, "square"))
-_DOMAIN_KEYS = {
-    "square": {"kind", "n", "n_bd"},
-    "petal": {"kind", "n_bd", "spacing", "margin", "base", "amp", "lobes"},
-}
-_PROBLEM_KEYS = {"equation", "tau", "n_steps", "store_fields"}
-_EQUATION_KEYS = {
-    "heat": {"scheme", "a", "b"},
-    "wave": {"a", "theta"},
-    "schrodinger": {"splitting", "w"},
-}
-# the values of the problem keys that name a scheme
-_SCHEMES = {"scheme": ("be", "cn"), "splitting": ("strang", "lie")}
+# the keys that the commands read with no default
+_REQUIRED = {"version", "dataset", "dataset.kappas", "model", "data", "data.path",
+             "checkpoint", "suite", "suite.kappas", "problem", "problem.tau",
+             "problem.n_steps", "backend", "backend.boundary_checkpoint",
+             "backend.source_checkpoint", "uq"}
 # default wave numbers of the heat and wave problems; b = sqrt(1 - a^2)
 _HEAT_A = 2**-0.5
 _WAVE_A = 0.6
 
 
-def _check_keys(where, section, allowed):
-    extra = set(section) - allowed
-    if extra:
-        raise ValidationError(f"unknown keys in {where}: {sorted(extra)}")
-
-
 def validate_config(cfg):
+    """Checks cfg against its command's table and the checks that span keys;
+    raises ValidationError naming the key, or returns cfg as it is."""
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
     cmd = cfg.get("command")
-    if cmd not in _SCHEMAS:
-        raise ValidationError(f"command must be one of {sorted(_SCHEMAS)}, got {cmd!r}")
-    if cfg.get("version") != 1:
-        raise ValidationError("config version must be 1")
-    unknown = set(cfg) - _SCHEMAS[cmd]
-    if unknown:
-        raise ValidationError(f"unknown top-level keys for {cmd}: {sorted(unknown)}")
-    _integer("seed", cfg.get("seed", 0), 0)
-    for key, allowed in _SUB_SCHEMAS.items():
-        section = cfg.get(key)
-        if isinstance(section, dict):
-            _check_keys(f"'{key}'", section, allowed)
-    for key, kinds, default in _KINDED:
-        _check_kinded(key, cfg.get(key), kinds, default)
-    if isinstance(cfg.get("dataset"), dict):
-        _check_kinded("dataset.curve", cfg["dataset"].get("curve"), _CURVE_KEYS, "square")
-    backend = cfg.get("backend")
-    domain = backend.get("domain") if isinstance(backend, dict) else None
-    _check_kinded("backend.domain", domain, _DOMAIN_KEYS, "square")
-    prob = cfg.get("problem")
-    if isinstance(prob, dict):
-        eq = prob.get("equation")
-        if not isinstance(eq, str) or eq not in _EQUATION_KEYS:
-            raise ValidationError(f"unknown equation {eq!r}")
-        _check_keys(f"'problem' for equation {eq!r}", prob,
-                    _PROBLEM_KEYS | _EQUATION_KEYS[eq])
-        _positive(prob, "tau", "problem")
-        _integer("problem.n_steps", prob.get("n_steps"), 1)
-        if not isinstance(prob.get("store_fields", False), bool):
-            raise ValidationError(f"problem.store_fields={prob['store_fields']!r} must be "
-                                  f"true or false")
-        theta = _number(prob, "theta", 0.5)
-        if not 0.0 < theta <= 1.0:
-            raise ValidationError(f"problem.theta={theta} outside the (0, 1] bound")
-        for key, schemes in _SCHEMES.items():
-            if key in prob and prob[key] not in schemes:
-                raise ValidationError(f"problem.{key}={prob[key]!r} must be one of "
-                                      f"{list(schemes)}")
-        _check_wave_numbers(eq, prob)
-    if isinstance(cfg.get("uq"), dict):
-        _check_uq(cfg["uq"], domain)
-    for key in ("dataset", "suite"):
-        if isinstance(cfg.get(key), dict) and "kappas" in cfg[key]:
-            _kappa_list(cfg[key]["kappas"], f"{key}.kappas")
-    return cfg
-
-
-def _check_kinded(where, section, kinds, default):
-    """A section's kind is one of kinds, and its keys are those of its kind."""
-    if not isinstance(section, dict):
-        return
-    kind = section.get("kind", default)
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ValidationError(f"unknown {where} kind {kind!r} in '{where}.kind', "
-                              f"expected one of {sorted(kinds)}")
-    _check_keys(f"'{where}' for kind {kind!r}", section, kinds[kind])
-    for key in ("side", "radius"):
-        if key in section:
-            _positive(section, key, where)
-    # n_bd: sample_quadrature's minimum; n: the smallest lattice with an interior
-    for key, low in (("n_bd", 8), ("n", 3)):
-        if key in section:
-            _integer(f"{where}.{key}", section[key], low)
-
-
-def _number(section, key, default, where="problem"):
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}.{key}={value!r} must be a number")
-    return value
-
-
-def _positive(section, key, where):
-    if not 0.0 < _number(section, key, None, where) < math.inf:
-        raise ValidationError(f"{where}.{key}={section[key]!r} must be a finite number > 0")
-
-
-def _integer(where, value, low):
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValidationError(f"{where}={value!r} must be an integer >= {low}")
-
-
-def _check_wave_numbers(eq, prob):
-    """heat and wave fields use the wave vector (a, b) with a^2 + b^2 = 1;
-    b defaults to sqrt(1 - a^2) and is fixed to it for wave."""
-    if eq not in ("heat", "wave"):
-        return
-    a = _number(prob, "a", _HEAT_A if eq == "heat" else _WAVE_A)
-    if eq == "heat" and "b" in prob:
-        b = _number(prob, "b", None)
+    if not isinstance(cmd, str) or cmd not in _TABLES:
+        raise ValidationError(f"command must be one of {sorted(_TABLES)}, got {cmd!r}")
+    _walk(cfg, "", _TABLES[cmd])
+    prob = cfg.get("problem", {})
+    if prob.get("equation") == "heat" and "b" in prob:
+        a, b = prob.get("a", _HEAT_A), prob["b"]
         if abs(a * a + b * b - 1.0) > 1e-12:
             raise ValidationError(f"problem.a={a}, problem.b={b}: heat needs "
                                   f"a^2 + b^2 = 1 (to 1e-12)")
-    elif abs(a) > 1.0:
-        raise ValidationError(f"problem.a={a}: |a| must be at most 1, "
-                              f"since b = sqrt(1 - a^2)")
+    suite = cfg.get("suite", {})
+    if "eval_lo" in suite and "eval_hi" in suite and suite["eval_lo"] >= suite["eval_hi"]:
+        raise ValidationError(f"suite.eval_lo={suite['eval_lo']} must be below "
+                              f"suite.eval_hi={suite['eval_hi']}")
+    return cfg
 
 
-def _check_uq(u, domain):
-    """The probe lies in the unit square, the clip range keeps b = sqrt(1 - a^2)
-    real, and the domain is the square lattice that the probe interpolates."""
-    if isinstance(domain, dict) and domain.get("kind", "square") != "square":
-        raise ValidationError(f"uq needs a square backend domain, got "
-                              f"'backend.domain.kind' {domain['kind']!r}")
-    probe = u.get("probe")
-    if "probe" in u and not (_is_pair(probe) and all(0.0 <= c <= 1.0 for c in probe)):
-        raise ValidationError(f"uq.probe={probe!r} must be a point (x, y) "
-                              f"of the unit square [0, 1]^2")
-    clip = u.get("clip")
-    if "clip" in u and not (_is_pair(clip) and -1.0 <= clip[0] <= clip[1] <= 1.0):
-        raise ValidationError(f"uq.clip={clip!r} must be a range (lo, hi) with "
-                              f"-1 <= lo <= hi <= 1, since b = sqrt(1 - a^2)")
-
-
-def _is_pair(value):
-    return (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    for c in value))
+def _walk(value, where, table):
+    """Checks value against table: a rule, a section {key: table} or _Kinds.
+    A section admits the keys of its table and no others."""
+    if callable(table):
+        return table(value, where)
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}={value!r} must be a JSON object")
+    if isinstance(table, _Kinds):
+        table = table.table(value, where)
+    unknown = set(value) - set(table)
+    if unknown:
+        raise ValidationError(f"unknown keys in '{where or 'the config'}': {sorted(unknown)}")
+    for key, rule in table.items():
+        path = f"{where}.{key}" if where else key
+        if key in value:
+            _walk(value[key], path, rule)
+        elif path in _REQUIRED:
+            raise ValidationError(f"{path} is missing")
 
 
 def _write_csv(path, header, rows):
@@ -244,23 +247,6 @@ def _write_manifest(out, cfg, artifacts):
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
-
-
-def _kappa_list(spec, where):
-    """The kappas that a list or a span {start, stop, count} names; each must
-    be finite and positive, since the operators hold 1/kappa."""
-    import numpy as np
-    try:
-        if isinstance(spec, list):
-            kappas = [float(k) for k in spec]
-        else:
-            kappas = [float(k) for k in np.linspace(spec["start"], spec["stop"], spec["count"])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}={spec!r} must be a list of numbers "
-                              f"or {{start, stop, count}}") from exc
-    if not all(0.0 < k < math.inf for k in kappas):
-        raise ValidationError(f"{where}={spec!r}: every kappa must be finite and positive")
-    return kappas
 
 
 def _build_curve_grid(section):
@@ -307,16 +293,15 @@ def cmd_train(cfg, out):
 
     # the model's keys other than the kind are TrainConfig fields
     kind = cfg["model"]["kind"]
-    try:
-        tcfg = training.TrainConfig(
-            seed=cfg.get("seed", 0), **cfg.get("train", {}),
-            **{k: v for k, v in cfg["model"].items() if k != "kind"})
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"'train': {exc}") from exc
+    tcfg = training.TrainConfig(seed=cfg.get("seed", 0), **cfg.get("train", {}),
+                                **{k: v for k, v in cfg["model"].items() if k != "kind"})
     ds = datagen.load_dataset(cfg["data"]["path"])
-    kmats = None
+    kmats, meta = None, {}
     if kind == "boundary":
-        _, grid = _build_curve_grid(cfg.get("curve", {}))
+        curve = cfg.get("curve", {})
+        _, grid = _build_curve_grid(curve)
+        meta["grid"] = {"curve": {"kind": grid.curve.kind, **curve, "n_bd": grid.n},
+                        "sha256": _grid_sha256(grid)}
         built = {k: ds.provenance.get(k) for k in ("kind", "curve", "n_bd")}
         wanted = {"kind": "boundary", "curve": grid.curve.kind, "n_bd": grid.n}
         if built != wanted:
@@ -337,10 +322,9 @@ def cmd_train(cfg, out):
         model, info = training.train_source_model(tcfg, ds, points)
     metric, errors = training.training_error(model, ds, kmats)
     train_error = {"metric": metric, "per_kappa": errors}
-    meta = {"seed": tcfg.seed, "epochs": tcfg.epochs,
-            "final_loss": info["final_loss"], "train_error": train_error,
-            "loss_tail": info["loss_trace"][-5:], "data_hash": ds.content_hash(),
-            "kappas": [float(k) for k in ds.kappas]}
+    meta.update(seed=tcfg.seed, epochs=tcfg.epochs, final_loss=info["final_loss"],
+                train_error=train_error, loss_tail=info["loss_trace"][-5:],
+                data_hash=ds.content_hash(), kappas=[float(k) for k in ds.kappas])
     save_checkpoint(model, os.path.join(out, "model.ckpt"), meta)
     _write_csv(os.path.join(out, "training_curve.csv"), ["step", "loss"],
                info["loss_trace"])
@@ -349,6 +333,11 @@ def cmd_train(cfg, out):
                  "train_seconds": info["train_seconds"]})
     _write_manifest(out, cfg, ["model.ckpt", "training_curve.csv", "summary.json"])
     return 0
+
+
+def _grid_sha256(grid):
+    """The sha256 of a boundary grid's node arrays, the bytes its cache_key holds."""
+    return hashlib.sha256(b"".join(grid.cache_key[1:])).hexdigest()
 
 
 def _coupled_layout(ds, n):
@@ -365,10 +354,15 @@ _ERROR_COLUMNS = ["case", "abs_l2", "abs_linf", "rel_l2", "rel_linf"]
 
 def cmd_eval(cfg, out):
     from .experiments import EVAL_SUITES
-    from .nn import load_checkpoint
+    from .nn import BoundaryModel, load_checkpoint
 
     model, meta = load_checkpoint(cfg["checkpoint"])
     s = cfg["suite"]
+    have = ("boundary" if isinstance(model, BoundaryModel)
+            else ("system" if model.coupled else "scalar") + "-source")
+    if not s["kind"].endswith(have):
+        raise ValidationError(f"suite.kind {s['kind']!r} does not fit {cfg['checkpoint']}, "
+                              f"a {have} checkpoint")
     options = {k: v for k, v in s.items() if k not in ("kind", "kappas")}
     rows = EVAL_SUITES[s["kind"]](model, _kappa_list(s["kappas"], "suite.kappas"),
                                  **options)
@@ -409,6 +403,10 @@ def _build_backend(section, equation):
     lam_range = (max(s[0] for s in spans), min(s[1] for s in spans))
     if lam_range[0] > lam_range[1]:
         raise ValidationError(f"checkpoint kappa spans {spans} do not overlap")
+    record = bnd_meta.get("grid", {})
+    if record.get("sha256") != _grid_sha256(domain.quad):
+        raise ValidationError(f"the boundary checkpoint's grid record {record.get('curve')} "
+                              f"does not match the boundary grid of backend.domain")
     if src.coupled != (equation == "schrodinger"):
         need, have = ("scalar", "coupled") if src.coupled else ("coupled", "scalar")
         raise ValidationError(f"equation {equation!r} needs {need} checkpoints, but the "

@@ -32,7 +32,8 @@ def _block(name, a):
     a = np.asarray(a)
     if a.dtype.kind not in _DTYPES:
         raise TypeError(f"array {name!r}: cannot store dtype {a.dtype}")
-    return np.ascontiguousarray(a, dtype=_DTYPES[a.dtype.kind])
+    # order="C" copies only an array that is not C-contiguous, and keeps 0-d 0-d
+    return np.asarray(a, dtype=_DTYPES[a.dtype.kind], order="C")
 
 
 def _chunks(magic, header, arrays):

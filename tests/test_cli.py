@@ -1,6 +1,7 @@
 """End-to-end CLI runs on tiny configurations."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -319,6 +320,186 @@ def test_validation_rejects_bad_uq_and_suite_keys(tmp_path, capsys, cmd, section
     assert key in capsys.readouterr().err
 
 
+# the smallest valid config of each command, which the table walk starts from
+_MINIMAL = {
+    "datagen": {"dataset": {"kind": "source", "kappas": [0.05]}},
+    "train": {"model": {"kind": "boundary"}, "data": {"path": "d.bin"}},
+    "eval": {"checkpoint": "m.ckpt", "suite": {"kind": "scalar-source", "kappas": [0.05]}},
+    "evolve": {"problem": {"equation": "heat", "tau": 0.1, "n_steps": 1},
+               "backend": {"kind": "nekm", "boundary_checkpoint": "b.ckpt",
+                           "source_checkpoint": "s.ckpt"}},
+    "uq": {"backend": {}, "uq": {}},
+    "report": {},
+}
+# valid values of the required keys of a kind
+_REQUIRED_VALUES = {"kappas": [0.05], "tau": 0.1, "n_steps": 1, "boundary_checkpoint": "b.ckpt",
+             "source_checkpoint": "s.ckpt"}
+_STRINGS = {"command", "out", "path", "checkpoint", "boundary_checkpoint", "source_checkpoint"}
+_BOOLEANS = {"coupled", "store_fields"}
+
+
+def _table_leaves(table, path=(), picks=()):
+    """(path, picks) of every leaf key under a command table; picks holds
+    (section path, _Kinds, kind) for each kinded section on the way."""
+    if isinstance(table, cli._Kinds):
+        yield path + (table.key,), picks
+        for i, (kind, keys) in enumerate(table.kinds.items()):
+            yield from _table_leaves({**(table.common if i == 0 else {}), **keys}, path,
+                                     picks + ((path, table, kind),))
+    elif isinstance(table, dict):
+        for key, sub in table.items():
+            yield from _table_leaves(sub, path + (key,), picks)
+    else:
+        yield path, picks
+
+
+def _leaf_config(cmd, path, picks):
+    """The minimal config of cmd with each kinded section on path set to its
+    pick, holding the keys that kind requires; returns (config, leaf's section)."""
+    cfg = {"version": 1, "command": cmd, **json.loads(json.dumps(_MINIMAL[cmd]))}
+    for (*parents, name), kinds, kind in picks:
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[name] = {kinds.key: kind, **{
+            k: _REQUIRED_VALUES[k] for k in {**kinds.common, **kinds.kinds[kind]}
+            if ".".join((*parents, name, k)) in cli._REQUIRED}}
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    return cfg, node
+
+
+_LEAVES = [(cmd, path, picks, value) for cmd, table in cli._TABLES.items()
+           for path, picks in _table_leaves(table) for value in ("x", True)
+           if path[-1] not in (_STRINGS if value == "x" else _BOOLEANS)]
+
+
+@pytest.mark.parametrize("cmd, path, picks, value", _LEAVES, ids=[
+    f"{cmd}:{'.'.join(path)}[{','.join(kind for _, _, kind in picks)}]={value}"
+    for cmd, path, picks, value in _LEAVES])
+def test_every_table_key_refuses_a_value_of_another_type(tmp_path, capsys, cmd, path, picks,
+                                                         value):
+    """Every key of every command and kind: a string where the rule wants no
+    string, or true where it wants no boolean, is a config error naming the
+    key's full path."""
+    cfg, section = _leaf_config(cmd, path, picks)
+    cfg["out"] = str(tmp_path / "run")
+    if all(not kinds.admit or kind in kinds.admit for _, kinds, kind in picks):
+        assert cli.validate_config(cfg) is cfg
+    section[path[-1]] = value
+    rc = cli.main([cmd, "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    assert ".".join(path) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def _key_paths(section, prefix=()):
+    for key, value in section.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_MISSING = [(cmd, path) for cmd in _MINIMAL
+            for path in _key_paths({"version": 1, **_MINIMAL[cmd]})
+            if ".".join(path) in cli._REQUIRED]
+
+
+def test_every_required_key_is_in_a_minimal_config():
+    assert {".".join(path) for _, path in _MISSING} == cli._REQUIRED
+
+
+@pytest.mark.parametrize("cmd, path", _MISSING,
+                         ids=[f"{cmd}:{'.'.join(path)}" for cmd, path in _MISSING])
+def test_validation_requires_the_keys_read_with_no_default(tmp_path, capsys, cmd, path):
+    cfg = {"version": 1, "command": cmd, "out": str(tmp_path / "run"),
+           **json.loads(json.dumps(_MINIMAL[cmd]))}
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    del section[path[-1]]
+    rc = cli.main([cmd, "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    assert f"{'.'.join(path)} is missing" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+def _base_config(tmp_path, base):
+    """Small runnable configs, one per family of the rows below."""
+    from evokernel import datagen, nn
+    from evokernel.geometry import make_curve, sample_quadrature
+    if base == "train-boundary":
+        path = str(tmp_path / "b.bin")
+        grid = sample_quadrature(make_curve("square"), 16)
+        datagen.save_dataset(datagen.build_boundary_dataset([0.05], 2, grid, seed=0), path)
+        return {"model": {"kind": "boundary"}, "data": {"path": path},
+                "curve": {"kind": "square", "n_bd": 16}, "train": {"epochs": 1}}
+    if base == "eval":
+        nn.save_checkpoint(nn.BoundaryModel.build(32, np.random.default_rng(0), internal=8),
+                           str(tmp_path / "m.ckpt"))
+        return {"checkpoint": str(tmp_path / "m.ckpt"),
+                "suite": {"kind": "scalar-boundary", "kappas": [0.05], "n_bd": 32,
+                          "eval_n": 4}}
+    if base == "train-source":
+        return {k: v for k, v in _source_train_config(tmp_path, {"epochs": 1}).items()
+                if k not in ("version", "command", "seed", "out")}
+    return json.loads(json.dumps({
+        "uq": {"backend": _CLASSICAL, "uq": _UQ},
+        "boundary": {"dataset": {"kind": "boundary", "kappas": [0.05], "n_g": 2,
+                                 "curve": {"kind": "square", "n_bd": 16}}},
+        "source": {"dataset": {"kind": "source", "kappas": [0.05], "per_kappa": 2, "n": 9}},
+        "offlattice": {"dataset": {"kind": "source-offlattice", "kappas": [0.05],
+                                   "per_kappa": 2, "curve": {"kind": "petal", "n_bd": 16},
+                                   "spacing": 0.2}},
+        "heat": {"problem": {"equation": "heat", "tau": 0.1, "n_steps": 1},
+                 "backend": _CLASSICAL},
+        "schrodinger": {"problem": {"equation": "schrodinger", "tau": 0.05, "n_steps": 1},
+                        "backend": _CLASSICAL},
+    }[base]))
+
+
+_COMMAND = {"uq": "uq", "boundary": "datagen", "source": "datagen", "offlattice": "datagen",
+            "heat": "evolve", "schrodinger": "evolve", "train-boundary": "train",
+            "train-source": "train", "eval": "eval"}
+
+
+@pytest.mark.parametrize("base, key, value", [
+    *[("uq", "uq.samples", v) for v in (2.5, 0, True)],
+    ("uq", "uq.n_steps", 2.5), ("uq", "uq.tau", "0.1"), ("uq", "uq.tau", -1),
+    ("uq", "uq.std", -1), ("uq", "uq.mean", "x"),
+    *[("boundary", "dataset.n_g", v) for v in (2.5, -3, 0)],
+    ("source", "dataset.per_kappa", 2.5), ("source", "dataset.per_kappa", 0),
+    ("source", "dataset.mix", 3), ("source", "dataset.mix", -1),
+    ("source", "dataset.sigma_range", [-1, 2]), ("source", "dataset.sigma_range", "x"),
+    ("source", "dataset.coupled", "yes"), ("boundary", "dataset.length_scales", [-1]),
+    ("offlattice", "dataset.spacing", -0.1), ("offlattice", "dataset.spacing", 0),
+    ("offlattice", "dataset.margin", "x"),
+    ("offlattice", "dataset.curve.base", -1), ("offlattice", "dataset.curve.amp", "x"),
+    ("offlattice", "dataset.curve.lobes", 2.5),
+    ("heat", "backend.domain.n_bd", 30), ("boundary", "dataset.curve.n_bd", 30),
+    ("heat", "backend.domain", {"kind": "petal", "n_bd": 32}),
+    ("schrodinger", "problem.w", -1), ("schrodinger", "problem.w", "x"),
+    *[("train-source", "model.hidden_k", v) for v in ([0], "x", [2.5])],
+    ("train-boundary", "model.internal", -1),
+    ("train-source", "points.n", 2.5), ("train-source", "points.domain", "circle"),
+    ("eval", "suite.eval_n", 0), ("eval", "suite.eval_lo", "x"), ("eval", "suite.eval_hi", 1.5),
+])
+def test_validation_rejects_values_that_ran_or_failed_at_run_time(tmp_path, capsys, base, key,
+                                                                   value):
+    cmd = _COMMAND[base]
+    cfg = {"version": 1, "command": cmd, "seed": 0, "out": str(tmp_path / "run"),
+           **_base_config(tmp_path, base)}
+    *parents, name = key.split(".")
+    section = cfg
+    for k in parents:
+        section = section[k]
+    section[name] = value
+    rc = cli.main([cmd, "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_datagen_train_eval_pipeline(tmp_path):
     d1 = tmp_path / "data"
     cfg = {"version": 1, "command": "datagen", "seed": 3, "out": str(d1),
@@ -344,6 +525,8 @@ def test_datagen_train_eval_pipeline(tmp_path):
     from evokernel.kernels import ScalarKernelSpec, boundary_kernel
     from evokernel.nn import load_checkpoint
     model, meta = load_checkpoint(str(m1 / "model.ckpt"))
+    assert meta["grid"] == {"curve": {"kind": "square", "n_bd": 32},
+                            "sha256": _grid_record({"n_bd": 32})["sha256"]}
     error = json.loads((m1 / "summary.json").read_text())["train_error"]
     assert meta["train_error"] == error and error["metric"] == "rel_bie_residual"
     ds = datagen.load_dataset(str(d1 / "dataset.bin"))
@@ -524,6 +707,28 @@ def test_eval_every_suite_kind(tmp_path, kind, cases):
     assert [r["case"] for r in summary["rows"]] == cases
 
 
+@pytest.mark.parametrize("model_kind, coupled, kind", [
+    ("boundary", False, "scalar-source"),
+    ("source", False, "scalar-boundary"),
+    ("source", False, "system-source"),
+    ("source", True, "scalar-source"),
+])
+def test_eval_refuses_a_checkpoint_of_another_kind(tmp_path, capsys, model_kind, coupled,
+                                                   kind):
+    from evokernel import nn
+    from evokernel.geometry import square_lattice
+    rng = np.random.default_rng(0)
+    model = (nn.BoundaryModel.build(32, rng, internal=8) if model_kind == "boundary" else
+             nn.SourceModel.build(square_lattice(9).points, [8], [8], rng, coupled=coupled))
+    nn.save_checkpoint(model, str(tmp_path / "m.ckpt"))
+    cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(tmp_path / "eval"),
+           "checkpoint": str(tmp_path / "m.ckpt"), "suite": {"kind": kind, "kappas": [0.05]}}
+    rc = cli.main(["eval", "--config", _write(tmp_path, "e.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "suite.kind" in err and model_kind in err
+    assert not (tmp_path / "eval" / "errors.csv").exists()
+
 def test_evolve_classical_and_report(tmp_path):
     r1 = tmp_path / "run1"
     cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(r1),
@@ -653,22 +858,36 @@ def test_seed_override_changes_artifacts(tmp_path):
     assert outs[0] != outs[1]
 
 
-def _learned_section(tmp_path, bnd_kappas, src_kappas, points=None, coupled=False):
+def _grid_record(domain):
+    """The boundary grid record that evokernel train writes for the grid of a
+    backend.domain section."""
+    curve = {k: v for k, v in domain.items() if k not in ("n", "spacing", "margin")}
+    _, grid = cli._build_curve_grid(curve)
+    nodes = b"".join(a.tobytes() for a in (grid.points, grid.normals, grid.speeds,
+                                           grid.curvatures))
+    return {"curve": curve, "sha256": hashlib.sha256(nodes).hexdigest()}
+
+
+def _learned_section(tmp_path, bnd_kappas, src_kappas, points=None, coupled=False,
+                     domain=None):
     """Backend config over tiny random checkpoints with the given kappa metadata;
-    the source model samples points (default: the 9 x 9 square lattice)."""
+    the source model samples points (default: the 9 x 9 square lattice), and the
+    boundary checkpoint records the grid of domain (default: that lattice's,
+    32 nodes)."""
     from evokernel import nn
     from evokernel.geometry import square_lattice
     rng = np.random.default_rng(0)
     points = square_lattice(9).points if points is None else points
+    domain = domain or {"n": 9, "n_bd": 32}
     paths = {}
-    for kind, model, kappas in (
+    for kind, model, meta in (
             ("boundary", nn.BoundaryModel.build(32, rng, internal=8, coupled=coupled),
-             bnd_kappas),
+             {"kappas": bnd_kappas, "grid": _grid_record(domain)}),
             ("source", nn.SourceModel.build(points, [8], [8], rng, coupled=coupled),
-             src_kappas)):
+             {"kappas": src_kappas})):
         paths[kind] = str(tmp_path / f"{kind}.ckpt")
-        nn.save_checkpoint(model, paths[kind], {} if kappas is None else {"kappas": kappas})
-    section = {"kind": "nekm", "domain": {"n": 9, "n_bd": 32},
+        nn.save_checkpoint(model, paths[kind], {k: v for k, v in meta.items() if v is not None})
+    section = {"kind": "nekm", "domain": domain,
                "boundary_checkpoint": paths["boundary"],
                "source_checkpoint": paths["source"]}
     return section
@@ -703,6 +922,35 @@ def test_backend_refuses_source_checkpoint_of_another_lattice(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error") and "sample points" in err
 
+
+@pytest.mark.parametrize("trained_on", ["disk", None])
+def test_backend_refuses_boundary_checkpoint_of_another_grid(tmp_path, capsys, trained_on):
+    """A boundary checkpoint drives only the grid it was trained on: one trained
+    on the disk, or one that records no grid, is refused on the square."""
+    from evokernel import nn
+    section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1])
+    if trained_on is None:
+        model, meta = nn.load_checkpoint(section["boundary_checkpoint"])
+        del meta["grid"]
+        nn.save_checkpoint(model, section["boundary_checkpoint"], meta)
+    else:
+        grid = {"kind": trained_on, "n_bd": 32}
+        for cmd, out, cfg in (
+                ("datagen", "bdata", {"dataset": {"kind": "boundary", "kappas": [0.05, 0.1],
+                                                  "n_g": 4, "curve": grid}}),
+                ("train", "bmodel", {"model": {"kind": "boundary", "internal": 8},
+                                     "curve": grid, "train": {"epochs": 1, "batch_size": 4},
+                                     "data": {"path": str(tmp_path / "bdata" / "dataset.bin")}})):
+            cfg = {"version": 1, "command": cmd, "seed": 0, "out": str(tmp_path / out), **cfg}
+            assert cli.main([cmd, "--config", _write(tmp_path, f"{out}.json", cfg)]) == 0
+        section["boundary_checkpoint"] = str(tmp_path / "bmodel" / "model.ckpt")
+    rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json",
+                                                _heat_config(tmp_path, section))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "backend.domain" in err
+    assert ("'disk'" if trained_on else "record None") in err
+    assert not (tmp_path / "run" / "summary.json").exists()
 
 @pytest.mark.parametrize("cmd, problem, coupled", [
     ("evolve", {"equation": "heat", "tau": 0.14, "n_steps": 1}, True),
@@ -742,9 +990,9 @@ def test_validation_rejects_kappa_diff():
 def test_petal_backend_serves_non_default_curve(tmp_path):
     from evokernel.geometry import make_curve, petal_lattice
     interior = petal_lattice(make_curve("petal", base=0.5, amp=0.15, lobes=4), 0.1)
-    backend = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1], points=interior.points)
-    backend["domain"] = {"kind": "petal", "base": 0.5, "amp": 0.15, "lobes": 4,
-                         "spacing": 0.1, "n_bd": 32}
+    backend = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1], points=interior.points,
+                               domain={"kind": "petal", "base": 0.5, "amp": 0.15, "lobes": 4,
+                                       "spacing": 0.1, "n_bd": 32})
     cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
            "problem": {"equation": "heat", "scheme": "be", "tau": 0.07, "n_steps": 1},
            "backend": backend}

@@ -1,6 +1,7 @@
 """Every persisted format goes through evokernel.container and shares its checks."""
 
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -93,3 +94,21 @@ def test_loaded_checkpoint_trains_through_its_views(tmp_path):
     assert nn.checkpoint_bytes(loaded) != path.read_bytes()
     nn.save_checkpoint(loaded, again)
     assert nn.checkpoint_bytes(nn.load_checkpoint(again)[0]) == again.read_bytes()
+
+
+def test_zero_dim_array_round_trips_its_shape_and_bytes(tmp_path):
+    """A 0-d array is stored with shape [] and its 8 bytes, and read back 0-d;
+    the block written is the caller's array, not a copy."""
+    s = np.array(2.5)
+    assert container._block("s", s) is s
+    path = tmp_path / "file.bin"
+    container.write(path, MAGIC, {}, {"s": s, "i": np.array(-3)})
+    body = s.tobytes() + np.array(-3).tobytes()
+    table = [{"dtype": "<f8", "name": "s", "shape": []},
+             {"dtype": "<i8", "name": "i", "shape": []}]
+    line = json.dumps({"arrays": table, "sha256": hashlib.sha256(body).hexdigest()},
+                      sort_keys=True)
+    assert path.read_bytes() == MAGIC + line.encode() + b"\n" + body
+    _, arrays = container.read(path, MAGIC)
+    assert arrays["s"].shape == () and arrays["s"] == 2.5
+    assert arrays["i"].shape == () and arrays["i"] == -3
