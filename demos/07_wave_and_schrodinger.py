@@ -15,7 +15,7 @@ backend = ev.ClassicalBackend(domain)
 print("wave, theta = 1/2, a = 0.6, T = 4:")
 errs = []
 for tau_inv in (4, 8, 16):
-    prob = wave_problem(domain, 0.6, 1.0 / tau_inv, 4 * tau_inv)
+    prob = wave_problem(domain, 1.0 / tau_inv, 4 * tau_inv, a=0.6)
     res = ev.run_wave(prob, backend)
     errs.append(ev.trajectory_rel_l2(res))
     print(f"  tau=1/{tau_inv:<3} trajectory rel L2: {errs[-1]:.4e}")

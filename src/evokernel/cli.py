@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import NamedTuple
 
 
@@ -52,11 +51,11 @@ class _Kinds(NamedTuple):
 
     def table(self, section, where):
         kind = section.get(self.key, self.default)
+        admit = self.admit or tuple(self.kinds)
         if not isinstance(kind, str) or kind not in self.kinds:
             raise ValidationError(f"unknown {where} {self.key} {kind!r} in "
-                                  f"'{where}.{self.key}', expected one of {sorted(self.kinds)}")
-        return {**self.common, **self.kinds[kind],
-                self.key: _choice(*(self.admit or self.kinds))}
+                                  f"'{where}.{self.key}', expected one of {sorted(admit)}")
+        return {**self.common, **self.kinds[kind], self.key: _choice(*admit)}
 
 
 def _int(low, step=1):
@@ -123,12 +122,15 @@ _CURVE = _Kinds("kind", "square", {
     "disk": {"n_bd": _int(8), "radius": _POSITIVE},
     "petal": _PETAL,
 })
+# off-lattice points lie in a petal: its curve names kind petal, since a curve
+# with no kind means the square
+_PETAL_CURVE = _CURVE._replace(default=None, admit=("petal",))
 _DATASET = _Kinds("kind", None, {
     "boundary": {"n_g": _int(1), "curve": _CURVE, "length_scales": _list(_POSITIVE, 1),
                  "coupled": _BOOL},
     "source": {"per_kappa": _int(1), "n": _SQUARE["n"], "mix": _num(0, 1, "[]"),
                "sigma_range": _pair(_POSITIVE, ordered=True), "coupled": _BOOL},
-    "source-offlattice": {"per_kappa": _int(1), "curve": _CURVE, **_SPACING},
+    "source-offlattice": {"per_kappa": _int(1), "curve": _PETAL_CURVE, **_SPACING},
 }, common={"kappas": _kappa_list})
 _BOUNDARY_SUITE = {"n_bd": _SQUARE["n_bd"], "eval_n": _int(2), "eval_lo": _num(0, 1),
                    "eval_hi": _num(0, 1)}
@@ -137,7 +139,7 @@ _SUITE = _Kinds("kind", None, {
     "scalar-source": {}, "system-source": {},
 }, common={"kappas": _kappa_list})
 _PROBLEM = _Kinds("equation", None, {
-    "heat": {"scheme": _choice("be", "cn"), "a": _A, "b": _num()},
+    "heat": {"scheme": _choice("be", "cn"), "a": _A},
     "wave": {"a": _A, "theta": _num(0, 1, "(]")},
     "schrodinger": {"splitting": _choice("strang", "lie"), "w": _NONNEGATIVE},
 }, common={"tau": _POSITIVE, "n_steps": _int(1), "store_fields": _BOOL})
@@ -177,9 +179,6 @@ _REQUIRED = {"version", "dataset", "dataset.kappas", "model", "data", "data.path
              "checkpoint", "suite", "suite.kappas", "problem", "problem.tau",
              "problem.n_steps", "backend", "backend.boundary_checkpoint",
              "backend.source_checkpoint", "uq"}
-# default wave numbers of the heat and wave problems; b = sqrt(1 - a^2)
-_HEAT_A = 2**-0.5
-_WAVE_A = 0.6
 
 
 def validate_config(cfg):
@@ -191,12 +190,12 @@ def validate_config(cfg):
     if not isinstance(cmd, str) or cmd not in _TABLES:
         raise ValidationError(f"command must be one of {sorted(_TABLES)}, got {cmd!r}")
     _walk(cfg, "", _TABLES[cmd])
-    prob = cfg.get("problem", {})
-    if prob.get("equation") == "heat" and "b" in prob:
-        a, b = prob.get("a", _HEAT_A), prob["b"]
-        if abs(a * a + b * b - 1.0) > 1e-12:
-            raise ValidationError(f"problem.a={a}, problem.b={b}: heat needs "
-                                  f"a^2 + b^2 = 1 (to 1e-12)")
+    # a source model on petal points takes them from a petal curve
+    curve = cfg.get("curve", {"kind": "petal"})
+    if (cfg.get("model", {}).get("kind") == "source"
+            and cfg.get("points", {}).get("domain") == "petal" and curve.get("kind") != "petal"):
+        raise ValidationError(f"curve.kind={curve.get('kind')!r} must be 'petal' for "
+                              f"points.domain 'petal'")
     suite = cfg.get("suite", {})
     if "eval_lo" in suite and "eval_hi" in suite and suite["eval_lo"] >= suite["eval_hi"]:
         raise ValidationError(f"suite.eval_lo={suite['eval_lo']} must be below "
@@ -340,6 +339,14 @@ def _grid_sha256(grid):
     return hashlib.sha256(b"".join(grid.cache_key[1:])).hexdigest()
 
 
+def _check_grid(meta, grid, where):
+    """Refuses a boundary checkpoint whose grid record is missing or is not grid's."""
+    record = meta.get("grid", {})
+    if record.get("sha256") != _grid_sha256(grid):
+        raise ValidationError(f"the boundary checkpoint's grid record {record.get('curve')} "
+                              f"does not match the boundary grid of {where}")
+
+
 def _coupled_layout(ds, n):
     """Whether the dataset's records hold 2 n values (coupled) or n (scalar)."""
     width = (ds.g if ds.g is not None else ds.f).shape[1]
@@ -354,6 +361,7 @@ _ERROR_COLUMNS = ["case", "abs_l2", "abs_linf", "rel_l2", "rel_linf"]
 
 def cmd_eval(cfg, out):
     from .experiments import EVAL_SUITES
+    from .geometry import make_curve, sample_quadrature
     from .nn import BoundaryModel, load_checkpoint
 
     model, meta = load_checkpoint(cfg["checkpoint"])
@@ -363,7 +371,10 @@ def cmd_eval(cfg, out):
     if not s["kind"].endswith(have):
         raise ValidationError(f"suite.kind {s['kind']!r} does not fit {cfg['checkpoint']}, "
                               f"a {have} checkpoint")
-    options = {k: v for k, v in s.items() if k not in ("kind", "kappas")}
+    options = {k: v for k, v in s.items() if k not in ("kind", "kappas", "n_bd")}
+    if have == "boundary":        # the suites' exact fields are on the unit square
+        options["grid"] = sample_quadrature(make_curve("square"), s.get("n_bd", 256))
+        _check_grid(meta, options["grid"], f"suite.n_bd {options['grid'].n} on the square")
     rows = EVAL_SUITES[s["kind"]](model, _kappa_list(s["kappas"], "suite.kappas"),
                                  **options)
     _write_csv(os.path.join(out, "errors.csv"), _ERROR_COLUMNS,
@@ -403,10 +414,7 @@ def _build_backend(section, equation):
     lam_range = (max(s[0] for s in spans), min(s[1] for s in spans))
     if lam_range[0] > lam_range[1]:
         raise ValidationError(f"checkpoint kappa spans {spans} do not overlap")
-    record = bnd_meta.get("grid", {})
-    if record.get("sha256") != _grid_sha256(domain.quad):
-        raise ValidationError(f"the boundary checkpoint's grid record {record.get('curve')} "
-                              f"does not match the boundary grid of backend.domain")
+    _check_grid(bnd_meta, domain.quad, "backend.domain")
     if src.coupled != (equation == "schrodinger"):
         need, have = ("scalar", "coupled") if src.coupled else ("coupled", "scalar")
         raise ValidationError(f"equation {equation!r} needs {need} checkpoints, but the "
@@ -419,6 +427,7 @@ def _build_backend(section, equation):
 
 def _write_field_csv(path, pts, fld):
     import numpy as np
+    fld = np.ravel(fld)           # a heat field is a one-row batch
     if np.iscomplexobj(fld):
         _write_csv(path, ["x", "y", "re", "im"], np.column_stack([pts, fld.real, fld.imag]))
     else:
@@ -427,38 +436,22 @@ def _write_field_csv(path, pts, fld):
 
 def cmd_evolve(cfg, out):
     import numpy as np
-    from . import experiments
-    from .evolution import heat_family, run_heat, run_schrodinger, run_wave
+    from .evolution import trajectory_rel_l2
+    from .experiments import EQUATIONS
     from .plotting import svg_heatmap
 
-    p = cfg["problem"]
-    eq = p["equation"]
+    p = dict(cfg["problem"])
+    eq, tau, n_steps = p.pop("equation"), p.pop("tau"), p.pop("n_steps")
     backend = _build_backend(cfg["backend"], eq)
-    tau, n_steps = p["tau"], p["n_steps"]
-    store = p.get("store_fields", False)
-    if eq == "heat":
-        a = p.get("a", _HEAT_A)
-        b = p.get("b", float(np.sqrt(1.0 - a * a)))
-        prob = heat_family(backend.domain, a, b, tau, n_steps)
-        res = run_heat(prob, backend, scheme=p.get("scheme", "be"),
-                       store_fields=store)
-        res = replace(res, final=res.final[0],
-                      fields={k: v[0] for k, v in res.fields.items()})
-    elif eq == "wave":
-        prob = experiments.wave_problem(backend.domain, p.get("a", _WAVE_A), tau,
-                                        n_steps, theta=p.get("theta", 0.5))
-        res = run_wave(prob, backend, store_fields=store)
-    else:                         # schrodinger; validate_config admits no other
-        prob = experiments.schrodinger_problem(backend.domain, tau, n_steps,
-                                               w=p.get("w", 1.0))
-        res = run_schrodinger(prob, backend, splitting=p.get("splitting", "strang"),
-                              store_fields=store)
+    build, run, options = EQUATIONS[eq]
+    # store_fields and the stepper's keys go to the stepper, the rest to the builder
+    to_run = {k: p.pop(k) for k in ("store_fields", *options) if k in p}
+    res = run(build(backend.domain, tau, n_steps, **p), backend, **to_run)
     trace_columns = ["t", "abs_l2", "abs_linf", "rel_l2"]
     _write_csv(os.path.join(out, "error_trace.csv"), trace_columns,
                [[e[c] for c in trace_columns] for e in res.error_trace])
-    final = res.final
     pts = backend.domain.points
-    _write_field_csv(os.path.join(out, "final_field.csv"), pts, final)
+    _write_field_csv(os.path.join(out, "final_field.csv"), pts, res.final)
     artifacts = ["error_trace.csv", "final_field.csv", "summary.json"]
     for step, fld in res.fields.items():
         name = f"field_step_{step:04d}.csv"
@@ -466,18 +459,14 @@ def cmd_evolve(cfg, out):
         artifacts.append(name)
     if hasattr(backend.domain, "n"):
         n = backend.domain.n
-        field = final.real if np.iscomplexobj(final) else final
-        svg_heatmap(os.path.join(out, "final_field.svg"),
-                    field.reshape(n, n), title=f"{eq} final field")
+        svg_heatmap(os.path.join(out, "final_field.svg"), np.real(res.final).reshape(n, n),
+                    title=f"{eq} final field")
         artifacts.append("final_field.svg")
     # the label names the scheme that the run recorded, defaults included
     scheme = res.meta.get("scheme", res.meta.get("splitting", ""))
-    summary = {"experiment": f"{eq}-{scheme}",
-               "tau": tau, "n_steps": n_steps,
-               "final_rel_l2": res.error_trace[-1]["rel_l2"] if res.error_trace else None}
-    if res.error_trace:
-        from .evolution import trajectory_rel_l2
-        summary["trajectory_rel_l2"] = trajectory_rel_l2(res)
+    summary = {"experiment": f"{eq}-{scheme}", "tau": tau, "n_steps": n_steps,
+               "final_rel_l2": res.error_trace[-1]["rel_l2"],
+               "trajectory_rel_l2": trajectory_rel_l2(res)}
     _write_json(os.path.join(out, "summary.json"), summary)
     _write_manifest(out, cfg, artifacts)
     return 0

@@ -244,7 +244,6 @@ class EvolutionProblem:
     initial data; when absent the 5-point stencil fills in.
     """
 
-    equation: str
     domain: object
     tau: float
     n_steps: int
@@ -262,7 +261,7 @@ class EvolutionProblem:
             raise ValueError("tau and n_steps must be positive")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta={self.theta} must lie in (0, 1]")
-        if self.equation == "schrodinger" and self.w < 0:
+        if self.w < 0:
             raise ValueError("nonlinear coefficient w must be nonnegative")
 
 
@@ -471,7 +470,7 @@ def heat_family(domain, a, b, tau, n_steps):
         return np.exp(-t) * sin_x.take(ix, axis=1) * cos_y.take(iy, axis=1)
 
     return EvolutionProblem(
-        equation="heat", domain=domain, tau=tau, n_steps=n_steps,
+        domain=domain, tau=tau, n_steps=n_steps,
         u0=lambda pts: shape(pts, 0.0),
         g=shape,
         lap_u0=lambda pts: -(a**2 + b**2) * shape(pts, 0.0),

@@ -1,4 +1,4 @@
-"""Manufactured test cases and the evaluation table.
+"""Manufactured test cases, the evaluation table and the problem table.
 
 These are the standard verification problems shared by the CLI, the demo
 scripts and the tests:
@@ -10,9 +10,12 @@ scripts and the tests:
   - coupled source-driven:  u1 = sin(pi x) y(1-y), u2 = x(1-x) sin(pi y);
   - coupled boundary-driven: traces of the first fundamental-matrix column
     with source point (1.2, 1.2) outside the domain;
-  - wave and Schrodinger evolution problems with exact solutions.
+  - heat, wave and Schrodinger evolution problems with exact solutions,
+    and EQUATIONS, which maps each equation to its problem builder and its
+    stepper (the heat problem is a one-row evolution.heat_family).
 
-The heat problem family lives in evolution.heat_family.
+Each default of an evolution problem is written once, in the builder or
+stepper that takes it.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from functools import partial
 
 import numpy as np
 
-from . import bie, kernels
-from .geometry import make_curve, sample_quadrature, square_lattice
+from . import bie, evolution, kernels
+from .geometry import square_lattice
 from .training import error_metrics
 
 __all__ = [
     "scalar_boundary_solution", "scalar_source_case", "system_source_case",
-    "system_boundary_case", "EVAL_SUITES", "wave_problem", "schrodinger_problem",
+    "system_boundary_case", "EVAL_SUITES", "heat_problem", "wave_problem",
+    "schrodinger_problem", "EQUATIONS",
 ]
 
 
@@ -115,12 +119,11 @@ def _rows(name, p, preds, exacts):
             for tag, pred, ref in zip(tags, preds, exacts)]
 
 
-def _boundary_suite(name, spec_cls, case, model, params, n_bd=256, eval_n=16,
-                    eval_lo=0.05, eval_hi=0.95):
-    """Boundary checkpoint -> density -> double-layer field on an interior
-    lattice, against the exact field case(p), whose trace is the data;
-    coupled components are node-interleaved."""
-    grid = sample_quadrature(make_curve("square"), n_bd)
+def _boundary_suite(name, spec_cls, case, model, params, grid, eval_n=16, eval_lo=0.05,
+                    eval_hi=0.95):
+    """Boundary checkpoint -> density on grid, a grid of the unit square ->
+    double-layer field on an interior lattice, against the exact field
+    case(p), whose trace is the data; coupled components are node-interleaved."""
     pts = square_lattice(eval_n, eval_lo, eval_hi).points
     rows = []
     for p in params:
@@ -147,8 +150,8 @@ def _source_suite(name, case, model, params):
 
 
 # suite kind -> evaluate(model, params, **options) -> error rows, one per case
-# and component; only the boundary suites take options (n_bd, eval_n, eval_lo,
-# eval_hi)
+# and component; only the boundary suites take options: the boundary grid
+# (grid, required) and eval_n, eval_lo, eval_hi
 EVAL_SUITES = {
     "scalar-boundary": partial(_boundary_suite, "kappa", kernels.ScalarKernelSpec,
                                scalar_boundary_solution),
@@ -159,16 +162,20 @@ EVAL_SUITES = {
 }
 
 
-def wave_problem(domain, a, tau, n_steps, theta=0.5):
+def heat_problem(domain, tau, n_steps, a=2**-0.5):
+    """heat_family with one row, b = sqrt(1 - a^2): its fields are (1, m) arrays."""
+    return evolution.heat_family(domain, a, np.sqrt(1.0 - a * a), tau, n_steps)
+
+
+def wave_problem(domain, tau, n_steps, a=0.6, theta=0.5):
     """Traveling wave u = sin(a x1 + b x2 - t) with b = sqrt(1 - a^2)."""
-    from .evolution import EvolutionProblem
     b = np.sqrt(1.0 - a * a)
 
     def sh(pts, t):
         return np.sin(a * pts[..., 0] + b * pts[..., 1] - t)
 
-    return EvolutionProblem(
-        equation="wave", domain=domain, tau=tau, n_steps=n_steps, theta=theta,
+    return evolution.EvolutionProblem(
+        domain=domain, tau=tau, n_steps=n_steps, theta=theta,
         u0=lambda pts: sh(pts, 0.0),
         v0=lambda pts: -np.cos(a * pts[..., 0] + b * pts[..., 1]),
         g=sh, lap_u0=lambda pts: -sh(pts, 0.0), exact=sh)
@@ -176,14 +183,22 @@ def wave_problem(domain, a, tau, n_steps, theta=0.5):
 
 def schrodinger_problem(domain, tau, n_steps, w=1.0):
     """Exact u = exp(i t) cos(x1) cos(x2) under v = 1 - cos^2 x1 cos^2 x2."""
-    from .evolution import EvolutionProblem
 
     def sh(pts, t):
         return np.exp(1j * t) * np.cos(pts[..., 0]) * np.cos(pts[..., 1])
 
-    return EvolutionProblem(
-        equation="schrodinger", domain=domain, tau=tau, n_steps=n_steps, w=w,
+    return evolution.EvolutionProblem(
+        domain=domain, tau=tau, n_steps=n_steps, w=w,
         u0=lambda pts: sh(pts, 0.0), g=sh,
         v_potential=lambda pts: 1.0 - np.cos(pts[..., 0])**2 * np.cos(pts[..., 1])**2,
         lap_u0=lambda pts: -2.0 * sh(pts, 0.0), exact=sh)
 
+
+# equation -> (builder(domain, tau, n_steps, **params), stepper(problem, backend,
+# store_fields, **options), the keys of options): the stepper takes the problem
+# keys that it names, the builder every other one
+EQUATIONS = {
+    "heat": (heat_problem, evolution.run_heat, ("scheme",)),
+    "wave": (wave_problem, evolution.run_wave, ()),
+    "schrodinger": (schrodinger_problem, evolution.run_schrodinger, ("splitting",)),
+}

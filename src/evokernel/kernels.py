@@ -260,8 +260,8 @@ def system_boundary_kernel(spec, grid):
 def boundary_kernel(spec, grid):
     """The kernel matrix of (spec, grid), built once per distinct pair.
 
-    Specs compare by kind and value, grids by curve and n_bd, so one matrix
-    serves every time step, batch and equal grid of a process.
+    Specs compare by kind and value, grids by their node arrays (cache_key),
+    so one matrix serves every time step, batch and equal grid of a process.
     """
     if spec.kind == "scalar":
         return scalar_boundary_kernel(spec, grid)

@@ -55,6 +55,7 @@ _CLASSICAL = {"kind": "classical", "domain": {"n": 9, "n_bd": 32}}
     ("backend", {"kind": "classical", "domain": {"kind": "square", "n": 9, "amp": 0.3}},
      "amp"),
     ("problem", {"equation": "wave", "tau": 0.25, "n_steps": 2, "b": 0.3}, "b"),
+    ("problem", {"equation": "heat", "tau": 0.25, "n_steps": 2, "b": 2**-0.5}, "b"),
     ("backend", {**_CLASSICAL, "lam_range": [0.05, 0.1]}, "lam_range"),
     ("backend", {**_CLASSICAL, "coupled": True}, "coupled"),
     ("backend", {**_CLASSICAL, "source_checkpoint": "s.ckpt"}, "source_checkpoint"),
@@ -139,6 +140,41 @@ def test_validation_rejects_dataset_and_model_keys_of_other_kinds(tmp_path, caps
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("section, value, key", [
+    ("dataset", {"kind": "source-offlattice", "curve": {"kind": "square", "n_bd": 32}},
+     "dataset.curve.kind"),
+    ("dataset", {"kind": "source-offlattice", "curve": {"kind": "disk"}}, "dataset.curve.kind"),
+    ("dataset", {"kind": "source-offlattice", "curve": {"n_bd": 32}}, "dataset.curve.kind"),
+    ("curve", {"kind": "square", "n_bd": 32}, "curve.kind"),
+    ("curve", {"kind": "disk"}, "curve.kind"),
+    ("curve", {"n_bd": 32}, "curve.kind"),
+])
+def test_petal_only_paths_refuse_other_curves(tmp_path, capsys, section, value, key):
+    """Off-lattice source data and a source model on petal points build their
+    points in a petal curve: any other curve, or one that names no kind (which
+    elsewhere means the square), is a config error naming the curve's kind."""
+    if section == "dataset":
+        cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(tmp_path / "run"),
+               "dataset": {"kappas": [0.05], "per_kappa": 2, "spacing": 0.2, **value}}
+    else:
+        cfg = {**_source_train_config(tmp_path, {"epochs": 1}),
+               "points": {"domain": "petal", "spacing": 0.2}, "curve": value}
+    rc = cli.main([cfg["command"], "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_petal_curve_checks_apply_to_source_models_on_petal_points_only():
+    boundary = {"version": 1, "command": "train", "model": {"kind": "boundary"},
+                "data": {"path": "d.bin"}, "points": {"domain": "petal"},
+                "curve": {"kind": "square"}}
+    assert cli.validate_config(boundary) is boundary
+    source = {**boundary, "model": {"kind": "source"}, "curve": {"kind": "petal"}}
+    assert cli.validate_config(source) is source
+
+
 @pytest.mark.parametrize("section, value, name", [
     ("backend", {**_CLASSICAL, "kind": "learnd"}, "'learnd' in 'backend.kind'"),
     ("backend", {**_CLASSICAL, "kind": ["classical"]}, "backend.kind"),
@@ -183,13 +219,38 @@ def test_validation_rejects_bad_curve_and_domain_values(tmp_path, capsys, sectio
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("equation", ["heat", "wave", "schrodinger"])
-def test_evolve_runs_on_the_smallest_valid_lattice_and_grid(tmp_path, equation):
+# a value other than the default for every problem key of each equation
+_PROBLEM_KEYS = {
+    "heat": {"scheme": "cn", "a": 0.6},
+    "wave": {"a": 0.3, "theta": 0.75},
+    "schrodinger": {"splitting": "lie", "w": 0.5},
+}
+
+
+@pytest.mark.parametrize("equation, experiment", [
+    ("heat", "heat-cn"), ("wave", "wave-"), ("schrodinger", "schrodinger-lie")])
+def test_evolve_runs_on_the_smallest_valid_lattice_and_grid(tmp_path, equation, experiment):
+    """Each equation runs with every problem key that cli._TABLES admits, so
+    the table and the problem builders and steppers take the same keys."""
+    problem = {"equation": equation, "tau": 0.1, "n_steps": 2, "store_fields": True,
+               **_PROBLEM_KEYS[equation]}
+    assert set(problem) == set(cli._TABLES["evolve"]["problem"].table(problem, "problem"))
     cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
-           "problem": {"equation": equation, "tau": 0.1, "n_steps": 2, "store_fields": True},
-           "backend": {"kind": "classical", "domain": {"n": 3, "n_bd": 8}}}
+           "problem": problem, "backend": {"kind": "classical", "domain": {"n": 3, "n_bd": 8}}}
     assert cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)]) == 0
     assert (tmp_path / "run" / "field_step_0002.csv").exists()
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["experiment"] == experiment
+
+
+def test_every_readme_config_is_valid():
+    """Every JSON config block in the README passes validate_config."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = fh.read().split("```json\n")[1:]
+    assert blocks
+    for block in blocks:
+        cfg = json.loads(block.split("```")[0])
+        assert cli.validate_config(cfg) is cfg
 
 
 def test_validation_accepts_every_learned_backend_key():
@@ -203,10 +264,7 @@ def test_validation_accepts_every_learned_backend_key():
     ({"equation": "heat", "a": 1.5}, "a"),
     ({"equation": "heat", "a": -1.0000001}, "a"),
     ({"equation": "wave", "a": 1.2}, "a"),
-    ({"equation": "heat", "a": 0.6, "b": 0.6}, "a"),
-    ({"equation": "heat", "b": 0.5}, "a"),       # the default a is off b's unit circle
     ({"equation": "wave", "a": "0.5"}, "a"),
-    ({"equation": "heat", "a": 0.6, "b": None}, "b"),
     ({"equation": "wave", "theta": "0.5"}, "theta"),
     ({"equation": "heat", "scheme": "rk4"}, "scheme"),
     ({"equation": "schrodinger", "splitting": "yoshida"}, "splitting"),
@@ -232,9 +290,7 @@ def test_validation_rejects_bad_problem_numbers(tmp_path, capsys, problem, key):
 
 
 @pytest.mark.parametrize("problem", [
-    {"equation": "heat", "a": 0.6, "b": 0.8},
     {"equation": "heat", "a": -1.0},
-    {"equation": "heat", "b": 2**-0.5},
     {"equation": "wave", "a": 1.0},
 ])
 def test_validation_accepts_wave_numbers_on_the_unit_circle(problem):
@@ -366,7 +422,9 @@ def _leaf_config(cmd, path, picks):
             if ".".join((*parents, name, k)) in cli._REQUIRED}}
     node = cfg
     for key in path[:-1]:
-        node = node.setdefault(key, {})
+        # a curve that no pick sets is a petal, the one kind every curve section
+        # admits (an off-lattice curve must name it)
+        node = node.setdefault(key, {"kind": "petal"} if key == "curve" else {})
     return cfg, node
 
 
@@ -686,12 +744,12 @@ def test_eval_every_suite_kind(tmp_path, kind, cases):
     coupled = kind.startswith("system")
     if kind.endswith("boundary"):
         model = nn.BoundaryModel.build(32, rng, internal=8, coupled=coupled)
-        suite = {"n_bd": 32, "eval_n": 8}
+        suite, meta = {"n_bd": 32, "eval_n": 8}, {"grid": _grid_record({"n_bd": 32})}
     else:
         model = nn.SourceModel.build(square_lattice(9).points, [8], [8], rng,
                                      coupled=coupled)
-        suite = {}
-    nn.save_checkpoint(model, str(tmp_path / "m.ckpt"))
+        suite, meta = {}, None
+    nn.save_checkpoint(model, str(tmp_path / "m.ckpt"), meta)
     out = tmp_path / "eval"
     cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(out),
            "checkpoint": str(tmp_path / "m.ckpt"),
@@ -728,6 +786,29 @@ def test_eval_refuses_a_checkpoint_of_another_kind(tmp_path, capsys, model_kind,
     err = capsys.readouterr().err
     assert err.startswith("config error") and "suite.kind" in err and model_kind in err
     assert not (tmp_path / "eval" / "errors.csv").exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"kind": "disk", "n_bd": 32}, "'disk'"),
+    ({"n_bd": 64}, "64"),
+    (None, "record None"),
+])
+def test_eval_refuses_a_boundary_checkpoint_of_another_grid(tmp_path, capsys, grid, message):
+    """The boundary suites run on the unit square with suite.n_bd nodes: a
+    checkpoint trained on another grid, or one that records no grid, is refused."""
+    from evokernel import nn
+    model = nn.BoundaryModel.build(32, np.random.default_rng(0), internal=8)
+    nn.save_checkpoint(model, str(tmp_path / "m.ckpt"),
+                       {"grid": _grid_record(grid)} if grid else None)
+    cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(tmp_path / "eval"),
+           "checkpoint": str(tmp_path / "m.ckpt"),
+           "suite": {"kind": "scalar-boundary", "kappas": [0.05], "n_bd": 32, "eval_n": 4}}
+    rc = cli.main(["eval", "--config", _write(tmp_path, "e.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "suite.n_bd" in err and message in err
+    assert not (tmp_path / "eval" / "errors.csv").exists()
+
 
 def test_evolve_classical_and_report(tmp_path):
     r1 = tmp_path / "run1"

@@ -18,7 +18,7 @@ BACKEND = ev.ClassicalBackend(DOMAIN)
 
 def test_heat_zero_data_stays_zero():
     prob = ev.EvolutionProblem(
-        equation="heat", domain=DOMAIN, tau=0.1, n_steps=5,
+        domain=DOMAIN, tau=0.1, n_steps=5,
         u0=lambda pts: np.zeros(pts.shape[0]),
         g=lambda pts, t: np.zeros(pts.shape[0]),
         lap_u0=lambda pts: np.zeros(pts.shape[0]))
@@ -85,21 +85,26 @@ def test_cn_in_place_recursion_matches_reference_loop():
 def test_wave_order_and_theta_validation():
     errs = []
     for tau, n in [(0.25, 8), (0.125, 16), (0.0625, 32)]:
-        prob = ex.wave_problem(DOMAIN, 0.6, tau, n)
+        prob = ex.wave_problem(DOMAIN, tau, n)
         errs.append(ev.trajectory_rel_l2(ev.run_wave(prob, BACKEND)))
     orders = ev.order_from_errors(errs)
     assert all(abs(o - 2.0) <= 0.2 for o in orders)
     for theta in (1.5, 0.0, -0.5):
         with pytest.raises(ValueError, match=re.escape("(0, 1]")):
-            ev.EvolutionProblem(equation="wave", domain=DOMAIN, tau=0.1, n_steps=2,
-                                u0=None, g=None, theta=theta)
+            ev.EvolutionProblem(domain=DOMAIN, tau=0.1, n_steps=2, u0=None, g=None,
+                                theta=theta)
+
+
+def test_every_problem_refuses_a_negative_w():
+    with pytest.raises(ValueError, match="nonnegative"):
+        ev.EvolutionProblem(domain=DOMAIN, tau=0.1, n_steps=2, u0=None, g=None, w=-0.5)
 
 
 def test_lambda_mapping_theta_tau():
-    prob = ex.wave_problem(DOMAIN, 0.6, 0.25, 4, theta=0.5)
+    prob = ex.wave_problem(DOMAIN, 0.25, 4, theta=0.5)
     res = ev.run_wave(prob, BACKEND)
     assert res.meta["lam"] == pytest.approx(1 / 32)
-    prob = ex.wave_problem(DOMAIN, 0.6, 1 / 6, 6, theta=0.5)
+    prob = ex.wave_problem(DOMAIN, 1 / 6, 6, theta=0.5)
     res = ev.run_wave(prob, BACKEND)
     assert res.meta["lam"] == pytest.approx(1 / 72)
 
