@@ -196,6 +196,12 @@ def validate_config(cfg):
             and cfg.get("points", {}).get("domain") == "petal" and curve.get("kind") != "petal"):
         raise ValidationError(f"curve.kind={curve.get('kind')!r} must be 'petal' for "
                               f"points.domain 'petal'")
+    # the theta-scheme's second step takes a 5-point Laplacian, which only the lattice has
+    problem = cfg.get("problem", {})
+    if (problem.get("equation") == "wave" and problem.get("n_steps", 1) > 1
+            and cfg.get("backend", {}).get("domain", {}).get("kind") == "petal"):
+        raise ValidationError(f"problem.n_steps={problem['n_steps']}: a wave run on "
+                              f"backend.domain 'petal' takes one step")
     suite = cfg.get("suite", {})
     if "eval_lo" in suite and "eval_hi" in suite and suite["eval_lo"] >= suite["eval_hi"]:
         raise ValidationError(f"suite.eval_lo={suite['eval_lo']} must be below "

@@ -92,10 +92,18 @@ class BackendRangeError(ValueError):
 
 
 def _set_ring(u, domain, gfun, t):
-    """u with its boundary-ring entries set to g(., t); point clouds have none."""
+    """u, C-contiguous, with its boundary-ring entries set to g(., t); point
+    clouds have none.  The ring runs in lattice order (first row, then each
+    inner row's first and last entry, then the last row), so it is written
+    through the lattice's four edge slices instead of a fancy index."""
     ring = domain.ring_idx
     if ring.size:
-        u[..., ring] = gfun(domain.points[ring], t)
+        g, n = gfun(domain.points[ring], t), domain.n
+        v = domain.reshape(u)
+        v[..., 0, :] = g[..., :n]
+        v[..., 1:-1, 0] = g[..., n:-n:2]
+        v[..., 1:-1, -1] = g[..., n + 1:-n:2]
+        v[..., -1, :] = g[..., -n:]
     return u
 
 
@@ -131,16 +139,19 @@ class NekmBackend:
     field from the predicted density.  Refuses lam outside the trained range,
     and models whose sample points or widths do not match the domain.
 
-    Each lam gets one step operator, built at its first solve and kept as
-    the record (A, M, c, R), and a step is one product
-    u = [F A | g M + c] R^T with R = [H | P]: (A, H) are the source model's
-    factors, with the scalar normalization's -1/lam folded into A, (M, c)
-    the boundary model's affine map and P the weighted double-layer matrix.
-    The models' parameters are read at that first use, so the models must
-    not change after the backend is built.  The coupled step runs in
-    complex128, whose R is a third smaller than a real layout's; that pays at
-    batch 1, its only use (run_schrodinger), but a large batch would do a
-    third more flops.
+    Each lam gets one step record, built at its first solve: (A, H) are the
+    source model's factors, with the scalar normalization's -1/lam folded
+    into A, (M, c) the boundary model's affine map g -> g M + c and P the
+    weighted double-layer matrix.  The scalar record is (A, R) with
+    R = [H | P M^T | P c], and a step is the two products u = X R^T of
+    X = [F A | g | 1].  The coupled record is (A, M, c, R) with R = [H | P]
+    and u = [F A | g M + c] R^T: its P is complex and M real-linear on
+    (re, im) pairs, so folding M in would double P's block, and its steps,
+    at batch 1, read the whole record.  The coupled step runs in complex128,
+    whose R is a third smaller than a real layout's; that pays at batch 1,
+    its only use (run_schrodinger), but a large batch would do a third more
+    flops.  The models' parameters are read at that first use, so the models
+    must not change after the backend is built.
     """
 
     def __init__(self, domain, boundary_model, source_model, lam_range,
@@ -168,10 +179,12 @@ class NekmBackend:
                 f"lam={lam:.6g} outside trained range [{lo:.6g}, {hi:.6g}]")
 
     def _operator(self, lam):
-        """The record (A, M, c, R) at one lam, built on first use.
+        """The step record at one lam, built on first use: (A, R) scalar,
+        (A, M, c, R) coupled.
 
-        H = R[:, :k] (k = A.shape[1]) and the weighted double-layer matrix
-        P = R[:, k:] over all domain points, zero rows on the ring.  A coupled
+        H = R[:, :k] (k = A.shape[1]); the rest of R is the boundary block,
+        which is zero on the ring rows: [P M^T | P c] scalar, P coupled, with
+        P the weighted double-layer matrix over all domain points.  A coupled
         R is complex like the coupled potential, with H's [real; imaginary]
         halves as R.real and R.imag; A's rows are permuted to the (re, im)
         pairs in which M's already are.
@@ -183,23 +196,29 @@ class NekmBackend:
             spec = SystemKernelSpec(key) if self.coupled else ScalarKernelSpec(key)
             P_int = potential_matrix(spec, dom.quad, dom.points[dom.interior_idx])
             P_int *= dom.quad.weight
-            # R is allocated after the potential's temporaries are freed and
-            # before the source factors exist; other orders raised the peak
-            # RSS of a coupled n = 41, n_bd = 256 run by 9-21%
             k = self.source.nn_g.dims[-2] + 1     # last hidden width + bias
             npts, rows = dom.points.shape[0], dom.interior_idx
-            R = np.zeros((npts, k + dom.quad.n), P_int.dtype)
-            R[rows, k:] = P_int
+            if self.coupled:
+                # R is allocated after the potential's temporaries are freed and
+                # before the source factors exist; other orders raised the peak
+                # RSS of a coupled n = 41, n_bd = 256 run by 9-21%
+                R = np.zeros((npts, k + dom.quad.n), P_int.dtype)
+                R[rows, k:] = P_int
+            else:
+                M, c = self.boundary.operator(key)
+                R = np.zeros((npts, k + dom.quad.n + 1))
+                R[rows, k:-1] = P_int @ M.T
+                R[rows, -1] = P_int @ c
             del P_int
             A, H = self.source.operator(key)
             R.real[:, :k] = H[:npts]
             if self.coupled:
                 R.imag[:, :k] = H[npts:]
                 A = A.reshape(2, npts, k).swapaxes(0, 1).reshape(2 * npts, k)
+                op = self._ops[key] = (A, *self.boundary.operator(key), R)
             else:
                 A *= -1.0 / key
-            M, c = self.boundary.operator(key)
-            op = self._ops[key] = (A, M, c, R)
+                op = self._ops[key] = (A, R)
         return op
 
     def solve(self, lam, F, gfun, t):
@@ -216,21 +235,23 @@ class NekmBackend:
             raise ValueError(f"a {want} solve on a {have} backend, whose checkpoints "
                              f"were trained for {have} equations")
         self._check(lam)
-        A, M, c, R = self._operator(lam)
+        A, *Mc, R = self._operator(lam)
         g = gfun(self.domain.quad.points, t)
         k = A.shape[1]
         X = np.empty(F.shape[:-1] + (R.shape[1],), R.dtype)
-        phi = X[..., k:]
         if self.coupled:
             # complex fields as (re, im) pairs; F A is real, phi complex
+            M, c = Mc
             F = np.ascontiguousarray(F, np.complex128).view(np.float64)
             g = np.ascontiguousarray(g, np.complex128).view(np.float64)
             X[..., :k] = F @ A
-            phi = phi.view(np.float64)
+            phi = X[..., k:].view(np.float64)
+            np.matmul(g, M, out=phi)
+            phi += c
         else:
             np.matmul(F, A, out=X[..., :k])
-        np.matmul(g, M, out=phi)
-        phi += c
+            X[..., k:-1] = g
+            X[..., -1] = 1.0
         return _set_ring(X @ R.T, self.domain, gfun, t)
 
 
@@ -321,10 +342,22 @@ def run_heat(prob, backend, scheme="be", store_fields=False):
                 u = backend.solve(lam, u, prob.g, step * prob.tau)
             else:
                 u = backend.solve(lam, F, prob.g, step * prob.tau)
-                np.subtract(2.0 * u, F, out=F)   # F is this run's own array
+                _cn_update(F, u)                 # F is this run's own array
             yield step, u
 
     return _march(prob, steps(), store_fields, {"scheme": scheme, "lam": lam})
+
+
+def _cn_update(F, u):
+    """F <- 2 u - F in place, bitwise np.subtract(2.0 * u, F, out=F), through
+    a buffer of a few rows: with a field-sized 2 u temporary the update of a
+    1000-sample step took about twice as long.  F is C-contiguous."""
+    rows = 16
+    F, u = F.reshape(-1, F.shape[-1]), u.reshape(-1, u.shape[-1])
+    buf = np.empty((min(rows, len(F)), F.shape[1]))
+    for i in range(0, len(F), rows):
+        Fb = F[i:i + rows]
+        np.subtract(np.multiply(u[i:i + rows], 2.0, out=buf[:len(Fb)]), Fb, out=Fb)
 
 
 def run_wave(prob, backend, store_fields=False):
@@ -460,14 +493,24 @@ def heat_family(domain, a, b, tau, n_steps):
     def shape(pts, t):
         # lattice and boundary points repeat few coordinate values, so the
         # trigonometry runs once per point set, keyed by its content, on the
-        # unique values, and each call gathers it per point
+        # unique values.  Each call scales the sin table by exp(-t) and
+        # multiplies it per point by the cos table: by broadcasting when the
+        # points are an x-major tensor grid (the lattice), by gathering
+        # otherwise.  Either way each value is (exp(-t) sin(a x)) cos(b y),
+        # the products of the closed form in its order.
         key = pts.tobytes()
         if key not in tables:
             x, ix = np.unique(pts[:, 0], return_inverse=True)
             y, iy = np.unique(pts[:, 1], return_inverse=True)
-            tables[key] = np.sin(a * x), ix, np.cos(b * y), iy
-        sin_x, ix, cos_y, iy = tables[key]
-        return np.exp(-t) * sin_x.take(ix, axis=1) * cos_y.take(iy, axis=1)
+            grid = np.array_equal(ix * y.size + iy, np.arange(len(pts)))
+            tables[key] = np.sin(a * x), ix, np.cos(b * y), iy, grid
+        sin_x, ix, cos_y, iy, grid = tables[key]
+        e_sin = np.exp(-t) * sin_x
+        if grid:
+            return (e_sin[:, :, None] * cos_y[:, None, :]).reshape(len(a), -1)
+        u = e_sin.take(ix, axis=1)
+        u *= cos_y.take(iy, axis=1)
+        return u
 
     return EvolutionProblem(
         domain=domain, tau=tau, n_steps=n_steps,
@@ -515,24 +558,41 @@ def uq_run(backend, m_samples, seed, probe=(0.43, 0.2), tau=0.1, n_steps=10,
     err = pred - exact
     probe_pred = bilinear_probe(domain, pred, probe)
     probe_exact = prob.exact(np.array([probe], dtype=np.float64), T)[:, 0]
-    stats = {
-        "samples": int(m_samples),
-        "mean_exact": float(exact.mean()),
-        "std_exact": float(exact.std()),
-        "mean_pred": float(pred.mean()),
-        "std_pred": float(pred.std()),
-        "mean_error": float(err.mean()),
-        "std_error": float(err.std()),
-    }
+    stats = {"samples": int(m_samples)}
+    for name, x in (("exact", exact), ("pred", pred), ("error", err)):
+        stats[f"mean_{name}"], stats[f"std_{name}"] = _mean_std(x)
     rel_l2 = float(np.linalg.norm(err) / np.linalg.norm(exact))
     # |err| overwrites err, and the quantile partitions it in place
     abs_err = np.abs(err, out=err)
     stats["max_abs_error"] = float(abs_err.max())
     stats["rel_l2_error"] = rel_l2
-    stats["q95_abs_error"] = float(np.quantile(abs_err, 0.95, overwrite_input=True))
+    stats["q95_abs_error"] = _quantile(abs_err, 0.95)
     hist = {"a": a, "probe_exact": probe_exact, "probe_pred": probe_pred,
             "probe_abs_error": np.abs(probe_pred - probe_exact)}
     return stats, hist
+
+
+def _mean_std(x):
+    """(x.mean(), x.std()) bitwise as numpy forms them, from one sum of x
+    where numpy takes two."""
+    mean = x.sum() / x.size
+    d = x - mean
+    return float(mean), float(np.sqrt(np.square(d, out=d).sum() / x.size))
+
+
+def _quantile(x, q):
+    """np.quantile(x, q) bitwise, by its default linear rule, from one partition
+    of x in place.  A NaN, which sorts last, reaches the result through the
+    min as it does through numpy's own NaN check."""
+    x = x.reshape(-1)
+    v = (x.size - 1) * q
+    lo = int(v)
+    x.partition(lo)
+    a = x[lo]
+    b = x[lo + 1:].min() if lo + 1 < x.size else a
+    t = v - lo
+    d = b - a
+    return float(b - d * (1 - t) if t >= 0.5 else a + d * t)
 
 
 def observed_order(final_fields):

@@ -1080,3 +1080,24 @@ def test_petal_backend_serves_non_default_curve(tmp_path):
     assert cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)]) == 0
     assert np.array_equal(cli._build_backend(backend, "heat").domain.points,
                           interior.points)
+
+
+@pytest.mark.parametrize("n_steps, rc", [(1, 0), (2, 2), (3, 2)])
+def test_wave_beyond_its_first_step_is_refused_on_a_petal_backend(tmp_path, capsys, n_steps,
+                                                                    rc):
+    """The theta-scheme takes a 5-point Laplacian of its Taylor-started level,
+    which only the square lattice has: a petal backend runs one wave step, and
+    a longer run exits 2 before it loads a checkpoint."""
+    from evokernel.geometry import make_curve, petal_lattice
+    interior = petal_lattice(make_curve("petal", base=0.5, amp=0.15, lobes=4), 0.1)
+    backend = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1], points=interior.points,
+                               domain={"kind": "petal", "base": 0.5, "amp": 0.15, "lobes": 4,
+                                       "spacing": 0.1, "n_bd": 32})
+    cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
+           "problem": {"equation": "wave", "tau": 0.4, "n_steps": n_steps},
+           "backend": backend}
+    assert cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)]) == rc
+    if rc:
+        err = capsys.readouterr().err
+        assert "problem.n_steps" in err and "petal" in err
+        assert not (tmp_path / "run").exists()

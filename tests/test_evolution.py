@@ -228,6 +228,57 @@ def test_backend_range_error_names_interval():
             backend.solve(lam, F, zero, 0.0)
 
 
+@pytest.mark.parametrize("batch", [None, 1, 16, 37])
+def test_cn_update_in_row_blocks_is_the_field_expression(batch):
+    """run_heat's CN fields equal bitwise the recursion F = 2.0 * u - F over
+    whole fields, for one unbatched field and batches around the row block."""
+    dom = ev.SquareLatticeDomain(n=9, n_bd=32)
+    backend = ev.ClassicalBackend(dom)
+    a = np.linspace(0.3, 0.9, batch or 1)
+    prob = ev.heat_family(dom, a, np.sqrt(1.0 - a * a), 0.1, 4)
+    if batch is None:
+        prob = replace(prob, u0=lambda pts: prob.g(pts, 0.0)[0],
+                       lap_u0=lambda pts: -prob.g(pts, 0.0)[0])
+    res = ev.run_heat(prob, backend, scheme="cn", store_fields=True)
+    u = prob.u0(dom.points)
+    F = u + 0.05 * prob.lap_u0(dom.points)
+    for step in range(1, 5):
+        u = backend.solve(0.05, F, prob.g, step * 0.1)
+        F = 2.0 * u - F
+        assert res.fields[step].shape == u.shape
+        assert np.array_equal(res.fields[step], u)
+
+
+def test_heat_family_callbacks_are_the_closed_form_on_every_point_set():
+    """Each callback is bitwise exp(-t) sin(a x) cos(b y), in that order of
+    products, on lattice, ring and boundary quadrature points."""
+    a = np.array([0.3, 0.6, 0.9])
+    b = np.sqrt(1.0 - a * a)
+    prob = ev.heat_family(DOMAIN, a, b, 0.1, 3)
+    for pts in (DOMAIN.points, DOMAIN.points[DOMAIN.ring_idx], DOMAIN.quad.points):
+        x, y = pts[:, 0], pts[:, 1]
+        for t in (0.0, 0.3, 1.0):
+            ref = np.exp(-t) * np.sin(a[:, None] * x) * np.cos(b[:, None] * y)
+            assert np.array_equal(prob.g(pts, t), ref)
+            assert np.array_equal(prob.exact(pts, t), ref)
+        assert np.array_equal(prob.u0(pts), np.exp(-0.0) * np.sin(a[:, None] * x)
+                              * np.cos(b[:, None] * y))
+
+
+@pytest.mark.parametrize("n", [3, 4, 9])
+@pytest.mark.parametrize("rows", [None, 5])
+def test_set_ring_equals_fancy_index_assignment(n, rows):
+    dom = ev.SquareLatticeDomain(n=n, n_bd=32)
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal(n * n if rows is None else (rows, n * n))
+    g = rng.standard_normal(u.shape[:-1] + (dom.ring_idx.size,))
+    gfun = lambda pts, t: g + t  # noqa: E731
+    ref = u.copy()
+    ref[..., dom.ring_idx] = gfun(dom.points[dom.ring_idx], 0.5)
+    out = ev._set_ring(u, dom, gfun, 0.5)
+    assert out is u and np.array_equal(out, ref)
+
+
 def test_batched_equals_sequential():
     a_vals = np.array([0.5, 0.6, 0.7, 0.5])
     batched = ev.run_heat(ev.heat_family(DOMAIN, a_vals, np.sqrt(1 - a_vals**2), 0.1, 3),
@@ -317,6 +368,29 @@ def test_heat_error_trace_regression_gate():
     errs = [e["rel_l2"] for e in res.error_trace]
     increments = np.diff([0.0] + errs)
     assert errs[-1] <= 3.0 * max(increments.max(), errs[0])
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7, 13), (1000, 41)])
+def test_uq_statistics_are_numpys_bitwise(shape):
+    """uq_run's mean/std and q95 equal numpy's mean, std and quantile bitwise,
+    for q on either side of an interpolation weight 1/2, with ties, and with
+    an inf or a NaN in the data."""
+    rng = np.random.default_rng(len(shape) + shape[0])
+    x = rng.standard_normal(shape) * 1e3
+    ties = np.round(np.abs(x) / 100.0)
+    for data in (x, np.abs(x), ties):
+        assert ev._mean_std(data) == (float(data.mean()), float(data.std()))
+        for q in (0.0, 0.3, 0.5, 0.95, 0.999, 1.0):
+            got = ev._quantile(data.copy(), q)
+            assert got == float(np.quantile(data, q))
+    for bad in (np.inf, np.nan):
+        data = np.abs(x)
+        data.flat[0] = bad
+        for q in (0.3, 0.95, 1.0):
+            with np.errstate(invalid="ignore"):
+                want = float(np.quantile(data, q))
+                got = ev._quantile(data.copy(), q)
+            assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 def test_uq_zero_variance_collapses():

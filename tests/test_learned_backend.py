@@ -121,16 +121,16 @@ def test_step_operator_built_once_per_lam(monkeypatch):
 
 @pytest.mark.parametrize("coupled", [False, True])
 def test_step_record_layout(coupled):
-    """The record is (A, M, c, R) with R = [H | P]: H is bitwise the source
-    factor, P bitwise the weighted potential with exactly zero ring rows,
-    (M, c) bitwise the boundary model's, and no copy of H or P is kept.  The
-    scalar A is the source A times -1/lam.  The coupled R is complex like the
-    coupled potential: H's [real; imaginary] halves are R.real and R.imag,
-    and A's rows are permuted to (re, im) pairs."""
+    """The scalar record is (A, R) with R = [H | P M^T | P c], the coupled
+    record (A, M, c, R) with R = [H | P]: H is bitwise the source factor, the
+    boundary block bitwise P M^T and P c, or P, from the weighted potential P,
+    with exactly zero ring rows, (M, c) bitwise the boundary model's, and no
+    copy of H or P is kept.  The scalar A is the source A times -1/lam.  The
+    coupled R is complex like the coupled potential: H's [real; imaginary]
+    halves are R.real and R.imag, and A's rows are permuted to (re, im) pairs."""
     backend = _backend(coupled)
     lam = LAM_RANGE[coupled][0]
     record = backend._operator(lam)
-    A, M, c, R = record
     A_src, H = backend.source.operator(lam)
     M_bnd, c_bnd = backend.boundary.operator(lam)
     k = H.shape[1]
@@ -138,20 +138,51 @@ def test_step_record_layout(coupled):
     P_int = potential_matrix(spec, DOMAIN.quad, DOMAIN.points[DOMAIN.interior_idx])
     P_int *= DOMAIN.quad.weight
     npts, ring, interior = DOMAIN.points.shape[0], DOMAIN.ring_idx, DOMAIN.interior_idx
+    if not coupled:
+        A, R = record
+        assert R.shape == (npts, k + N_BD + 1) and R.base is None
+        assert R.dtype == np.float64
+        assert not np.any(R[ring, k:])
+        assert np.array_equal(R[interior, k:-1], P_int @ M_bnd.T)
+        assert np.array_equal(R[interior, -1], P_int @ c_bnd)
+        assert np.array_equal(R[:, :k], H)
+        assert np.array_equal(A, A_src * (-1.0 / lam))
+        assert sum(x.nbytes for x in record) == A_src.nbytes + R.size * 8
+        return
+    A, M, c, R = record
     assert R.shape == (npts, k + N_BD) and R.base is None
     assert not np.any(R[ring, k:])
     assert np.array_equal(R[interior, k:], P_int)
-    if coupled:
-        assert R.dtype == P_int.dtype == np.complex128
-        assert np.array_equal(R.real[:, :k], H[:npts]) and np.array_equal(R.imag[:, :k], H[npts:])
-        assert A.flags.c_contiguous
-        assert np.array_equal(A[0::2], A_src[:npts]) and np.array_equal(A[1::2], A_src[npts:])
-    else:
-        assert np.array_equal(R[:, :k], H)
-        assert np.array_equal(A, A_src * (-1.0 / lam))
+    assert R.dtype == P_int.dtype == np.complex128
+    assert np.array_equal(R.real[:, :k], H[:npts]) and np.array_equal(R.imag[:, :k], H[npts:])
+    assert A.flags.c_contiguous
+    assert np.array_equal(A[0::2], A_src[:npts]) and np.array_equal(A[1::2], A_src[npts:])
     assert np.array_equal(M, M_bnd) and np.array_equal(c, c_bnd)
     assert sum(x.nbytes for x in record) == sum(
-        x.nbytes for x in (A_src, M_bnd, c_bnd)) + R.size * (16 if coupled else 8)
+        x.nbytes for x in (A_src, M_bnd, c_bnd)) + R.size * 16
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_folded_scalar_step_matches_unfolded(rows):
+    """The scalar step [F A | g | 1] [H | P M^T | P c]^T equals the step with
+    the boundary model outside R, [F A | g M + c] [H | P]^T, ring set."""
+    backend = _backend(False)
+    lam = LAM_RANGE[False][0]
+    npts, ring, interior = DOMAIN.points.shape[0], DOMAIN.ring_idx, DOMAIN.interior_idx
+    A, H = backend.source.operator(lam)
+    M, c = backend.boundary.operator(lam)
+    P = np.zeros((npts, N_BD))
+    P[interior] = potential_matrix(ScalarKernelSpec(lam), DOMAIN.quad, DOMAIN.points[interior])
+    P *= DOMAIN.quad.weight
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal(npts if rows is None else (rows, npts))
+    gfun = lambda pts, t: np.sin(pts[:, 0] + t) * pts[:, 1] + 0.5  # noqa: E731
+    g = np.broadcast_to(gfun(DOMAIN.quad.points, 0.3), F.shape[:-1] + (N_BD,))
+    ref = np.concatenate([(-F / lam) @ A, g @ M + c], axis=-1) @ np.hstack([H, P]).T
+    ref[..., ring] = gfun(DOMAIN.points[ring], 0.3)
+    out = backend.solve(lam, F, gfun, 0.3)
+    assert out.shape == ref.shape == F.shape
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_source_head_must_be_linear():
