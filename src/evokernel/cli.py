@@ -7,7 +7,8 @@ can be reproduced from its manifest.  Exit codes: 0 success, 1 runtime
 error, 2 config validation error.
 
 _TABLES is the one place where config rules live: each command's keys and
-each key's rule.  validate_config walks it before any work starts.
+each key's rule.  validate_config walks it before any work starts.  No key
+restates the geometry a checkpoint records; checks against it exit 2 too.
 
 Heavy imports happen inside main() after --threads is applied, so the BLAS
 thread count can still be pinned from the command line.
@@ -90,8 +91,8 @@ def _list(item, min_len=0):
 
 
 def _kappa_list(spec, where):
-    """The kappas that a list or a span {start, stop, count} names; each must
-    be finite and positive, since the operators hold 1/kappa."""
+    """The kappas that a list or a span {start, stop, count} names: at least one,
+    each finite and positive, since the operators hold 1/kappa."""
     import numpy as np
     try:
         if isinstance(spec, list):
@@ -101,8 +102,9 @@ def _kappa_list(spec, where):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}={spec!r} must be a list of numbers "
                               f"or {{start, stop, count}}") from exc
-    if not all(0.0 < k < math.inf for k in kappas):
-        raise ValidationError(f"{where}={spec!r}: every kappa must be finite and positive")
+    if not kappas or not all(0.0 < k < math.inf for k in kappas):
+        raise ValidationError(f"{where}={spec!r} must name at least one kappa, each finite "
+                              f"and positive")
     return kappas
 
 
@@ -111,16 +113,16 @@ _BOOL = _Rule(lambda v: isinstance(v, bool), "true or false")
 _POSITIVE = _num(0)
 _NONNEGATIVE = _num(0, ends="[)")
 _A = _num(-1, 1, "[]")                      # a wave number: b = sqrt(1 - a^2) is real
+_N = _int(3)                                # the smallest lattice with an interior
 _SPACING = {"spacing": _POSITIVE, "margin": _NONNEGATIVE}
-_PETAL = {"n_bd": _int(8), "base": _POSITIVE, "amp": _num(0, 1, "[)"), "lobes": _int(1)}
+_PETAL = {"base": _POSITIVE, "amp": _num(0, 1, "[)"), "lobes": _int(1)}
+# make_curve's parameters per kind, in the top-level and the dataset.curve section;
 # n_bd >= 8 is sample_quadrature's minimum, and on the square its nodes split
-# evenly over the four edges; n >= 3 is the smallest lattice with an interior
-_SQUARE = {"n": _int(3), "n_bd": _int(8, step=4)}
-# make_curve's parameters per kind, in the top-level and the dataset.curve section
+# evenly over the four edges
 _CURVE = _Kinds("kind", "square", {
-    "square": {"n_bd": _SQUARE["n_bd"], "side": _POSITIVE},
+    "square": {"n_bd": _int(8, step=4), "side": _POSITIVE},
     "disk": {"n_bd": _int(8), "radius": _POSITIVE},
-    "petal": _PETAL,
+    "petal": {"n_bd": _int(8), **_PETAL},
 })
 # off-lattice points lie in a petal: its curve names kind petal, since a curve
 # with no kind means the square
@@ -128,33 +130,17 @@ _PETAL_CURVE = _CURVE._replace(default=None, admit=("petal",))
 _DATASET = _Kinds("kind", None, {
     "boundary": {"n_g": _int(1), "curve": _CURVE, "length_scales": _list(_POSITIVE, 1),
                  "coupled": _BOOL},
-    "source": {"per_kappa": _int(1), "n": _SQUARE["n"], "mix": _num(0, 1, "[]"),
+    "source": {"per_kappa": _int(1), "n": _N, "mix": _num(0, 1, "[]"),
                "sigma_range": _pair(_POSITIVE, ordered=True), "coupled": _BOOL},
     "source-offlattice": {"per_kappa": _int(1), "curve": _PETAL_CURVE, **_SPACING},
-}, common={"kappas": _kappa_list})
-_BOUNDARY_SUITE = {"n_bd": _SQUARE["n_bd"], "eval_n": _int(2), "eval_lo": _num(0, 1),
-                   "eval_hi": _num(0, 1)}
-_SUITE = _Kinds("kind", None, {
-    "scalar-boundary": _BOUNDARY_SUITE, "system-boundary": _BOUNDARY_SUITE,
-    "scalar-source": {}, "system-source": {},
 }, common={"kappas": _kappa_list})
 _PROBLEM = _Kinds("equation", None, {
     "heat": {"scheme": _choice("be", "cn"), "a": _A},
     "wave": {"a": _A, "theta": _num(0, 1, "(]")},
     "schrodinger": {"splitting": _choice("strang", "lie"), "w": _NONNEGATIVE},
 }, common={"tau": _POSITIVE, "n_steps": _int(1), "store_fields": _BOOL})
-_DOMAIN = _Kinds("kind", "square", {"square": _SQUARE, "petal": {**_PETAL, **_SPACING}})
-_ON_SQUARE = _DOMAIN._replace(admit=("square",))
-
-
-def _backend(nekm_domain):
-    """The backend section; the classical backend runs on the square lattice only."""
-    return _Kinds("kind", "classical", {
-        "classical": {"domain": _ON_SQUARE},
-        "nekm": {"domain": nekm_domain, "boundary_checkpoint": _STR, "source_checkpoint": _STR},
-    })
-
-
+_BACKEND = _Kinds("kind", "classical", {
+    "classical": {"n": _N}, "nekm": {"boundary_checkpoint": _STR, "source_checkpoint": _STR}})
 _TOP = {"version": _choice(1), "command": _STR, "seed": _int(0), "out": _STR}
 _TABLES = {
     "datagen": {**_TOP, "dataset": _DATASET},
@@ -162,13 +148,14 @@ _TABLES = {
                   "boundary": {"internal": _int(1)},
                   "source": {"hidden_k": _list(_int(1)), "hidden_g": _list(_int(1))}}),
               "data": {"path": _STR}, "curve": _CURVE,
-              "points": {"domain": _choice("square", "petal"), "n": _SQUARE["n"], **_SPACING},
+              "points": _Kinds("kind", "square", {"square": {"n": _N},
+                                                  "petal": {**_PETAL, **_SPACING}}),
               "train": {"epochs": _int(1), "batch_size": _int(1), "lr": _POSITIVE,
                         "lr_decay": _num(0, 1, "(]"), "log_every": _int(1)}},
-    "eval": {**_TOP, "checkpoint": _STR, "suite": _SUITE},
-    "evolve": {**_TOP, "problem": _PROBLEM, "backend": _backend(_DOMAIN)},
-    # uq's probe interpolates the square lattice
-    "uq": {**_TOP, "backend": _backend(_ON_SQUARE), "uq": {
+    "eval": {**_TOP, "checkpoint": _STR, "suite": {
+        "kappas": _kappa_list, "eval_n": _int(2), "eval_lo": _num(0, 1), "eval_hi": _num(0, 1)}},
+    "evolve": {**_TOP, "problem": _PROBLEM, "backend": _BACKEND},
+    "uq": {**_TOP, "backend": _BACKEND, "uq": {
         "samples": _int(1), "probe": _pair(_num(0, 1, "[]")), "tau": _POSITIVE,
         "n_steps": _int(1), "mean": _num(), "std": _NONNEGATIVE,
         "clip": _pair(_A, ordered=True)}},
@@ -190,18 +177,10 @@ def validate_config(cfg):
     if not isinstance(cmd, str) or cmd not in _TABLES:
         raise ValidationError(f"command must be one of {sorted(_TABLES)}, got {cmd!r}")
     _walk(cfg, "", _TABLES[cmd])
-    # a source model on petal points takes them from a petal curve
-    curve = cfg.get("curve", {"kind": "petal"})
-    if (cfg.get("model", {}).get("kind") == "source"
-            and cfg.get("points", {}).get("domain") == "petal" and curve.get("kind") != "petal"):
-        raise ValidationError(f"curve.kind={curve.get('kind')!r} must be 'petal' for "
-                              f"points.domain 'petal'")
-    # the theta-scheme's second step takes a 5-point Laplacian, which only the lattice has
-    problem = cfg.get("problem", {})
-    if (problem.get("equation") == "wave" and problem.get("n_steps", 1) > 1
-            and cfg.get("backend", {}).get("domain", {}).get("kind") == "petal"):
-        raise ValidationError(f"problem.n_steps={problem['n_steps']}: a wave run on "
-                              f"backend.domain 'petal' takes one step")
+    # a boundary model trains on the grid of curve, a source model on points
+    other = {"boundary": "points", "source": "curve"}.get(cfg.get("model", {}).get("kind"))
+    if other in cfg:
+        raise ValidationError(f"unknown keys in 'the config': ['{other}'] for this model.kind")
     suite = cfg.get("suite", {})
     if "eval_lo" in suite and "eval_hi" in suite and suite["eval_lo"] >= suite["eval_hi"]:
         raise ValidationError(f"suite.eval_lo={suite['eval_lo']} must be below "
@@ -263,7 +242,6 @@ def _build_curve_grid(section):
 
 def cmd_datagen(cfg, out):
     from . import datagen
-    from .geometry import petal_lattice
     d = cfg["dataset"]
     kappas = _kappa_list(d["kappas"], "dataset.kappas")
     seed = cfg.get("seed", 0)
@@ -277,11 +255,11 @@ def cmd_datagen(cfg, out):
         ds = datagen.build_source_dataset(
             kappas, d.get("per_kappa", 2000), d.get("n", 41), seed,
             **{k: d[k] for k in ("mix", "sigma_range", "coupled") if k in d})
-    else:
-        curve, grid = _build_curve_grid(d.get("curve", {"kind": "petal"}))
-        interior = petal_lattice(curve, d.get("spacing", 0.03), d.get("margin"))
+    else:                     # the points of a petal source model on that curve
+        points = {**d.get("curve", {"kind": "petal"}), **{k: d[k] for k in _SPACING if k in d}}
+        dom, _ = _domain(points, points.get("n_bd", 256))
         ds = datagen.build_offlattice_source_dataset(
-            kappas, d.get("per_kappa", 500), grid, interior.points, seed)
+            kappas, d.get("per_kappa", 500), dom.quad, dom.points, seed)
     path = os.path.join(out, "dataset.bin")
     datagen.save_dataset(ds, path)
     _write_json(os.path.join(out, "summary.json"),
@@ -293,7 +271,6 @@ def cmd_datagen(cfg, out):
 def cmd_train(cfg, out):
     from . import datagen, training
     from .kernels import ScalarKernelSpec, SystemKernelSpec, boundary_kernel
-    from .geometry import petal_lattice, square_lattice
     from .nn import save_checkpoint
 
     # the model's keys other than the kind are TrainConfig fields
@@ -316,15 +293,9 @@ def cmd_train(cfg, out):
         kmats = [boundary_kernel(spec_cls(float(k)), grid) for k in ds.kappas]
         model, info = training.train_boundary_model(tcfg, ds, kmats)
     else:
-        psec = cfg.get("points", {"domain": "square", "n": 41})
-        if psec.get("domain", "square") == "square":
-            points = square_lattice(psec.get("n", 41)).points
-        else:
-            curve, _ = _build_curve_grid(cfg.get("curve", {"kind": "petal"}))
-            points = petal_lattice(curve, psec.get("spacing", 0.03),
-                                   psec.get("margin")).points
-        _coupled_layout(ds, len(points))
-        model, info = training.train_source_model(tcfg, ds, points)
+        domain, meta["domain"] = _domain(cfg.get("points", {}))
+        _coupled_layout(ds, len(domain.points))
+        model, info = training.train_source_model(tcfg, ds, domain.points)
     metric, errors = training.training_error(model, ds, kmats)
     train_error = {"metric": metric, "per_kappa": errors}
     meta.update(seed=tcfg.seed, epochs=tcfg.epochs, final_loss=info["final_loss"],
@@ -353,6 +324,28 @@ def _check_grid(meta, grid, where):
                               f"does not match the boundary grid of {where}")
 
 
+def _trained_n_bd(meta, kind):
+    """The n_bd of a boundary checkpoint's grid record on a curve of kind, else 256,
+    which _check_grid refuses: the square's edges may not split another curve's n_bd."""
+    curve = meta.get("grid", {}).get("curve", {})
+    return curve["n_bd"] if curve.get("kind") == kind else 256
+
+
+def _domain(points, n_bd=256):
+    """(domain, record): the evolution domain of a points section or a domain record
+    with n_bd boundary nodes, and the section with its defaults filled in."""
+    from .evolution import PointCloudDomain, SquareLatticeDomain
+    from .geometry import make_curve, petal_lattice
+    if points.get("kind", "square") == "square":
+        record = {"kind": "square", "n": points.get("n", 41)}
+        return SquareLatticeDomain(record["n"], n_bd), record
+    curve = make_curve("petal", **{k: v for k, v in points.items() if k in _PETAL})
+    spacing = points.get("spacing", 0.03)
+    record = {"kind": "petal", "base": curve.base, "amp": curve.amp, "lobes": curve.lobes,
+              "spacing": spacing, "margin": points.get("margin", spacing)}
+    return PointCloudDomain(curve, petal_lattice(curve, spacing, record["margin"]), n_bd), record
+
+
 def _coupled_layout(ds, n):
     """Whether the dataset's records hold 2 n values (coupled) or n (scalar)."""
     width = (ds.g if ds.g is not None else ds.f).shape[1]
@@ -371,45 +364,34 @@ def cmd_eval(cfg, out):
     from .nn import BoundaryModel, load_checkpoint
 
     model, meta = load_checkpoint(cfg["checkpoint"])
-    s = cfg["suite"]
-    have = ("boundary" if isinstance(model, BoundaryModel)
-            else ("system" if model.coupled else "scalar") + "-source")
-    if not s["kind"].endswith(have):
-        raise ValidationError(f"suite.kind {s['kind']!r} does not fit {cfg['checkpoint']}, "
-                              f"a {have} checkpoint")
-    options = {k: v for k, v in s.items() if k not in ("kind", "kappas", "n_bd")}
-    if have == "boundary":        # the suites' exact fields are on the unit square
-        options["grid"] = sample_quadrature(make_curve("square"), s.get("n_bd", 256))
-        _check_grid(meta, options["grid"], f"suite.n_bd {options['grid'].n} on the square")
-    rows = EVAL_SUITES[s["kind"]](model, _kappa_list(s["kappas"], "suite.kappas"),
-                                 **options)
+    options = dict(cfg["suite"])
+    kappas = _kappa_list(options.pop("kappas"), "suite.kappas")
+    if isinstance(model, BoundaryModel):     # the suites' exact fields are on the unit square
+        grid = options["grid"] = sample_quadrature(make_curve("square"),
+                                                   _trained_n_bd(meta, "square"))
+        _check_grid(meta, grid, "the unit square")
+        kind = ("system" if model.nn_g.dims[0] == 2 * grid.n else "scalar") + "-boundary"
+    elif options:
+        raise ValidationError(f"suite keys {sorted(options)} apply to boundary checkpoints, "
+                              f"but {cfg['checkpoint']} is a source checkpoint")
+    else:
+        kind = ("system" if model.coupled else "scalar") + "-source"
+    rows = EVAL_SUITES[kind](model, kappas, **options)
     _write_csv(os.path.join(out, "errors.csv"), _ERROR_COLUMNS,
                [[row[c] for c in _ERROR_COLUMNS] for row in rows])
-    _write_json(os.path.join(out, "summary.json"), {"experiment": s["kind"], "rows": rows})
+    _write_json(os.path.join(out, "summary.json"), {"experiment": kind, "rows": rows})
     _write_manifest(out, cfg, ["errors.csv", "summary.json"])
     return 0
 
 
 def _build_backend(section, equation):
-    """The backend for equation; learned ones are coupled for Schrodinger only."""
-    from .evolution import ClassicalBackend, NekmBackend, PointCloudDomain, \
-        SquareLatticeDomain
-    from .geometry import make_curve, petal_lattice
+    """The backend for equation; learned ones are coupled for Schrodinger only and
+    take their domain, grid and lambda range from the checkpoints' records."""
+    from .evolution import ClassicalBackend, NekmBackend, SquareLatticeDomain
     from .nn import load_checkpoint
 
-    dom_cfg = section.get("domain", {})
-    dkind = dom_cfg.get("kind", "square")
-    if dkind == "square":
-        domain = SquareLatticeDomain(n=dom_cfg.get("n", 41),
-                                     n_bd=dom_cfg.get("n_bd", 256))
-    else:                         # validate_config admits square and petal only
-        curve = make_curve("petal", **{k: dom_cfg[k] for k in ("base", "amp", "lobes")
-                                       if k in dom_cfg})
-        interior = petal_lattice(curve, dom_cfg.get("spacing", 0.03),
-                                 dom_cfg.get("margin"))
-        domain = PointCloudDomain(curve, interior, n_bd=dom_cfg.get("n_bd", 256))
     if section.get("kind", "classical") == "classical":
-        return ClassicalBackend(domain)
+        return ClassicalBackend(SquareLatticeDomain(section.get("n", 41)))
     bnd, bnd_meta = load_checkpoint(section["boundary_checkpoint"])
     src, src_meta = load_checkpoint(section["source_checkpoint"])
     # the lambda range is the overlap of the kappa spans the checkpoints record
@@ -420,7 +402,11 @@ def _build_backend(section, equation):
     lam_range = (max(s[0] for s in spans), min(s[1] for s in spans))
     if lam_range[0] > lam_range[1]:
         raise ValidationError(f"checkpoint kappa spans {spans} do not overlap")
-    _check_grid(bnd_meta, domain.quad, "backend.domain")
+    record = src_meta.get("domain")
+    if record is None:
+        raise ValidationError("a learned backend needs a source checkpoint's domain record")
+    domain, _ = _domain(record, _trained_n_bd(bnd_meta, record["kind"]))
+    _check_grid(bnd_meta, domain.quad, f"the source checkpoint's domain {record}")
     if src.coupled != (equation == "schrodinger"):
         need, have = ("scalar", "coupled") if src.coupled else ("coupled", "scalar")
         raise ValidationError(f"equation {equation!r} needs {need} checkpoints, but the "
@@ -442,17 +428,23 @@ def _write_field_csv(path, pts, fld):
 
 def cmd_evolve(cfg, out):
     import numpy as np
-    from .evolution import trajectory_rel_l2
+    from .evolution import BackendRangeError, trajectory_rel_l2
     from .experiments import EQUATIONS
     from .plotting import svg_heatmap
 
     p = dict(cfg["problem"])
     eq, tau, n_steps = p.pop("equation"), p.pop("tau"), p.pop("n_steps")
     backend = _build_backend(cfg["backend"], eq)
+    # the theta-scheme's second step takes a 5-point Laplacian, which only the lattice has
+    if eq == "wave" and n_steps > 1 and not hasattr(backend.domain, "n"):
+        raise ValidationError(f"problem.n_steps={n_steps}: a wave run on a petal takes one step")
     build, run, options = EQUATIONS[eq]
     # store_fields and the stepper's keys go to the stepper, the rest to the builder
     to_run = {k: p.pop(k) for k in ("store_fields", *options) if k in p}
-    res = run(build(backend.domain, tau, n_steps, **p), backend, **to_run)
+    try:
+        res = run(build(backend.domain, tau, n_steps, **p), backend, **to_run)
+    except BackendRangeError as exc:  # the step's lam is outside the checkpoints' kappas
+        raise ValidationError(f"problem.tau={tau}: {exc}") from exc
     trace_columns = ["t", "abs_l2", "abs_linf", "rel_l2"]
     _write_csv(os.path.join(out, "error_trace.csv"), trace_columns,
                [[e[c] for c in trace_columns] for e in res.error_trace])
@@ -480,11 +472,16 @@ def cmd_evolve(cfg, out):
 
 def cmd_uq(cfg, out):
     import numpy as np
-    from .evolution import uq_run
+    from .evolution import BackendRangeError, uq_run
 
     backend = _build_backend(cfg["backend"], "heat")
+    if not hasattr(backend.domain, "n"):    # uq's probe interpolates the square lattice
+        raise ValidationError("uq runs on the square lattice, not on a petal source checkpoint")
     u = dict(cfg["uq"])
-    stats, hist = uq_run(backend, u.pop("samples", 10000), cfg.get("seed", 0), **u)
+    try:
+        stats, hist = uq_run(backend, u.pop("samples", 10000), cfg.get("seed", 0), **u)
+    except BackendRangeError as exc:  # the step's lam is outside the checkpoints' kappas
+        raise ValidationError(f"uq.tau: {exc}") from exc
     for name, arr in hist.items():
         counts, edges = np.histogram(arr, bins=40)
         _write_csv(os.path.join(out, f"hist_{name}.csv"),
@@ -565,10 +562,13 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = args.out or cfg.get("out") or "."
+    made = not os.path.isdir(out)
     os.makedirs(out, exist_ok=True)
     try:
         return _COMMANDS[cfg["command"]](cfg, out)
     except ValidationError as exc:  # config checks that need loaded inputs
+        if made:                    # they run before the first write
+            os.rmdir(out)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure -> exit 1 with message

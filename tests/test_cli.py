@@ -30,7 +30,7 @@ def test_validation_rejects_bad_theta(tmp_path, capsys):
         cfg = {"version": 1, "command": "evolve", "seed": 0,
                "problem": {"equation": "wave", "tau": 0.25, "n_steps": 2,
                            "theta": theta},
-               "backend": {"kind": "classical", "domain": {"n": 21, "n_bd": 32}}}
+               "backend": {"kind": "classical", "n": 21}}
         rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -48,12 +48,12 @@ def test_validation_rejects_bad_seed(tmp_path, capsys, seed):
     assert not (tmp_path / "run").exists()
 
 
-_CLASSICAL = {"kind": "classical", "domain": {"n": 9, "n_bd": 32}}
+_CLASSICAL = {"kind": "classical", "n": 9}
 
 
 @pytest.mark.parametrize("section, value, key", [
-    ("backend", {"kind": "classical", "domain": {"kind": "square", "n": 9, "amp": 0.3}},
-     "amp"),
+    ("backend", {**_CLASSICAL, "n_bd": 32}, "n_bd"),
+    ("backend", {**_CLASSICAL, "domain": {"n": 9}}, "domain"),
     ("problem", {"equation": "wave", "tau": 0.25, "n_steps": 2, "b": 0.3}, "b"),
     ("problem", {"equation": "heat", "tau": 0.25, "n_steps": 2, "b": 2**-0.5}, "b"),
     ("backend", {**_CLASSICAL, "lam_range": [0.05, 0.1]}, "lam_range"),
@@ -61,13 +61,13 @@ _CLASSICAL = {"kind": "classical", "domain": {"n": 9, "n_bd": 32}}
     ("backend", {**_CLASSICAL, "source_checkpoint": "s.ckpt"}, "source_checkpoint"),
     *[("backend", {"kind": "nekm", "boundary_checkpoint": "b.ckpt",
                    "source_checkpoint": "s.ckpt", key: value}, key)
-      for key, value in (("lam_range", [0.05, 0.1]), ("coupled", True))],
+      for key, value in (("lam_range", [0.05, 0.1]), ("coupled", True), ("n", 9),
+                         ("domain", {"n": 9, "n_bd": 32}))],
 ])
 def test_validation_rejects_keys_of_other_kinds(tmp_path, capsys, section, value, key):
     cfg = {"version": 1, "command": "evolve", "seed": 0,
            "problem": {"equation": "heat", "tau": 0.25, "n_steps": 2},
-           "backend": {"kind": "classical", "domain": {"n": 9, "n_bd": 32}},
-           section: value}
+           "backend": _CLASSICAL, section: value}
     rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)])
     assert rc == 2
     assert f"[{key!r}]" in capsys.readouterr().err
@@ -90,10 +90,11 @@ def _dataset_or_model_config(tmp_path, section, value):
     if section == "dataset":
         return {"version": 1, "command": "datagen", "seed": 0, "out": str(tmp_path / "run"),
                 "dataset": {"kappas": [0.05], **value}}
-    # a model or a top-level curve section, in a boundary-model train config
+    # a model section, a top-level curve section in a boundary-model train config
+    # or a points section in a source-model one
+    model = {"kind": "source" if section == "points" else "boundary"}
     return {"version": 1, "command": "train", "seed": 0, "out": str(tmp_path / "run"),
-            "data": {"path": str(tmp_path / "d.bin")}, "model": {"kind": "boundary"},
-            section: value}
+            "data": {"path": str(tmp_path / "d.bin")}, "model": model, section: value}
 
 
 @pytest.mark.parametrize("section, kind", [
@@ -130,6 +131,9 @@ def test_validation_accepts_every_dataset_and_model_key(tmp_path, section, kind)
     ("curve", {"kind": "disc"}, "'disc' in 'curve.kind'"),
     ("curve", {"kind": "square", "radius": 2}, "['radius']"),
     ("curve", {"kind": "petal", "side": 2}, "['side']"),
+    ("points", {"kind": "square", "spacing": 0.1}, "['spacing']"),
+    ("points", {"kind": "petal", "n": 9}, "['n']"),
+    ("points", {"kind": "disk"}, "'disk' in 'points.kind'"),
 ])
 def test_validation_rejects_dataset_and_model_keys_of_other_kinds(tmp_path, capsys, section,
                                                                    value, message):
@@ -140,45 +144,45 @@ def test_validation_rejects_dataset_and_model_keys_of_other_kinds(tmp_path, caps
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("section, value, key", [
-    ("dataset", {"kind": "source-offlattice", "curve": {"kind": "square", "n_bd": 32}},
-     "dataset.curve.kind"),
-    ("dataset", {"kind": "source-offlattice", "curve": {"kind": "disk"}}, "dataset.curve.kind"),
-    ("dataset", {"kind": "source-offlattice", "curve": {"n_bd": 32}}, "dataset.curve.kind"),
-    ("curve", {"kind": "square", "n_bd": 32}, "curve.kind"),
-    ("curve", {"kind": "disk"}, "curve.kind"),
-    ("curve", {"n_bd": 32}, "curve.kind"),
-])
-def test_petal_only_paths_refuse_other_curves(tmp_path, capsys, section, value, key):
-    """Off-lattice source data and a source model on petal points build their
-    points in a petal curve: any other curve, or one that names no kind (which
-    elsewhere means the square), is a config error naming the curve's kind."""
-    if section == "dataset":
-        cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(tmp_path / "run"),
-               "dataset": {"kappas": [0.05], "per_kappa": 2, "spacing": 0.2, **value}}
-    else:
-        cfg = {**_source_train_config(tmp_path, {"epochs": 1}),
-               "points": {"domain": "petal", "spacing": 0.2}, "curve": value}
+@pytest.mark.parametrize("value", [
+    {"kind": "square", "n_bd": 32}, {"kind": "disk"}, {"n_bd": 32}])
+def test_offlattice_data_refuses_other_curves(tmp_path, capsys, value):
+    """Off-lattice source data build their points in a petal curve: any other
+    curve, or one that names no kind (which elsewhere means the square), is a
+    config error naming the curve's kind."""
+    cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(tmp_path / "run"),
+           "dataset": {"kind": "source-offlattice", "kappas": [0.05], "per_kappa": 2,
+                       "spacing": 0.2, "curve": value}}
     rc = cli.main([cfg["command"], "--config", _write(tmp_path, "c.json", cfg)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and key in err
+    assert err.startswith("config error") and "dataset.curve.kind" in err
     assert not (tmp_path / "run").exists()
 
 
-def test_petal_curve_checks_apply_to_source_models_on_petal_points_only():
-    boundary = {"version": 1, "command": "train", "model": {"kind": "boundary"},
-                "data": {"path": "d.bin"}, "points": {"domain": "petal"},
-                "curve": {"kind": "square"}}
-    assert cli.validate_config(boundary) is boundary
-    source = {**boundary, "model": {"kind": "source"}, "curve": {"kind": "petal"}}
-    assert cli.validate_config(source) is source
+_GEOMETRY = {"curve": {"kind": "square", "n_bd": 32}, "points": {"kind": "square", "n": 9}}
+
+
+@pytest.mark.parametrize("model, own, other", [
+    ("boundary", "curve", "points"), ("source", "points", "curve")])
+def test_each_model_kind_refuses_the_other_geometry_section(tmp_path, capsys, model, own,
+                                                            other):
+    """A boundary model trains on the grid of curve, a source model on points:
+    the other section would be ignored, so it is a config error naming it."""
+    cfg = _dataset_or_model_config(tmp_path, own, _GEOMETRY[own])
+    cfg["model"] = {"kind": model}
+    assert cli.validate_config(cfg) is cfg
+    cfg[other] = _GEOMETRY[other]
+    rc = cli.main(["train", "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"[{other!r}]" in err and "model.kind" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("section, value, name", [
     ("backend", {**_CLASSICAL, "kind": "learnd"}, "'learnd' in 'backend.kind'"),
     ("backend", {**_CLASSICAL, "kind": ["classical"]}, "backend.kind"),
-    ("backend", {**_CLASSICAL, "domain": {"kind": ["square"]}}, "backend.domain"),
     ("problem", {"equation": ["heat"], "tau": 0.25, "n_steps": 1}, "equation"),
 ])
 def test_validation_rejects_unknown_kinds(tmp_path, capsys, section, value, name):
@@ -201,10 +205,10 @@ def test_validation_rejects_unknown_kinds(tmp_path, capsys, section, value, name
     ("curve", {"kind": "disk", "radius": "1"}, "curve.radius"),
     ("curve", {"kind": "square", "side": float("nan")}, "curve.side"),
     ("curve", {"kind": "square", "n_bd": 32.0}, "curve.n_bd"),
-    ("backend", {"kind": "classical", "domain": {"n": 2}}, "backend.domain.n"),
-    ("backend", {"kind": "classical", "domain": {"n": 9, "n_bd": 0}}, "backend.domain.n_bd"),
-    ("backend", {"kind": "classical", "domain": {"kind": "petal", "n_bd": True}},
-     "backend.domain.n_bd"),
+    ("backend", {"kind": "classical", "n": 2}, "backend.n"),
+    ("points", {"kind": "square", "n": 2}, "points.n"),
+    ("points", {"kind": "petal", "amp": 1}, "points.amp"),
+    ("points", {"kind": "petal", "lobes": True}, "points.lobes"),
 ])
 def test_validation_rejects_bad_curve_and_domain_values(tmp_path, capsys, section, value,
                                                         key):
@@ -229,34 +233,37 @@ _PROBLEM_KEYS = {
 
 @pytest.mark.parametrize("equation, experiment", [
     ("heat", "heat-cn"), ("wave", "wave-"), ("schrodinger", "schrodinger-lie")])
-def test_evolve_runs_on_the_smallest_valid_lattice_and_grid(tmp_path, equation, experiment):
+def test_evolve_runs_on_the_smallest_valid_lattice(tmp_path, equation, experiment):
     """Each equation runs with every problem key that cli._TABLES admits, so
     the table and the problem builders and steppers take the same keys."""
     problem = {"equation": equation, "tau": 0.1, "n_steps": 2, "store_fields": True,
                **_PROBLEM_KEYS[equation]}
     assert set(problem) == set(cli._TABLES["evolve"]["problem"].table(problem, "problem"))
     cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
-           "problem": problem, "backend": {"kind": "classical", "domain": {"n": 3, "n_bd": 8}}}
+           "problem": problem, "backend": {"kind": "classical", "n": 3}}
     assert cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)]) == 0
     assert (tmp_path / "run" / "field_step_0002.csv").exists()
     assert json.loads((tmp_path / "run" / "summary.json").read_text())["experiment"] == experiment
 
 
 def test_every_readme_config_is_valid():
-    """Every JSON config block in the README passes validate_config."""
+    """Every JSON config block in the README passes validate_config, and they
+    show every command, and evolve and uq on the learned backend."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         blocks = fh.read().split("```json\n")[1:]
-    assert blocks
-    for block in blocks:
-        cfg = json.loads(block.split("```")[0])
+    configs = [json.loads(block.split("```")[0]) for block in blocks]
+    for cfg in configs:
         assert cli.validate_config(cfg) is cfg
+    assert {cfg["command"] for cfg in configs} == set(cli._TABLES)
+    assert {cfg["command"] for cfg in configs
+            if cfg.get("backend", {}).get("kind") == "nekm"} == {"evolve", "uq"}
 
 
 def test_validation_accepts_every_learned_backend_key():
     cfg = {"version": 1, "command": "uq", "seed": 0, "uq": {"samples": 2},
-           "backend": {"kind": "nekm", "domain": {"n": 9, "n_bd": 32},
-                       "boundary_checkpoint": "b.ckpt", "source_checkpoint": "s.ckpt"}}
+           "backend": {"kind": "nekm", "boundary_checkpoint": "b.ckpt",
+                       "source_checkpoint": "s.ckpt"}}
     assert cli.validate_config(cfg) is cfg
 
 
@@ -303,6 +310,7 @@ def test_validation_accepts_wave_numbers_on_the_unit_circle(problem):
 @pytest.mark.parametrize("kappas", [
     [-0.05, 0.05], [0.0], [0.05, float("nan")], [float("inf")],
     {"start": -0.05, "stop": 0.05, "count": 3}, {"start": 0.0, "stop": 0.1, "count": 2},
+    [], {"start": 0.05, "stop": 0.1, "count": 0},
 ])
 def test_validation_rejects_non_positive_kappas(tmp_path, capsys, kind, kappas):
     out = tmp_path / "run"
@@ -356,15 +364,11 @@ _UQ = {"samples": 2, "tau": 0.1, "n_steps": 1}
     ("uq", "uq", {**_UQ, "probe": [0.43]}, "uq.probe"),
     ("uq", "uq", {**_UQ, "clip": [0.2, 1.2]}, "uq.clip"),
     ("uq", "uq", {**_UQ, "clip": [-1.5, 0.5]}, "uq.clip"),
-    ("uq", "backend", {"kind": "nekm", "domain": {"kind": "petal", "n_bd": 32},
-                       "boundary_checkpoint": "b.ckpt", "source_checkpoint": "s.ckpt"},
-     "backend.domain.kind"),
-    ("eval", "suite", {"kind": "scalar-bondary", "kappas": [0.05]}, "suite.kind"),
-    *[("eval", "suite", {"kind": kind, "kappas": [0.05], key: value}, key)
-      for kind in ("scalar-source", "system-source")
-      for key, value in (("n_bd", 32), ("eval_n", 8), ("eval_lo", 0.1), ("eval_hi", 0.9))],
-    ("eval", "suite", {"kind": "scalar-source", "kappas": [0.0, 0.05]}, "suite.kappas"),
-    ("eval", "suite", {"kind": "scalar-source", "kappas": {"start": 0.05}}, "suite.kappas"),
+    *[("eval", "suite", {"kappas": [0.05], key: value}, key)
+      for key, value in (("kind", "scalar-boundary"), ("n_bd", 32))],
+    ("eval", "suite", {"kappas": [0.0, 0.05]}, "suite.kappas"),
+    ("eval", "suite", {"kappas": {"start": 0.05}}, "suite.kappas"),
+    ("eval", "suite", {"kappas": []}, "suite.kappas"),
 ])
 def test_validation_rejects_bad_uq_and_suite_keys(tmp_path, capsys, cmd, section, value, key):
     base = ({"backend": _CLASSICAL, "uq": _UQ} if cmd == "uq"
@@ -380,7 +384,7 @@ def test_validation_rejects_bad_uq_and_suite_keys(tmp_path, capsys, cmd, section
 _MINIMAL = {
     "datagen": {"dataset": {"kind": "source", "kappas": [0.05]}},
     "train": {"model": {"kind": "boundary"}, "data": {"path": "d.bin"}},
-    "eval": {"checkpoint": "m.ckpt", "suite": {"kind": "scalar-source", "kappas": [0.05]}},
+    "eval": {"checkpoint": "m.ckpt", "suite": {"kappas": [0.05]}},
     "evolve": {"problem": {"equation": "heat", "tau": 0.1, "n_steps": 1},
                "backend": {"kind": "nekm", "boundary_checkpoint": "b.ckpt",
                            "source_checkpoint": "s.ckpt"}},
@@ -420,6 +424,8 @@ def _leaf_config(cmd, path, picks):
         node[name] = {kinds.key: kind, **{
             k: _REQUIRED_VALUES[k] for k in {**kinds.common, **kinds.kinds[kind]}
             if ".".join((*parents, name, k)) in cli._REQUIRED}}
+    if cmd == "train" and path[0] == "points":
+        cfg["model"] = {"kind": "source"}   # which trains on points, not on a curve
     node = cfg
     for key in path[:-1]:
         # a curve that no pick sets is a petal, the one kind every curve section
@@ -496,8 +502,7 @@ def _base_config(tmp_path, base):
         nn.save_checkpoint(nn.BoundaryModel.build(32, np.random.default_rng(0), internal=8),
                            str(tmp_path / "m.ckpt"))
         return {"checkpoint": str(tmp_path / "m.ckpt"),
-                "suite": {"kind": "scalar-boundary", "kappas": [0.05], "n_bd": 32,
-                          "eval_n": 4}}
+                "suite": {"kappas": [0.05], "eval_n": 4}}
     if base == "train-source":
         return {k: v for k, v in _source_train_config(tmp_path, {"epochs": 1}).items()
                 if k not in ("version", "command", "seed", "out")}
@@ -534,12 +539,11 @@ _COMMAND = {"uq": "uq", "boundary": "datagen", "source": "datagen", "offlattice"
     ("offlattice", "dataset.margin", "x"),
     ("offlattice", "dataset.curve.base", -1), ("offlattice", "dataset.curve.amp", "x"),
     ("offlattice", "dataset.curve.lobes", 2.5),
-    ("heat", "backend.domain.n_bd", 30), ("boundary", "dataset.curve.n_bd", 30),
-    ("heat", "backend.domain", {"kind": "petal", "n_bd": 32}),
+    ("boundary", "dataset.curve.n_bd", 30),
     ("schrodinger", "problem.w", -1), ("schrodinger", "problem.w", "x"),
     *[("train-source", "model.hidden_k", v) for v in ([0], "x", [2.5])],
     ("train-boundary", "model.internal", -1),
-    ("train-source", "points.n", 2.5), ("train-source", "points.domain", "circle"),
+    ("train-source", "points.n", 2.5), ("train-source", "points.kind", "circle"),
     ("eval", "suite.eval_n", 0), ("eval", "suite.eval_lo", "x"), ("eval", "suite.eval_hi", 1.5),
 ])
 def test_validation_rejects_values_that_ran_or_failed_at_run_time(tmp_path, capsys, base, key,
@@ -598,8 +602,7 @@ def test_datagen_train_eval_pipeline(tmp_path):
     e1 = tmp_path / "eval"
     cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(e1),
            "checkpoint": str(m1 / "model.ckpt"),
-           "suite": {"kind": "scalar-boundary", "kappas": [0.067],
-                     "n_bd": 32, "eval_n": 8}}
+           "suite": {"kappas": [0.067], "eval_n": 8}}
     assert cli.main(["eval", "--config", _write(tmp_path, "e.json", cfg)]) == 0
     rows = (e1 / "errors.csv").read_text().strip().splitlines()
     assert rows[0] == "case,abs_l2,abs_linf,rel_l2,rel_linf"
@@ -652,12 +655,12 @@ def test_coupled_pipeline_takes_coupled_from_the_data(tmp_path):
                              "data": {"path": str(tmp_path / "bdata" / "dataset.bin")},
                              "train": {"epochs": 2, "batch_size": 4}}),
         ("train", "smodel", {"model": {"kind": "source", "hidden_k": [4], "hidden_g": [4]},
-                             "points": {"domain": "square", "n": 9},
+                             "points": {"n": 9},
                              "data": {"path": str(tmp_path / "sdata" / "dataset.bin")},
                              "train": {"epochs": 2, "batch_size": 4}}),
         ("evolve", "run", {"problem": {"equation": "schrodinger", "splitting": "strang",
                                        "tau": 0.01, "n_steps": 2},
-                           "backend": {"kind": "nekm", "domain": {"n": 9, "n_bd": 32},
+                           "backend": {"kind": "nekm",
                                        "boundary_checkpoint": str(tmp_path / "bmodel"
                                                                   / "model.ckpt"),
                                        "source_checkpoint": str(tmp_path / "smodel"
@@ -683,7 +686,7 @@ def _source_train_config(tmp_path, train):
     return {"version": 1, "command": "train", "seed": 2, "out": str(tmp_path / "run"),
             "model": {"kind": "source", "hidden_k": [4], "hidden_g": [6]},
             "data": {"path": _tiny_source_dataset(tmp_path)},
-            "points": {"domain": "square", "n": 9}, "train": train}
+            "points": {"kind": "square", "n": 9}, "train": train}
 
 
 @pytest.mark.parametrize("train, message", [
@@ -718,6 +721,7 @@ def test_train_records_training_error_per_kappa(tmp_path):
     summary = json.loads((run / "summary.json").read_text())
     model, meta = load_checkpoint(str(run / "model.ckpt"))
     assert meta["train_error"] == summary["train_error"]
+    assert meta["domain"] == {"kind": "square", "n": 9}
     assert summary["train_error"]["metric"] == "rel_l2"
     ds = datagen.load_dataset(cfg["data"]["path"])
     expected = [training.error_metrics(model.predict(k, ds.f[ds.kappa_index == i]),
@@ -744,7 +748,7 @@ def test_eval_every_suite_kind(tmp_path, kind, cases):
     coupled = kind.startswith("system")
     if kind.endswith("boundary"):
         model = nn.BoundaryModel.build(32, rng, internal=8, coupled=coupled)
-        suite, meta = {"n_bd": 32, "eval_n": 8}, {"grid": _grid_record({"n_bd": 32})}
+        suite, meta = {"eval_n": 8}, {"grid": _grid_record({"kind": "square", "n_bd": 32})}
     else:
         model = nn.SourceModel.build(square_lattice(9).points, [8], [8], rng,
                                      coupled=coupled)
@@ -753,7 +757,7 @@ def test_eval_every_suite_kind(tmp_path, kind, cases):
     out = tmp_path / "eval"
     cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(out),
            "checkpoint": str(tmp_path / "m.ckpt"),
-           "suite": {"kind": kind, "kappas": [0.05, 0.067], **suite}}
+           "suite": {"kappas": [0.05, 0.067], **suite}}
     assert cli.main(["eval", "--config", _write(tmp_path, "e.json", cfg)]) == 0
     rows = (out / "errors.csv").read_text().strip().splitlines()
     assert rows[0] == "case,abs_l2,abs_linf,rel_l2,rel_linf"
@@ -765,49 +769,44 @@ def test_eval_every_suite_kind(tmp_path, kind, cases):
     assert [r["case"] for r in summary["rows"]] == cases
 
 
-@pytest.mark.parametrize("model_kind, coupled, kind", [
-    ("boundary", False, "scalar-source"),
-    ("source", False, "scalar-boundary"),
-    ("source", False, "system-source"),
-    ("source", True, "scalar-source"),
-])
-def test_eval_refuses_a_checkpoint_of_another_kind(tmp_path, capsys, model_kind, coupled,
-                                                   kind):
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("key, value", [("eval_n", 8), ("eval_lo", 0.1), ("eval_hi", 0.9)])
+def test_eval_refuses_boundary_suite_keys_on_a_source_checkpoint(tmp_path, capsys, coupled,
+                                                                 key, value):
     from evokernel import nn
     from evokernel.geometry import square_lattice
-    rng = np.random.default_rng(0)
-    model = (nn.BoundaryModel.build(32, rng, internal=8) if model_kind == "boundary" else
-             nn.SourceModel.build(square_lattice(9).points, [8], [8], rng, coupled=coupled))
+    model = nn.SourceModel.build(square_lattice(9).points, [8], [8], np.random.default_rng(0),
+                                 coupled=coupled)
     nn.save_checkpoint(model, str(tmp_path / "m.ckpt"))
     cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(tmp_path / "eval"),
-           "checkpoint": str(tmp_path / "m.ckpt"), "suite": {"kind": kind, "kappas": [0.05]}}
+           "checkpoint": str(tmp_path / "m.ckpt"), "suite": {"kappas": [0.05], key: value}}
     rc = cli.main(["eval", "--config", _write(tmp_path, "e.json", cfg)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "suite.kind" in err and model_kind in err
-    assert not (tmp_path / "eval" / "errors.csv").exists()
+    assert err.startswith("config error") and key in err and "source checkpoint" in err
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("grid, message", [
     ({"kind": "disk", "n_bd": 32}, "'disk'"),
-    ({"n_bd": 64}, "64"),
+    ({"kind": "square", "side": 2, "n_bd": 32}, "'side': 2"),
     (None, "record None"),
 ])
 def test_eval_refuses_a_boundary_checkpoint_of_another_grid(tmp_path, capsys, grid, message):
-    """The boundary suites run on the unit square with suite.n_bd nodes: a
-    checkpoint trained on another grid, or one that records no grid, is refused."""
+    """The boundary suites run on the unit square, with the n_bd of the
+    checkpoint's grid record: a checkpoint trained on another curve, or one
+    that records no grid, is refused."""
     from evokernel import nn
     model = nn.BoundaryModel.build(32, np.random.default_rng(0), internal=8)
     nn.save_checkpoint(model, str(tmp_path / "m.ckpt"),
                        {"grid": _grid_record(grid)} if grid else None)
     cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(tmp_path / "eval"),
-           "checkpoint": str(tmp_path / "m.ckpt"),
-           "suite": {"kind": "scalar-boundary", "kappas": [0.05], "n_bd": 32, "eval_n": 4}}
+           "checkpoint": str(tmp_path / "m.ckpt"), "suite": {"kappas": [0.05], "eval_n": 4}}
     rc = cli.main(["eval", "--config", _write(tmp_path, "e.json", cfg)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "suite.n_bd" in err and message in err
-    assert not (tmp_path / "eval" / "errors.csv").exists()
+    assert err.startswith("config error") and "unit square" in err and message in err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_evolve_classical_and_report(tmp_path):
@@ -815,7 +814,7 @@ def test_evolve_classical_and_report(tmp_path):
     cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(r1),
            "problem": {"equation": "heat", "scheme": "be", "tau": 0.25,
                        "n_steps": 2},
-           "backend": {"kind": "classical", "domain": {"n": 21, "n_bd": 32}}}
+           "backend": {"kind": "classical", "n": 21}}
     assert cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)]) == 0
     assert (r1 / "error_trace.csv").exists()
     assert (r1 / "final_field.svg").read_text().startswith("<svg")
@@ -839,7 +838,7 @@ def test_evolve_classical_and_report(tmp_path):
 def test_report_gates_runs_by_the_scheme_they_ran(tmp_path, problem, experiment):
     run = tmp_path / "run"
     cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(run),
-           "problem": problem, "backend": {"kind": "classical", "domain": {"n": 21}}}
+           "problem": problem, "backend": {"kind": "classical", "n": 21}}
     assert cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)]) == 0
     assert json.loads((run / "summary.json").read_text())["experiment"] == experiment
     rep = tmp_path / "report"
@@ -939,44 +938,44 @@ def test_seed_override_changes_artifacts(tmp_path):
     assert outs[0] != outs[1]
 
 
-def _grid_record(domain):
-    """The boundary grid record that evokernel train writes for the grid of a
-    backend.domain section."""
-    curve = {k: v for k, v in domain.items() if k not in ("n", "spacing", "margin")}
+def _grid_record(curve):
+    """The boundary grid record that evokernel train writes for a curve section."""
     _, grid = cli._build_curve_grid(curve)
     nodes = b"".join(a.tobytes() for a in (grid.points, grid.normals, grid.speeds,
                                            grid.curvatures))
     return {"curve": curve, "sha256": hashlib.sha256(nodes).hexdigest()}
 
 
+_PETAL_RECORD = {"kind": "petal", "base": 0.5, "amp": 0.15, "lobes": 4, "spacing": 0.1,
+                 "margin": 0.1}
+
+
 def _learned_section(tmp_path, bnd_kappas, src_kappas, points=None, coupled=False,
                      domain=None):
-    """Backend config over tiny random checkpoints with the given kappa metadata;
-    the source model samples points (default: the 9 x 9 square lattice), and the
-    boundary checkpoint records the grid of domain (default: that lattice's,
-    32 nodes)."""
+    """Backend config over tiny random checkpoints with the given kappa metadata.
+    The source checkpoint records domain (default: the 9 x 9 square lattice)
+    and samples points (default: that domain's); the boundary checkpoint
+    records the grid of 32 nodes on domain's curve."""
     from evokernel import nn
-    from evokernel.geometry import square_lattice
     rng = np.random.default_rng(0)
-    points = square_lattice(9).points if points is None else points
-    domain = domain or {"n": 9, "n_bd": 32}
+    domain = domain or {"kind": "square", "n": 9}
+    points = cli._domain(domain)[0].points if points is None else points
+    curve = {k: v for k, v in domain.items() if k not in ("n", "spacing", "margin")}
     paths = {}
     for kind, model, meta in (
             ("boundary", nn.BoundaryModel.build(32, rng, internal=8, coupled=coupled),
-             {"kappas": bnd_kappas, "grid": _grid_record(domain)}),
+             {"kappas": bnd_kappas, "grid": _grid_record({**curve, "n_bd": 32})}),
             ("source", nn.SourceModel.build(points, [8], [8], rng, coupled=coupled),
-             {"kappas": src_kappas})):
+             {"kappas": src_kappas, "domain": domain})):
         paths[kind] = str(tmp_path / f"{kind}.ckpt")
         nn.save_checkpoint(model, paths[kind], {k: v for k, v in meta.items() if v is not None})
-    section = {"kind": "nekm", "domain": domain,
-               "boundary_checkpoint": paths["boundary"],
-               "source_checkpoint": paths["source"]}
-    return section
+    return {"kind": "nekm", "boundary_checkpoint": paths["boundary"],
+            "source_checkpoint": paths["source"]}
 
 
-def _heat_config(tmp_path, backend):
+def _heat_config(tmp_path, backend, tau=0.14):
     return {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
-            "problem": {"equation": "heat", "scheme": "cn", "tau": 0.14, "n_steps": 1},
+            "problem": {"equation": "heat", "scheme": "cn", "tau": tau, "n_steps": 1},
             "backend": backend}
 
 
@@ -993,7 +992,26 @@ def test_lam_range_refused_without_checkpoint_kappas(tmp_path, capsys):
         assert "record the kappas" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, key, tau", [("evolve", "problem.tau", 0.5),
+                                           ("uq", "uq.tau", 0.5)])
+def test_a_step_lam_outside_the_checkpoint_kappas_is_a_config_error(tmp_path, capsys, cmd,
+                                                                     key, tau):
+    """A learned run whose step lam (tau for heat BE, tau / 2 for CN) lies
+    outside the checkpoints' kappas exits 2 naming the key that sets it."""
+    section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1])
+    cfg = ({**_heat_config(tmp_path, section, tau), "command": "evolve"} if cmd == "evolve"
+           else {"version": 1, "command": "uq", "seed": 0, "out": str(tmp_path / "run"),
+                 "backend": section, "uq": {"samples": 2, "tau": tau, "n_steps": 1}})
+    rc = cli.main([cmd, "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err and "lam=0.25" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_backend_refuses_source_checkpoint_of_another_lattice(tmp_path, capsys):
+    """A source checkpoint whose sample points are not those of its domain
+    record is refused."""
     from evokernel.geometry import square_lattice
     section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1],
                                points=square_lattice(11).points)
@@ -1002,20 +1020,39 @@ def test_backend_refuses_source_checkpoint_of_another_lattice(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "sample points" in err
+    assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("trained_on", ["disk", None])
-def test_backend_refuses_boundary_checkpoint_of_another_grid(tmp_path, capsys, trained_on):
-    """A boundary checkpoint drives only the grid it was trained on: one trained
-    on the disk, or one that records no grid, is refused on the square."""
+def test_backend_refuses_source_checkpoint_with_no_domain_record(tmp_path, capsys):
     from evokernel import nn
     section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1])
-    if trained_on is None:
+    model, meta = nn.load_checkpoint(section["source_checkpoint"])
+    del meta["domain"]
+    nn.save_checkpoint(model, section["source_checkpoint"], meta)
+    rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json",
+                                                _heat_config(tmp_path, section))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "domain record" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"kind": "disk", "n_bd": 32}, "'disk'"),
+    ({"kind": "square", "side": 2, "n_bd": 32}, "'side': 2"),
+    (None, "record None"),
+])
+def test_backend_refuses_boundary_checkpoint_of_another_grid(tmp_path, capsys, grid, message):
+    """A boundary checkpoint drives only the grid it was trained on: one trained
+    on the disk or on a square of another side, or one that records no grid, is
+    refused beside a source checkpoint on the unit square."""
+    from evokernel import nn
+    section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1])
+    if grid is None:
         model, meta = nn.load_checkpoint(section["boundary_checkpoint"])
         del meta["grid"]
         nn.save_checkpoint(model, section["boundary_checkpoint"], meta)
     else:
-        grid = {"kind": trained_on, "n_bd": 32}
         for cmd, out, cfg in (
                 ("datagen", "bdata", {"dataset": {"kind": "boundary", "kappas": [0.05, 0.1],
                                                   "n_g": 4, "curve": grid}}),
@@ -1029,9 +1066,10 @@ def test_backend_refuses_boundary_checkpoint_of_another_grid(tmp_path, capsys, t
                                                 _heat_config(tmp_path, section))])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "backend.domain" in err
-    assert ("'disk'" if trained_on else "record None") in err
-    assert not (tmp_path / "run" / "summary.json").exists()
+    assert err.startswith("config error") and "source checkpoint's domain" in err
+    assert message in err
+    assert not (tmp_path / "run").exists()
+
 
 @pytest.mark.parametrize("cmd, problem, coupled", [
     ("evolve", {"equation": "heat", "tau": 0.14, "n_steps": 1}, True),
@@ -1071,9 +1109,7 @@ def test_validation_rejects_kappa_diff():
 def test_petal_backend_serves_non_default_curve(tmp_path):
     from evokernel.geometry import make_curve, petal_lattice
     interior = petal_lattice(make_curve("petal", base=0.5, amp=0.15, lobes=4), 0.1)
-    backend = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1], points=interior.points,
-                               domain={"kind": "petal", "base": 0.5, "amp": 0.15, "lobes": 4,
-                                       "spacing": 0.1, "n_bd": 32})
+    backend = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1], domain=_PETAL_RECORD)
     cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
            "problem": {"equation": "heat", "scheme": "be", "tau": 0.07, "n_steps": 1},
            "backend": backend}
@@ -1082,17 +1118,42 @@ def test_petal_backend_serves_non_default_curve(tmp_path):
                           interior.points)
 
 
+def test_petal_source_training_records_its_domain(tmp_path):
+    """evokernel train writes a petal source model's domain record, defaults
+    filled in, and a learned run builds its points from that record."""
+    from evokernel import nn
+    kappas = [0.05, 0.1]
+    for cmd, out, cfg in (
+            ("datagen", "sdata", {"dataset": {"kind": "source-offlattice", "kappas": kappas,
+                                              "per_kappa": 2, "spacing": 0.2,
+                                              "curve": {"kind": "petal", "n_bd": 16}}}),
+            ("train", "smodel", {"model": {"kind": "source", "hidden_k": [4], "hidden_g": [4]},
+                                 "points": {"kind": "petal", "spacing": 0.2},
+                                 "train": {"epochs": 1, "batch_size": 2},
+                                 "data": {"path": str(tmp_path / "sdata" / "dataset.bin")}})):
+        cfg = {"version": 1, "command": cmd, "seed": 0, "out": str(tmp_path / out), **cfg}
+        assert cli.main([cmd, "--config", _write(tmp_path, f"{out}.json", cfg)]) == 0
+    model, meta = nn.load_checkpoint(str(tmp_path / "smodel" / "model.ckpt"))
+    record = {"kind": "petal", "base": 0.6, "amp": 0.25, "lobes": 6, "spacing": 0.2,
+              "margin": 0.2}
+    assert meta["domain"] == record
+    backend = _learned_section(tmp_path, kappas, kappas, domain=record)
+    backend["source_checkpoint"] = str(tmp_path / "smodel" / "model.ckpt")
+    cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
+           "problem": {"equation": "heat", "scheme": "be", "tau": 0.07, "n_steps": 1},
+           "backend": backend}
+    assert cli.main(["evolve", "--config", _write(tmp_path, "c.json", cfg)]) == 0
+    with open(tmp_path / "run" / "final_field.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 1 + len(model.points)
+
+
 @pytest.mark.parametrize("n_steps, rc", [(1, 0), (2, 2), (3, 2)])
 def test_wave_beyond_its_first_step_is_refused_on_a_petal_backend(tmp_path, capsys, n_steps,
                                                                     rc):
     """The theta-scheme takes a 5-point Laplacian of its Taylor-started level,
     which only the square lattice has: a petal backend runs one wave step, and
-    a longer run exits 2 before it loads a checkpoint."""
-    from evokernel.geometry import make_curve, petal_lattice
-    interior = petal_lattice(make_curve("petal", base=0.5, amp=0.15, lobes=4), 0.1)
-    backend = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1], points=interior.points,
-                               domain={"kind": "petal", "base": 0.5, "amp": 0.15, "lobes": 4,
-                                       "spacing": 0.1, "n_bd": 32})
+    a longer run exits 2 before it writes anything."""
+    backend = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1], domain=_PETAL_RECORD)
     cfg = {"version": 1, "command": "evolve", "seed": 0, "out": str(tmp_path / "run"),
            "problem": {"equation": "wave", "tau": 0.4, "n_steps": n_steps},
            "backend": backend}
@@ -1101,3 +1162,15 @@ def test_wave_beyond_its_first_step_is_refused_on_a_petal_backend(tmp_path, caps
         err = capsys.readouterr().err
         assert "problem.n_steps" in err and "petal" in err
         assert not (tmp_path / "run").exists()
+
+
+def test_uq_is_refused_on_a_petal_backend(tmp_path, capsys):
+    """uq's probe interpolates the square lattice."""
+    backend = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1], domain=_PETAL_RECORD)
+    cfg = {"version": 1, "command": "uq", "seed": 0, "out": str(tmp_path / "run"),
+           "backend": backend, "uq": {"samples": 2, "tau": 0.1, "n_steps": 1}}
+    rc = cli.main(["uq", "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "uq" in err and "petal" in err
+    assert not (tmp_path / "run").exists()

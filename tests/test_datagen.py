@@ -155,6 +155,21 @@ def test_boundary_dataset_equals_per_record_reference(coupled):
     assert np.array_equal(ds.kappa_index, np.repeat(np.arange(len(kappas)), n_g))
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+def test_boundary_dataset_does_not_depend_on_the_curve(coupled):
+    """The traces are a GRF over the parameter nodes grid.t, which every curve
+    shares at one n_bd: the square, a radius-2 disk and the default petal give
+    bitwise-equal traces and one content hash; only the provenance label differs."""
+    grids = [sample_quadrature(curve, 32) for curve in (
+        make_curve("square"), make_curve("disk", radius=2.0), make_curve("petal"))]
+    sets = [dg.build_boundary_dataset([0.05, 0.1], 4, grid, 3, coupled=coupled)
+            for grid in grids]
+    assert len({grid.cache_key for grid in grids}) == 3
+    assert all(np.array_equal(ds.g, sets[0].g) for ds in sets[1:])
+    assert len({ds.content_hash() for ds in sets}) == 1
+    assert [ds.provenance["curve"] for ds in sets] == ["square", "disk", "petal"]
+
+
 def test_offlattice_dataset_equals_per_record_reference():
     """Sources are bitwise the per-record closed form; the labels, solved and
     summed per kappa as one batch, match one Nystrom solve and one
