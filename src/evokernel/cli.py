@@ -161,6 +161,9 @@ _TABLES = {
         "clip": _pair(_A, ordered=True)}},
     "report": {**_TOP, "runs": _list(_STR)},
 }
+# the grid record that train writes into a boundary checkpoint; a source
+# checkpoint's domain record has the shape of train's points section
+_GRID_RECORD = {"curve": _CURVE, "sha256": _STR}
 # the keys that the commands read with no default
 _REQUIRED = {"version", "dataset", "dataset.kappas", "model", "data", "data.path",
              "checkpoint", "suite", "suite.kappas", "problem", "problem.tau",
@@ -325,10 +328,12 @@ def _check_grid(meta, grid, where):
 
 
 def _trained_n_bd(meta, kind):
-    """The n_bd of a boundary checkpoint's grid record on a curve of kind, else 256,
-    which _check_grid refuses: the square's edges may not split another curve's n_bd."""
+    """The n_bd of a boundary checkpoint's grid record, checked against the curve
+    rules, on a curve of kind, else 256, which _check_grid refuses: the square's
+    edges may not split another curve's n_bd."""
+    _walk(meta.get("grid", {}), "the boundary checkpoint's grid", _GRID_RECORD)
     curve = meta.get("grid", {}).get("curve", {})
-    return curve["n_bd"] if curve.get("kind") == kind else 256
+    return curve.get("n_bd", 256) if curve.get("kind") == kind else 256
 
 
 def _domain(points, n_bd=256):
@@ -405,7 +410,8 @@ def _build_backend(section, equation):
     record = src_meta.get("domain")
     if record is None:
         raise ValidationError("a learned backend needs a source checkpoint's domain record")
-    domain, _ = _domain(record, _trained_n_bd(bnd_meta, record["kind"]))
+    _walk(record, "the source checkpoint's domain", _TABLES["train"]["points"])
+    domain, _ = _domain(record, _trained_n_bd(bnd_meta, record.get("kind", "square")))
     _check_grid(bnd_meta, domain.quad, f"the source checkpoint's domain {record}")
     if src.coupled != (equation == "schrodinger"):
         need, have = ("scalar", "coupled") if src.coupled else ("coupled", "scalar")

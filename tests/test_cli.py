@@ -1071,6 +1071,51 @@ def test_backend_refuses_boundary_checkpoint_of_another_grid(tmp_path, capsys, g
     assert not (tmp_path / "run").exists()
 
 
+# each checkpoint record with the table it follows and the commands that read it
+_RECORDS = {"domain": (cli._TABLES["train"]["points"], ("evolve", "uq")),
+            "grid": (cli._GRID_RECORD, ("eval", "evolve", "uq"))}
+_RECORD_LEAVES = [(cmd, name, path, picks, value)
+                  for name, (table, cmds) in _RECORDS.items()
+                  for path, picks in _table_leaves(table) for cmd in cmds
+                  for value in ("x", True) if not (value == "x" and path[-1] == "sha256")]
+
+
+@pytest.mark.parametrize("cmd, name, path, picks, value", _RECORD_LEAVES, ids=[
+    f"{cmd}:{name}.{'.'.join(path)}[{','.join(kind for _, _, kind in picks)}]={value}"
+    for cmd, name, path, picks, value in _RECORD_LEAVES])
+def test_every_checkpoint_record_key_refuses_a_value_of_another_type(tmp_path, capsys, cmd,
+                                                                     name, path, picks, value):
+    """The grid and domain records that train writes follow the rules of the
+    sections they come from: a string where the rule wants no string, or true
+    where it wants no boolean, is a config error naming the record's key, and
+    the run writes nothing."""
+    from evokernel import nn
+    kind = picks[0][2] if picks else "square"
+    section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1],
+                               domain=_PETAL_RECORD if (name, kind) == ("domain", "petal")
+                               else None)
+    ckpt = section["boundary_checkpoint" if name == "grid" else "source_checkpoint"]
+    model, meta = nn.load_checkpoint(ckpt)
+    if name == "grid":
+        meta["grid"] = _grid_record({"kind": kind, "n_bd": 32})
+    cli._walk(meta[name], name, _RECORDS[name][0])     # the record as train writes it
+    node = meta[name]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    nn.save_checkpoint(model, ckpt, meta)
+    cfg = {"version": 1, "command": cmd, "seed": 0, "out": str(tmp_path / "run"), **{
+        "eval": {"checkpoint": section["boundary_checkpoint"], "suite": {"kappas": [0.05]}},
+        "evolve": {"problem": {"equation": "heat", "tau": 0.14, "n_steps": 1},
+                   "backend": section},
+        "uq": {"backend": section, "uq": {"samples": 2, "tau": 0.1, "n_steps": 1}}}[cmd]}
+    rc = cli.main([cmd, "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"checkpoint's {name}.{'.'.join(path)}" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("cmd, problem, coupled", [
     ("evolve", {"equation": "heat", "tau": 0.14, "n_steps": 1}, True),
     ("evolve", {"equation": "wave", "tau": 0.2, "n_steps": 2}, True),
