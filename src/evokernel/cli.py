@@ -260,9 +260,10 @@ def cmd_datagen(cfg, out):
             **{k: d[k] for k in ("mix", "sigma_range", "coupled") if k in d})
     else:                     # the points of a petal source model on that curve
         points = {**d.get("curve", {"kind": "petal"}), **{k: d[k] for k in _SPACING if k in d}}
-        dom, _ = _domain(points, points.get("n_bd", 256))
+        dom, record = _domain(points, points.get("n_bd", 256))
         ds = datagen.build_offlattice_source_dataset(
             kappas, d.get("per_kappa", 500), dom.quad, dom.points, seed)
+        ds.provenance["domain"] = record      # what train's points section must name
     path = os.path.join(out, "dataset.bin")
     datagen.save_dataset(ds, path)
     _write_json(os.path.join(out, "summary.json"),
@@ -298,6 +299,13 @@ def cmd_train(cfg, out):
     else:
         domain, meta["domain"] = _domain(cfg.get("points", {}))
         _coupled_layout(ds, len(domain.points))
+        prov = ds.provenance
+        built = ({"kind": "square", "n": prov.get("n")} if prov.get("kind") == "source"
+                 else prov.get("domain"))
+        if built != meta["domain"]:
+            raise ValidationError(f"the dataset's labels were computed on the points "
+                                  f"{built}, but the source model trains on the points "
+                                  f"{meta['domain']}")
         model, info = training.train_source_model(tcfg, ds, domain.points)
     metric, errors = training.training_error(model, ds, kmats)
     train_error = {"metric": metric, "per_kappa": errors}

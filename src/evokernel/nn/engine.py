@@ -7,13 +7,25 @@ leading-axis broadcast) and squared_error (against a constant).  Constants
 (training data, lattice coordinates, precomputed operators) are passed as
 plain ndarrays; no backward forms a gradient for them.
 
-Gradients move rather than copy: a backward hands each operand a freshly
-computed array, which the operand's .grad takes over, and `backward`
-releases every interior node's .grad once it has been propagated.  Leaves
-keep their gradients; Parameter grads accumulate across backward calls
-until zeroed.  Invariant: no node hands its incoming gradient to a parent
-unchanged, so each gradient array has one holder, and dense masks the one it
-receives in place.
+Gradients move rather than copy: a backward hands each operand an array that
+nothing else holds, which the operand's .grad takes over.  Where the shapes
+allow, the array is one the node owns: squared_error's residual, the
+gradient hadamard received, or the node's own value, which nothing reads
+once the node's backward runs, since every consumer has propagated before
+it.  Invariant: no node hands its incoming gradient to a parent unchanged,
+so each gradient array has one holder, and dense masks the one it receives
+in place.
+
+`backward` therefore consumes the graph: interior values read None after it,
+and a second sweep of the same graph is refused.  The root keeps its value
+(the loss); leaves, Parameters and constant Tensors, keep value and grad,
+and Parameter grads accumulate across backward calls until zeroed.  The
+interior arrays stay referenced until the caller drops the root: freed
+during the sweep, they let glibc trim its heap, and a training loop's next
+forward faulted it back in (about 4k faults a step at paper size).
+
+dense's ReLU clamps with fmax then + 0.0, bitwise the masked copy
+where(z > 0, z, +0.0) at a fraction of its cost (see _relu).
 """
 
 from __future__ import annotations
@@ -46,6 +58,12 @@ def _val(x):
     return x.value if isinstance(x, Tensor) else x
 
 
+def _own(value, shape):
+    """A node's own value as the out= of a gradient of the given shape, or
+    None, a fresh array, if the shapes differ."""
+    return value if value.shape == shape else None
+
+
 def _accum(node, g):
     """Add g to node.grad; a first gradient is taken over, not copied, so g
     must be an array that nothing else holds."""
@@ -60,13 +78,24 @@ def _accum(node, g):
 def matmul_t(a, b):
     """a @ b.T."""
     av, bv = _val(a), _val(b)
+    z = av @ bv.T
 
     def bwd(g):
         if isinstance(a, Tensor):
-            _accum(a, g @ bv)
+            _accum(a, np.matmul(g, bv, out=_own(z, av.shape)))
         if isinstance(b, Tensor):
             _accum(b, g.T @ av)
-    return Tensor(av @ bv.T, (a, b), bwd)
+    return Tensor(z, (a, b), bwd)
+
+
+def _relu(z):
+    """Sets z in place to where(z > 0, z, +0.0), bitwise, and returns the mask
+    z > 0.  fmax sends negatives and NaN to +0.0 but may keep a -0.0 (its SIMD
+    tail loops do); adding +0.0 makes that +0.0 and keeps every other entry."""
+    mask = z > 0.0
+    np.fmax(z, 0.0, out=z)
+    np.add(z, 0.0, out=z)
+    return mask
 
 
 def dense(x, w, b, relu):
@@ -78,10 +107,7 @@ def dense(x, w, b, relu):
     xv, wv, bv = _val(x), _val(w), _val(b)
     z = xv @ wv.T
     z += bv
-    mask = None
-    if relu:
-        mask = z > 0.0
-        np.copyto(z, 0.0, where=~mask)
+    mask = _relu(z) if relu else None
 
     def bwd(g):
         if mask is not None:
@@ -89,9 +115,10 @@ def dense(x, w, b, relu):
         if isinstance(b, Tensor):
             _accum(b, g.sum(axis=0))
         if isinstance(x, Tensor):
-            _accum(x, g @ wv)
+            _accum(x, np.matmul(g, wv, out=_own(z, xv.shape)))
         if isinstance(w, Tensor):
-            _accum(w, g.T @ xv)
+            # from one input row each entry is one product: the K = 1 GEMM's
+            _accum(w, np.outer(g, xv) if xv.shape[0] == 1 else g.T @ xv)
     return Tensor(z, (x, w, b), bwd)
 
 
@@ -112,7 +139,7 @@ def factored_linear(a, w, b, h):
             _accum(h, g.T @ aw)
         gaw = g @ hv
         if isinstance(a, Tensor):
-            ga = gaw @ wv.T
+            ga = np.matmul(gaw, wv.T, out=_own(z, av.shape))
             ga += np.outer(s, bv)
             _accum(a, ga)
         if isinstance(w, Tensor):
@@ -123,15 +150,18 @@ def factored_linear(a, w, b, h):
 def hadamard(a, b):
     """Elementwise product; a row vector (1, n) broadcasts over (m, n)."""
     av, bv = _val(a), _val(b)
+    z = av * bv
 
     def bwd(g):
+        # g and z are this node's own: a's gradient goes to z when b's
+        # still needs g, and the last operand's to g
         if isinstance(a, Tensor):
-            ga = g * bv
+            ga = np.multiply(g, bv, out=z if isinstance(b, Tensor) else g)
             _accum(a, ga.sum(axis=0, keepdims=True) if av.shape != g.shape else ga)
         if isinstance(b, Tensor):
-            gb = g * av
+            gb = np.multiply(g, av, out=g)
             _accum(b, gb.sum(axis=0, keepdims=True) if bv.shape != g.shape else gb)
-    return Tensor(av * bv, (a, b), bwd)
+    return Tensor(z, (a, b), bwd)
 
 
 def squared_error(x, c, scale):
@@ -141,14 +171,17 @@ def squared_error(x, c, scale):
 
     def bwd(g):
         if isinstance(x, Tensor):
-            _accum(x, (2.0 * scale * g) * r)
+            _accum(x, np.multiply(r, 2.0 * scale * g, out=r))
     return Tensor(np.float64(scale * np.sum(r * r)), (x,), bwd)
 
 
 def backward(root):
-    """Reverse-mode sweep from a scalar-rooted node (iterative topo order)."""
+    """Reverse-mode sweep from a scalar-rooted node (iterative topo order);
+    consumes the graph's interior values."""
     if np.ndim(root.value) != 0:
         raise ValueError("backward requires a scalar-rooted graph")
+    if root.bwd is None and root.parents:
+        raise ValueError("backward already ran on this graph")
     order = []
     visited = set()
     stack = [(root, False)]
@@ -166,9 +199,14 @@ def backward(root):
                 stack.append((p, False))
     root.grad = np.float64(1.0)
     for node in reversed(order):
-        if node.bwd is not None and node.grad is not None:
+        if node.bwd is None:
+            continue
+        if node.grad is not None:
             grad, node.grad = node.grad, None
             node.bwd(grad)
+        if node is not root:
+            node.value = None         # its array may hold a gradient now
+    root.bwd = None
 
 
 # elements per slice in Adam.step (256 KB of float64)

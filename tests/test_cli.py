@@ -1192,6 +1192,35 @@ def test_petal_source_training_records_its_domain(tmp_path):
         assert len(list(csv.reader(fh))) == 1 + len(model.points)
 
 
+@pytest.mark.parametrize("dataset, points", [
+    # 6 points each: the default petal and one of base 0.58
+    ({"kind": "source-offlattice", "spacing": 0.2},
+     {"kind": "petal", "base": 0.58, "spacing": 0.2}),
+    # 25 points each: the 5 x 5 lattice and a petal
+    ({"kind": "source", "n": 5}, {"kind": "petal", "spacing": 0.205, "margin": 0}),
+    ({"kind": "source-offlattice", "spacing": 0.205, "margin": 0}, {"kind": "square", "n": 5}),
+])
+def test_source_train_refuses_a_dataset_of_other_points(tmp_path, capsys, dataset, points):
+    """A source dataset records the point set its labels were computed on, in
+    the shape of train's points section; train exits 2 and writes nothing when
+    its points section names another set, even one of the same size."""
+    from evokernel import datagen
+    data = tmp_path / "data"
+    cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(data),
+           "dataset": {"kappas": [0.05], "per_kappa": 2, **dataset}}
+    assert cli.main(["datagen", "--config", _write(tmp_path, "d.json", cfg)]) == 0
+    if dataset["kind"] == "source-offlattice":
+        _, record = cli._domain({"kind": "petal", **dataset})
+        assert datagen.load_dataset(str(data / "dataset.bin")).provenance["domain"] == record
+    cfg = {"version": 1, "command": "train", "seed": 0, "out": str(tmp_path / "run"),
+           "model": {"kind": "source", "hidden_k": [4], "hidden_g": [4]}, "points": points,
+           "data": {"path": str(data / "dataset.bin")}, "train": {"epochs": 1}}
+    assert cli.main(["train", "--config", _write(tmp_path, "t.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "points" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("n_steps, rc", [(1, 0), (2, 2), (3, 2)])
 def test_wave_beyond_its_first_step_is_refused_on_a_petal_backend(tmp_path, capsys, n_steps,
                                                                     rc):

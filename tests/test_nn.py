@@ -45,6 +45,72 @@ def test_relu_clamps():
     assert not np.any(np.signbit(out.value))
 
 
+_SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+
+
+def _masked_clamp(z):
+    """The clamp dense applied before it used fmax, on a copy of z."""
+    z = z.copy()
+    np.copyto(z, 0.0, where=~(z > 0.0))
+    return z
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+def _with_specials(shape, rng):
+    """Arrays of the shape: one special value everywhere, then each special at
+    each position among random values of both signs."""
+    size = int(np.prod(shape))
+    for s in _SPECIALS:
+        yield np.full(shape, s)
+        for i in range(size):
+            z = rng.standard_normal(size)
+            z[i] = s
+            yield z.reshape(shape)
+
+
+@pytest.mark.parametrize("length", range(1, 65))
+def test_relu_clamp_is_bitwise_the_masked_copy(length):
+    """Across the lengths of fmax's SIMD loops and their tails, where bare
+    fmax keeps a -0.0: the clamp, and dense's ReLU on inputs that carry the
+    special values through its product, both equal the old masked copy."""
+    rng = np.random.default_rng(length)
+    for z in _with_specials((length,), rng):
+        ref = _masked_clamp(z)
+        mask = eg._relu(z)
+        assert np.array_equal(_bits(z), _bits(ref))
+        assert np.array_equal(mask, ref > 0.0)
+    w, b = np.ones((1, 1)), np.zeros(1)
+    for x in _with_specials((length, 1), rng):
+        pre = eg.dense(x, w, b, relu=False).value
+        out = eg.dense(x, w, b, relu=True).value
+        assert np.array_equal(_bits(out), _bits(_masked_clamp(pre)))
+
+
+@pytest.mark.parametrize("shape, view", [
+    ((3, 7), np.s_[:, :]), ((4, 16), np.s_[:, :]), ((5, 19), np.s_[:, :]),
+    ((6, 30), np.s_[::2, 1::3]), ((9, 40), np.s_[1::4, ::-2]),
+])
+def test_relu_clamp_is_bitwise_the_masked_copy_on_2d_and_strided_arrays(shape, view):
+    rng = np.random.default_rng(sum(shape))
+    for full in _with_specials(shape, rng):
+        z = full[view]
+        ref = _masked_clamp(z)
+        eg._relu(z)
+        assert np.array_equal(_bits(z), _bits(ref))
+    x = rng.standard_normal(shape)
+    x[::3, ::5] = np.nan
+    x[1::3, 2::5] = -np.inf
+    x = x[view]
+    w, b = rng.standard_normal((11, x.shape[1])), rng.standard_normal(11)
+    with np.errstate(invalid="ignore"):     # inf - inf in the product
+        out = eg.dense(x, w, b, relu=True).value
+        pre = eg.dense(x, w, b, relu=False).value
+    assert np.array_equal(_bits(out), _bits(_masked_clamp(pre)))
+
+
 def test_batch_row_consistency():
     rng = np.random.default_rng(1)
     m = nn.Mlp.build([5, 7, 4], ["relu", "identity"], rng)
@@ -225,8 +291,9 @@ def test_factored_source_forward_matches_dense_graph(coupled):
             for p in model.parameters():
                 p.grad = None
             pred = fwd(k, f)
+            out = pred.value          # backward consumes it
             eg.backward(eg.squared_error(pred, u, 1.0 / u.size))
-            results.append((pred.value, [p.grad.copy() for p in model.parameters()]))
+            results.append((out, [p.grad.copy() for p in model.parameters()]))
         (out, grads), (out_ref, grads_ref) = results
         assert np.max(np.abs(out - out_ref)) <= 1e-13 * np.max(np.abs(out_ref))
         for g, g_ref in zip(grads, grads_ref):
@@ -254,6 +321,60 @@ def test_source_training_graph_never_forms_dense_features(coupled):
         assert len(users) == 1 and any(p is b for p in users[0].parents)
     eg.backward(loss)
     assert all(p.grad.shape != dense_shape for p in model.parameters())
+
+
+def _reusing_graphs(rng):
+    """(model, loss_fn) pairs whose graphs hold every node that forms a
+    gradient in its own value: dense layers of equal in and out widths, the
+    factored head, matmul_t, and a hadamard of two Tensors; also the source
+    model's shared one-row kappa, whose weight gradients are outer products."""
+    pts = rng.uniform(0, 1, (10, 2))
+    kap = np.array([[0.05], [0.07], [0.1]])
+    for coupled, kappa in ((False, kap), (False, kap[:1]), (True, kap[:1])):
+        model = nn.SourceModel.build(pts, [6, 6], [8, 8], rng, coupled=coupled)
+        f, u = (rng.standard_normal((3, model.n_samples)) for _ in range(2))
+        yield model, lambda model=model, kappa=kappa, f=f, u=u: eg.squared_error(
+            model.forward(kappa, f), u, 1.0 / u.size)
+    model = nn.BoundaryModel.build(12, rng, internal=9, hidden_k=[9])
+    B, g = rng.standard_normal((12, 12)), rng.standard_normal((4, 12))
+    yield model, lambda: eg.squared_error(
+        eg.matmul_t(model.forward(np.full((1, 1), 0.07), g), B), g, 1.0 / 48)
+
+
+def test_backward_consumes_interior_values_and_reusing_them_is_exact(monkeypatch):
+    """After backward every interior node's value is None, the root and the
+    parameters keep theirs, and a second sweep of the graph is refused.  The
+    gradients that GEMMs form in their nodes' own values are bitwise those
+    formed in fresh arrays."""
+    rng = np.random.default_rng(25)
+    own = eg._own
+    for model, loss_fn in _reusing_graphs(rng):
+        params = model.parameters()
+        values = [p.value.copy() for p in params]
+        runs, reused = [], []
+
+        def own_or_fresh(value, shape):
+            out = own(value, shape) if reuse else None
+            reused.append(out is not None)
+            return out
+        monkeypatch.setattr(eg, "_own", own_or_fresh)
+        for reuse in (True, False):
+            for p in params:
+                p.grad = None
+            loss = loss_fn()
+            interior = [n for n in _walk(loss) if not isinstance(n, eg.Parameter)]
+            value = loss.value
+            eg.backward(loss)
+            assert loss.value is value
+            assert all(n.value is None for n in interior if n is not loss)
+            for p, v in zip(params, values):
+                assert np.array_equal(p.value, v) and p.grad is not None
+            with pytest.raises(ValueError, match="already ran"):
+                eg.backward(loss)
+            runs.append([p.grad for p in params])
+        assert any(reused)
+        for g, g_fresh in zip(*runs):
+            assert np.array_equal(_bits(g), _bits(g_fresh))
 
 
 def test_in_place_relu_masks_do_not_alias_gradients():
