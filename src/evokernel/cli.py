@@ -2,8 +2,9 @@
 
 One JSON config per run; subcommands: datagen, train, eval, evolve, uq,
 report.  Artifacts land in the output directory together with a
-manifest (config hash, seeds, package version, artifact list) so any run
-can be reproduced from its manifest.  Exit codes: 0 success, 1 runtime
+manifest (config hash, seeds, package version, artifact list, and the
+machine: CPUs, thread variables, numpy and scipy versions, peak memory) so
+any run can be reproduced from its manifest.  Exit codes: 0 success, 1 runtime
 error, 2 config validation error.
 
 _TABLES is the one place where config rules live: each command's keys and
@@ -22,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 from typing import NamedTuple
 
@@ -219,6 +221,8 @@ def _write_csv(path, header, rows):
 
 
 def _write_manifest(out, cfg, artifacts):
+    import numpy
+    import scipy
     from . import __version__
     manifest = {
         "command": cfg["command"],
@@ -227,6 +231,11 @@ def _write_manifest(out, cfg, artifacts):
         "seed": cfg.get("seed"),
         "version": __version__,
         "artifacts": sorted(artifacts),
+        "nproc": len(os.sched_getaffinity(0)),
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     _write_json(os.path.join(out, "manifest.json"), manifest)
 
@@ -544,6 +553,9 @@ def cmd_report(cfg, out):
     return 0
 
 
+# the BLAS and OpenMP thread variables that --threads sets and the manifest records
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 _COMMANDS = {
     "datagen": cmd_datagen, "train": cmd_train, "eval": cmd_eval,
     "evolve": cmd_evolve, "uq": cmd_uq, "report": cmd_report,
@@ -560,7 +572,7 @@ def main(argv=None):
     parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
     try:
         with open(args.config) as fh:

@@ -116,11 +116,13 @@ class ClassicalBackend:
         self.domain = domain
 
     def solve(self, lam, F, gfun, t):
-        """(I - lam Delta) u = F, u = g(., t) on the boundary ring."""
+        """(I - lam Delta) u = F, u = g(., t) on the boundary ring; u is a new
+        array that the caller owns."""
         return self._solve(lam, F, gfun, t, coupled=False)
 
     def solve_coupled(self, lam, F, gfun, t):
-        """u + i lam Delta u = F over complex lattice fields."""
+        """u + i lam Delta u = F over complex lattice fields; u is the
+        caller's, as in solve."""
         return self._solve(lam, F, gfun, t, coupled=True)
 
     def _solve(self, lam, F, gfun, t, coupled):
@@ -222,11 +224,13 @@ class NekmBackend:
         return op
 
     def solve(self, lam, F, gfun, t):
-        """(I - lam Delta) u = F with Dirichlet data g(., t)."""
+        """(I - lam Delta) u = F with Dirichlet data g(., t); u is a new array
+        that the caller owns."""
         return self._solve(lam, F, gfun, t, coupled=False)
 
     def solve_coupled(self, lam, F, gfun, t):
-        """u + i lam Delta u = F over complex fields."""
+        """u + i lam Delta u = F over complex fields; u is the caller's, as
+        in solve."""
         return self._solve(lam, F, gfun, t, coupled=True)
 
     def _solve(self, lam, F, gfun, t, coupled):
@@ -326,23 +330,34 @@ def _initial_lap(prob, pts):
 
 
 def run_heat(prob, backend, scheme="be", store_fields=False):
-    """Heat equation u_t = Delta u by backward Euler or Crank-Nicolson."""
+    """Heat equation u_t = Delta u by backward Euler or Crank-Nicolson.
+
+    Crank-Nicolson holds at most two batch fields of its own: it forms
+    F = lam Delta u0 before u0 and adds u0 into F in place (bitwise
+    u0 + lam Delta u0, since IEEE products and sums commute), and each step
+    drops its u before the solve, which reads only F.  Backward Euler keeps
+    its u, the solve's right-hand side.  Neither writes into the arrays
+    that u0 and lap_u0 return.
+    """
     if scheme not in ("be", "cn"):
         raise ValueError("scheme must be 'be' or 'cn'")
     lam = prob.tau if scheme == "be" else 0.5 * prob.tau
 
     def steps():
         pts = prob.domain.points
-        u = np.asarray(prob.u0(pts), dtype=np.float64)
-        yield 0, u
         if scheme == "cn":
-            F = u + lam * _initial_lap(prob, pts)
+            F = lam * _initial_lap(prob, pts)
+        u = np.asarray(prob.u0(pts), dtype=np.float64)
+        if scheme == "cn":
+            F += u                               # F is this run's own array
+        yield 0, u
         for step in range(1, prob.n_steps + 1):
             if scheme == "be":
                 u = backend.solve(lam, u, prob.g, step * prob.tau)
             else:
+                del u
                 u = backend.solve(lam, F, prob.g, step * prob.tau)
-                _cn_update(F, u)                 # F is this run's own array
+                _cn_update(F, u)
             yield step, u
 
     return _march(prob, steps(), store_fields, {"scheme": scheme, "lam": lam})
@@ -512,11 +527,18 @@ def heat_family(domain, a, b, tau, n_steps):
         u *= cos_y.take(iy, axis=1)
         return u
 
+    def lap_u0(pts):
+        # each shape call returns a fresh array, scaled here in place:
+        # bitwise -(a^2 + b^2) * shape, since IEEE products commute
+        lap = shape(pts, 0.0)
+        lap *= -(a**2 + b**2)
+        return lap
+
     return EvolutionProblem(
         domain=domain, tau=tau, n_steps=n_steps,
         u0=lambda pts: shape(pts, 0.0),
         g=shape,
-        lap_u0=lambda pts: -(a**2 + b**2) * shape(pts, 0.0),
+        lap_u0=lap_u0,
         exact=shape)
 
 
@@ -544,6 +566,12 @@ def uq_run(backend, m_samples, seed, probe=(0.43, 0.2), tau=0.1, n_steps=10,
     a ~ Normal(mean, std^2) truncated to clip, b = sqrt(1 - a^2); runs the
     Crank-Nicolson stepper for all samples at once and reports global and
     probe-point statistics of prediction vs. exact solution.
+
+    After the run, at most two batch fields are live: the final field, from
+    which the probe and its statistics are taken before the error overwrites
+    it (and |error| then overwrites that, so a backend that keeps the array
+    its last solve returned sees |error| there), and exact, whose own buffer
+    takes its deviations from the mean and then the error's.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x0A])))
     a = np.clip(rng.normal(mean, std, size=m_samples), *clip)
@@ -551,32 +579,38 @@ def uq_run(backend, m_samples, seed, probe=(0.43, 0.2), tau=0.1, n_steps=10,
     domain = backend.domain
     prob = heat_family(domain, a, b, tau, n_steps)
     # only the final time is compared with the exact solution
-    res = run_heat(replace(prob, exact=None), backend, scheme="cn")
+    pred = run_heat(replace(prob, exact=None), backend, scheme="cn").final
     T = tau * n_steps
-    exact = prob.exact(domain.points, T)
-    pred = res.final
-    err = pred - exact
     probe_pred = bilinear_probe(domain, pred, probe)
     probe_exact = prob.exact(np.array([probe], dtype=np.float64), T)[:, 0]
-    stats = {"samples": int(m_samples)}
-    for name, x in (("exact", exact), ("pred", pred), ("error", err)):
-        stats[f"mean_{name}"], stats[f"std_{name}"] = _mean_std(x)
-    rel_l2 = float(np.linalg.norm(err) / np.linalg.norm(exact))
+    mean_pred, std_pred = _mean_std(pred)
+    exact = prob.exact(domain.points, T)
+    norm_exact = np.linalg.norm(exact)
+    err = np.subtract(pred, exact, out=pred)
+    mean_exact, std_exact = _mean_std(exact, scratch=exact)
+    mean_err, std_err = _mean_std(err, scratch=exact)
+    rel_l2 = float(np.linalg.norm(err) / norm_exact)
     # |err| overwrites err, and the quantile partitions it in place
     abs_err = np.abs(err, out=err)
-    stats["max_abs_error"] = float(abs_err.max())
-    stats["rel_l2_error"] = rel_l2
-    stats["q95_abs_error"] = _quantile(abs_err, 0.95)
+    stats = {"samples": int(m_samples),
+             "mean_exact": mean_exact, "std_exact": std_exact,
+             "mean_pred": mean_pred, "std_pred": std_pred,
+             "mean_error": mean_err, "std_error": std_err,
+             "max_abs_error": float(abs_err.max()),
+             "rel_l2_error": rel_l2,
+             "q95_abs_error": _quantile(abs_err, 0.95)}
     hist = {"a": a, "probe_exact": probe_exact, "probe_pred": probe_pred,
             "probe_abs_error": np.abs(probe_pred - probe_exact)}
     return stats, hist
 
 
-def _mean_std(x):
+def _mean_std(x, scratch=None):
     """(x.mean(), x.std()) bitwise as numpy forms them, from one sum of x
-    where numpy takes two."""
+    where numpy takes two.  The deviations from the mean are formed in
+    scratch, an array of x's shape (x itself once x is no longer needed),
+    or in a new array."""
     mean = x.sum() / x.size
-    d = x - mean
+    d = np.subtract(x, mean, out=scratch)
     return float(mean), float(np.sqrt(np.square(d, out=d).sum() / x.size))
 
 

@@ -4,9 +4,11 @@ import csv
 import hashlib
 import json
 import os
+import resource
 
 import numpy as np
 import pytest
+import scipy
 
 from evokernel import cli
 
@@ -1236,6 +1238,27 @@ def test_wave_beyond_its_first_step_is_refused_on_a_petal_backend(tmp_path, caps
         err = capsys.readouterr().err
         assert "problem.n_steps" in err and "petal" in err
         assert not (tmp_path / "run").exists()
+
+
+def test_uq_manifest_records_the_machine_and_peak_memory(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    run = tmp_path / "run"
+    cfg = {"version": 1, "command": "uq", "seed": 0, "out": str(run),
+           "backend": _CLASSICAL, "uq": {"samples": 2, "tau": 0.1, "n_steps": 1}}
+    assert cli.main(["uq", "--config", _write(tmp_path, "c.json", cfg)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert set(manifest) == {"command", "config_sha256", "seed", "version", "artifacts",
+                             "nproc", "threads", "numpy", "scipy", "peak_rss_mb"}
+    assert manifest["config_sha256"] == hashlib.sha256(
+        json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+    assert manifest["nproc"] == len(os.sched_getaffinity(0))
+    assert manifest["threads"] == {var: os.environ.get(var) for var in cli._THREAD_VARS}
+    assert manifest["threads"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert manifest["threads"]["MKL_NUM_THREADS"] is None
+    assert (manifest["numpy"], manifest["scipy"]) == (np.__version__, scipy.__version__)
+    peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert 0 < manifest["peak_rss_mb"] <= peak_now
 
 
 def test_uq_is_refused_on_a_petal_backend(tmp_path, capsys):

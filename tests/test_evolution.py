@@ -322,6 +322,18 @@ def test_heat_family_calls_return_fresh_arrays_keyed_by_point_content():
     assert np.array_equal(prob.exact(pts, 0.2), fresh.exact(pts, 0.2))
 
 
+@pytest.mark.parametrize("points", ["lattice", "quadrature"])
+def test_heat_family_lap_u0_scales_an_array_of_its_own(points):
+    """lap_u0 scales its shape array in place, so no two of its calls share
+    memory with each other or with u0's."""
+    pts = DOMAIN.points if points == "lattice" else DOMAIN.quad.points
+    prob = ev.heat_family(DOMAIN, [0.3, 0.6], [0.9, 0.8], 0.1, 3)
+    u0, first, second = prob.u0(pts), prob.lap_u0(pts), prob.lap_u0(pts)
+    for x, y in ((first, second), (first, u0), (second, u0)):
+        assert not np.shares_memory(x, y)
+    assert np.array_equal(first, second)
+
+
 def test_classical_solve_coupled_batch_equals_rows():
     rng = np.random.default_rng(2)
     F = rng.standard_normal((3, DOMAIN.points.shape[0])) * (1 + 1j)

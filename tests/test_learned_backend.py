@@ -1,5 +1,6 @@
 """Learned backend: factored source operator, full-width potential, guards."""
 
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -287,6 +288,54 @@ def test_uq_run_stats_match_traced_run_heat():
         assert list(stats.items()) == list(expected.items())
         assert np.array_equal(hist["probe_pred"],
                               ev.bilinear_probe(DOMAIN, res.final, (0.43, 0.2)))
+
+
+class _KeepLast:
+    """Backend proxy that keeps the field its last solve returned, as a step
+    clock that stamps each solve does."""
+
+    def __init__(self, backend):
+        self.backend, self.domain, self.last = backend, backend.domain, None
+
+    def solve(self, lam, F, gfun, t):
+        self.last = self.backend.solve(lam, F, gfun, t)
+        return self.last
+
+
+@pytest.mark.parametrize("keep, fields", [(False, 2), (True, 3)])
+def test_uq_run_holds_its_field_budget(keep, fields):
+    """Above a warmed step record, uq_run holds two batch fields at a time,
+    three when the backend keeps its last returned field, plus the step's X
+    and a slack for the arrays that scale with the boundary points, not the
+    lattice: quadrature data, ring data, their trigonometric tables and
+    gather temporaries, at most 4 (n_bd + ring) values a sample."""
+    n, samples = 33, 256
+    dom = ev.SquareLatticeDomain(n=n, n_bd=N_BD)
+    rng = np.random.default_rng(0)
+    src = nn.SourceModel.build(dom.points, [WIDTH, WIDTH], [WIDTH, WIDTH], rng)
+    bnd = nn.BoundaryModel.build(N_BD, rng, internal=WIDTH)
+    backend = ev.NekmBackend(dom, bnd, src, LAM_RANGE[False])
+    if keep:
+        backend = _KeepLast(backend)
+    field = samples * n * n * 8
+    assert field >= 2 * 2**20
+    X = samples * (WIDTH + 1 + N_BD + 1) * 8
+    slack = samples * 4 * (N_BD + dom.ring_idx.size) * 8
+    ev.uq_run(backend, samples, seed=1)               # builds the step record
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ev.uq_run(backend, samples, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= fields * field + X + slack, (
+        f"peak {peak / field:.3f} fields, budget {fields} + X {X / field:.3f} "
+        f"+ slack {slack / field:.3f}")
 
 
 def test_guard_rejects_source_points_off_domain():
