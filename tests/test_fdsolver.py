@@ -1,5 +1,10 @@
 """Lattice solver: manufactured convergence, operator identities, max principle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -136,38 +141,80 @@ def test_lattice_field_validation():
 
 
 @pytest.mark.parametrize("kind", ["scalar", "complex"])
-def test_residual_check_catches_wrong_factor(kind, monkeypatch):
-    # the Laplacian behind the residual check is memoized; a corrupted cached
-    # factor must still fail the check rather than return a wrong field
+def test_residual_check_catches_wrong_eigenvalues(kind, monkeypatch):
+    # an eigenvalue table 0.1% off must fail the residual check rather than
+    # return a wrong field
     n, param = 9, 0.07
     rng = np.random.default_rng(11)
     f = rng.standard_normal((n, n))
     g = np.zeros((n, n))
-    good = fd._factorize(kind, param, n)
-    monkeypatch.setattr(fd, "_factorize", lambda kind, p, n: lambda rhs: 1.001 * good(rhs))
+    good = fd._eigenvalues
+    monkeypatch.setattr(fd, "_eigenvalues", lambda *args: 1.001 * good(*args))
     solver = fd.fd_solve_scalar if kind == "scalar" else fd.fd_solve_complex
     with pytest.raises(fd.FdSolverError):
         solver(param, f, g)
 
 
-def test_one_factorization_per_kind_param_and_size(monkeypatch):
-    calls = []
-    factorized = fd.spla.factorized
+def test_importing_the_package_leaves_scipy_sparse_out():
+    # every module of the package is imported in a fresh interpreter; none may
+    # pull in scipy.sparse, whose import alone costs megabytes of memory
+    code = ("import importlib, pkgutil, sys, evokernel, evokernel.cli\n"
+            "for m in pkgutil.walk_packages(evokernel.__path__, 'evokernel.'):\n"
+            "    importlib.import_module(m.name)\n"
+            "assert 'evokernel.fdsolver' in sys.modules\n"
+            "print(sorted(k for k in sys.modules if k.startswith('scipy.sparse')))\n")
+    paths = [str(Path(fd.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
-    def counting(A):
-        calls.append(A.shape)
-        return factorized(A)
 
-    monkeypatch.setattr(fd.spla, "factorized", counting)
-    n = 7
-    zeros = np.zeros((n, n))
-    # parameters no other test uses, so every first solve factorizes
-    for param in (0.0123, np.float64(0.0123), 0.0125):
-        for _ in range(2):
-            fd.fd_solve_scalar(param, zeros, zeros)
-            fd.fd_solve_complex(param, zeros, zeros)
-    fd.fd_solve_scalar(0.0123, np.zeros((8, 8)), np.zeros((8, 8)))
-    assert calls == [(25, 25)] * 4 + [(36, 36)]
+@pytest.mark.parametrize("kind", ["scalar", "complex"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_lattice_without_interior_is_refused(kind, n):
+    solver = fd.fd_solve_scalar if kind == "scalar" else fd.fd_solve_complex
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        solver(0.05, np.ones((n, n)), np.ones((n, n)))
+
+
+def _dense_operator(kind, param, n):
+    # the (n-2)^2 interior matrix of the 5-point operator, assembled densely
+    m = n - 2
+    tri = -2.0 * np.eye(m) + np.eye(m, k=1) + np.eye(m, k=-1)
+    lap = (np.kron(np.eye(m), tri) + np.kron(tri, np.eye(m))) * (n - 1.0) ** 2
+    if kind == "scalar":
+        return lap - np.eye(m * m) / param
+    return np.eye(m * m) + 1j * param * lap
+
+
+@pytest.mark.parametrize("kind", ["scalar", "complex"])
+@pytest.mark.parametrize("n", [3, 4, 9, 17])
+def test_sine_solve_matches_dense_direct_solve(kind, n):
+    param = 0.06
+    f, g = _batch(kind, (n, n), 20 + n), _batch(kind, (n, n), 40 + n)
+    u = (fd.fd_solve_scalar if kind == "scalar" else fd.fd_solve_complex)(param, f, g)
+    ring = g.copy()
+    ring[1:-1, 1:-1] = 0.0
+    rhs = f[1:-1, 1:-1] - fd.apply_operator(param, ring, kind)
+    dense = np.linalg.solve(_dense_operator(kind, param, n), rhs.ravel())
+    assert np.max(np.abs(u[1:-1, 1:-1].ravel() - dense)) <= 1e-13 * np.max(np.abs(dense))
+    ring[1:-1, 1:-1] = u[1:-1, 1:-1]
+    assert np.array_equal(u, ring)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "complex"])
+@pytest.mark.parametrize("n", [3, 9, 17])
+def test_sine_modes_are_eigenvectors_of_the_operator(kind, n):
+    param = 0.06
+    X, Y = _lattice(n)
+    table = fd._eigenvalues(kind, param, n)
+    for i in range(1, n - 1):
+        for j in range(1, n - 1):
+            mode = np.sin(i * np.pi * X) * np.sin(j * np.pi * Y)
+            out = fd.apply_operator(param, mode, kind)
+            want = table[i - 1, j - 1] * mode[1:-1, 1:-1]
+            assert np.max(np.abs(out - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kappa", [0.0, -0.05, np.nan, np.inf])
@@ -200,18 +247,20 @@ def test_batched_solve_equals_per_field_calls(kind):
 def test_residual_check_catches_one_wrong_field_in_a_batch(kind, monkeypatch):
     n, param = 9, 0.07
     f, g = _batch(kind, (3, n, n), 14), np.zeros((3, n, n))
-    good = fd._factorize(kind, param, n)
+    good = fd.idstn
     calls = []
 
-    def second_call_wrong(rhs):
-        calls.append(rhs)
-        return 1.001 * good(rhs) if len(calls) == 2 else good(rhs)
+    def second_field_wrong(coef, **kw):
+        out = good(coef, **kw)
+        calls.append(out.shape)
+        out[1] *= 1.001
+        return out
 
-    monkeypatch.setattr(fd, "_factorize", lambda kind, p, n: second_call_wrong)
+    monkeypatch.setattr(fd, "idstn", second_field_wrong)
     solver = fd.fd_solve_scalar if kind == "scalar" else fd.fd_solve_complex
     with pytest.raises(fd.FdSolverError):
         solver(param, f, g)
-    assert len(calls) == 3
+    assert calls == [(3, n - 2, n - 2)]
 
 
 @pytest.mark.parametrize("kind", ["scalar", "complex"])
