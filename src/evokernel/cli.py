@@ -44,21 +44,18 @@ class _Rule(NamedTuple):
 
 class _Kinds(NamedTuple):
     """A section whose keys depend on its kind, the value of its key (default:
-    default): kinds maps each kind to its own keys, common holds every kind's.
-    The section admits the kinds in admit (default: all), checked after the keys."""
+    default): kinds maps each kind to its own keys, common holds every kind's."""
     key: str
     default: object
     kinds: dict
     common: dict = {}
-    admit: tuple = ()
 
     def table(self, section, where):
         kind = section.get(self.key, self.default)
-        admit = self.admit or tuple(self.kinds)
         if not isinstance(kind, str) or kind not in self.kinds:
             raise ValidationError(f"unknown {where} {self.key} {kind!r} in "
-                                  f"'{where}.{self.key}', expected one of {sorted(admit)}")
-        return {**self.common, **self.kinds[kind], self.key: _choice(*admit)}
+                                  f"'{where}.{self.key}', expected one of {sorted(self.kinds)}")
+        return {**self.common, **self.kinds[kind], self.key: _choice(*self.kinds)}
 
 
 def _int(low, step=1):
@@ -96,6 +93,8 @@ def _kappa_list(spec, where):
     """The kappas that a list or a span {start, stop, count} names: at least one,
     each finite and positive, since the operators hold 1/kappa."""
     import numpy as np
+    if isinstance(spec, dict):
+        _walk(spec, where, _SPAN)
     try:
         if isinstance(spec, list):
             kappas = [float(k) for k in spec]
@@ -116,25 +115,22 @@ _POSITIVE = _num(0)
 _NONNEGATIVE = _num(0, ends="[)")
 _A = _num(-1, 1, "[]")                      # a wave number: b = sqrt(1 - a^2) is real
 _N = _int(3)                                # the smallest lattice with an interior
+_SPAN = {"start": _num(), "stop": _num(), "count": _int(1)}
 _SPACING = {"spacing": _POSITIVE, "margin": _NONNEGATIVE}
 _PETAL = {"base": _POSITIVE, "amp": _num(0, 1, "[)"), "lobes": _int(1)}
-# make_curve's parameters per kind, in the top-level and the dataset.curve section;
-# n_bd >= 8 is sample_quadrature's minimum, and on the square its nodes split
-# evenly over the four edges
+_N_BD = _int(8)                             # sample_quadrature's minimum
+# make_curve's parameters for the curves a learned backend serves: the unit
+# square, whose nodes split evenly over its four edges, and a petal
 _CURVE = _Kinds("kind", "square", {
-    "square": {"n_bd": _int(8, step=4), "side": _POSITIVE},
-    "disk": {"n_bd": _int(8), "radius": _POSITIVE},
-    "petal": {"n_bd": _int(8), **_PETAL},
+    "square": {"n_bd": _int(8, step=4)},
+    "petal": {"n_bd": _N_BD, **_PETAL},
 })
-# off-lattice points lie in a petal: its curve names kind petal, since a curve
-# with no kind means the square
-_PETAL_CURVE = _CURVE._replace(default=None, admit=("petal",))
 _DATASET = _Kinds("kind", None, {
-    "boundary": {"n_g": _int(1), "curve": _CURVE, "length_scales": _list(_POSITIVE, 1),
+    "boundary": {"n_g": _int(1), "n_bd": _N_BD, "length_scales": _list(_POSITIVE, 1),
                  "coupled": _BOOL},
     "source": {"per_kappa": _int(1), "n": _N, "mix": _num(0, 1, "[]"),
                "sigma_range": _pair(_POSITIVE, ordered=True), "coupled": _BOOL},
-    "source-offlattice": {"per_kappa": _int(1), "curve": _PETAL_CURVE, **_SPACING},
+    "source-offlattice": {"per_kappa": _int(1), "n_bd": _N_BD, **_PETAL, **_SPACING},
 }, common={"kappas": _kappa_list})
 _PROBLEM = _Kinds("equation", None, {
     "heat": {"scheme": _choice("be", "cn"), "a": _A},
@@ -246,10 +242,11 @@ def _write_json(path, obj):
 
 
 def _build_curve_grid(section):
+    """The n_bd-node boundary grid on the curve of a curve section."""
     from .geometry import make_curve, sample_quadrature
     params = {k: v for k, v in section.items() if k not in ("kind", "n_bd")}
-    curve = make_curve(section.get("kind", "square"), **params)
-    return curve, sample_quadrature(curve, section.get("n_bd", 256))
+    return sample_quadrature(make_curve(section.get("kind", "square"), **params),
+                             section.get("n_bd", 256))
 
 
 def cmd_datagen(cfg, out):
@@ -259,7 +256,8 @@ def cmd_datagen(cfg, out):
     seed = cfg.get("seed", 0)
     kind = d["kind"]
     if kind == "boundary":
-        _, grid = _build_curve_grid(d.get("curve", {}))
+        # traces read only the parameter nodes, which the petal has at every n_bd
+        grid = _build_curve_grid({"kind": "petal", "n_bd": d.get("n_bd", 256)})
         ds = datagen.build_boundary_dataset(
             kappas, d.get("n_g", 2000), grid, seed,
             **{k: d[k] for k in ("length_scales", "coupled") if k in d})
@@ -268,8 +266,7 @@ def cmd_datagen(cfg, out):
             kappas, d.get("per_kappa", 2000), d.get("n", 41), seed,
             **{k: d[k] for k in ("mix", "sigma_range", "coupled") if k in d})
     else:                     # the points of a petal source model on that curve
-        points = {**d.get("curve", {"kind": "petal"}), **{k: d[k] for k in _SPACING if k in d}}
-        dom, record = _domain(points, points.get("n_bd", 256))
+        dom, record = _domain({**d, "kind": "petal"}, d.get("n_bd", 256))
         ds = datagen.build_offlattice_source_dataset(
             kappas, d.get("per_kappa", 500), dom.quad, dom.points, seed)
         ds.provenance["domain"] = record      # what train's points section must name
@@ -294,11 +291,11 @@ def cmd_train(cfg, out):
     kmats, meta = None, {}
     if kind == "boundary":
         curve = cfg.get("curve", {})
-        _, grid = _build_curve_grid(curve)
+        grid = _build_curve_grid(curve)
         meta["grid"] = {"curve": {"kind": grid.curve.kind, **curve, "n_bd": grid.n},
                         "sha256": _grid_sha256(grid)}
-        built = {k: ds.provenance.get(k) for k in ("kind", "curve", "n_bd")}
-        wanted = {"kind": "boundary", "curve": grid.curve.kind, "n_bd": grid.n}
+        built = {k: ds.provenance.get(k) for k in ("kind", "n_bd")}
+        wanted = {"kind": "boundary", "n_bd": grid.n}
         if built != wanted:
             raise ValidationError(f"the dataset was built with {built}, but the "
                                   f"boundary model trains on {wanted}")
@@ -355,7 +352,8 @@ def _trained_n_bd(meta, kind):
 
 def _domain(points, n_bd=256):
     """(domain, record): the evolution domain of a points section or a domain record
-    with n_bd boundary nodes, and the section with its defaults filled in."""
+    with n_bd boundary nodes, and the section with its defaults filled in.  A petal
+    whose lattice holds no point is a ValidationError naming the record."""
     from .evolution import PointCloudDomain, SquareLatticeDomain
     from .geometry import make_curve, petal_lattice
     if points.get("kind", "square") == "square":
@@ -365,7 +363,11 @@ def _domain(points, n_bd=256):
     spacing = points.get("spacing", 0.03)
     record = {"kind": "petal", "base": curve.base, "amp": curve.amp, "lobes": curve.lobes,
               "spacing": spacing, "margin": points.get("margin", spacing)}
-    return PointCloudDomain(curve, petal_lattice(curve, spacing, record["margin"]), n_bd), record
+    try:
+        interior = petal_lattice(curve, spacing, record["margin"])
+    except ValueError as exc:     # the lattice leaves no point the margin clears
+        raise ValidationError(f"the petal points {record}: {exc}") from exc
+    return PointCloudDomain(curve, interior, n_bd), record
 
 
 def _coupled_layout(ds, n):

@@ -210,7 +210,9 @@ def build_boundary_dataset(kappas, n_g, grid, seed, length_scales=(0.4, 0.8, 1.6
 
     The records are the Cartesian product {kappa_i} x {g_j}; storage keeps
     one g row per (i, j) pair so batching code stays uniform.  Coupled
-    records stack two independent traces node-interleaved.
+    records stack two independent traces node-interleaved.  The traces read
+    only the parameter nodes grid.t, so the grids of one n on every curve
+    give the same records.
     """
     kappas = np.asarray(kappas, dtype=np.float64)
     width = grid.n * (2 if coupled else 1)
@@ -228,8 +230,7 @@ def build_boundary_dataset(kappas, n_g, grid, seed, length_scales=(0.4, 0.8, 1.6
     k_idx = np.repeat(np.arange(len(kappas), dtype=np.int64), n_g)
     prov = {"kind": "boundary", "seed": seed, "n_g": n_g, "n_bd": grid.n,
             "length_scales": [float(x) for x in length_scales],
-            "coupled": coupled, "kappas": [float(k) for k in kappas],
-            "curve": grid.curve.kind}
+            "coupled": coupled, "kappas": [float(k) for k in kappas]}
     return Dataset(kind="boundary-selfsup", kappas=kappas, kappa_index=k_idx,
                    g=g_arr, provenance=prov)
 
@@ -271,7 +272,7 @@ def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed,
         phi = nystrom_solve(boundary_kernel(spec, grid), traces)
         u_arr[rows] -= eval_double_layer(spec, grid, phi, pts)
     prov = {"kind": "source-offlattice", "seed": seed, "per_kappa": per_kappa,
-            "points": m, "curve": grid.curve.kind, "n_bd": grid.n,
+            "points": m, "n_bd": grid.n,
             "kappas": [float(k) for k in kappas],
             "generator": "trig-products with Nystrom boundary correction"}
     return Dataset(kind="source-supervised", kappas=kappas, kappa_index=k_idx,

@@ -88,20 +88,14 @@ class DiskCurve(BoundaryCurve):
 
 
 class SquareCurve(BoundaryCurve):
-    """Axis-aligned square [x0, x0+side]^2 traversed counterclockwise.
+    """The unit square [0, 1]^2 traversed counterclockwise.
 
     The four edges map affinely onto [0, 2 pi); the speed is the constant
-    4 * side / (2 pi).  Corners sit at multiples of pi/2 where derivatives
-    are taken from the following edge; quadrature nodes never hit them.
+    4 / (2 pi).  Corners sit at multiples of pi/2 where derivatives are
+    taken from the following edge; quadrature nodes never hit them.
     """
 
     kind = "square"
-
-    def __init__(self, side=1.0, origin=(0.0, 0.0)):
-        if side <= 0:
-            raise ValueError("square side must be positive")
-        self.side = float(side)
-        self.origin = (float(origin[0]), float(origin[1]))
 
     def _edge_pos(self, t):
         u = (np.asarray(t, dtype=np.float64) % TWO_PI) * (4.0 / TWO_PI)
@@ -110,14 +104,13 @@ class SquareCurve(BoundaryCurve):
 
     def point(self, t):
         e, s = self._edge_pos(t)
-        a = self.side
-        x = np.where(e == 0, s * a, np.where(e == 1, a, np.where(e == 2, a - s * a, 0.0)))
-        y = np.where(e == 0, 0.0, np.where(e == 1, s * a, np.where(e == 2, a, a - s * a)))
-        return np.stack([self.origin[0] + x, self.origin[1] + y], axis=-1)
+        x = np.where(e == 0, s, np.where(e == 1, 1.0, np.where(e == 2, 1.0 - s, 0.0)))
+        y = np.where(e == 0, 0.0, np.where(e == 1, s, np.where(e == 2, 1.0, 1.0 - s)))
+        return np.stack([x, y], axis=-1)
 
     def derivative(self, t):
         e, _ = self._edge_pos(t)
-        v = self.side * 4.0 / TWO_PI  # constant speed
+        v = 4.0 / TWO_PI  # constant speed
         dx = np.where(e == 0, v, np.where(e == 1, 0.0, np.where(e == 2, -v, 0.0)))
         dy = np.where(e == 0, 0.0, np.where(e == 1, v, np.where(e == 2, 0.0, -v)))
         return np.stack([dx, dy], axis=-1)
@@ -172,10 +165,12 @@ class PetalCurve(BoundaryCurve):
 
 
 def make_curve(kind, **params):
-    """Factory for the three built-in domains.
+    """Factory for the three built-in curves.
 
-    kind 'square': side (default 1), origin; 'disk': radius, center;
-    'petal': base (0.6), amp (0.25), lobes (6).
+    kind 'square': the unit square, no parameters; 'disk': radius, center;
+    'petal': base (0.6), amp (0.25), lobes (6).  A config admits the square
+    and the petal, the curves a learned backend serves; the disk's closed
+    forms serve the BIE tests and demos.
     """
     if kind == "disk":
         return DiskCurve(**params)

@@ -76,11 +76,10 @@ def test_validation_rejects_keys_of_other_kinds(tmp_path, capsys, section, value
 
 
 _DATASET_KEYS = {
-    "boundary": {"n_g": 4, "curve": {"kind": "disk", "n_bd": 16},
-                 "length_scales": [0.4], "coupled": True},
+    "boundary": {"n_g": 4, "n_bd": 18, "length_scales": [0.4], "coupled": True},
     "source": {"per_kappa": 2, "n": 9, "mix": 1.0, "sigma_range": [1, 4], "coupled": True},
-    "source-offlattice": {"per_kappa": 2, "curve": {"kind": "petal"}, "spacing": 0.1,
-                          "margin": 0.1},
+    "source-offlattice": {"per_kappa": 2, "n_bd": 18, "base": 0.5, "amp": 0.2, "lobes": 4,
+                          "spacing": 0.1, "margin": 0.1},
 }
 _MODEL_KEYS = {
     "boundary": {"internal": 8},
@@ -126,12 +125,13 @@ def test_validation_accepts_every_dataset_and_model_key(tmp_path, section, kind)
     ("model", {"coupled": True}, "None in 'model.kind'"),
     ("model", {"kind": "boundary", "coupled": True}, "['coupled']"),
     ("model", {"kind": "source", "coupled": False}, "['coupled']"),
-    ("dataset", {"kind": "boundary", "curve": {"kind": "disk", "radiuss": 2}}, "['radiuss']"),
-    ("dataset", {"kind": "boundary", "curve": {"kind": "disc"}}, "'disc' in 'dataset.curve.kind'"),
-    ("dataset", {"kind": "source-offlattice", "curve": {"kind": "square", "lobes": 4}},
-     "['lobes']"),
+    ("dataset", {"kind": "boundary", "curve": {"kind": "square", "n_bd": 32}}, "['curve']"),
+    ("dataset", {"kind": "boundary", "lobes": 4}, "['lobes']"),
+    ("dataset", {"kind": "source-offlattice", "curve": {"kind": "petal"}}, "['curve']"),
     ("curve", {"kind": "disc"}, "'disc' in 'curve.kind'"),
+    ("curve", {"kind": "disk"}, "'disk' in 'curve.kind'"),
     ("curve", {"kind": "square", "radius": 2}, "['radius']"),
+    ("curve", {"kind": "square", "side": 2}, "['side']"),
     ("curve", {"kind": "petal", "side": 2}, "['side']"),
     ("points", {"kind": "square", "spacing": 0.1}, "['spacing']"),
     ("points", {"kind": "petal", "n": 9}, "['n']"),
@@ -143,22 +143,6 @@ def test_validation_rejects_dataset_and_model_keys_of_other_kinds(tmp_path, caps
     rc = cli.main([cfg["command"], "--config", _write(tmp_path, "c.json", cfg)])
     assert rc == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize("value", [
-    {"kind": "square", "n_bd": 32}, {"kind": "disk"}, {"n_bd": 32}])
-def test_offlattice_data_refuses_other_curves(tmp_path, capsys, value):
-    """Off-lattice source data build their points in a petal curve: any other
-    curve, or one that names no kind (which elsewhere means the square), is a
-    config error naming the curve's kind."""
-    cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(tmp_path / "run"),
-           "dataset": {"kind": "source-offlattice", "kappas": [0.05], "per_kappa": 2,
-                       "spacing": 0.2, "curve": value}}
-    rc = cli.main([cfg["command"], "--config", _write(tmp_path, "c.json", cfg)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "dataset.curve.kind" in err
     assert not (tmp_path / "run").exists()
 
 
@@ -197,16 +181,15 @@ def test_validation_rejects_unknown_kinds(tmp_path, capsys, section, value, name
 
 
 @pytest.mark.parametrize("section, value, key", [
-    ("dataset", {"kind": "boundary", "curve": {"kind": "disk", "radius": -1}},
-     "dataset.curve.radius"),
-    ("dataset", {"kind": "boundary", "curve": {"kind": "square", "side": 0}},
-     "dataset.curve.side"),
-    ("dataset", {"kind": "boundary", "curve": {"kind": "petal", "n_bd": 4}},
-     "dataset.curve.n_bd"),
+    ("dataset", {"kind": "boundary", "n_bd": 4}, "dataset.n_bd"),
+    ("dataset", {"kind": "boundary", "n_bd": 32.0}, "dataset.n_bd"),
+    ("dataset", {"kind": "source-offlattice", "n_bd": 7}, "dataset.n_bd"),
+    ("dataset", {"kind": "source-offlattice", "amp": 1}, "dataset.amp"),
     ("dataset", {"kind": "source", "n": 2}, "dataset.n"),
-    ("curve", {"kind": "disk", "radius": "1"}, "curve.radius"),
-    ("curve", {"kind": "square", "side": float("nan")}, "curve.side"),
+    ("curve", {"kind": "petal", "base": "1"}, "curve.base"),
+    ("curve", {"kind": "petal", "amp": float("nan")}, "curve.amp"),
     ("curve", {"kind": "square", "n_bd": 32.0}, "curve.n_bd"),
+    ("curve", {"kind": "square", "n_bd": 30}, "curve.n_bd"),
     ("backend", {"kind": "classical", "n": 2}, "backend.n"),
     ("points", {"kind": "square", "n": 2}, "points.n"),
     ("points", {"kind": "petal", "amp": 1}, "points.amp"),
@@ -313,6 +296,8 @@ def test_validation_accepts_wave_numbers_on_the_unit_circle(problem):
     [-0.05, 0.05], [0.0], [0.05, float("nan")], [float("inf")],
     {"start": -0.05, "stop": 0.05, "count": 3}, {"start": 0.0, "stop": 0.1, "count": 2},
     [], {"start": 0.05, "stop": 0.1, "count": 0},
+    {"start": 0.05, "stop": 0.1, "count": 2, "typo": 9},
+    {"start": 0.05, "stop": 0.1, "count": True}, {"start": 0.05, "stop": 0.1, "count": 2.5},
 ])
 def test_validation_rejects_non_positive_kappas(tmp_path, capsys, kind, kappas):
     out = tmp_path / "run"
@@ -339,16 +324,18 @@ def test_datagen_source_reads_sigma_range(tmp_path):
 
 
 def test_datagen_boundary_uses_library_length_scales(tmp_path):
+    """A boundary dataset of n_bd nodes is the library's build, with its default
+    length scales, on the unit square's grid of n_bd nodes."""
     from evokernel import datagen
     from evokernel.geometry import make_curve, sample_quadrature
     out = tmp_path / "run"
     cfg = {"version": 1, "command": "datagen", "seed": 4, "out": str(out),
-           "dataset": {"kind": "boundary", "kappas": [0.05, 0.1], "n_g": 6,
-                       "curve": {"kind": "disk", "n_bd": 32}}}
+           "dataset": {"kind": "boundary", "kappas": [0.05, 0.1], "n_g": 6, "n_bd": 32}}
     assert cli.main(["datagen", "--config", _write(tmp_path, "b.json", cfg)]) == 0
-    grid = sample_quadrature(make_curve("disk"), 32)
+    grid = sample_quadrature(make_curve("square"), 32)
     ds = datagen.build_boundary_dataset([0.05, 0.1], 6, grid, 4)
     assert json.loads((out / "summary.json").read_text())["hash"] == ds.content_hash()
+    assert datagen.load_dataset(str(out / "dataset.bin")).provenance == ds.provenance
 
 
 def test_validation_accepts_a_positive_kappa_range():
@@ -371,6 +358,9 @@ _UQ = {"samples": 2, "tau": 0.1, "n_steps": 1}
     ("eval", "suite", {"kappas": [0.0, 0.05]}, "suite.kappas"),
     ("eval", "suite", {"kappas": {"start": 0.05}}, "suite.kappas"),
     ("eval", "suite", {"kappas": []}, "suite.kappas"),
+    ("eval", "suite", {"kappas": {"start": 0.05, "stop": 0.1, "count": 2, "typo": 9}},
+     "suite.kappas"),
+    ("eval", "suite", {"kappas": {"start": 0.05, "stop": 0.1, "count": True}}, "suite.kappas"),
 ])
 def test_validation_rejects_bad_uq_and_suite_keys(tmp_path, capsys, cmd, section, value, key):
     base = ({"backend": _CLASSICAL, "uq": _UQ} if cmd == "uq"
@@ -430,9 +420,7 @@ def _leaf_config(cmd, path, picks):
         cfg["model"] = {"kind": "source"}   # which trains on points, not on a curve
     node = cfg
     for key in path[:-1]:
-        # a curve that no pick sets is a petal, the one kind every curve section
-        # admits (an off-lattice curve must name it)
-        node = node.setdefault(key, {"kind": "petal"} if key == "curve" else {})
+        node = node.setdefault(key, {})
     return cfg, node
 
 
@@ -451,8 +439,7 @@ def test_every_table_key_refuses_a_value_of_another_type(tmp_path, capsys, cmd, 
     key's full path."""
     cfg, section = _leaf_config(cmd, path, picks)
     cfg["out"] = str(tmp_path / "run")
-    if all(not kinds.admit or kind in kinds.admit for _, kinds, kind in picks):
-        assert cli.validate_config(cfg) is cfg
+    assert cli.validate_config(cfg) is cfg
     section[path[-1]] = value
     rc = cli.main([cmd, "--config", _write(tmp_path, "c.json", cfg)])
     assert rc == 2
@@ -510,12 +497,10 @@ def _base_config(tmp_path, base):
                 if k not in ("version", "command", "seed", "out")}
     return json.loads(json.dumps({
         "uq": {"backend": _CLASSICAL, "uq": _UQ},
-        "boundary": {"dataset": {"kind": "boundary", "kappas": [0.05], "n_g": 2,
-                                 "curve": {"kind": "square", "n_bd": 16}}},
+        "boundary": {"dataset": {"kind": "boundary", "kappas": [0.05], "n_g": 2, "n_bd": 16}},
         "source": {"dataset": {"kind": "source", "kappas": [0.05], "per_kappa": 2, "n": 9}},
         "offlattice": {"dataset": {"kind": "source-offlattice", "kappas": [0.05],
-                                   "per_kappa": 2, "curve": {"kind": "petal", "n_bd": 16},
-                                   "spacing": 0.2}},
+                                   "per_kappa": 2, "n_bd": 16, "spacing": 0.2}},
         "heat": {"problem": {"equation": "heat", "tau": 0.1, "n_steps": 1},
                  "backend": _CLASSICAL},
         "schrodinger": {"problem": {"equation": "schrodinger", "tau": 0.05, "n_steps": 1},
@@ -539,9 +524,9 @@ _COMMAND = {"uq": "uq", "boundary": "datagen", "source": "datagen", "offlattice"
     ("source", "dataset.coupled", "yes"), ("boundary", "dataset.length_scales", [-1]),
     ("offlattice", "dataset.spacing", -0.1), ("offlattice", "dataset.spacing", 0),
     ("offlattice", "dataset.margin", "x"),
-    ("offlattice", "dataset.curve.base", -1), ("offlattice", "dataset.curve.amp", "x"),
-    ("offlattice", "dataset.curve.lobes", 2.5),
-    ("boundary", "dataset.curve.n_bd", 30),
+    ("offlattice", "dataset.base", -1), ("offlattice", "dataset.amp", "x"),
+    ("offlattice", "dataset.lobes", 2.5), ("offlattice", "dataset.n_bd", 4),
+    ("boundary", "dataset.n_bd", 4),
     ("schrodinger", "problem.w", -1), ("schrodinger", "problem.w", "x"),
     *[("train-source", "model.hidden_k", v) for v in ([0], "x", [2.5])],
     ("train-boundary", "model.internal", -1),
@@ -567,8 +552,7 @@ def test_validation_rejects_values_that_ran_or_failed_at_run_time(tmp_path, caps
 def test_datagen_train_eval_pipeline(tmp_path):
     d1 = tmp_path / "data"
     cfg = {"version": 1, "command": "datagen", "seed": 3, "out": str(d1),
-           "dataset": {"kind": "boundary", "kappas": [0.05, 0.1], "n_g": 8,
-                       "curve": {"kind": "square", "n_bd": 32}}}
+           "dataset": {"kind": "boundary", "kappas": [0.05, 0.1], "n_g": 8, "n_bd": 32}}
     assert cli.main(["datagen", "--config", _write(tmp_path, "d.json", cfg)]) == 0
     assert (d1 / "dataset.bin").exists() and (d1 / "manifest.json").exists()
 
@@ -611,27 +595,115 @@ def test_datagen_train_eval_pipeline(tmp_path):
     assert rows[1].startswith("kappa=0.067,")
 
 
-@pytest.mark.parametrize("curve, configured", [
-    ({"kind": "square", "n_bd": 32}, "'square'"),
-    (None, "256"),
-    ({"kind": "disk", "n_bd": 16}, "16"),
-])
-def test_boundary_train_refuses_dataset_of_another_grid(tmp_path, capsys, curve, configured):
+def _boundary_data(tmp_path):
+    """The path of a boundary dataset of 32 nodes, made by evokernel datagen."""
     data = tmp_path / "data"
     cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(data),
-           "dataset": {"kind": "boundary", "kappas": [0.05], "n_g": 4,
-                       "curve": {"kind": "disk", "n_bd": 32}}}
+           "dataset": {"kind": "boundary", "kappas": [0.05, 0.1], "n_g": 4, "n_bd": 32}}
     assert cli.main(["datagen", "--config", _write(tmp_path, "d.json", cfg)]) == 0
-    cfg = {"version": 1, "command": "train", "seed": 0, "out": str(tmp_path / "run"),
-           "model": {"kind": "boundary", "internal": 8},
-           "data": {"path": str(data / "dataset.bin")}, "train": {"epochs": 1}}
-    if curve is not None:
-        cfg["curve"] = curve
-    rc = cli.main(["train", "--config", _write(tmp_path, "t.json", cfg)])
+    return str(data / "dataset.bin")
+
+
+def _train_boundary(tmp_path, data, curve, out="bmodel"):
+    """(exit code, checkpoint path) of evokernel train on a boundary dataset, with
+    the curve section curve (None: no section)."""
+    cfg = {"version": 1, "command": "train", "seed": 0, "out": str(tmp_path / out),
+           "model": {"kind": "boundary", "internal": 8}, "data": {"path": data},
+           "train": {"epochs": 1, "batch_size": 4}, **({"curve": curve} if curve else {})}
+    rc = cli.main(["train", "--config", _write(tmp_path, f"{out}.json", cfg)])
+    return rc, str(tmp_path / out / "model.ckpt")
+
+
+@pytest.mark.parametrize("curve, configured", [
+    (None, "256"),
+    ({"kind": "square", "n_bd": 16}, "16"),
+    ({"kind": "petal", "n_bd": 36}, "36"),
+])
+def test_boundary_train_refuses_dataset_of_another_grid(tmp_path, capsys, curve, configured):
+    rc, _ = _train_boundary(tmp_path, _boundary_data(tmp_path), curve, out="run")
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "'disk'" in err and configured in err
-    assert not (tmp_path / "run" / "model.ckpt").exists()
+    assert err.startswith("config error") and "'n_bd': 32" in err
+    assert f"'n_bd': {configured}" in err
+    assert not (tmp_path / "run").exists()
+
+
+def _eval_serves(tmp_path, ckpt):
+    cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(tmp_path / "eval"),
+           "checkpoint": ckpt, "suite": {"kappas": [0.05], "eval_n": 4}}
+    return cli.main(["eval", "--config", _write(tmp_path, "e.json", cfg)]) == 0
+
+
+def _petal_backend_serves(tmp_path, ckpt):
+    section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1], domain={
+        "kind": "petal", "base": 0.6, "amp": 0.25, "lobes": 6, "spacing": 0.2, "margin": 0.2})
+    section["boundary_checkpoint"] = ckpt
+    return cli._build_backend(section, "heat").domain.quad.n == 32
+
+
+# the command that serves a boundary model trained on each curve kind
+_CURVE_CONSUMERS = {"square": _eval_serves, "petal": _petal_backend_serves}
+
+
+def test_one_boundary_dataset_trains_a_served_model_on_every_curve(tmp_path):
+    """Boundary traces read only the parameter nodes, which every curve shares
+    at one n_bd: one dataset of 32 nodes trains a model on each curve kind that
+    train admits, each checkpoint records its own curve's grid, and a command
+    serves it: eval on the unit square, the learned backend beside a petal
+    source checkpoint on the petal.  A kind with no consumer has no entry in
+    _CURVE_CONSUMERS and fails here."""
+    from evokernel import nn
+    data = _boundary_data(tmp_path)
+    for kind in cli._CURVE.kinds:
+        curve = {"kind": kind, "n_bd": 32}
+        rc, ckpt = _train_boundary(tmp_path, data, curve, out=kind)
+        assert rc == 0
+        assert nn.load_checkpoint(ckpt)[1]["grid"] == _grid_record(curve)
+        assert _CURVE_CONSUMERS[kind](tmp_path, ckpt)
+
+
+@pytest.mark.parametrize("curve, sha256", [
+    ({"kind": "square", "n_bd": 32},
+     "d654411da8156c61904af34c31d2a2de42da742c565449ce072595abe38268ad"),
+    ({"kind": "square", "n_bd": 256},
+     "a95c45ac1801b62264cadc2888ee94746bcf987b2c8ae238982757b8ee57ce84"),
+    ({"kind": "petal", "n_bd": 64},
+     "823bc2b6f7b655bb2956bcfa427aedf0d51a7e5aa23f7a670af3c81c11888982"),
+])
+def test_grid_sha256_keeps_the_checkpoints_older_code_wrote(curve, sha256):
+    """Grid records hold the sha256 of the node arrays: these values, written
+    by earlier versions, must keep matching, so the nodes must not move a bit."""
+    assert cli._grid_sha256(cli._build_curve_grid(curve)) == sha256
+
+
+@pytest.mark.parametrize("cmd, geometry", [
+    (cmd, geometry) for cmd in ("datagen", "train", "evolve")
+    for geometry in ({"spacing": 5.0}, {"spacing": 0.2, "margin": 2.0})])
+def test_petal_points_with_no_interior_point_are_a_config_error(tmp_path, capsys, cmd,
+                                                                geometry):
+    """A petal lattice that the margin leaves empty exits 2 and writes nothing:
+    in datagen's off-lattice keys, in train's points section and in a source
+    checkpoint's domain record."""
+    from evokernel import nn
+    if cmd == "datagen":
+        cfg = {"dataset": {"kind": "source-offlattice", "kappas": [0.05], "per_kappa": 2,
+                           **geometry}}
+    elif cmd == "train":
+        cfg = {"model": {"kind": "source"}, "data": {"path": _tiny_source_dataset(tmp_path)},
+               "points": {"kind": "petal", **geometry}}
+    else:
+        section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1], domain=_PETAL_RECORD)
+        model, meta = nn.load_checkpoint(section["source_checkpoint"])
+        meta["domain"].update(geometry)
+        nn.save_checkpoint(model, section["source_checkpoint"], meta)
+        cfg = {"problem": {"equation": "heat", "tau": 0.14, "n_steps": 1}, "backend": section}
+    cfg = {"version": 1, "command": cmd, "seed": 0, "out": str(tmp_path / "run"), **cfg}
+    rc = cli.main([cmd, "--config", _write(tmp_path, "c.json", cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "no interior points" in err
+    assert f"'spacing': {geometry['spacing']}" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_source_train_refuses_records_of_neither_layout(tmp_path, capsys):
@@ -650,7 +722,7 @@ def test_coupled_pipeline_takes_coupled_from_the_data(tmp_path):
     grid = {"kind": "square", "n_bd": 32}
     configs = [
         ("datagen", "bdata", {"dataset": {"kind": "boundary", "kappas": [0.005, 0.01],
-                                          "n_g": 4, "curve": grid, "coupled": True}}),
+                                          "n_g": 4, "n_bd": 32, "coupled": True}}),
         ("datagen", "sdata", {"dataset": {"kind": "source", "kappas": [0.005, 0.01],
                                           "per_kappa": 4, "n": 9, "coupled": True}}),
         ("train", "bmodel", {"model": {"kind": "boundary", "internal": 8}, "curve": grid,
@@ -789,25 +861,39 @@ def test_eval_refuses_boundary_suite_keys_on_a_source_checkpoint(tmp_path, capsy
     assert not (tmp_path / "eval").exists()
 
 
+# grid records that older versions wrote on curves that no command serves:
+# their checkpoints are refused by the curve rules of the record
+_OLD_GRID_RECORDS = [
+    ({"curve": {"kind": "disk", "n_bd": 32},
+      "sha256": "7d0446d27da027b2b067637694205c59dcc645a268fcf900f9a66855ce27250a"},
+     ("'disk' in 'the boundary checkpoint's grid.curve.kind'",)),
+    ({"curve": {"kind": "square", "side": 2, "n_bd": 32},
+      "sha256": "39e589d5c4babc1079937ba133f570a6d021a726628b0de6f681e5a9cd6a4b29"},
+     ("['side']",)),
+]
+
+
 @pytest.mark.parametrize("grid, message", [
-    ({"kind": "disk", "n_bd": 32}, "'disk'"),
-    ({"kind": "square", "side": 2, "n_bd": 32}, "'side': 2"),
-    (None, "record None"),
+    *_OLD_GRID_RECORDS,
+    ({"kind": "petal", "n_bd": 32}, ("'petal'", "unit square")),
+    (None, ("record None", "unit square")),
 ])
 def test_eval_refuses_a_boundary_checkpoint_of_another_grid(tmp_path, capsys, grid, message):
     """The boundary suites run on the unit square, with the n_bd of the
-    checkpoint's grid record: a checkpoint trained on another curve, or one
-    that records no grid, is refused."""
+    checkpoint's grid record: a checkpoint trained on another curve, one that
+    older versions wrote on a disk or on a square of side 2, or one that
+    records no grid, is refused."""
     from evokernel import nn
     model = nn.BoundaryModel.build(32, np.random.default_rng(0), internal=8)
-    nn.save_checkpoint(model, str(tmp_path / "m.ckpt"),
-                       {"grid": _grid_record(grid)} if grid else None)
+    if grid is not None and "sha256" not in grid:
+        grid = _grid_record(grid)
+    nn.save_checkpoint(model, str(tmp_path / "m.ckpt"), {"grid": grid} if grid else None)
     cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(tmp_path / "eval"),
            "checkpoint": str(tmp_path / "m.ckpt"), "suite": {"kappas": [0.05], "eval_n": 4}}
     rc = cli.main(["eval", "--config", _write(tmp_path, "e.json", cfg)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "unit square" in err and message in err
+    assert err.startswith("config error") and all(m in err for m in message)
     assert not (tmp_path / "eval").exists()
 
 
@@ -917,8 +1003,7 @@ def test_determinism_rerun_identical(tmp_path):
     for run in ("a", "b"):
         d = tmp_path / run
         cfg = {"version": 1, "command": "datagen", "seed": 3, "out": str(d),
-               "dataset": {"kind": "boundary", "kappas": [0.05], "n_g": 5,
-                           "curve": {"kind": "square", "n_bd": 16}}}
+               "dataset": {"kind": "boundary", "kappas": [0.05], "n_g": 5, "n_bd": 16}}
         assert cli.main(["datagen", "--config",
                          _write(tmp_path, f"{run}.json", cfg)]) == 0
         outs.append((d / "dataset.bin").read_bytes())
@@ -930,8 +1015,7 @@ def test_seed_override_changes_artifacts(tmp_path):
     for run, seed in (("a", None), ("b", 99)):
         d = tmp_path / ("s" + run)
         cfg = {"version": 1, "command": "datagen", "seed": 3, "out": str(d),
-               "dataset": {"kind": "boundary", "kappas": [0.05], "n_g": 5,
-                           "curve": {"kind": "square", "n_bd": 16}}}
+               "dataset": {"kind": "boundary", "kappas": [0.05], "n_g": 5, "n_bd": 16}}
         argv = ["datagen", "--config", _write(tmp_path, f"s{run}.json", cfg)]
         if seed is not None:
             argv += ["--seed-override", str(seed)]
@@ -942,7 +1026,7 @@ def test_seed_override_changes_artifacts(tmp_path):
 
 def _grid_record(curve):
     """The boundary grid record that evokernel train writes for a curve section."""
-    _, grid = cli._build_curve_grid(curve)
+    grid = cli._build_curve_grid(curve)
     nodes = b"".join(a.tobytes() for a in (grid.points, grid.normals, grid.speeds,
                                            grid.curvatures))
     return {"curve": curve, "sha256": hashlib.sha256(nodes).hexdigest()}
@@ -1040,36 +1124,31 @@ def test_backend_refuses_source_checkpoint_with_no_domain_record(tmp_path, capsy
 
 
 @pytest.mark.parametrize("grid, message", [
-    ({"kind": "disk", "n_bd": 32}, "'disk'"),
-    ({"kind": "square", "side": 2, "n_bd": 32}, "'side': 2"),
-    (None, "record None"),
+    *_OLD_GRID_RECORDS,
+    ({"kind": "petal", "n_bd": 32}, ("'petal'", "source checkpoint's domain")),
+    (None, ("record None", "source checkpoint's domain")),
 ])
 def test_backend_refuses_boundary_checkpoint_of_another_grid(tmp_path, capsys, grid, message):
     """A boundary checkpoint drives only the grid it was trained on: one trained
-    on the disk or on a square of another side, or one that records no grid, is
-    refused beside a source checkpoint on the unit square."""
+    on the petal, one that older versions wrote on a disk or on a square of
+    side 2, or one that records no grid, is refused beside a source checkpoint
+    on the unit square."""
     from evokernel import nn
     section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1])
-    if grid is None:
+    if grid is None or "sha256" in grid:
         model, meta = nn.load_checkpoint(section["boundary_checkpoint"])
-        del meta["grid"]
-        nn.save_checkpoint(model, section["boundary_checkpoint"], meta)
+        meta["grid"] = grid
+        nn.save_checkpoint(model, section["boundary_checkpoint"],
+                           {k: v for k, v in meta.items() if v is not None})
     else:
-        for cmd, out, cfg in (
-                ("datagen", "bdata", {"dataset": {"kind": "boundary", "kappas": [0.05, 0.1],
-                                                  "n_g": 4, "curve": grid}}),
-                ("train", "bmodel", {"model": {"kind": "boundary", "internal": 8},
-                                     "curve": grid, "train": {"epochs": 1, "batch_size": 4},
-                                     "data": {"path": str(tmp_path / "bdata" / "dataset.bin")}})):
-            cfg = {"version": 1, "command": cmd, "seed": 0, "out": str(tmp_path / out), **cfg}
-            assert cli.main([cmd, "--config", _write(tmp_path, f"{out}.json", cfg)]) == 0
-        section["boundary_checkpoint"] = str(tmp_path / "bmodel" / "model.ckpt")
+        rc, section["boundary_checkpoint"] = _train_boundary(tmp_path, _boundary_data(tmp_path),
+                                                             grid)
+        assert rc == 0
     rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json",
                                                 _heat_config(tmp_path, section))])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "source checkpoint's domain" in err
-    assert message in err
+    assert err.startswith("config error") and all(m in err for m in message)
     assert not (tmp_path / "run").exists()
 
 
@@ -1172,8 +1251,7 @@ def test_petal_source_training_records_its_domain(tmp_path):
     kappas = [0.05, 0.1]
     for cmd, out, cfg in (
             ("datagen", "sdata", {"dataset": {"kind": "source-offlattice", "kappas": kappas,
-                                              "per_kappa": 2, "spacing": 0.2,
-                                              "curve": {"kind": "petal", "n_bd": 16}}}),
+                                              "per_kappa": 2, "spacing": 0.2, "n_bd": 16}}),
             ("train", "smodel", {"model": {"kind": "source", "hidden_k": [4], "hidden_g": [4]},
                                  "points": {"kind": "petal", "spacing": 0.2},
                                  "train": {"epochs": 1, "batch_size": 2},

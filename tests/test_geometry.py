@@ -103,6 +103,8 @@ def test_quadrature_validation():
         geo.make_curve("disk", radius=-1.0)
     with pytest.raises(ValueError):
         geo.make_curve("blob")
+    with pytest.raises(TypeError):        # the square is the unit square
+        geo.make_curve("square", side=2.0)
 
 
 def test_quadrature_grid_hash_and_eq_follow_cache_key():
