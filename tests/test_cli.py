@@ -298,6 +298,9 @@ def test_validation_accepts_wave_numbers_on_the_unit_circle(problem):
     [], {"start": 0.05, "stop": 0.1, "count": 0},
     {"start": 0.05, "stop": 0.1, "count": 2, "typo": 9},
     {"start": 0.05, "stop": 0.1, "count": True}, {"start": 0.05, "stop": 0.1, "count": 2.5},
+    {"start": 0.05, "stop": 0.1, "count": "2"}, {"start": 0.05, "stop": 0.1, "count": -1},
+    {"start": "x", "stop": 0.1, "count": 2}, {"start": 0.05, "count": 2},
+    {"start": 0.05, "stop": float("inf"), "count": 2},
 ])
 def test_validation_rejects_non_positive_kappas(tmp_path, capsys, kind, kappas):
     out = tmp_path / "run"
@@ -361,6 +364,8 @@ _UQ = {"samples": 2, "tau": 0.1, "n_steps": 1}
     ("eval", "suite", {"kappas": {"start": 0.05, "stop": 0.1, "count": 2, "typo": 9}},
      "suite.kappas"),
     ("eval", "suite", {"kappas": {"start": 0.05, "stop": 0.1, "count": True}}, "suite.kappas"),
+    *[("eval", "suite", {"kappas": {"start": 0.05, "stop": 0.1, "count": count}}, "suite.kappas")
+      for count in (0, 2.5, "2")],
 ])
 def test_validation_rejects_bad_uq_and_suite_keys(tmp_path, capsys, cmd, section, value, key):
     base = ({"backend": _CLASSICAL, "uq": _UQ} if cmd == "uq"
@@ -526,6 +531,8 @@ _COMMAND = {"uq": "uq", "boundary": "datagen", "source": "datagen", "offlattice"
     ("offlattice", "dataset.margin", "x"),
     ("offlattice", "dataset.base", -1), ("offlattice", "dataset.amp", "x"),
     ("offlattice", "dataset.lobes", 2.5), ("offlattice", "dataset.n_bd", 4),
+    ("offlattice", "dataset.base", 0), ("offlattice", "dataset.amp", 1.0),
+    ("offlattice", "dataset.lobes", 0), ("offlattice", "dataset.margin", -0.1),
     ("boundary", "dataset.n_bd", 4),
     ("schrodinger", "problem.w", -1), ("schrodinger", "problem.w", "x"),
     *[("train-source", "model.hidden_k", v) for v in ([0], "x", [2.5])],
@@ -662,6 +669,32 @@ def test_one_boundary_dataset_trains_a_served_model_on_every_curve(tmp_path):
         assert _CURVE_CONSUMERS[kind](tmp_path, ckpt)
 
 
+@pytest.mark.parametrize("kind", list(cli._CURVE.kinds))
+@pytest.mark.parametrize("n_bd", [7, 8, 9, 10, 12])
+def test_each_curve_rule_admits_the_n_bd_its_grid_takes(kind, n_bd):
+    """The n_bd rule of each admitted curve admits exactly the node counts that
+    sample_quadrature can place on that curve, so a config the rule passes
+    never fails in the geometry, and none that the geometry serves is refused."""
+    try:
+        grid = cli._build_curve_grid({"kind": kind, "n_bd": n_bd})
+    except ValueError:
+        grid = None
+    assert cli._CURVE.kinds[kind]["n_bd"].ok(n_bd) == (grid is not None)
+    assert grid is None or grid.n == n_bd
+
+
+@pytest.mark.parametrize("n_bd", [8, 9, 30])
+def test_boundary_datagen_takes_n_bd_that_the_square_refuses(tmp_path, n_bd):
+    """A boundary dataset is built on a grid that takes every n_bd >= 8, so
+    dataset.n_bd need not split over the square's four edges."""
+    from evokernel import datagen
+    cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(tmp_path / "data"),
+           "dataset": {"kind": "boundary", "kappas": [0.05, 0.1], "n_g": 2, "n_bd": n_bd}}
+    assert cli.main(["datagen", "--config", _write(tmp_path, "d.json", cfg)]) == 0
+    ds = datagen.load_dataset(str(tmp_path / "data" / "dataset.bin"))
+    assert ds.g.shape == (4, n_bd) and ds.provenance["n_bd"] == n_bd
+
+
 @pytest.mark.parametrize("curve, sha256", [
     ({"kind": "square", "n_bd": 32},
      "d654411da8156c61904af34c31d2a2de42da742c565449ce072595abe38268ad"),
@@ -677,13 +710,13 @@ def test_grid_sha256_keeps_the_checkpoints_older_code_wrote(curve, sha256):
 
 
 @pytest.mark.parametrize("cmd, geometry", [
-    (cmd, geometry) for cmd in ("datagen", "train", "evolve")
+    (cmd, geometry) for cmd in ("datagen", "train", "evolve", "uq")
     for geometry in ({"spacing": 5.0}, {"spacing": 0.2, "margin": 2.0})])
 def test_petal_points_with_no_interior_point_are_a_config_error(tmp_path, capsys, cmd,
                                                                 geometry):
     """A petal lattice that the margin leaves empty exits 2 and writes nothing:
     in datagen's off-lattice keys, in train's points section and in a source
-    checkpoint's domain record."""
+    checkpoint's domain record, which evolve and uq read."""
     from evokernel import nn
     if cmd == "datagen":
         cfg = {"dataset": {"kind": "source-offlattice", "kappas": [0.05], "per_kappa": 2,
@@ -696,7 +729,8 @@ def test_petal_points_with_no_interior_point_are_a_config_error(tmp_path, capsys
         model, meta = nn.load_checkpoint(section["source_checkpoint"])
         meta["domain"].update(geometry)
         nn.save_checkpoint(model, section["source_checkpoint"], meta)
-        cfg = {"problem": {"equation": "heat", "tau": 0.14, "n_steps": 1}, "backend": section}
+        cfg = ({"problem": {"equation": "heat", "tau": 0.14, "n_steps": 1}, "backend": section}
+               if cmd == "evolve" else {"backend": section, "uq": _UQ})
     cfg = {"version": 1, "command": cmd, "seed": 0, "out": str(tmp_path / "run"), **cfg}
     rc = cli.main([cmd, "--config", _write(tmp_path, "c.json", cfg)])
     assert rc == 2
@@ -1146,6 +1180,25 @@ def test_backend_refuses_boundary_checkpoint_of_another_grid(tmp_path, capsys, g
         assert rc == 0
     rc = cli.main(["evolve", "--config", _write(tmp_path, "c.json",
                                                 _heat_config(tmp_path, section))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and all(m in err for m in message)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("grid, message", _OLD_GRID_RECORDS)
+def test_uq_refuses_a_boundary_checkpoint_older_code_wrote_on_another_curve(
+        tmp_path, capsys, grid, message):
+    """uq reads the grid record as evolve does: a boundary checkpoint that older
+    versions wrote on a disk or on a square of side 2 is a config error."""
+    from evokernel import nn
+    section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1])
+    model, meta = nn.load_checkpoint(section["boundary_checkpoint"])
+    meta["grid"] = grid
+    nn.save_checkpoint(model, section["boundary_checkpoint"], meta)
+    cfg = {"version": 1, "command": "uq", "seed": 0, "out": str(tmp_path / "run"),
+           "backend": section, "uq": _UQ}
+    rc = cli.main(["uq", "--config", _write(tmp_path, "c.json", cfg)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and all(m in err for m in message)
