@@ -573,10 +573,12 @@ def main(argv=None):
     parser.add_argument("--seed-override", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        for var in _THREAD_VARS:
-            os.environ[var] = str(args.threads)
     try:
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ValidationError(f"--threads={args.threads} must be at least 1")
+            for var in _THREAD_VARS:
+                os.environ[var] = str(args.threads)
         with open(args.config) as fh:
             cfg = json.load(fh)
         cfg.setdefault("command", args.command)
@@ -590,13 +592,16 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = args.out or cfg.get("out") or "."
-    made = not os.path.isdir(out)
+    made, head = [], os.path.abspath(out)   # the directories made here, leaf first
+    while not os.path.isdir(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(out, exist_ok=True)
     try:
         return _COMMANDS[cfg["command"]](cfg, out)
     except ValidationError as exc:  # config checks that need loaded inputs
-        if made:                    # they run before the first write
-            os.rmdir(out)
+        for path in made:           # they run before the first write
+            os.rmdir(path)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure -> exit 1 with message

@@ -61,9 +61,11 @@ def _filtered_fields(seeds, n, sigmas):
 
 
 _TRIG = {0: np.sin, 1: np.cos}
+# the ranges of a random trig_family member's amplitude a and frequencies b, c
+_AMP_RANGE, _FREQ_RANGE = (-1.0, 1.0), (0.5, 3.0)
 
 
-def trig_family(a, b, c, form, lo=0.0, hi=1.0):
+def trig_family(a, b, c, form):
     """Closed-form generator a * T1(b pi x) * T2(c pi y) with T in {sin, cos}.
 
     form is a 2-bit code selecting (T1, T2); returns a callable f(X, Y).
@@ -78,23 +80,23 @@ def trig_family(a, b, c, form, lo=0.0, hi=1.0):
     return f
 
 
-def random_trig_source(seed, n, amp_range=(-1.0, 1.0), freq_range=(0.5, 3.0)):
+def random_trig_source(seed, n):
     """Random product-of-trigonometrics field on the closed n x n unit lattice."""
-    return _trig_sources([seed], n, amp_range, freq_range)[0]
+    return _trig_sources([seed], n)[0]
 
 
-def _trig_sources(seeds, n, amp_range=(-1.0, 1.0), freq_range=(0.5, 3.0)):
+def _trig_sources(seeds, n):
     """random_trig_source for each seed, as (k, n, n) on one lattice."""
     xs = np.linspace(0.0, 1.0, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    return np.array([trig_family(*_trig_draw(_rng(seed, 0x7A16), amp_range, freq_range))(X, Y)
+    return np.array([trig_family(*_trig_draw(_rng(seed, 0x7A16)))(X, Y)
                      for seed in seeds]).reshape(-1, n, n)
 
 
-def _trig_draw(rng, amp_range, freq_range):
+def _trig_draw(rng):
     """(a, b, c, form) of a random trig_family member."""
-    return (rng.uniform(*amp_range), rng.uniform(*freq_range), rng.uniform(*freq_range),
-            int(rng.integers(0, 4)))
+    return (rng.uniform(*_AMP_RANGE), rng.uniform(*_FREQ_RANGE),
+            rng.uniform(*_FREQ_RANGE), int(rng.integers(0, 4)))
 
 
 def grf_boundary(seed, grid: QuadratureGrid, length_scale):
@@ -235,8 +237,7 @@ def build_boundary_dataset(kappas, n_g, grid, seed, length_scales=(0.4, 0.8, 1.6
                    g=g_arr, provenance=prov)
 
 
-def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed,
-                                    amp_range=(-1.0, 1.0), freq_range=(0.5, 3.0)):
+def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed):
     """Source data on scattered interior points (petal-style domains).
 
     Labels avoid any volume solver: draw a trig-product w with the exact
@@ -262,7 +263,7 @@ def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed,
         rows = slice(ik * per_kappa, (ik + 1) * per_kappa)
         for j in range(per_kappa):
             rec = ik * per_kappa + j
-            a, b, c, form = _trig_draw(_rng(seed, 0x9E7A1, ik, j), amp_range, freq_range)
+            a, b, c, form = _trig_draw(_rng(seed, 0x9E7A1, ik, j))
             w = trig_family(a, b, c, form)
             u_arr[rec] = w(pts[:, 0], pts[:, 1])
             coef = -(np.pi**2) * (b**2 + c**2) - 1.0 / kap

@@ -15,13 +15,13 @@ wave and Schrodinger drivers only differ in how they build F and lam:
 
 The recursions re-express every Laplacian of a computed field through
 earlier solves, so no field produced by a learned backend is ever
-differentiated numerically (only the initial data need a Laplacian, taken
-analytically when the problem provides one and by the 5-point stencil
-otherwise).
+differentiated numerically; only the initial data need a Laplacian, and
+every problem supplies it analytically as lap_u0.
 
-Each stepper checks its arguments and then only yields (step, u) pairs of
-its recursion; one run loop, _march, records the error trace, the stored
-fields and the EvolutionResult of every run.
+An EvolutionProblem holds the PDE's data.  Each stepper takes its scheme's
+parameters, checks them and then only yields (step, u) pairs of its
+recursion; one run loop, _march, records the error trace, the stored fields
+and the EvolutionResult of every run.
 
 Backends share one contract; swapping the learned backend for the
 finite-difference oracle changes errors, never shapes or protocols.
@@ -92,18 +92,10 @@ class BackendRangeError(ValueError):
 
 
 def _set_ring(u, domain, gfun, t):
-    """u, C-contiguous, with its boundary-ring entries set to g(., t); point
-    clouds have none.  The ring runs in lattice order (first row, then each
-    inner row's first and last entry, then the last row), so it is written
-    through the lattice's four edge slices instead of a fancy index."""
+    """u with its boundary-ring entries set to g(., t); point clouds have none."""
     ring = domain.ring_idx
     if ring.size:
-        g, n = gfun(domain.points[ring], t), domain.n
-        v = domain.reshape(u)
-        v[..., 0, :] = g[..., :n]
-        v[..., 1:-1, 0] = g[..., n:-n:2]
-        v[..., 1:-1, -1] = g[..., n + 1:-n:2]
-        v[..., -1, :] = g[..., -n:]
+        u[..., ring] = gfun(domain.points[ring], t)
     return u
 
 
@@ -252,21 +244,26 @@ class NekmBackend:
             phi = X[..., k:].view(np.float64)
             np.matmul(g, M, out=phi)
             phi += c
+            del phi
         else:
             np.matmul(F, A, out=X[..., :k])
             X[..., k:-1] = g
             X[..., -1] = 1.0
-        return _set_ring(X @ R.T, self.domain, gfun, t)
+        # only u is live at the ring callback, the step's memory peak
+        del g
+        u = X @ R.T
+        del X
+        return _set_ring(u, self.domain, gfun, t)
 
 
 @dataclass
 class EvolutionProblem:
-    """Time-dependent problem description over a backend domain.
+    """A time-dependent PDE's data over a backend domain; the scheme's
+    parameters go to the stepper.
 
     Callables receive a point array (m, 2); batched problem families return
-    (batch, m) arrays.  exact(points, t) triggers the per-step error trace.
-    lap_u0 (and lap_v0 for the wave start) supply analytic Laplacians of the
-    initial data; when absent the 5-point stencil fills in.
+    (batch, m) arrays.  lap_u0 is the initial data's analytic Laplacian;
+    exact(points, t) triggers the per-step error trace.
     """
 
     domain: object
@@ -274,18 +271,15 @@ class EvolutionProblem:
     n_steps: int
     u0: object
     g: object
+    lap_u0: object
     v0: object = None
-    theta: float = 0.5
     v_potential: object = None
     w: float = 0.0
-    lap_u0: object = None
     exact: object = None
 
     def __post_init__(self):
         if self.tau <= 0 or self.n_steps <= 0:
             raise ValueError("tau and n_steps must be positive")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError(f"theta={self.theta} must lie in (0, 1]")
         if self.w < 0:
             raise ValueError("nonlinear coefficient w must be nonnegative")
 
@@ -321,14 +315,6 @@ def _march(prob, steps, store_fields, meta):
     return EvolutionResult(final=final, error_trace=trace, fields=fields, meta=meta)
 
 
-def _initial_lap(prob, pts):
-    if prob.lap_u0 is not None:
-        return prob.lap_u0(pts)
-    if hasattr(prob.domain, "lap_full"):
-        return prob.domain.lap_full(prob.u0(pts))
-    raise ValueError("off-lattice domains need an analytic lap_u0 for this scheme")
-
-
 def run_heat(prob, backend, scheme="be", store_fields=False):
     """Heat equation u_t = Delta u by backward Euler or Crank-Nicolson.
 
@@ -346,7 +332,7 @@ def run_heat(prob, backend, scheme="be", store_fields=False):
     def steps():
         pts = prob.domain.points
         if scheme == "cn":
-            F = lam * _initial_lap(prob, pts)
+            F = lam * prob.lap_u0(pts)
         u = np.asarray(prob.u0(pts), dtype=np.float64)
         if scheme == "cn":
             F += u                               # F is this run's own array
@@ -375,23 +361,26 @@ def _cn_update(F, u):
         np.subtract(np.multiply(u[i:i + rows], 2.0, out=buf[:len(Fb)]), Fb, out=Fb)
 
 
-def run_wave(prob, backend, store_fields=False):
-    """Wave equation u_tt = Delta u by the implicit theta-scheme.
+def run_wave(prob, backend, theta=0.5, store_fields=False):
+    """Wave equation u_tt = Delta u by the implicit theta-scheme, 0 < theta <= 1.
 
     Startup: u^1 from the second-order Taylor expansion
     u^0 + tau v^0 + (tau^2/2) Delta u^0; F^1 and F^2 are formed directly
-    from initial-data Laplacians, after which the two-level recursion runs.
+    from the Laplacians of u^0 (analytic) and of u^1 (the lattice's 5-point
+    stencil), after which the two-level recursion runs.
     """
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta={theta} must lie in (0, 1]")
     if prob.n_steps > 1 and not hasattr(prob.domain, "lap_full"):
         raise ValueError("the theta-scheme startup needs a lattice domain "
                          "(Laplacian of the Taylor-started level)")
-    theta, tau = prob.theta, prob.tau
+    tau = prob.tau
     lam = theta * tau * tau
 
     def steps():
         pts = prob.domain.points
         u_prev = np.asarray(prob.u0(pts), dtype=np.float64)
-        lap0 = _initial_lap(prob, pts)
+        lap0 = prob.lap_u0(pts)
         u_cur = u_prev + tau * np.asarray(prob.v0(pts)) + 0.5 * tau * tau * lap0
         yield 0, u_prev
         yield 1, u_cur
@@ -487,7 +476,7 @@ def run_schrodinger(prob, backend, splitting="strang", store_fields=False):
             if splitting == "lie":
                 u_star = u
             elif step == 1:
-                u_star = u - 0.5j * tau * _initial_lap(prob, pts)
+                u_star = u - 0.5j * tau * prob.lap_u0(pts)
             else:
                 u_star = 2.0 * u - u_dd          # u_dd: the last u**
             u_dd = _nonlinear_stage(vpot, prob.w, tau, u_star)

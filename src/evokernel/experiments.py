@@ -14,8 +14,9 @@ scripts and the tests:
     and EQUATIONS, which maps each equation to its problem builder and its
     stepper (the heat problem is a one-row evolution.heat_family).
 
-Each default of an evolution problem is written once, in the builder or
-stepper that takes it.
+A builder takes the PDE's parameters and supplies the analytic lap_u0; a
+stepper takes its scheme's (heat's scheme, the wave's theta, Schrodinger's
+splitting).  Each default is written once, where it is taken.
 """
 
 from __future__ import annotations
@@ -99,10 +100,11 @@ def system_source_case(lam):
     return u1, u2, f1, f2
 
 
-def system_boundary_case(lam, source_point=(1.2, 1.2)):
-    """(u1, u2): first fundamental-matrix column from an exterior source point."""
+def system_boundary_case(lam):
+    """(u1, u2): first fundamental-matrix column from the exterior source
+    point (1.2, 1.2)."""
     spec = kernels.SystemKernelSpec(lam)
-    y0 = np.asarray(source_point, dtype=np.float64)
+    y0 = np.array([1.2, 1.2])
 
     def fields(pts):
         G = kernels.system_g0(spec, pts, np.broadcast_to(y0, pts.shape))
@@ -167,7 +169,7 @@ def heat_problem(domain, tau, n_steps, a=2**-0.5):
     return evolution.heat_family(domain, a, np.sqrt(1.0 - a * a), tau, n_steps)
 
 
-def wave_problem(domain, tau, n_steps, a=0.6, theta=0.5):
+def wave_problem(domain, tau, n_steps, a=0.6):
     """Traveling wave u = sin(a x1 + b x2 - t) with b = sqrt(1 - a^2)."""
     b = np.sqrt(1.0 - a * a)
 
@@ -175,7 +177,7 @@ def wave_problem(domain, tau, n_steps, a=0.6, theta=0.5):
         return np.sin(a * pts[..., 0] + b * pts[..., 1] - t)
 
     return evolution.EvolutionProblem(
-        domain=domain, tau=tau, n_steps=n_steps, theta=theta,
+        domain=domain, tau=tau, n_steps=n_steps,
         u0=lambda pts: sh(pts, 0.0),
         v0=lambda pts: -np.cos(a * pts[..., 0] + b * pts[..., 1]),
         g=sh, lap_u0=lambda pts: -sh(pts, 0.0), exact=sh)
@@ -199,6 +201,6 @@ def schrodinger_problem(domain, tau, n_steps, w=1.0):
 # keys that it names, the builder every other one
 EQUATIONS = {
     "heat": (heat_problem, evolution.run_heat, ("scheme",)),
-    "wave": (wave_problem, evolution.run_wave, ()),
+    "wave": (wave_problem, evolution.run_wave, ("theta",)),
     "schrodinger": (schrodinger_problem, evolution.run_schrodinger, ("splitting",)),
 }

@@ -178,13 +178,12 @@ class BoundaryModel:
         self.nn_out = nn_out
 
     @classmethod
-    def build(cls, n_bd, rng, internal=None, hidden_k=None, coupled=False):
+    def build(cls, n_bd, rng, internal=None, coupled=False):
         """Defaults follow the reference setup: internal width 3 n_bd / 4 and a
         kappa branch with two relu hidden layers of the same width."""
         width = n_bd * (2 if coupled else 1)
         n_star = internal if internal is not None else (3 * width) // 4
-        hk = list(hidden_k) if hidden_k is not None else [n_star, n_star]
-        nn_k = Mlp.build([1] + hk + [n_star], ["relu"] * len(hk) + ["identity"], rng)
+        nn_k = Mlp.build([1, n_star, n_star, n_star], ["relu", "relu", "identity"], rng)
         nn_g = Mlp.build([width, n_star], ["identity"], rng)
         nn_out = Mlp.build([n_star, width], ["identity"], rng)
         return cls(nn_k, nn_g, nn_out)

@@ -231,6 +231,30 @@ def test_evolve_runs_on_the_smallest_valid_lattice(tmp_path, equation, experimen
     assert json.loads((tmp_path / "run" / "summary.json").read_text())["experiment"] == experiment
 
 
+@pytest.mark.parametrize("equation", ["heat", "wave", "schrodinger"])
+def test_equations_split_the_problem_keys_between_builder_and_stepper(equation):
+    """The stepper's keyword parameters, less store_fields, are its EQUATIONS
+    options, and the builder's are the rest of the equation's problem keys,
+    less those that cmd_evolve passes itself."""
+    import inspect
+
+    from evokernel.experiments import EQUATIONS
+    build, run, options = EQUATIONS[equation]
+
+    def keywords(fn):
+        params = inspect.signature(fn).parameters.values()
+        return [p.name for p in params if p.default is not p.empty]
+
+    assert list(inspect.signature(build).parameters)[:3] == ["domain", "tau", "n_steps"]
+    assert list(inspect.signature(run).parameters)[:2] == ["prob", "backend"]
+    assert "store_fields" in keywords(run)
+    assert set(keywords(run)) - {"store_fields"} == set(options)
+    table = cli._PROBLEM.table({"equation": equation}, "problem")
+    assert set(options) <= set(table)
+    assert set(keywords(build)) == (set(table) - {"equation", "tau", "n_steps", "store_fields"}
+                                    - set(options))
+
+
 def test_every_readme_config_is_valid():
     """Every JSON config block in the README passes validate_config, and they
     show every command, and evolve and uq on the learned backend."""
@@ -737,6 +761,43 @@ def test_petal_points_with_no_interior_point_are_a_config_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("config error") and "no interior points" in err
     assert f"'spacing': {geometry['spacing']}" in err
+    assert not (tmp_path / "run").exists()
+
+
+def _tree(root):
+    return sorted(os.path.relpath(os.path.join(d, name), root)
+                  for d, dirs, files in os.walk(root) for name in dirs + files)
+
+
+def test_a_refused_run_removes_every_directory_it_made(tmp_path, capsys):
+    """A train run refused after its output directory was made removes the
+    directories that --out added, parents included, and only those."""
+    cfg = {"version": 1, "command": "train", "seed": 0, "model": {"kind": "source"},
+           "data": {"path": _tiny_source_dataset(tmp_path)},
+           "points": {"kind": "petal", "spacing": 5.0}}
+    config = _write(tmp_path, "c.json", cfg)
+    (tmp_path / "deep").mkdir()
+    before = _tree(tmp_path)
+    out = tmp_path / "deep" / "a" / "b" / "c"
+    assert cli.main(["train", "--config", config, "--out", str(out)]) == 2
+    assert "no interior points" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_are_a_config_error(tmp_path, capsys, monkeypatch, threads):
+    """--threads below 1 exits 2 naming the flag and its value, before any
+    thread variable is set or any directory is made."""
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "3")
+    cfg = {"version": 1, "command": "uq", "seed": 0, "out": str(tmp_path / "run"),
+           "backend": _CLASSICAL, "uq": {"samples": 2, "tau": 0.1, "n_steps": 1}}
+    rc = cli.main(["uq", "--config", _write(tmp_path, "c.json", cfg),
+                   "--threads", str(threads)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"--threads={threads}" in err
+    assert all(os.environ[var] == "3" for var in cli._THREAD_VARS)
     assert not (tmp_path / "run").exists()
 
 

@@ -27,10 +27,12 @@ def test_filtered_field_spectrum_decays_with_sigma():
 
 
 def test_trig_source_bounds_and_distinct_seeds():
-    f1 = dg.random_trig_source(1, 21, amp_range=(-0.5, 0.5))
-    f2 = dg.random_trig_source(2, 21, amp_range=(-0.5, 0.5))
-    assert np.max(np.abs(f1)) <= 0.5
-    assert not np.array_equal(f1, f2)
+    fields = [dg.random_trig_source(seed, 21) for seed in range(1, 9)]
+    bound = max(abs(a) for a in dg._AMP_RANGE)
+    assert bound == 1.0
+    for f in fields:
+        assert np.max(np.abs(f)) <= bound
+    assert not np.array_equal(fields[0], fields[1])
 
 
 def test_trig_family_forced_case():
@@ -184,7 +186,7 @@ def test_offlattice_dataset_equals_per_record_reference():
     for ik, kap in enumerate(kappas):
         spec = ScalarKernelSpec(kap)
         for j in range(per_kappa):
-            a, b, c, form = dg._trig_draw(dg._rng(seed, 0x9E7A1, ik, j), (-1.0, 1.0), (0.5, 3.0))
+            a, b, c, form = dg._trig_draw(dg._rng(seed, 0x9E7A1, ik, j))
             w = dg.trig_family(a, b, c, form)
             w_pts = w(pts[:, 0], pts[:, 1])
             coef = -(np.pi**2) * (b**2 + c**2) - 1.0 / kap

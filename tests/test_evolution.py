@@ -89,24 +89,30 @@ def test_wave_order_and_theta_validation():
         errs.append(ev.trajectory_rel_l2(ev.run_wave(prob, BACKEND)))
     orders = ev.order_from_errors(errs)
     assert all(abs(o - 2.0) <= 0.2 for o in orders)
+    prob = ex.wave_problem(DOMAIN, 0.1, 2)
     for theta in (1.5, 0.0, -0.5):
-        with pytest.raises(ValueError, match=re.escape("(0, 1]")):
-            ev.EvolutionProblem(domain=DOMAIN, tau=0.1, n_steps=2, u0=None, g=None,
-                                theta=theta)
+        with pytest.raises(ValueError, match=re.escape(f"theta={theta} must lie in (0, 1]")):
+            ev.run_wave(prob, _NoSolve(), theta=theta)
+
+
+class _NoSolve:
+    """A backend that fails any solve: a refusal must come before the first."""
+
+    def solve(self, *args):
+        raise AssertionError("solved before the arguments were checked")
 
 
 def test_every_problem_refuses_a_negative_w():
     with pytest.raises(ValueError, match="nonnegative"):
-        ev.EvolutionProblem(domain=DOMAIN, tau=0.1, n_steps=2, u0=None, g=None, w=-0.5)
+        ev.EvolutionProblem(domain=DOMAIN, tau=0.1, n_steps=2, u0=None, g=None,
+                            lap_u0=None, w=-0.5)
 
 
 def test_lambda_mapping_theta_tau():
-    prob = ex.wave_problem(DOMAIN, 0.25, 4, theta=0.5)
-    res = ev.run_wave(prob, BACKEND)
-    assert res.meta["lam"] == pytest.approx(1 / 32)
-    prob = ex.wave_problem(DOMAIN, 1 / 6, 6, theta=0.5)
-    res = ev.run_wave(prob, BACKEND)
-    assert res.meta["lam"] == pytest.approx(1 / 72)
+    for theta, tau, n_steps, lam in ((0.5, 0.25, 4, 1 / 32), (0.5, 1 / 6, 6, 1 / 72),
+                                     (0.75, 0.25, 4, 3 / 64), (1.0, 0.25, 4, 1 / 16)):
+        res = ev.run_wave(ex.wave_problem(DOMAIN, tau, n_steps), BACKEND, theta=theta)
+        assert res.meta["lam"] == pytest.approx(lam)
 
 
 def test_schrodinger_split_orders():

@@ -338,6 +338,42 @@ def test_uq_run_holds_its_field_budget(keep, fields):
         f"+ slack {slack / field:.3f}")
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+def test_only_the_solution_is_live_at_the_ring_callback(coupled):
+    """When a learned solve asks g for the ring values, the step's X and
+    quadrature data are gone: above the memory held before the solve, only
+    the solution's field is live."""
+    samples = 4000
+    rng = np.random.default_rng(4)
+    src = nn.SourceModel.build(DOMAIN.points, [WIDTH, WIDTH], [WIDTH, WIDTH], rng,
+                               coupled=coupled)
+    bnd = nn.BoundaryModel.build(N_BD, rng, internal=8, coupled=coupled)
+    backend = ev.NekmBackend(DOMAIN, bnd, src, LAM_RANGE[coupled], coupled=coupled)
+    lam, dtype = LAM_RANGE[coupled][0], (complex if coupled else float)
+    ring = DOMAIN.points[DOMAIN.ring_idx]
+    live, base = [], None
+
+    def gfun(pts, t):
+        if base is not None and np.array_equal(pts, ring):
+            live.append(tracemalloc.get_traced_memory()[0] - base)
+        return np.full((samples, len(pts)), t, dtype)
+
+    F = rng.standard_normal((samples, N * N)).astype(dtype)
+    solve = backend.solve_coupled if coupled else backend.solve
+    solve(lam, F, gfun, 0.0)                          # builds the step record
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u = solve(lam, F, gfun, 0.5)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert np.all(u[:, DOMAIN.ring_idx] == 0.5)
+    assert len(live) == 1 and live[0] <= 1.05 * u.nbytes, f"{live[0] / u.nbytes:.3f} fields"
+
+
 def test_guard_rejects_source_points_off_domain():
     bnd, src = _models(False)
     src.points = src.points + 1e-3

@@ -158,7 +158,7 @@ def test_dead_relu_zero_gradient():
 def test_gradients_all_architectures(builder, loss_builder):
     rng = np.random.default_rng(11)
     if builder == "boundary":
-        model = nn.BoundaryModel.build(12, rng, internal=9, hidden_k=[7])
+        model = nn.BoundaryModel.build(12, rng, internal=9)
         B = rng.standard_normal((12, 12))
         kap = rng.uniform(0.05, 0.1, (4, 1))
         g = rng.standard_normal((4, 12))
@@ -335,7 +335,7 @@ def _reusing_graphs(rng):
         f, u = (rng.standard_normal((3, model.n_samples)) for _ in range(2))
         yield model, lambda model=model, kappa=kappa, f=f, u=u: eg.squared_error(
             model.forward(kappa, f), u, 1.0 / u.size)
-    model = nn.BoundaryModel.build(12, rng, internal=9, hidden_k=[9])
+    model = nn.BoundaryModel.build(12, rng, internal=9)
     B, g = rng.standard_normal((12, 12)), rng.standard_normal((4, 12))
     yield model, lambda: eg.squared_error(
         eg.matmul_t(model.forward(np.full((1, 1), 0.07), g), B), g, 1.0 / 48)
