@@ -119,6 +119,8 @@ _SPAN = {"start": _num(), "stop": _num(), "count": _int(1)}
 _SPACING = {"spacing": _POSITIVE, "margin": _NONNEGATIVE}
 _PETAL = {"base": _POSITIVE, "amp": _num(0, 1, "[)"), "lobes": _int(1)}
 _N_BD = _int(8)                             # sample_quadrature's minimum
+# the lattice size n and the boundary node count n_bd that a config may leave out
+_DEFAULT_N, _DEFAULT_N_BD = 41, 256
 # make_curve's parameters for the curves a learned backend serves: the unit
 # square, whose nodes split evenly over its four edges, and a petal
 _CURVE = _Kinds("kind", "square", {
@@ -246,7 +248,7 @@ def _build_curve_grid(section):
     from .geometry import make_curve, sample_quadrature
     params = {k: v for k, v in section.items() if k not in ("kind", "n_bd")}
     return sample_quadrature(make_curve(section.get("kind", "square"), **params),
-                             section.get("n_bd", 256))
+                             section.get("n_bd", _DEFAULT_N_BD))
 
 
 def cmd_datagen(cfg, out):
@@ -257,23 +259,23 @@ def cmd_datagen(cfg, out):
     kind = d["kind"]
     if kind == "boundary":
         # traces read only the parameter nodes, which the petal has at every n_bd
-        grid = _build_curve_grid({"kind": "petal", "n_bd": d.get("n_bd", 256)})
+        grid = _build_curve_grid({"kind": "petal", "n_bd": d.get("n_bd", _DEFAULT_N_BD)})
         ds = datagen.build_boundary_dataset(
             kappas, d.get("n_g", 2000), grid, seed,
             **{k: d[k] for k in ("length_scales", "coupled") if k in d})
     elif kind == "source":
         ds = datagen.build_source_dataset(
-            kappas, d.get("per_kappa", 2000), d.get("n", 41), seed,
+            kappas, d.get("per_kappa", 2000), d.get("n", _DEFAULT_N), seed,
             **{k: d[k] for k in ("mix", "sigma_range", "coupled") if k in d})
     else:                     # the points of a petal source model on that curve
-        dom, record = _domain({**d, "kind": "petal"}, d.get("n_bd", 256))
+        dom, record = _domain({**d, "kind": "petal"}, d.get("n_bd", _DEFAULT_N_BD))
         ds = datagen.build_offlattice_source_dataset(
             kappas, d.get("per_kappa", 500), dom.quad, dom.points, seed)
         ds.provenance["domain"] = record      # what train's points section must name
     path = os.path.join(out, "dataset.bin")
     datagen.save_dataset(ds, path)
     _write_json(os.path.join(out, "summary.json"),
-                {"records": int(ds.n_records), "hash": ds.content_hash(), "kind": ds.kind})
+                {"records": ds.n_records, "hash": ds.content_hash(), "kind": kind})
     _write_manifest(out, cfg, ["dataset.bin", "summary.json"])
     return 0
 
@@ -343,21 +345,21 @@ def _check_grid(meta, grid, where):
 
 def _trained_n_bd(meta, kind):
     """The n_bd of a boundary checkpoint's grid record, checked against the curve
-    rules, on a curve of kind, else 256, which _check_grid refuses: the square's
-    edges may not split another curve's n_bd."""
+    rules, on a curve of kind, else _DEFAULT_N_BD, which _check_grid refuses: the
+    square's edges may not split another curve's n_bd."""
     _walk(meta.get("grid", {}), "the boundary checkpoint's grid", _GRID_RECORD)
     curve = meta.get("grid", {}).get("curve", {})
-    return curve.get("n_bd", 256) if curve.get("kind") == kind else 256
+    return (curve if curve.get("kind") == kind else {}).get("n_bd", _DEFAULT_N_BD)
 
 
-def _domain(points, n_bd=256):
+def _domain(points, n_bd=_DEFAULT_N_BD):
     """(domain, record): the evolution domain of a points section or a domain record
     with n_bd boundary nodes, and the section with its defaults filled in.  A petal
     whose lattice holds no point is a ValidationError naming the record."""
     from .evolution import PointCloudDomain, SquareLatticeDomain
     from .geometry import make_curve, petal_lattice
     if points.get("kind", "square") == "square":
-        record = {"kind": "square", "n": points.get("n", 41)}
+        record = {"kind": "square", "n": points.get("n", _DEFAULT_N)}
         return SquareLatticeDomain(record["n"], n_bd), record
     curve = make_curve("petal", **{k: v for k, v in points.items() if k in _PETAL})
     spacing = points.get("spacing", 0.03)
@@ -372,7 +374,7 @@ def _domain(points, n_bd=256):
 
 def _coupled_layout(ds, n):
     """Whether the dataset's records hold 2 n values (coupled) or n (scalar)."""
-    width = (ds.g if ds.g is not None else ds.f).shape[1]
+    width = (ds.g if ds.g is not None else ds.f).shape[-1]
     if width not in (n, 2 * n):
         raise ValidationError(f"the dataset's records hold {width} values, neither "
                               f"{n} (scalar) nor {2 * n} (coupled)")
@@ -415,7 +417,8 @@ def _build_backend(section, equation):
     from .nn import load_checkpoint
 
     if section.get("kind", "classical") == "classical":
-        return ClassicalBackend(SquareLatticeDomain(section.get("n", 41)))
+        return ClassicalBackend(SquareLatticeDomain(section.get("n", _DEFAULT_N),
+                                                    _DEFAULT_N_BD))
     bnd, bnd_meta = load_checkpoint(section["boundary_checkpoint"])
     src, src_meta = load_checkpoint(section["source_checkpoint"])
     # the lambda range is the overlap of the kappa spans the checkpoints record

@@ -3,8 +3,8 @@
 Layout:
     line 1   magic, e.g. b"EVOKERNEL-CKPT/2\\n"
     line 2   JSON header (sorted keys): the caller's fields plus
-             "arrays": [{"name", "shape", "dtype"}...] with dtype "<f8" or
-             "<i8", and "sha256": the hex digest of the body
+             "arrays": [{"name", "shape", "dtype"}...] with dtype "<f8",
+             and "sha256": the hex digest of the body
     body     the arrays' little-endian bytes, concatenated in table order
 
 write() streams the pieces to the file and hashes them on the way, so a
@@ -25,7 +25,8 @@ import numpy as np
 
 __all__ = ["pack", "write", "read"]
 
-_DTYPES = {"f": "<f8", "i": "<i8"}
+# the one stored dtype, by the numpy kind that converts to it
+_DTYPES = {"f": "<f8"}
 
 
 def _block(name, a):
@@ -75,7 +76,7 @@ def read(path, magic):
             header = json.loads(fh.readline())
             table, digest = header.pop("arrays"), header.pop("sha256")
             if any(a["dtype"] not in _DTYPES.values() for a in table):
-                raise ValueError("array dtypes must be <f8 or <i8")
+                raise ValueError("array dtypes must be <f8")
             sizes = [8 * math.prod(a["shape"]) for a in table]
             body = np.empty(sum(sizes), np.uint8)     # the one buffer of every array
         except (ValueError, KeyError, TypeError, AttributeError, MemoryError) as exc:

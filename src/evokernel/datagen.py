@@ -3,9 +3,9 @@
 Source datasets pair random fields f with labels u from the finite-difference
 solver (homogeneous Dirichlet); boundary datasets are label-free (the
 boundary model trains on the integral-equation residual) and hold only
-(kappa, g) records.  Every record derives its own seed from (root seed,
-index) so generation is deterministic regardless of schedule, and a dataset
-rebuilt from its provenance record is bit-identical.
+traces g, which every kappa shares.  Every record derives its own seed from
+(root seed, index) so generation is deterministic regardless of schedule, and
+a dataset rebuilt from its provenance record is bit-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .fdsolver import fd_solve_complex, fd_solve_scalar
 from .geometry import QuadratureGrid
 
 __all__ = [
-    "Dataset", "gaussian_filtered_field", "random_trig_source", "grf_boundary",
+    "Dataset", "grf_boundary",
     "build_source_dataset", "build_boundary_dataset",
     "build_offlattice_source_dataset", "trig_family",
     "save_dataset", "load_dataset",
@@ -32,18 +32,12 @@ def _rng(seed, *key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
 
 
-def gaussian_filtered_field(seed, n, sigma):
-    """Unit-variance white noise smoothed by a periodic Gaussian filter.
-
-    sigma is the filter standard deviation in lattice units; the result is
-    rescaled to unit max-abs.
-    """
-    return _filtered_fields([seed], n, [sigma])[0]
-
-
 def _filtered_fields(seeds, n, sigmas):
-    """gaussian_filtered_field for each (seed, sigma) pair, as (k, n, n);
-    the whole batch shares one fft2 and one ifft2 call."""
+    """Unit-variance white noise smoothed by a periodic Gaussian filter, for
+    each (seed, sigma) pair, as (k, n, n), each field rescaled to unit max-abs.
+
+    sigma is the filter standard deviation in lattice units; the whole batch
+    shares one fft2 and one ifft2 call."""
     if any(sigma <= 0 for sigma in sigmas):
         raise ValueError("sigma must be positive")
     noise = np.array([_rng(seed, 0xF1E1D).standard_normal((n, n))
@@ -80,13 +74,9 @@ def trig_family(a, b, c, form):
     return f
 
 
-def random_trig_source(seed, n):
-    """Random product-of-trigonometrics field on the closed n x n unit lattice."""
-    return _trig_sources([seed], n)[0]
-
-
 def _trig_sources(seeds, n):
-    """random_trig_source for each seed, as (k, n, n) on one lattice."""
+    """A random product-of-trigonometrics field on the closed n x n unit
+    lattice for each seed, as (k, n, n)."""
     xs = np.linspace(0.0, 1.0, n)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     return np.array([trig_family(*_trig_draw(_rng(seed, 0x7A16)))(X, Y)
@@ -128,37 +118,51 @@ def _grf_factor(grid, length_scale):
 
 @dataclass
 class Dataset:
-    """Training records sharing one grid descriptor.
+    """Training records in kappa-major blocks, sharing one grid descriptor.
 
-    kind 'source-supervised': arrays f, u of shape (records, width) plus the
-    per-record kappa array.  kind 'boundary-selfsup': array g only.
+    A source dataset holds fields f and labels u of shape
+    (len(kappas), per_kappa, width); block ik belongs to kappas[ik].  A
+    boundary dataset holds its traces g once, shape (n_g, width), and every
+    kappa shares them.  provenance["kind"] names the builder.
     """
 
-    kind: str
     kappas: np.ndarray
-    kappa_index: np.ndarray
     g: np.ndarray | None = None
     f: np.ndarray | None = None
     u: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("source-supervised", "boundary-selfsup"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
-        if self.kind == "boundary-selfsup" and (self.f is not None or self.u is not None):
-            raise ValueError("boundary datasets carry no labels")
+        shapes = {n: np.shape(a) for n, a in self._arrays().items()}
+        k = shapes.get("kappas", ())
+        if "g" in shapes:
+            ok = shapes.keys() == {"kappas", "g"} and len(shapes["g"]) == 2
+        else:
+            ok = (shapes.keys() == {"kappas", "f", "u"} and shapes["f"] == shapes["u"]
+                  and len(shapes["f"]) == 3 and shapes["f"][:1] == k)
+        if len(k) != 1 or not ok:
+            raise ValueError(f"a dataset holds kappas (K,) with g (n_g, width), or with "
+                             f"f and u both (K, per_kappa, width); got shapes {shapes}")
+
+    @property
+    def per_kappa(self):
+        """Records per kappa: the shared traces, or the rows of one block."""
+        return len(self.g) if self.g is not None else self.f.shape[1]
 
     @property
     def n_records(self):
-        arr = self.g if self.g is not None else self.f
-        return arr.shape[0]
+        return len(self.kappas) * self.per_kappa
+
+    def _arrays(self):
+        """{name: array} of the arrays that are set, in file order."""
+        return {n: getattr(self, n) for n in _ARRAYS if getattr(self, n) is not None}
 
     def content_hash(self):
+        """The sha256 of the arrays' bytes in file order: the body sha256 that
+        save_dataset writes into the file's header."""
         h = hashlib.sha256()
-        h.update(self.kind.encode())
-        for arr in (self.kappas, self.kappa_index, self.g, self.f, self.u):
-            if arr is not None:
-                h.update(np.ascontiguousarray(arr))
+        for arr in self._arrays().values():
+            h.update(np.ascontiguousarray(arr))
         return h.hexdigest()
 
 
@@ -169,14 +173,12 @@ def build_source_dataset(kappas, per_kappa, n, seed, mix=0.5, sigma_range=(1.0, 
     mix: fraction of Gaussian-filtered-noise records (the rest are trig
     products).  For the coupled case two independent fields form
     (f1, f2) and labels come from the complex solve; records stack the
-    components as [f1 | f2].
+    components as [f1 | f2].  f and u have shape (len(kappas), per_kappa, width).
     """
     kappas = np.asarray(kappas, dtype=np.float64)
     width = n * n * (2 if coupled else 1)
-    total = len(kappas) * per_kappa
-    f_arr = np.empty((total, width))
-    u_arr = np.empty((total, width))
-    k_idx = np.repeat(np.arange(len(kappas), dtype=np.int64), per_kappa)
+    f_arr = np.empty((len(kappas), per_kappa, width))
+    u_arr = np.empty_like(f_arr)
     for ik, kap in enumerate(kappas):
         # every record keeps its own stream; the fields of one kappa are
         # filtered and solved as one batch
@@ -188,9 +190,8 @@ def build_source_dataset(kappas, per_kappa, n, seed, mix=0.5, sigma_range=(1.0, 
                 sigmas.append(rng.uniform(*sigma_range) if rng.uniform() < mix else np.nan)
         subs, sigmas = np.array(subs, dtype=np.int64), np.array(sigmas)
         noisy = ~np.isnan(sigmas)
-        rows = slice(ik * per_kappa, (ik + 1) * per_kappa)
         # views: a coupled record stacks its fields as [f1 | f2], [u1 | u2]
-        fields, labels = f_arr[rows].reshape(-1, n, n), u_arr[rows].reshape(-1, n, n)
+        fields, labels = f_arr[ik].reshape(-1, n, n), u_arr[ik].reshape(-1, n, n)
         fields[noisy] = _filtered_fields(subs[noisy], n, sigmas[noisy])
         fields[~noisy] = _trig_sources(subs[~noisy], n)
         if coupled:
@@ -202,19 +203,17 @@ def build_source_dataset(kappas, per_kappa, n, seed, mix=0.5, sigma_range=(1.0, 
     prov = {"kind": "source", "seed": seed, "per_kappa": per_kappa, "n": n,
             "mix": mix, "sigma_range": list(sigma_range), "coupled": coupled,
             "kappas": [float(k) for k in kappas]}
-    return Dataset(kind="source-supervised", kappas=kappas, kappa_index=k_idx,
-                   f=f_arr, u=u_arr, provenance=prov)
+    return Dataset(kappas, f=f_arr, u=u_arr, provenance=prov)
 
 
 def build_boundary_dataset(kappas, n_g, grid, seed, length_scales=(0.4, 0.8, 1.6),
                            coupled=False):
     """Label-free boundary traces: n_g GRF samples shared across all kappas.
 
-    The records are the Cartesian product {kappa_i} x {g_j}; storage keeps
-    one g row per (i, j) pair so batching code stays uniform.  Coupled
-    records stack two independent traces node-interleaved.  The traces read
-    only the parameter nodes grid.t, so the grids of one n on every curve
-    give the same records.
+    The records are the Cartesian product {kappa_i} x {g_j}; g holds each
+    trace once, shape (n_g, width).  Coupled records stack two independent
+    traces node-interleaved.  The traces read only the parameter nodes
+    grid.t, so the grids of one n on every curve give the same records.
     """
     kappas = np.asarray(kappas, dtype=np.float64)
     width = grid.n * (2 if coupled else 1)
@@ -228,13 +227,10 @@ def build_boundary_dataset(kappas, n_g, grid, seed, length_scales=(0.4, 0.8, 1.6
             g_rows[j, 1::2] = grf_boundary(sub + 1, grid, ell)
         else:
             g_rows[j] = grf_boundary(sub, grid, ell)
-    g_arr = np.tile(g_rows, (len(kappas), 1))
-    k_idx = np.repeat(np.arange(len(kappas), dtype=np.int64), n_g)
     prov = {"kind": "boundary", "seed": seed, "n_g": n_g, "n_bd": grid.n,
             "length_scales": [float(x) for x in length_scales],
             "coupled": coupled, "kappas": [float(k) for k in kappas]}
-    return Dataset(kind="boundary-selfsup", kappas=kappas, kappa_index=k_idx,
-                   g=g_arr, provenance=prov)
+    return Dataset(kappas, g=g_rows, provenance=prov)
 
 
 def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed):
@@ -252,45 +248,44 @@ def build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed):
     kappas = np.asarray(kappas, dtype=np.float64)
     pts = np.asarray(pts, dtype=np.float64)
     m = pts.shape[0]
-    total = len(kappas) * per_kappa
-    f_arr = np.empty((total, m))
-    u_arr = np.empty((total, m))
-    k_idx = np.repeat(np.arange(len(kappas), dtype=np.int64), per_kappa)
+    f_arr = np.empty((len(kappas), per_kappa, m))
+    u_arr = np.empty_like(f_arr)
     bpts = grid.points
     traces = np.empty((per_kappa, grid.n))
     for ik, kap in enumerate(kappas):
         spec = ScalarKernelSpec(float(kap))
-        rows = slice(ik * per_kappa, (ik + 1) * per_kappa)
         for j in range(per_kappa):
-            rec = ik * per_kappa + j
             a, b, c, form = _trig_draw(_rng(seed, 0x9E7A1, ik, j))
             w = trig_family(a, b, c, form)
-            u_arr[rec] = w(pts[:, 0], pts[:, 1])
+            u_arr[ik, j] = w(pts[:, 0], pts[:, 1])
             coef = -(np.pi**2) * (b**2 + c**2) - 1.0 / kap
-            f_arr[rec] = coef * u_arr[rec]
+            f_arr[ik, j] = coef * u_arr[ik, j]
             traces[j] = w(bpts[:, 0], bpts[:, 1])
         # one Nystrom solve and one potential matrix serve the kappa's records
         phi = nystrom_solve(boundary_kernel(spec, grid), traces)
-        u_arr[rows] -= eval_double_layer(spec, grid, phi, pts)
+        u_arr[ik] -= eval_double_layer(spec, grid, phi, pts)
     prov = {"kind": "source-offlattice", "seed": seed, "per_kappa": per_kappa,
             "points": m, "n_bd": grid.n,
             "kappas": [float(k) for k in kappas],
             "generator": "trig-products with Nystrom boundary correction"}
-    return Dataset(kind="source-supervised", kappas=kappas, kappa_index=k_idx,
-                   f=f_arr, u=u_arr, provenance=prov)
+    return Dataset(kappas, f=f_arr, u=u_arr, provenance=prov)
 
 
-_MAGIC = b"EVOKERNEL-DATA/2\n"
-_ARRAYS = ("kappas", "kappa_index", "g", "f", "u")
+_MAGIC = b"EVOKERNEL-DATA/3\n"
+_ARRAYS = ("kappas", "g", "f", "u")
 
 
 def save_dataset(ds, path):
-    """An evokernel.container file: header {kind, provenance}, one array per
-    Dataset field that is set."""
-    container.write(path, _MAGIC, {"kind": ds.kind, "provenance": ds.provenance},
-                    {n: getattr(ds, n) for n in _ARRAYS if getattr(ds, n) is not None})
+    """An evokernel.container file: header {provenance}, then the arrays that
+    are set, kappas first."""
+    container.write(path, _MAGIC, {"provenance": ds.provenance}, ds._arrays())
 
 
 def load_dataset(path):
+    """The Dataset of a save_dataset file; a file whose arrays do not form one
+    is a ValueError naming it."""
     header, arrays = container.read(path, _MAGIC)
-    return Dataset(kind=header["kind"], provenance=header["provenance"], **arrays)
+    try:
+        return Dataset(provenance=header["provenance"], **arrays)
+    except (TypeError, ValueError) as exc:   # a stray or missing array name, a shape
+        raise ValueError(f"{path}: {exc}") from exc

@@ -50,7 +50,7 @@ __all__ = [
 class SquareLatticeDomain:
     """Closed n x n lattice on the unit square plus its boundary quadrature."""
 
-    def __init__(self, n=41, n_bd=256):
+    def __init__(self, n, n_bd):
         self.n = n
         self.points = square_lattice(n).points
         self.curve = make_curve("square")
@@ -79,7 +79,7 @@ class SquareLatticeDomain:
 class PointCloudDomain:
     """Scattered strictly-interior points (petal-style domains)."""
 
-    def __init__(self, curve, interior: InteriorGrid, n_bd=256):
+    def __init__(self, curve, interior: InteriorGrid, n_bd):
         self.curve = curve
         self.points = interior.points
         self.quad = sample_quadrature(curve, n_bd)

@@ -71,11 +71,11 @@ def _snapshot(params):
 
 
 def _train_loop(model, cfg, dataset, rng, loss_fn):
-    """Shared loop: each step draws one kappa index ik and a batch of its
-    record indices from rng and minimizes loss_fn(ik, rows); lr schedule,
-    loss trace, NaN guard with last-good params.  Returns the info dict."""
-    kappas = dataset.kappas
-    groups = [np.nonzero(dataset.kappa_index == ik)[0] for ik in range(len(kappas))]
+    """Shared loop: each step draws one kappa index ik and a batch of distinct
+    positions rows among the dataset's per_kappa records from rng and
+    minimizes loss_fn(ik, rows); lr schedule, loss trace, NaN guard with
+    last-good params.  Returns the info dict."""
+    n_kappas, m = len(dataset.kappas), dataset.per_kappa
     t0 = time.perf_counter()
     params = model.parameters()
     opt = Adam(params, lr=cfg.lr)
@@ -85,9 +85,8 @@ def _train_loop(model, cfg, dataset, rng, loss_fn):
     for step in range(cfg.epochs):
         opt.lr = cfg.lr * (cfg.lr_decay ** (step // quarter))
         opt.zero_grad()
-        ik = int(rng.integers(0, len(kappas)))
-        rows = rng.choice(groups[ik], size=min(cfg.batch_size, groups[ik].size),
-                          replace=False)
+        ik = int(rng.integers(0, n_kappas))
+        rows = rng.choice(m, size=min(cfg.batch_size, m), replace=False)
         loss = loss_fn(ik, rows)
         if not np.isfinite(float(loss.value)):
             raise DivergenceError(step, snapshot)
@@ -131,7 +130,7 @@ def train_boundary_model(cfg, dataset, kmats, model=None):
     kmats: one kernel matrix per dataset kappa, in order.  Returns
     (model, info) where info carries the loss trace and provenance.
     """
-    if dataset.kind != "boundary-selfsup":
+    if dataset.g is None:
         raise ValueError("boundary training expects a boundary dataset")
     rng = _rng(cfg, 0xB7)
     if model is None:
@@ -148,17 +147,17 @@ def train_boundary_model(cfg, dataset, kmats, model=None):
 def train_source_model(cfg, dataset, points, model=None):
     """Train the product-structure source model with MSE loss; records of
     2 len(points) values, [real | imaginary], train a coupled model."""
-    if dataset.kind != "source-supervised":
+    if dataset.f is None:
         raise ValueError("source training expects a supervised dataset")
     rng = _rng(cfg, 0x50)
     if model is None:
         model = SourceModel.build(points, list(cfg.hidden_k), list(cfg.hidden_g), rng,
-                                  coupled=dataset.f.shape[1] == 2 * len(points))
+                                  coupled=dataset.f.shape[-1] == 2 * len(points))
 
     def loss_fn(ik, rows):
         # one kappa row broadcasts over the batch, as in _boundary_loss_graph
         kappa = np.full((1, 1), dataset.kappas[ik])
-        return _mse(model.forward(kappa, dataset.f[rows]), dataset.u[rows])
+        return _mse(model.forward(kappa, dataset.f[ik, rows]), dataset.u[ik, rows])
 
     return model, _train_loop(model, cfg, dataset, rng, loss_fn)
 
@@ -193,14 +192,12 @@ def training_error(model, dataset, kmats=None):
     """(metric, per-kappa values) of a trained model on its training set:
     relative L2 against the labels, or, for a boundary model (kmats given,
     one per kappa), the relative BIE residual ||bie_residual|| / ||g||."""
-    values = []
+    values, g = [], dataset.g         # every kappa's boundary records are all of g
     for ik, kappa in enumerate(dataset.kappas):
-        rows = dataset.kappa_index == ik
         if kmats is None:
-            pred = model.predict(kappa, dataset.f[rows])
-            values.append(error_metrics(pred, dataset.u[rows])["rel_l2"])
+            pred = model.predict(kappa, dataset.f[ik])
+            values.append(error_metrics(pred, dataset.u[ik])["rel_l2"])
         else:
-            g = dataset.g[rows]
             resid = bie.bie_residual(kmats[ik], model.predict(kappa, g), g)
             values.append(float(np.linalg.norm(resid) / np.linalg.norm(g)))
     return ("rel_l2" if kmats is None else "rel_bie_residual"), values

@@ -365,6 +365,25 @@ def test_datagen_boundary_uses_library_length_scales(tmp_path):
     assert datagen.load_dataset(str(out / "dataset.bin")).provenance == ds.provenance
 
 
+@pytest.mark.parametrize("dataset, records", [
+    ({"kind": "boundary", "n_g": 3, "n_bd": 16}, 6),
+    ({"kind": "source", "per_kappa": 2, "n": 5}, 4),
+    ({"kind": "source-offlattice", "per_kappa": 2, "n_bd": 32, "spacing": 0.2}, 4),
+])
+def test_datagen_summary_reports_the_config_kind(tmp_path, dataset, records):
+    """summary.json names the dataset by the config's kind and counts one record
+    per kappa and trace or block row; its hash is the loaded dataset's."""
+    from evokernel import datagen
+    out = tmp_path / "run"
+    cfg = {"version": 1, "command": "datagen", "seed": 0, "out": str(out),
+           "dataset": {"kappas": [0.05, 0.1], **dataset}}
+    assert cli.main(["datagen", "--config", _write(tmp_path, "d.json", cfg)]) == 0
+    ds = datagen.load_dataset(str(out / "dataset.bin"))
+    assert json.loads((out / "summary.json").read_text()) == {
+        "kind": dataset["kind"], "records": records, "hash": ds.content_hash()}
+    assert ds.provenance["kind"] == dataset["kind"]
+
+
 def test_validation_accepts_a_positive_kappa_range():
     cfg = {"version": 1, "command": "datagen", "seed": 0,
            "dataset": {"kind": "source", "kappas": {"start": 0.05, "stop": 0.1, "count": 3}}}
@@ -610,8 +629,9 @@ def test_datagen_train_eval_pipeline(tmp_path):
     assert meta["train_error"] == error and error["metric"] == "rel_bie_residual"
     ds = datagen.load_dataset(str(d1 / "dataset.bin"))
     grid = sample_quadrature(make_curve("square"), 32)
+    g = ds.g                          # every kappa's records are the 8 traces
+    assert g.shape == (8, 32)
     for ik, k in enumerate(ds.kappas):
-        g = ds.g[ds.kappa_index == ik]
         r = bie.bie_residual(boundary_kernel(ScalarKernelSpec(float(k)), grid),
                              model.predict(k, g), g)
         assert error["per_kappa"][ik] == np.linalg.norm(r) / np.linalg.norm(g)
@@ -716,7 +736,7 @@ def test_boundary_datagen_takes_n_bd_that_the_square_refuses(tmp_path, n_bd):
            "dataset": {"kind": "boundary", "kappas": [0.05, 0.1], "n_g": 2, "n_bd": n_bd}}
     assert cli.main(["datagen", "--config", _write(tmp_path, "d.json", cfg)]) == 0
     ds = datagen.load_dataset(str(tmp_path / "data" / "dataset.bin"))
-    assert ds.g.shape == (4, n_bd) and ds.provenance["n_bd"] == n_bd
+    assert ds.g.shape == (2, n_bd) and ds.provenance["n_bd"] == n_bd
 
 
 @pytest.mark.parametrize("curve, sha256", [
@@ -893,8 +913,7 @@ def test_train_records_training_error_per_kappa(tmp_path):
     assert meta["domain"] == {"kind": "square", "n": 9}
     assert summary["train_error"]["metric"] == "rel_l2"
     ds = datagen.load_dataset(cfg["data"]["path"])
-    expected = [training.error_metrics(model.predict(k, ds.f[ds.kappa_index == i]),
-                                       ds.u[ds.kappa_index == i])["rel_l2"]
+    expected = [training.error_metrics(model.predict(k, ds.f[i]), ds.u[i])["rel_l2"]
                 for i, k in enumerate(ds.kappas)]
     assert summary["train_error"]["per_kappa"] == expected
     assert all(0.0 < e < np.inf for e in expected)

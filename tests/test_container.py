@@ -28,7 +28,8 @@ CORRUPTIONS = {
     "trailing_bytes": lambda d: d + bytes(8),
     "truncated_body": lambda d: d[:-8],
     "flipped_body_byte": lambda d: d[:-1] + bytes([d[-1] ^ 1]),
-    "old_magic": lambda d: d.replace(b"/2\n", b"/1\n", 1),
+    # the first line's version, whichever is current, becomes 1
+    "old_magic": lambda d: re.sub(rb"/\d+\n", b"/1\n", d, count=1),
     "broken_header": lambda d: d.replace(b'"sha256"', b'"sha257"', 1),
 }
 
@@ -45,7 +46,8 @@ def test_loaders_reject_damaged_files(tmp_path, save, corrupt):
 
 
 def test_write_streams_the_bytes_pack_joins(tmp_path):
-    header, arrays = {"kind": "demo"}, {"a": np.arange(6.0).reshape(2, 3), "i": np.arange(4)}
+    header = {"kind": "demo"}
+    arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.arange(-2.0, 2.0)}
     path = tmp_path / "file.bin"
     digest = container.write(path, MAGIC, header, arrays)
     data = container.pack(MAGIC, header, arrays)
@@ -58,7 +60,7 @@ def test_read_returns_views_of_one_buffer(tmp_path):
     view of the same buffer, and writing one leaves the others and the file
     as they were."""
     path = tmp_path / "file.bin"
-    written = {"a": np.arange(6.0).reshape(2, 3), "i": np.arange(-2, 3),
+    written = {"a": np.arange(6.0).reshape(2, 3), "i": np.arange(-2.0, 3.0),
                "e": np.zeros((0, 4))}
     container.write(path, MAGIC, {}, written)
     _, arrays = container.read(path, MAGIC)
@@ -102,13 +104,52 @@ def test_zero_dim_array_round_trips_its_shape_and_bytes(tmp_path):
     s = np.array(2.5)
     assert container._block("s", s) is s
     path = tmp_path / "file.bin"
-    container.write(path, MAGIC, {}, {"s": s, "i": np.array(-3)})
-    body = s.tobytes() + np.array(-3).tobytes()
+    container.write(path, MAGIC, {}, {"s": s, "i": np.array(-3.0)})
+    body = s.tobytes() + np.array(-3.0).tobytes()
     table = [{"dtype": "<f8", "name": "s", "shape": []},
-             {"dtype": "<i8", "name": "i", "shape": []}]
+             {"dtype": "<f8", "name": "i", "shape": []}]
     line = json.dumps({"arrays": table, "sha256": hashlib.sha256(body).hexdigest()},
                       sort_keys=True)
     assert path.read_bytes() == MAGIC + line.encode() + b"\n" + body
     _, arrays = container.read(path, MAGIC)
     assert arrays["s"].shape == () and arrays["s"] == 2.5
     assert arrays["i"].shape == () and arrays["i"] == -3
+
+
+def test_only_float64_is_stored(tmp_path):
+    """The container holds <f8 arrays only: writing an integer array is a
+    TypeError, and a file whose table names <i8 is an unreadable header."""
+    path = tmp_path / "file.bin"
+    with pytest.raises(TypeError, match="array 'i': cannot store dtype int64"):
+        container.write(path, MAGIC, {}, {"a": np.zeros(2), "i": np.arange(4)})
+    body = np.arange(4, dtype="<i8").tobytes()
+    line = json.dumps({"arrays": [{"dtype": "<i8", "name": "i", "shape": [4]}],
+                       "sha256": hashlib.sha256(body).hexdigest()})
+    path.write_bytes(MAGIC + line.encode() + b"\n" + body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unreadable header (array "
+                                                   f"dtypes must be <f8)")):
+        container.read(path, MAGIC)
+
+
+_V3 = b"EVOKERNEL-DATA/3\n"
+_BLOCKS = {"kappas": np.array([0.05, 0.1]), "f": np.zeros((2, 3, 4)), "u": np.zeros((2, 3, 4))}
+
+
+@pytest.mark.parametrize("magic, arrays, message", [
+    (_V3, {"kappas": _BLOCKS["kappas"], "f": _BLOCKS["f"]}, "got shapes"),
+    (_V3, {**_BLOCKS, "u": np.zeros((2, 3, 5))}, "got shapes"),
+    (_V3, {**_BLOCKS, "kappas": np.array([0.05, 0.075, 0.1])}, "got shapes"),
+    (_V3, {"kappas": _BLOCKS["kappas"], "kappa_index": np.array([0.0, 0.0, 1.0, 1.0]),
+           "g": np.zeros((2, 4))}, "unexpected keyword argument 'kappa_index'"),
+    (_V3, {"f": _BLOCKS["f"], "u": _BLOCKS["u"]}, "missing 1 required positional argument"),
+    # a version-2 file, records with a kappa array beside them
+    (b"EVOKERNEL-DATA/2\n", {"kappas": _BLOCKS["kappas"],
+                             "kappa_index": np.array([0.0, 0.0, 1.0, 1.0]),
+                             "g": np.zeros((4, 4))}, "is not b'EVOKERNEL-DATA/3"),
+], ids=["f-without-u", "f-u-differ", "blocks-not-kappas", "leftover-kappa_index",
+        "no-kappas", "version-2"])
+def test_load_dataset_names_a_file_that_holds_no_dataset(tmp_path, magic, arrays, message):
+    path = tmp_path / "d.bin"
+    container.write(path, magic, {"provenance": {}}, arrays)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + re.escape(message)):
+        datagen.load_dataset(path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,18 +8,22 @@ from evokernel import fdsolver as fd
 from evokernel.geometry import make_curve, petal_lattice, sample_quadrature
 
 
+def _filtered_field(seed, n, sigma):
+    return dg._filtered_fields([seed], n, [sigma])[0]
+
+
 def test_filtered_field_determinism_and_limits():
-    a = dg.gaussian_filtered_field(42, 33, 2.0)
-    b = dg.gaussian_filtered_field(42, 33, 2.0)
+    a = _filtered_field(42, 33, 2.0)
+    b = _filtered_field(42, 33, 2.0)
     assert np.array_equal(a, b)
     # very wide filter flattens the field
-    flat = dg.gaussian_filtered_field(42, 33, 33.0)
+    flat = _filtered_field(42, 33, 33.0)
     assert flat.max() - flat.min() < 0.1 or np.max(np.abs(flat)) < 1e-12
 
 
 def test_filtered_field_spectrum_decays_with_sigma():
     def hf_energy(sigma):
-        f = dg.gaussian_filtered_field(7, 64, sigma)
+        f = _filtered_field(7, 64, sigma)
         F = np.abs(np.fft.fft2(f))**2
         k = np.fft.fftfreq(64) * 64
         kx, ky = np.meshgrid(k, k, indexing="ij")
@@ -27,7 +33,7 @@ def test_filtered_field_spectrum_decays_with_sigma():
 
 
 def test_trig_source_bounds_and_distinct_seeds():
-    fields = [dg.random_trig_source(seed, 21) for seed in range(1, 9)]
+    fields = [dg._trig_sources([seed], 21)[0] for seed in range(1, 9)]
     bound = max(abs(a) for a in dg._AMP_RANGE)
     assert bound == 1.0
     for f in fields:
@@ -76,12 +82,13 @@ def test_grf_empirical_covariance():
 def test_source_dataset_consistency_and_determinism():
     kappas = [0.05, 0.075, 0.1]
     ds = dg.build_source_dataset(kappas, 4, 17, seed=5)
-    assert ds.n_records == 12
-    # labels satisfy the discrete operator equation
-    for i in (0, 7):
-        kap = kappas[int(ds.kappa_index[i])]
-        u = ds.u[i].reshape(17, 17)
-        f = ds.f[i].reshape(17, 17)
+    assert ds.f.shape == ds.u.shape == (3, 4, 17 * 17)
+    assert ds.per_kappa == 4 and ds.n_records == 12
+    # labels satisfy the discrete operator equation of their block's kappa
+    for ik, j in ((0, 0), (1, 3)):
+        kap = kappas[ik]
+        u = ds.u[ik, j].reshape(17, 17)
+        f = ds.f[ik, j].reshape(17, 17)
         res = fd.apply_operator(kap, u) - f[1:-1, 1:-1]
         assert np.max(np.abs(res)) < 1e-9
         # homogeneous boundary labels
@@ -98,7 +105,7 @@ def test_source_dataset_equals_per_record_reference(coupled):
     ds = dg.build_source_dataset(kappas, per_kappa, n, seed, mix=mix, coupled=coupled)
     zeros = np.zeros((n, n))
     kinds = set()
-    rec = 0
+    assert ds.f.shape == ds.u.shape == (len(kappas), per_kappa, n * n * (1 + coupled))
     for ik, kap in enumerate(kappas):
         for j in range(per_kappa):
             rng = dg._rng(seed, ik, j)
@@ -108,8 +115,8 @@ def test_source_dataset_equals_per_record_reference(coupled):
                 noisy = rng.uniform() < mix
                 kinds.add(noisy)
                 if noisy:
-                    return dg.gaussian_filtered_field(sub, n, rng.uniform(1.0, 4.0))
-                return dg.random_trig_source(sub, n)
+                    return _filtered_field(sub, n, rng.uniform(1.0, 4.0))
+                return dg._trig_sources([sub], n)[0]
 
             if coupled:
                 f1, f2 = draw(), draw()
@@ -119,32 +126,82 @@ def test_source_dataset_equals_per_record_reference(coupled):
             else:
                 f = draw()
                 u = fd.fd_solve_scalar(kap, f, zeros).ravel()
-            assert np.array_equal(ds.f[rec], f.ravel())
-            assert np.array_equal(ds.u[rec], u)
-            assert ds.kappa_index[rec] == ik
-            rec += 1
-    assert rec == ds.n_records and kinds == {False, True}
+            assert np.array_equal(ds.f[ik, j], f.ravel())
+            assert np.array_equal(ds.u[ik, j], u)
+    assert kinds == {False, True}
 
 
 def test_boundary_dataset_structure():
     grid = sample_quadrature(make_curve("square"), 32)
     ds = dg.build_boundary_dataset([0.05, 0.1], 6, grid, seed=2)
-    assert ds.kind == "boundary-selfsup"
+    assert ds.provenance["kind"] == "boundary"
     assert ds.f is None and ds.u is None
-    assert ds.n_records == 12
-    with pytest.raises(ValueError):
-        dg.Dataset(kind="boundary-selfsup", kappas=np.array([1.0]),
-                   kappa_index=np.zeros(1, dtype=int), g=np.zeros((1, 4)),
-                   f=np.zeros((1, 4)))
+    # each of the 6 traces is stored once and serves both kappas
+    assert ds.g.shape == (6, 32)
+    assert ds.per_kappa == 6 and ds.n_records == 12
+
+
+_K2 = np.array([0.05, 0.1])
+
+
+@pytest.mark.parametrize("kappas, arrays", [
+    (_K2, {"g": np.zeros((3, 4)), "f": np.zeros((2, 3, 4))}),
+    (_K2, {"g": np.zeros((3, 4)), "f": np.zeros((2, 3, 4)), "u": np.zeros((2, 3, 4))}),
+    (_K2, {"g": np.zeros((2, 3, 4))}),
+    (_K2, {"g": np.zeros(4)}),
+    (_K2, {"f": np.zeros((2, 3, 4))}),
+    (_K2, {"u": np.zeros((2, 3, 4))}),
+    (_K2, {"f": np.zeros((2, 3, 4)), "u": np.zeros((2, 3, 5))}),
+    (_K2, {"f": np.zeros((6, 4)), "u": np.zeros((6, 4))}),
+    (_K2, {"f": np.zeros((3, 3, 4)), "u": np.zeros((3, 3, 4))}),
+    (_K2, {}),
+    (np.array(0.05), {"g": np.zeros((3, 4))}),
+    (np.zeros((2, 1)), {"f": np.zeros((2, 3, 4)), "u": np.zeros((2, 3, 4))}),
+], ids=["g-and-f", "g-and-labels", "g-3d", "g-1d", "f-alone", "u-alone", "f-u-differ",
+        "records-not-blocks", "blocks-not-kappas", "no-records", "kappas-0d", "kappas-2d"])
+def test_dataset_refuses_other_shapes(kappas, arrays):
+    """A dataset is kappas (K,) with traces g (n_g, width), or with f and u of
+    one shape (K, per_kappa, width); anything else names the shapes it got."""
+    with pytest.raises(ValueError, match=r"\(K, per_kappa, width\); got shapes \{'kappas'"):
+        dg.Dataset(kappas, **arrays)
+
+
+_SQUARE16 = sample_quadrature(make_curve("square"), 16)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dg.build_boundary_dataset([0.05, 0.1], 3, _SQUARE16, seed=1),
+    lambda: dg.build_boundary_dataset([0.05], 2, _SQUARE16, seed=1, coupled=True),
+    lambda: dg.build_source_dataset([0.05, 0.1], 2, 5, seed=1),
+    lambda: dg.build_source_dataset([0.05], 2, 5, seed=1, coupled=True),
+    lambda: dg.build_offlattice_source_dataset(
+        [0.05, 0.1], 2, sample_quadrature(make_curve("petal"), 32),
+        petal_lattice(make_curve("petal"), spacing=0.2, margin=0.2).points, seed=1),
+], ids=["boundary", "boundary-coupled", "source", "source-coupled", "source-offlattice"])
+def test_content_hash_is_the_saved_body_sha256(tmp_path, build):
+    """content_hash is the sha256 that the saved file's header records for its
+    body, and the loaded dataset hashes the same."""
+    ds = build()
+    path = tmp_path / "d.bin"
+    dg.save_dataset(ds, path)
+    with open(path, "rb") as fh:
+        assert fh.readline() == b"EVOKERNEL-DATA/3\n"
+        header = json.loads(fh.readline())
+    assert header["sha256"] == ds.content_hash()
+    labelled = ["g"] if ds.g is not None else ["f", "u"]
+    assert [a["name"] for a in header["arrays"]] == ["kappas", *labelled]
+    back = dg.load_dataset(path)
+    assert back.content_hash() == ds.content_hash() and back.provenance == ds.provenance
 
 
 @pytest.mark.parametrize("coupled", [False, True])
 def test_boundary_dataset_equals_per_record_reference(coupled):
-    # every kappa repeats the same n_g traces; a coupled trace interleaves
-    # two independent draws node by node
+    # every kappa shares the same n_g traces, stored once; a coupled trace
+    # interleaves two independent draws node by node
     grid = sample_quadrature(make_curve("square"), 32)
     kappas, n_g, seed = [0.05, 0.08, 0.1], 4, 2
     ds = dg.build_boundary_dataset(kappas, n_g, grid, seed, coupled=coupled)
+    assert ds.g.shape == (n_g, 32 * (1 + coupled))
     for j in range(n_g):
         rng = dg._rng(seed, 0xB0, j)
         ell = float((0.4, 0.8, 1.6)[int(rng.integers(0, 3))])
@@ -152,9 +209,7 @@ def test_boundary_dataset_equals_per_record_reference(coupled):
         g = dg.grf_boundary(sub, grid, ell)
         if coupled:
             g = np.stack([g, dg.grf_boundary(sub + 1, grid, ell)], axis=-1).ravel()
-        for ik in range(len(kappas)):
-            assert np.array_equal(ds.g[ik * n_g + j], g)
-    assert np.array_equal(ds.kappa_index, np.repeat(np.arange(len(kappas)), n_g))
+        assert np.array_equal(ds.g[j], g)
 
 
 @pytest.mark.parametrize("coupled", [False, True])
@@ -183,6 +238,7 @@ def test_offlattice_dataset_equals_per_record_reference():
     pts = petal_lattice(curve, spacing=0.1, margin=0.1).points
     kappas, per_kappa, seed = [0.05, 0.1], 3, 3
     ds = dg.build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed)
+    assert ds.f.shape == ds.u.shape == (len(kappas), per_kappa, len(pts))
     for ik, kap in enumerate(kappas):
         spec = ScalarKernelSpec(kap)
         for j in range(per_kappa):
@@ -190,12 +246,11 @@ def test_offlattice_dataset_equals_per_record_reference():
             w = dg.trig_family(a, b, c, form)
             w_pts = w(pts[:, 0], pts[:, 1])
             coef = -(np.pi**2) * (b**2 + c**2) - 1.0 / kap
-            assert np.array_equal(ds.f[ik * per_kappa + j], coef * w_pts)
+            assert np.array_equal(ds.f[ik, j], coef * w_pts)
             phi = nystrom_solve(boundary_kernel(spec, grid),
                                 w(grid.points[:, 0], grid.points[:, 1]))
             u = w_pts - eval_double_layer(spec, grid, phi, pts)
-            assert np.max(np.abs(ds.u[ik * per_kappa + j] - u)) <= 1e-13 * np.max(np.abs(u))
-    assert np.array_equal(ds.kappa_index, np.repeat(np.arange(len(kappas)), per_kappa))
+            assert np.max(np.abs(ds.u[ik, j] - u)) <= 1e-13 * np.max(np.abs(u))
     rerun = dg.build_offlattice_source_dataset(kappas, per_kappa, grid, pts, seed)
     assert rerun.content_hash() == ds.content_hash()
 
