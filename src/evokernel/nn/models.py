@@ -16,6 +16,12 @@ BoundaryModel phi = Out[K(kappa) ⊙ Lin(g)] : boundary-density predictor whose
 Coupled-system variants reuse the same classes with doubled channel counts;
 the coordinate network of the coupled source model receives a +-1 component
 flag as a third input feature.
+
+Every MLP layer is computed one way, by Mlp.forward's engine.dense node:
+training builds the graph, and operator() reads the branches' .value.  The
+constructors refuse what operator() cannot compute: an unknown activation,
+branch widths that do not chain, or a coordinate width other than 3 for a
+coupled source model and 2 for a scalar one.
 """
 
 from __future__ import annotations
@@ -28,31 +34,33 @@ __all__ = ["Mlp", "SourceModel", "BoundaryModel", "augmented_points"]
 
 
 class Mlp:
-    """Dense layers, weights of shape (out, in) with per-layer activation."""
+    """Dense layers, weights of shape (out, in), one activation per layer from
+    ACTIVATIONS.  forward is the one way to compute them: each layer is one
+    engine.dense node, in training and at inference alike."""
+
+    ACTIVATIONS = ("relu", "identity")
 
     def __init__(self, weights, biases, activations):
         self.weights = weights
         self.biases = biases
         self.activations = list(activations)
+        if not len(weights) == len(biases) == len(self.activations):
+            raise ValueError("need one weight, bias and activation per layer")
+        unknown = sorted(set(self.activations) - set(self.ACTIVATIONS))
+        if unknown:
+            raise ValueError(f"unknown activations {unknown}: a layer is one of "
+                             f"{list(self.ACTIVATIONS)}")
 
     @classmethod
     def build(cls, dims, activations, rng):
-        """dims = [in, h1, ..., out]; activation per layer: 'relu' | 'identity'.
+        """dims = [in, h1, ..., out], one activation per layer.
 
         relu layers use Kaiming-uniform fan-in init, identity layers uniform
         +-1/sqrt(fan_in).
         """
-        if len(activations) != len(dims) - 1:
-            raise ValueError("need one activation per layer")
         ws, bs = [], []
-        for i, act in enumerate(activations):
-            fan_in, fan_out = dims[i], dims[i + 1]
-            if act == "relu":
-                bound = np.sqrt(6.0 / fan_in)
-            elif act == "identity":
-                bound = 1.0 / np.sqrt(fan_in)
-            else:
-                raise ValueError(f"unknown activation {act!r}")
+        for fan_in, fan_out, act in zip(dims[:-1], dims[1:], activations, strict=True):
+            bound = np.sqrt(6.0 / fan_in) if act == "relu" else 1.0 / np.sqrt(fan_in)
             ws.append(eg.Parameter(rng.uniform(-bound, bound, size=(fan_out, fan_in))))
             bs.append(eg.Parameter(rng.uniform(-bound, bound, size=fan_out)))
         return cls(ws, bs, activations)
@@ -69,19 +77,11 @@ class Mlp:
         return out
 
     def forward(self, x):
-        """Graph-building forward; x may be a Tensor or a constant ndarray."""
+        """Graph-building forward; x may be a Tensor or a constant ndarray.
+        Inference reads the result's .value."""
         h = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
             h = eg.dense(h, w, b, act == "relu")
-        return h
-
-    def predict(self, x):
-        """Plain-numpy forward used outside training."""
-        h = np.asarray(x, dtype=np.float64)
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = h @ w.value.T + b.value
-            if act == "relu":
-                np.maximum(h, 0.0, out=h)
         return h
 
 
@@ -101,13 +101,20 @@ class SourceModel:
         self.nn_g = nn_g
         self.coupled = coupled
         self.n_samples = self.points.shape[0] * (2 if coupled else 1)
+        if self.points.ndim != 2 or self.points.shape[1] != 2:
+            raise ValueError(f"points must be (n, 2), not {self.points.shape}")
+        self._coords = augmented_points(self.points) if coupled else self.points
+        if nn_k.dims[0] != 1:
+            raise ValueError(f"kappa branch takes 1 input, not {nn_k.dims[0]}")
+        if nn_g.dims[0] != self._coords.shape[1]:
+            raise ValueError(f"{'coupled' if coupled else 'scalar'} coordinate branch takes "
+                             f"{self._coords.shape[1]} inputs, not {nn_g.dims[0]}")
         if nn_k.dims[-1] != nn_g.dims[-1]:
             raise ValueError("kappa branch and coordinate branch widths differ")
         if nn_g.dims[-1] != self.n_samples:
             raise ValueError("latent width must equal the sample count (identity f-branch)")
         if nn_g.activations[-1] != "identity":
             raise ValueError("coordinate branch head must be linear (factored operator)")
-        self._coords = augmented_points(self.points) if coupled else self.points
 
     @classmethod
     def build(cls, points, hidden_k, hidden_g, rng, coupled=False):
@@ -152,9 +159,10 @@ class SourceModel:
         (N, r)), (f ⊙ kf) G^T = (f @ A) @ H^T with A = kf[:, None] * [W, b]
         and H = [H_r, 1], both (N, r + 1).
         """
-        kf = self.nn_k.predict(np.array([[float(kappa)]]))[0]
+        kf = self.nn_k.forward(np.array([[float(kappa)]])).value[0]
         head, w, b = self._split_g()
-        hidden = head.predict(self._coords)
+        # the coordinates themselves when nn_g has no hidden layer
+        hidden = eg._val(head.forward(self._coords))
         A = kf[:, None] * np.column_stack([w.value, b.value])
         H = np.column_stack([hidden, np.ones(hidden.shape[0])])
         return A, H
@@ -169,10 +177,15 @@ class BoundaryModel:
     """Boundary-density predictor trained on the integral-equation residual."""
 
     def __init__(self, nn_k, nn_g, nn_out):
-        if not (nn_k.dims[-1] == nn_g.dims[-1]):
-            raise ValueError("kappa and data branches must share the internal width")
         if nn_g.activations != ["identity"] or nn_out.activations != ["identity"]:
             raise ValueError("data branch and output head must be single linear layers")
+        if nn_k.dims[0] != 1:
+            raise ValueError(f"kappa branch takes 1 input, not {nn_k.dims[0]}")
+        if not nn_k.dims[-1] == nn_g.dims[-1] == nn_out.dims[0]:
+            raise ValueError("kappa branch, data branch and output head must share "
+                             "the internal width")
+        if nn_out.dims[-1] != nn_g.dims[0]:
+            raise ValueError("output head and data branch must share the boundary width")
         self.nn_k = nn_k
         self.nn_g = nn_g
         self.nn_out = nn_out
@@ -200,7 +213,7 @@ class BoundaryModel:
         """The affine map g -> phi frozen at one kappa, as (M, c) with
         phi = g @ M + c: M = W_g^T diag(kf) W_out^T (width x width) and
         c = (b_g ⊙ kf) W_out^T + b_out."""
-        kf = self.nn_k.predict(np.array([[float(kappa)]]))[0]
+        kf = self.nn_k.forward(np.array([[float(kappa)]])).value[0]
         (wg,), (bg,) = self.nn_g.weights, self.nn_g.biases
         (wo,), (bo,) = self.nn_out.weights, self.nn_out.biases
         M = (wg.value.T * kf) @ wo.value.T

@@ -32,15 +32,15 @@ def _backend(coupled, seed=0):
 
 def _dense_source(src, kappa, f):
     """The source model as its definition reads: (f ⊙ kf) @ g^T, g dense N x N."""
-    kf = src.nn_k.predict(np.array([[kappa]]))[0]
+    kf = src.nn_k.forward(np.array([[kappa]])).value[0]
     coords = augmented_points(src.points) if src.coupled else src.points
-    return (f * kf) @ src.nn_g.predict(coords).T
+    return (f * kf) @ src.nn_g.forward(coords).value.T
 
 
 def _layered_boundary(bnd, kappa, g):
     """The boundary model as its layers read: nn_out(kf ⊙ nn_g(g))."""
-    kf = bnd.nn_k.predict(np.array([[kappa]]))[0]
-    return bnd.nn_out.predict(kf * bnd.nn_g.predict(g))
+    kf = bnd.nn_k.forward(np.array([[kappa]])).value[0]
+    return bnd.nn_out.forward(kf * bnd.nn_g.forward(g).value).value
 
 
 def _unfused_solve(backend, lam, F, gfun, t):

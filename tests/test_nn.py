@@ -1,5 +1,9 @@
 """Engine gradients vs finite differences; architectural identities; checkpoints."""
 
+import json
+import re
+from operator import setitem
+
 import numpy as np
 import pytest
 
@@ -33,7 +37,7 @@ def test_mlp_identity_layer():
     b = eg.Parameter(np.zeros(3))
     m = nn.Mlp([w], [b], ["identity"])
     x = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(m.predict(x), x)
+    assert np.array_equal(m.forward(x).value, x)
 
 
 def test_relu_clamps():
@@ -115,8 +119,8 @@ def test_batch_row_consistency():
     rng = np.random.default_rng(1)
     m = nn.Mlp.build([5, 7, 4], ["relu", "identity"], rng)
     x = rng.standard_normal((6, 5))
-    full = m.predict(x)
-    rows = np.stack([m.predict(x[i:i + 1])[0] for i in range(6)])
+    full = m.forward(x).value
+    rows = np.stack([m.forward(x[i:i + 1]).value[0] for i in range(6)])
     # batched GEMM may regroup sums; agreement is at rounding level
     assert np.allclose(full, rows, rtol=0, atol=1e-14)
 
@@ -455,4 +459,132 @@ def test_checkpoint_of_unknown_kind_rejected(tmp_path):
     container.write(path, checkpoint._MAGIC,
                     {"kind": "retired", "arch": {}, "metadata": {}}, {})
     with pytest.raises(ValueError, match="unknown checkpoint kind 'retired'"):
+        nn.load_checkpoint(path)
+
+
+def _plain_forward(mlp, x):
+    """Every layer as h @ w.T + b, then np.maximum for a relu layer: the
+    plain-numpy inference path the models' operators used before forward
+    became the one way to compute an Mlp."""
+    h = np.asarray(x, dtype=np.float64)
+    for w, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
+        h = h @ w.value.T + b.value
+        if act == "relu":
+            np.maximum(h, 0.0, out=h)
+    return h
+
+
+def _plain_operators(src, bnd, kappa):
+    """(A, H) and (M, c) as the models' operators formed them on _plain_forward."""
+    kf = _plain_forward(src.nn_k, [[kappa]])[0]
+    head, w, b = src._split_g()
+    hidden = _plain_forward(head, src._coords)
+    A = kf[:, None] * np.column_stack([w.value, b.value])
+    H = np.column_stack([hidden, np.ones(hidden.shape[0])])
+    kf = _plain_forward(bnd.nn_k, [[kappa]])[0]
+    wg, bg, wo, bo = (p.value for p in bnd.nn_g.parameters() + bnd.nn_out.parameters())
+    return (A, H), ((wg.T * kf) @ wo.T, (bg * kf) @ wo.T + bo)
+
+
+@pytest.mark.parametrize("coupled, n, hidden_k, hidden_g, n_bd", [
+    (False, 41, [192, 192], [256, 256], 256),     # the benchmark's paper dimensions
+    (True, 41, [192, 192], [256, 256], 256),
+    (False, 9, [], [], 32),                       # no hidden layer in either branch
+])
+def test_operators_are_bitwise_the_plain_numpy_forward(coupled, n, hidden_k, hidden_g, n_bd):
+    from evokernel.geometry import square_lattice
+    rng = np.random.default_rng(31)
+    src = nn.SourceModel.build(square_lattice(n).points, hidden_k, hidden_g, rng,
+                               coupled=coupled)
+    bnd = nn.BoundaryModel.build(n_bd, rng, coupled=coupled)
+    for kappa in (0.005, 0.07):
+        expected = _plain_operators(src, bnd, kappa)
+        for got, ref in zip((src.operator(kappa), bnd.operator(kappa)), expected):
+            for a, r in zip(got, ref):
+                assert a.shape == r.shape and np.array_equal(_bits(a), _bits(r))
+
+
+def test_mlp_refuses_what_forward_cannot_compute():
+    rng = np.random.default_rng(32)
+    with pytest.raises(ValueError, match=r"unknown activations \['tanh'\]"):
+        nn.Mlp.build([1, 4, 2], ["tanh", "identity"], rng)
+    w, b = eg.Parameter(np.eye(2)), eg.Parameter(np.zeros(2))
+    with pytest.raises(ValueError, match="one weight, bias and activation per layer"):
+        nn.Mlp([w], [b], ["relu", "identity"])
+    with pytest.raises(ValueError):
+        nn.Mlp.build([1, 4, 2], ["relu"], rng)
+
+
+def _source(coupled=False):
+    rng = np.random.default_rng(33)
+    return nn.SourceModel.build(rng.uniform(0, 1, (5, 2)), [4], [6], rng, coupled=coupled)
+
+
+def _boundary():
+    return nn.BoundaryModel.build(8, np.random.default_rng(34), internal=4)
+
+
+def _grow_boundary_output(header, arrays):
+    """A consistent nn_out of one more output than the data branch's input."""
+    arrays["nn_out.w0"] = np.ones((9, 4))
+    arrays["nn_out.b0"] = np.ones(9)
+    header["arch"]["nn_out"]["dims"] = [4, 9]
+
+
+def _widen_kappa_input(header, arrays):
+    arrays["nn_k.w0"] = np.ones((4, 2))
+    header["arch"]["nn_k"]["dims"][0] = 2
+
+
+# model, change to (header, arrays), what the ValueError names
+REFUSED_CHECKPOINTS = {
+    "tanh_activation": (_boundary,
+                        lambda h, a: setitem(h["arch"]["nn_k"]["activations"], 1, "tanh"),
+                        r"unknown activations \['tanh'\]"),
+    "one_activation_short": (_boundary, lambda h, a: h["arch"]["nn_k"]["activations"].pop(),
+                             "one weight, bias and activation per layer"),
+    "nan_weight": (_source, lambda h, a: setitem(a["nn_k.w1"], (0, 0), np.nan),
+                   "'nn_k.w1' holds a non-finite value"),
+    "inf_bias": (_boundary, lambda h, a: setitem(a["nn_out.b0"], 3, -np.inf),
+                 "'nn_out.b0' holds a non-finite value"),
+    "nan_point": (_source, lambda h, a: setitem(a["points"], (2, 1), np.nan),
+                  "'points' holds a non-finite value"),
+    "missing_weight": (_boundary, lambda h, a: a.pop("nn_k.w2"),
+                       r"missing \['nn_k.w2'\], left over \[\]"),
+    "missing_points": (_source, lambda h, a: a.pop("points"), r"missing \['points'\]"),
+    "left_over_array": (_source, lambda h, a: setitem(a, "nn_k.w9", np.zeros((1, 1))),
+                        r"missing \[\], left over \['nn_k.w9'\]"),
+    "transposed_weight": (_source, lambda h, a: setitem(a, "nn_g.w1", a["nn_g.w1"].T.copy()),
+                          r"'nn_g.w1' is \(6, 5\), not the \(5, 6\)"),
+    "bias_of_a_weight_shape": (_boundary, lambda h, a: setitem(a, "nn_g.b0", a["nn_g.b0"][None]),
+                               r"'nn_g.b0' is \(1, 4\), not the \(4,\)"),
+    "dims_of_another_model": (_source, lambda h, a: setitem(h["arch"]["nn_g"]["dims"], 1, 7),
+                              r"'nn_g.w0' is \(6, 2\), not the \(7, 2\)"),
+    "coupled_flag_on_scalar_model": (_source, lambda h, a: setitem(h["arch"], "coupled", True),
+                                     "coupled coordinate branch takes 3 inputs, not 2"),
+    "scalar_flag_on_coupled_model": (lambda: _source(coupled=True),
+                                     lambda h, a: setitem(h["arch"], "coupled", False),
+                                     "scalar coordinate branch takes 2 inputs, not 3"),
+    "points_of_three_columns": (_source, lambda h, a: setitem(a, "points", np.ones((5, 3))),
+                                r"points must be \(n, 2\), not \(5, 3\)"),
+    "kappa_branch_of_two_inputs": (_boundary, _widen_kappa_input,
+                                   "kappa branch takes 1 input, not 2"),
+    "boundary_output_wider_than_input": (_boundary, _grow_boundary_output,
+                                         "must share the boundary width"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_CHECKPOINTS)
+def test_load_checkpoint_refuses_what_forward_cannot_compute(tmp_path, case):
+    """A well-formed container whose arrays the model cannot be built from,
+    or whose forward would compute other numbers than the header says, fails
+    at load with a ValueError naming the file and the fault."""
+    build, change, message = REFUSED_CHECKPOINTS[case]
+    header, arrays = checkpoint._describe(build(), {})
+    header = json.loads(json.dumps(header))
+    arrays = {name: a.copy() for name, a in arrays.items()}
+    change(header, arrays)
+    path = tmp_path / "m.ckpt"
+    container.write(path, checkpoint._MAGIC, header, arrays)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{message}"):
         nn.load_checkpoint(path)

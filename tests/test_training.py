@@ -71,7 +71,7 @@ def test_source_capacity_interpolates_small_dataset():
     from evokernel.nn import SourceModel
     rng = np.random.default_rng(0)
     fresh = SourceModel.build(pts, [16], [64, 64], rng)
-    kf = fresh.nn_k.predict(np.array([[0.07]]))[0]
+    kf = fresh.nn_k.forward(np.array([[0.07]])).value[0]
     A = f * kf                          # (10, n) latent activations
     h = pts
     for w, b in zip(fresh.nn_g.weights[:-1], fresh.nn_g.biases[:-1]):
