@@ -9,7 +9,9 @@ error, 2 config validation error.
 
 _TABLES is the one place where config rules live: each command's keys and
 each key's rule.  validate_config walks it before any work starts.  No key
-restates the geometry a checkpoint records; checks against it exit 2 too.
+restates the geometry a checkpoint records; checks against it exit 2 too, as
+does a checkpoint or dataset that the config names and that is missing or
+that its loader refuses.
 
 Heavy imports happen inside main() after --threads is applied, so the BLAS
 thread count can still be pinned from the command line.
@@ -289,7 +291,7 @@ def cmd_train(cfg, out):
     kind = cfg["model"]["kind"]
     tcfg = training.TrainConfig(seed=cfg.get("seed", 0), **cfg.get("train", {}),
                                 **{k: v for k, v in cfg["model"].items() if k != "kind"})
-    ds = datagen.load_dataset(cfg["data"]["path"])
+    ds = _load(datagen.load_dataset, cfg["data"]["path"], "data.path")
     kmats, meta = None, {}
     if kind == "boundary":
         curve = cfg.get("curve", {})
@@ -328,6 +330,15 @@ def cmd_train(cfg, out):
                  "train_seconds": info["train_seconds"]})
     _write_manifest(out, cfg, ["model.ckpt", "training_curve.csv", "summary.json"])
     return 0
+
+
+def _load(loader, path, key):
+    """loader(path); a file that is missing or that loader refuses is a
+    ValidationError naming the config key that names it."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{key}: {exc}") from exc
 
 
 def _grid_sha256(grid):
@@ -389,7 +400,7 @@ def cmd_eval(cfg, out):
     from .geometry import make_curve, sample_quadrature
     from .nn import BoundaryModel, load_checkpoint
 
-    model, meta = load_checkpoint(cfg["checkpoint"])
+    model, meta = _load(load_checkpoint, cfg["checkpoint"], "checkpoint")
     options = dict(cfg["suite"])
     kappas = _kappa_list(options.pop("kappas"), "suite.kappas")
     if isinstance(model, BoundaryModel):     # the suites' exact fields are on the unit square
@@ -419,8 +430,10 @@ def _build_backend(section, equation):
     if section.get("kind", "classical") == "classical":
         return ClassicalBackend(SquareLatticeDomain(section.get("n", _DEFAULT_N),
                                                     _DEFAULT_N_BD))
-    bnd, bnd_meta = load_checkpoint(section["boundary_checkpoint"])
-    src, src_meta = load_checkpoint(section["source_checkpoint"])
+    bnd, bnd_meta = _load(load_checkpoint, section["boundary_checkpoint"],
+                          "backend.boundary_checkpoint")
+    src, src_meta = _load(load_checkpoint, section["source_checkpoint"],
+                          "backend.source_checkpoint")
     # the lambda range is the overlap of the kappa spans the checkpoints record
     if not (bnd_meta.get("kappas") and src_meta.get("kappas")):
         raise ValidationError("a learned backend needs checkpoints that record "

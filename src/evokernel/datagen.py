@@ -18,7 +18,7 @@ import numpy as np
 
 from . import container
 from .fdsolver import fd_solve_complex, fd_solve_scalar
-from .geometry import QuadratureGrid
+from .geometry import QuadratureGrid, square_lattice
 
 __all__ = [
     "Dataset", "grf_boundary",
@@ -77,8 +77,8 @@ def trig_family(a, b, c, form):
 def _trig_sources(seeds, n):
     """A random product-of-trigonometrics field on the closed n x n unit
     lattice for each seed, as (k, n, n)."""
-    xs = np.linspace(0.0, 1.0, n)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    # contiguous coordinate planes: the trig ufuncs run slower on strided views
+    X, Y = np.ascontiguousarray(square_lattice(n).points.T).reshape(2, n, n)
     return np.array([trig_family(*_trig_draw(_rng(seed, 0x7A16)))(X, Y)
                      for seed in seeds]).reshape(-1, n, n)
 

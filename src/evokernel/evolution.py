@@ -55,10 +55,9 @@ class SquareLatticeDomain:
         self.points = square_lattice(n).points
         self.curve = make_curve("square")
         self.quad = sample_quadrature(self.curve, n_bd)
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        ring = (ii == 0) | (ii == n - 1) | (jj == 0) | (jj == n - 1)
-        self.ring_idx = np.nonzero(ring.ravel())[0]
-        self.interior_idx = np.nonzero(~ring.ravel())[0]
+        ring = np.any((self.points == 0.0) | (self.points == 1.0), axis=1)
+        self.ring_idx = np.nonzero(ring)[0]
+        self.interior_idx = np.nonzero(~ring)[0]
 
     def reshape(self, flat):
         return np.asarray(flat).reshape(flat.shape[:-1] + (self.n, self.n))
@@ -66,14 +65,9 @@ class SquareLatticeDomain:
     def lap_full(self, u):
         """5-point Laplacian on the flattened lattice; ring entries copy their
         nearest interior neighbor (only learned-backend source inputs read them)."""
-        v = self.reshape(u)
-        lap = np.zeros_like(v)
-        lap[..., 1:-1, 1:-1] = lap5(v)
-        lap[..., 0, :] = lap[..., 1, :]
-        lap[..., -1, :] = lap[..., -2, :]
-        lap[..., :, 0] = lap[..., :, 1]
-        lap[..., :, -1] = lap[..., :, -2]
-        return lap.reshape(u.shape)
+        lap = lap5(self.reshape(u))
+        return np.pad(lap, [(0, 0)] * (lap.ndim - 2) + [(1, 1), (1, 1)],
+                      mode="edge").reshape(u.shape)
 
 
 class PointCloudDomain:

@@ -19,8 +19,9 @@ TWO_PI = 2.0 * np.pi
 class BoundaryCurve:
     """Smooth (or piecewise-smooth) closed curve gamma: [0, 2 pi) -> R^2.
 
-    Subclasses provide ``point``, ``derivative``, ``second_derivative``; the
-    base class derives speed, outward normal and signed curvature.  All
+    Subclasses provide ``point``, ``derivative`` and ``second_derivative``; the
+    base class derives speed, outward normal and signed curvature.  A subclass
+    that overrides ``curvature`` needs no ``second_derivative``.  All
     evaluators are vectorized over the trailing parameter axis.
     """
 
@@ -52,14 +53,10 @@ class BoundaryCurve:
         s = np.hypot(d[..., 0], d[..., 1])
         return (d[..., 0] * dd[..., 1] - d[..., 1] * dd[..., 0]) / s**3
 
-    def polyline(self, n=2048):
-        """Dense point sample used for distance queries."""
-        t = TWO_PI * np.arange(n) / n
-        return self.point(t)
-
     def distance(self, pts):
-        """Approximate unsigned distance from points (m, 2) to the curve."""
-        poly = self.polyline()
+        """Approximate unsigned distance from points (m, 2) to the curve: the
+        distance to the nearest of 2048 equispaced curve points."""
+        poly = self.point(TWO_PI * np.arange(2048) / 2048)
         d = pts[:, None, :] - poly[None, :, :]
         return np.hypot(d[..., 0], d[..., 1]).min(axis=1)
 
@@ -96,6 +93,9 @@ class SquareCurve(BoundaryCurve):
     """
 
     kind = "square"
+    # edge e runs from corner e in direction e
+    _CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    _DIRECTIONS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 
     def _edge_pos(self, t):
         u = (np.asarray(t, dtype=np.float64) % TWO_PI) * (4.0 / TWO_PI)
@@ -104,20 +104,11 @@ class SquareCurve(BoundaryCurve):
 
     def point(self, t):
         e, s = self._edge_pos(t)
-        x = np.where(e == 0, s, np.where(e == 1, 1.0, np.where(e == 2, 1.0 - s, 0.0)))
-        y = np.where(e == 0, 0.0, np.where(e == 1, s, np.where(e == 2, 1.0, 1.0 - s)))
-        return np.stack([x, y], axis=-1)
+        return self._CORNERS[e] + s[..., None] * self._DIRECTIONS[e]
 
     def derivative(self, t):
         e, _ = self._edge_pos(t)
-        v = 4.0 / TWO_PI  # constant speed
-        dx = np.where(e == 0, v, np.where(e == 1, 0.0, np.where(e == 2, -v, 0.0)))
-        dy = np.where(e == 0, 0.0, np.where(e == 1, v, np.where(e == 2, 0.0, -v)))
-        return np.stack([dx, dy], axis=-1)
-
-    def second_derivative(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        return np.zeros(t.shape + (2,))
+        return (4.0 / TWO_PI) * self._DIRECTIONS[e]  # constant speed
 
     def curvature(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -172,13 +163,10 @@ def make_curve(kind, **params):
     and the petal, the curves a learned backend serves; the disk's closed
     forms serve the BIE tests and demos.
     """
-    if kind == "disk":
-        return DiskCurve(**params)
-    if kind == "square":
-        return SquareCurve(**params)
-    if kind == "petal":
-        return PetalCurve(**params)
-    raise ValueError(f"unknown curve kind {kind!r}")
+    curves = {cls.kind: cls for cls in (DiskCurve, SquareCurve, PetalCurve)}
+    if kind not in curves:
+        raise ValueError(f"unknown curve kind {kind!r}")
+    return curves[kind](**params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,10 +189,6 @@ class QuadratureGrid:
     @property
     def n(self):
         return self.t.shape[0]
-
-    @property
-    def weights(self):
-        return np.full(self.n, self.weight)
 
     def length_estimate(self):
         return float(self.weight * np.sum(self.speeds))

@@ -200,3 +200,14 @@ def test_residual_batched_matches_rows():
     for i in range(5):
         assert np.allclose(batched[i], bie.bie_residual(km, phi[i], g[i]),
                            rtol=1e-13, atol=1e-15)
+
+
+def test_nystrom_solve_reports_a_residual_above_tolerance():
+    """A solve whose residual exceeds 1e-10 max(|g|, 1) is a SolverError with
+    the operator's condition estimate: here B is the Hilbert matrix."""
+    import scipy.linalg
+    grid = sample_quadrature(DISK, 16)
+    values = (scipy.linalg.hilbert(16) - 0.5 * np.eye(16)) / grid.weight
+    km = kernels.BoundaryKernelMatrix(values, grid, kernels.ScalarKernelSpec(0.05))
+    with pytest.raises(bie.SolverError, match="condition estimate"):
+        bie.nystrom_solve(km, np.ones(16))

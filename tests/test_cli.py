@@ -821,6 +821,73 @@ def test_threads_below_one_are_a_config_error(tmp_path, capsys, monkeypatch, thr
     assert not (tmp_path / "run").exists()
 
 
+def test_threads_sets_and_records_the_thread_variables(tmp_path, monkeypatch):
+    for var in cli._THREAD_VARS:            # monkeypatch restores them afterwards
+        monkeypatch.setenv(var, "3")
+    cfg = {"version": 1, "command": "uq", "seed": 0, "out": str(tmp_path / "run"),
+           "backend": _CLASSICAL, "uq": {"samples": 2, "tau": 0.1, "n_steps": 1}}
+    assert cli.main(["uq", "--config", _write(tmp_path, "c.json", cfg), "--threads", "1"]) == 0
+    assert all(os.environ[var] == "1" for var in cli._THREAD_VARS)
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["threads"] == {var: "1" for var in cli._THREAD_VARS}
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 0.5), (0.9, 0.1)])
+def test_eval_lo_at_or_above_eval_hi_is_a_config_error(tmp_path, capsys, lo, hi):
+    cfg = {"version": 1, "command": "eval", "seed": 0, "out": str(tmp_path / "eval"),
+           "checkpoint": str(tmp_path / "m.ckpt"),
+           "suite": {"kappas": [0.05], "eval_lo": lo, "eval_hi": hi}}
+    assert cli.main(["eval", "--config", _write(tmp_path, "e.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "must be below suite.eval_hi" in err
+    assert not (tmp_path / "eval").exists()
+
+
+def _spoil(path, how):
+    """Makes the file at path one that its loader refuses or cannot find."""
+    from evokernel import nn
+    if how == "missing":
+        os.remove(path)
+    elif how == "truncated":
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 1)
+    else:                                   # a NaN weight in a checkpoint
+        model, meta = nn.load_checkpoint(path)
+        model.nn_k.weights[1].value[0, 0] = np.nan
+        nn.save_checkpoint(model, path, meta)
+
+
+@pytest.mark.parametrize("cmd, key, how", [
+    *[("eval", "checkpoint", how) for how in ("missing", "truncated", "nan")],
+    *[("evolve", "backend.source_checkpoint", how) for how in ("missing", "truncated", "nan")],
+    *[("uq", "backend.boundary_checkpoint", how) for how in ("missing", "truncated", "nan")],
+    *[("train", "data.path", how) for how in ("missing", "truncated")],
+])
+def test_a_named_file_that_its_loader_refuses_is_a_config_error(tmp_path, capsys, cmd,
+                                                                 key, how):
+    """A checkpoint or dataset that the config names and that is missing or
+    refused exits 2 naming the key, and the directories main made are gone."""
+    out = str(tmp_path / "made" / "run")
+    if cmd == "train":
+        cfg = {**_source_train_config(tmp_path, {"epochs": 1}), "out": out}
+    else:
+        section = _learned_section(tmp_path, [0.05, 0.1], [0.05, 0.1])
+        cfg = {"eval": {"version": 1, "command": "eval", "seed": 0,
+                        "checkpoint": section["source_checkpoint"], "suite": {"kappas": [0.05]}},
+               "evolve": _heat_config(tmp_path, section),
+               "uq": {"version": 1, "command": "uq", "seed": 0, "backend": section,
+                      "uq": {"samples": 2, "tau": 0.1, "n_steps": 1}}}[cmd]
+        cfg["out"] = out
+    section, leaf = cfg, key.split(".")
+    for part in leaf[:-1]:
+        section = section[part]
+    _spoil(section[leaf[-1]], how)
+    assert cli.main([cmd, "--config", _write(tmp_path, "c.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ")
+    assert not (tmp_path / "made").exists()
+
+
 def test_source_train_refuses_records_of_neither_layout(tmp_path, capsys):
     cfg = _source_train_config(tmp_path, {"epochs": 1})
     cfg["points"]["n"] = 11                 # the records hold 9 x 9 values

@@ -41,6 +41,18 @@ def test_trig_source_bounds_and_distinct_seeds():
     assert not np.array_equal(fields[0], fields[1])
 
 
+@pytest.mark.parametrize("args, kwargs, digest", [
+    (([0.05, 0.1], 8, 9, 3), {},
+     "7c4b96b648e1d600d552a9757304597d47d0f602d7e889e91e1a026306f5d22d"),
+    (([0.05], 4, 9, 3), {"coupled": True},
+     "c164bd95db8baae729c65cd08b1a37f6f2a3e3cfbe9dbdae4c00918c0df605fe"),
+])
+def test_source_dataset_content_hash_is_pinned(args, kwargs, digest):
+    """Values written by earlier versions: the lattice, the trig and noise
+    fields and the solver's labels must not move a bit."""
+    assert dg.build_source_dataset(*args, **kwargs).content_hash() == digest
+
+
 def test_trig_family_forced_case():
     f = dg.trig_family(1.0, 1.0, 0.0, form=0b01)  # sin(pi x) * cos(0) = sin(pi x)
     xs = np.linspace(0, 1, 11)

@@ -11,6 +11,7 @@ from evokernel import evolution as ev
 from evokernel import experiments as ex
 from evokernel import nn
 from evokernel.fdsolver import lap5
+from evokernel.geometry import make_curve, petal_lattice
 
 DOMAIN = ev.SquareLatticeDomain(n=41, n_bd=64)
 BACKEND = ev.ClassicalBackend(DOMAIN)
@@ -100,6 +101,36 @@ class _NoSolve:
 
     def solve(self, *args):
         raise AssertionError("solved before the arguments were checked")
+
+
+def test_steppers_refuse_an_unknown_scheme_or_splitting():
+    with pytest.raises(ValueError, match="scheme must be 'be' or 'cn'"):
+        ev.run_heat(ex.heat_problem(DOMAIN, 0.1, 2), _NoSolve(), scheme="rk4")
+    with pytest.raises(ValueError, match="splitting must be 'strang' or 'lie'"):
+        ev.run_schrodinger(ex.schrodinger_problem(DOMAIN, 0.1, 2), _NoSolve(),
+                           splitting="yoshida")
+
+
+def test_point_clouds_refuse_the_lattice_only_paths():
+    """The finite-difference backend and the theta-scheme's second step need
+    the lattice's 5-point stencil, which a point cloud does not have."""
+    curve = make_curve("petal", base=0.5, amp=0.15, lobes=4)
+    cloud = ev.PointCloudDomain(curve, petal_lattice(curve, 0.1), 32)
+    with pytest.raises(ValueError, match="needs a square lattice"):
+        ev.ClassicalBackend(cloud)
+    with pytest.raises(ValueError, match="startup needs a lattice domain"):
+        ev.run_wave(ex.wave_problem(cloud, 0.1, 2), _NoSolve())
+
+
+def test_trajectory_rel_l2_needs_an_error_trace():
+    dom = ev.SquareLatticeDomain(n=9, n_bd=32)
+    zero = lambda pts, *t: np.zeros(pts.shape[0])  # noqa: E731
+    prob = ev.EvolutionProblem(domain=dom, tau=0.1, n_steps=1, u0=zero, g=zero,
+                               lap_u0=zero)
+    res = ev.run_heat(prob, ev.ClassicalBackend(dom))
+    assert res.error_trace == []
+    with pytest.raises(ValueError, match="no exact solution"):
+        ev.trajectory_rel_l2(res)
 
 
 def test_every_problem_refuses_a_negative_w():
@@ -269,6 +300,39 @@ def test_heat_family_callbacks_are_the_closed_form_on_every_point_set():
             assert np.array_equal(prob.exact(pts, t), ref)
         assert np.array_equal(prob.u0(pts), np.exp(-0.0) * np.sin(a[:, None] * x)
                               * np.cos(b[:, None] * y))
+
+
+def _lap_full_by_hand(dom, u):
+    """lap_full with its ring written out: the 5-point stencil inside, then each
+    ring row and column copied from its inner neighbour, rows first."""
+    v = dom.reshape(u)
+    lap = np.zeros_like(v)
+    lap[..., 1:-1, 1:-1] = lap5(v)
+    lap[..., 0, :] = lap[..., 1, :]
+    lap[..., -1, :] = lap[..., -2, :]
+    lap[..., :, 0] = lap[..., :, 1]
+    lap[..., :, -1] = lap[..., :, -2]
+    return lap.reshape(u.shape)
+
+
+@pytest.mark.parametrize("n", [3, 9, 41])
+@pytest.mark.parametrize("shape", [(), (4,)], ids=["single", "batched"])
+def test_lap_full_is_the_hand_copied_ring_bitwise(n, shape):
+    dom = ev.SquareLatticeDomain(n=n, n_bd=32)
+    u = np.random.default_rng(n).standard_normal(shape + (n * n,))
+    lap, ref = dom.lap_full(u), _lap_full_by_hand(dom, u)
+    assert lap.shape == ref.shape == u.shape and lap.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 9, 41])
+def test_ring_is_the_lattice_border_by_index(n):
+    """The ring read from the points on x or y in {0, 1} is the border of the
+    index lattice."""
+    dom = ev.SquareLatticeDomain(n=n, n_bd=32)
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    ring = ((ii == 0) | (ii == n - 1) | (jj == 0) | (jj == n - 1)).ravel()
+    assert np.array_equal(dom.ring_idx, np.nonzero(ring)[0])
+    assert np.array_equal(dom.interior_idx, np.nonzero(~ring)[0])
 
 
 @pytest.mark.parametrize("n", [3, 4, 9])

@@ -36,6 +36,33 @@ def test_curve_invariants(kind):
     assert np.max(np.abs(n[:, 0] * d[:, 0] + n[:, 1] * d[:, 1])) < 1e-12
 
 
+def _square_by_edge(t):
+    """The unit square's point and derivative by the edge formulas written out."""
+    u = (np.asarray(t, dtype=np.float64) % (2 * np.pi)) * (4.0 / (2 * np.pi))
+    e = np.minimum(np.floor(u).astype(int), 3)
+    s, v = u - e, 4.0 / (2 * np.pi)
+    x = np.where(e == 0, s, np.where(e == 1, 1.0, np.where(e == 2, 1.0 - s, 0.0)))
+    y = np.where(e == 0, 0.0, np.where(e == 1, s, np.where(e == 2, 1.0, 1.0 - s)))
+    dx = np.where(e == 0, v, np.where(e == 1, 0.0, np.where(e == 2, -v, 0.0)))
+    dy = np.where(e == 0, 0.0, np.where(e == 1, v, np.where(e == 2, 0.0, -v)))
+    return np.stack([x, y], axis=-1), np.stack([dx, dy], axis=-1)
+
+
+@pytest.mark.parametrize("t", [np.linspace(-7.0, 20.0, 4001), 1.0, 0.0, 2 * np.pi,
+                               np.pi / 2])
+def test_square_corner_tables_are_the_edge_formulas_bitwise(t):
+    point, derivative = _square_by_edge(t)
+    sq = CURVES["square"]
+    assert sq.point(t).shape == point.shape and sq.derivative(t).shape == derivative.shape
+    assert sq.point(t).tobytes() == point.tobytes()
+    assert sq.derivative(t).tobytes() == derivative.tobytes()
+
+
+def test_make_curve_builds_the_class_of_each_kind():
+    for cls in (geo.DiskCurve, geo.SquareCurve, geo.PetalCurve):
+        assert type(geo.make_curve(cls.kind)) is cls
+
+
 def _signed_area(grid):
     """1/2 * contour integral of (x dy - y dx); positive for CCW curves."""
     p = grid.points
@@ -57,7 +84,7 @@ def test_petal_positive_area():
 
 def test_quadrature_weights_and_length():
     grid = geo.sample_quadrature(CURVES["disk"], 4 * 64)
-    assert np.sum(grid.weights) == pytest.approx(2 * np.pi, rel=1e-14)
+    assert grid.n * grid.weight == pytest.approx(2 * np.pi, rel=1e-14)
     assert grid.length_estimate() == pytest.approx(2 * np.pi, rel=1e-12)
     sq = geo.sample_quadrature(CURVES["square"], 512)
     # midpoint rule is exact on straight edges

@@ -21,32 +21,21 @@ def test_k0_k1_pinned_values():
     assert sf.k1(1.0) == pytest.approx(0.60190723019723458, rel=1e-14)
 
 
-@pytest.mark.parametrize("order", [0, 1])
-def test_bessel_k_log_grid(order):
-    vals = sf.bessel_k(order, LOG_GRID)
-    refs = oracle_grid(lambda x: mp.besselk(order, x))
-    rel = np.abs(vals - refs) / np.abs(refs)
-    assert rel.max() < 1e-10
-
-
-# part -> (derivative function, tolerance, error-scale floor); kei0' cancels
-# (kei1 - ker1) near 0, so it is gated on |err| / max(|ref|, 1)
-DERIVATIVES = {"dker": (sf.dker0, 1e-12, 1e-30), "dkei": (sf.dkei0, 1e-11, 1.0)}
-
-
-@pytest.mark.parametrize("order,part,oracle", [
-    (0, "ker", lambda x: mp.ker(0, x)),
-    (0, "kei", lambda x: mp.kei(0, x)),
-    (1, "ker", lambda x: mp.ker(1, x)),
-    (1, "kei", lambda x: mp.kei(1, x)),
-    (0, "dker", lambda x: mp.diff(lambda t: mp.ker(0, t), x)),
-    (0, "dkei", lambda x: mp.diff(lambda t: mp.kei(0, t), x)),
-])
-def test_kelvin_log_grid(order, part, oracle):
-    fn, tol, floor = DERIVATIVES.get(part, (None, 1e-10, 1e-30))
-    vals = fn(LOG_GRID) if fn else sf.kelvin(order, part, LOG_GRID)
+# the module docstring's bounds: relative error below 2e-14, except kei0',
+# which cancels (kei1 - ker1) near 0 and is gated on |err| / max(|ref|, 1) at 1e-12
+@pytest.mark.parametrize("fn, oracle, tol, floor", [
+    (sf.k0, lambda x: mp.besselk(0, x), 2e-14, 1e-30),
+    (sf.k1, lambda x: mp.besselk(1, x), 2e-14, 1e-30),
+    (lambda x: sf.ker(0, x), lambda x: mp.ker(0, x), 2e-14, 1e-30),
+    (lambda x: sf.kei(0, x), lambda x: mp.kei(0, x), 2e-14, 1e-30),
+    (lambda x: sf.ker(1, x), lambda x: mp.ker(1, x), 2e-14, 1e-30),
+    (lambda x: sf.kei(1, x), lambda x: mp.kei(1, x), 2e-14, 1e-30),
+    (sf.dker0, lambda x: mp.diff(lambda t: mp.ker(0, t), x), 2e-14, 1e-30),
+    (sf.dkei0, lambda x: mp.diff(lambda t: mp.kei(0, t), x), 1e-12, 1.0),
+], ids=["k0", "k1", "ker0", "kei0", "ker1", "kei1", "dker0", "dkei0"])
+def test_log_grid_against_oracle(fn, oracle, tol, floor):
     refs = oracle_grid(oracle)
-    rel = np.abs(vals - refs) / np.maximum(np.abs(refs), floor)
+    rel = np.abs(fn(LOG_GRID) - refs) / np.maximum(np.abs(refs), floor)
     assert rel.max() < tol
 
 
@@ -56,7 +45,7 @@ def test_small_x_limits():
     gamma = 0.5772156649015329
     assert sf.k0(x) + np.log(x / 2) + gamma == pytest.approx(0.0, abs=1e-12)
     # kei0 extends continuously to -pi/4 at zero
-    assert sf.kelvin(0, "kei", 0.0) == pytest.approx(-np.pi / 4, rel=1e-14)
+    assert sf.kei(0, 0.0) == pytest.approx(-np.pi / 4, rel=1e-14)
     assert sf.kei(0, 1e-9) == pytest.approx(-np.pi / 4, rel=1e-6)
 
 
@@ -96,8 +85,19 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         sf.k1(-1.0)
     with pytest.raises(ValueError):
-        sf.kelvin(0, "ker", 0.0)
+        sf.ker(0, 0.0)
     with pytest.raises(ValueError):
-        sf.bessel_k(2, 1.0)
+        sf.kei(1, 0.0)
     with pytest.raises(ValueError):
-        sf.kelvin(0, "imag", 1.0)
+        sf.kei(0, -1.0)
+    with pytest.raises(ValueError, match="require x > 0"):
+        sf.dker0(-1.0)
+    with pytest.raises(ValueError, match="require x > 0"):
+        sf.dkei0(0.0)
+    with pytest.raises(ValueError, match="require x > 0"):
+        sf.dkelvin0([1.0, 0.0])
+    with pytest.raises(ValueError, match="order must be 0 or 1"):
+        sf.ker(2, 1.0)
+    with pytest.raises(ValueError, match="order must be 0 or 1"):
+        sf.kei(2, 1.0)
+

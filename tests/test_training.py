@@ -27,6 +27,16 @@ def test_boundary_training_deterministic():
     assert info1["loss_trace"] == info2["loss_trace"]
 
 
+def test_each_trainer_refuses_the_other_dataset_kind():
+    _, boundary_ds, kmats = _tiny_boundary_setup()
+    source_ds = dg.build_source_dataset([0.05], 2, 5, seed=0)
+    cfg = tr.TrainConfig(epochs=1, batch_size=2)
+    with pytest.raises(ValueError, match="expects a boundary dataset"):
+        tr.train_boundary_model(cfg, source_ds, kmats[:1])
+    with pytest.raises(ValueError, match="expects a supervised dataset"):
+        tr.train_source_model(cfg, boundary_ds, square_lattice(5).points)
+
+
 def test_loss_equals_residual_recomputation_bitwise():
     # the training loss and bie_residual share one code path: recomputing the
     # loss from bie_residual on the same batch reproduces it exactly
