@@ -469,7 +469,7 @@ def _write_field_csv(path, pts, fld):
 
 def cmd_evolve(cfg, out):
     import numpy as np
-    from .evolution import BackendRangeError, trajectory_rel_l2
+    from .evolution import BackendRangeError, SquareLatticeDomain, trajectory_rel_l2
     from .experiments import EQUATIONS
     from .plotting import svg_heatmap
 
@@ -477,7 +477,7 @@ def cmd_evolve(cfg, out):
     eq, tau, n_steps = p.pop("equation"), p.pop("tau"), p.pop("n_steps")
     backend = _build_backend(cfg["backend"], eq)
     # the theta-scheme's second step takes a 5-point Laplacian, which only the lattice has
-    if eq == "wave" and n_steps > 1 and not hasattr(backend.domain, "n"):
+    if eq == "wave" and n_steps > 1 and not isinstance(backend.domain, SquareLatticeDomain):
         raise ValidationError(f"problem.n_steps={n_steps}: a wave run on a petal takes one step")
     build, run, options = EQUATIONS[eq]
     # store_fields and the stepper's keys go to the stepper, the rest to the builder
@@ -496,7 +496,7 @@ def cmd_evolve(cfg, out):
         name = f"field_step_{step:04d}.csv"
         _write_field_csv(os.path.join(out, name), pts, fld)
         artifacts.append(name)
-    if hasattr(backend.domain, "n"):
+    if isinstance(backend.domain, SquareLatticeDomain):
         n = backend.domain.n
         svg_heatmap(os.path.join(out, "final_field.svg"), np.real(res.final).reshape(n, n),
                     title=f"{eq} final field")
@@ -513,10 +513,11 @@ def cmd_evolve(cfg, out):
 
 def cmd_uq(cfg, out):
     import numpy as np
-    from .evolution import BackendRangeError, uq_run
+    from .evolution import BackendRangeError, SquareLatticeDomain, uq_run
 
     backend = _build_backend(cfg["backend"], "heat")
-    if not hasattr(backend.domain, "n"):    # uq's probe interpolates the square lattice
+    # uq's probe interpolates the square lattice
+    if not isinstance(backend.domain, SquareLatticeDomain):
         raise ValidationError("uq runs on the square lattice, not on a petal source checkpoint")
     u = dict(cfg["uq"])
     try:

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-__all__ = ["pack", "write", "read"]
+__all__ = ["write", "read"]
 
 # the one stored dtype, by the numpy kind that converts to it
 _DTYPES = {"f": "<f8"}
@@ -50,14 +50,10 @@ def _chunks(magic, header, arrays):
     return [magic, line.encode() + b"\n", *blocks.values()]
 
 
-def pack(magic, header, arrays):
-    """File bytes for header (a JSON-able dict) and arrays ({name: array})."""
-    return b"".join(_chunks(magic, header, arrays))
-
-
 def write(path, magic, header, arrays):
-    """Write pack(magic, header, arrays) to path piece by piece, without
-    joining it in memory; returns the file's sha256."""
+    """Write the file of header (a JSON-able dict) and arrays ({name: array})
+    to path piece by piece, without joining it in memory; returns the file's
+    sha256."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for chunk in _chunks(magic, header, arrays):

@@ -29,7 +29,7 @@ __all__ = [
 
 
 def _rng(seed, *key):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *key])))
+    return np.random.default_rng([seed, *key])
 
 
 def _filtered_fields(seeds, n, sigmas):

@@ -1,12 +1,14 @@
 """Checkpoint files: an evokernel.container file with magic EVOKERNEL-CKPT/2.
 
-Header fields: "kind", "arch" (dims and activations of each MLP, plus
-"coupled" for models with sample points) and "metadata".  Arrays: each MLP's
-weights and biases ("<mlp>.w<i>", "<mlp>.b<i>") and, for models with sample
-points, "points".  The header and arrays reconstruct the model exactly, so
-save -> load -> save is bit-identical.  A load takes the arrays' names and
-shapes from arch's dims and refuses every other file, one with a non-finite
-array included.
+Header fields: "kind", "arch" (dims and activations of each MLP) and
+"metadata".  Arrays: each MLP's weights and biases ("<mlp>.w<i>",
+"<mlp>.b<i>") and, for source models, "points".  The header and arrays
+reconstruct the model exactly, so save -> load -> save is bit-identical.  A
+source model's kind, scalar or coupled, is its coordinate branch's input
+width; files of older versions also hold arch["coupled"], which a load
+ignores and a save does not write.  A load takes the arrays' names and shapes
+from arch's dims and refuses every other file, one with a non-finite array
+included.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from .. import container
 from . import engine as eg
 from .models import BoundaryModel, Mlp, SourceModel
 
-__all__ = ["save_checkpoint", "load_checkpoint", "checkpoint_bytes"]
+__all__ = ["save_checkpoint", "load_checkpoint"]
 
 _MAGIC = b"EVOKERNEL-CKPT/2\n"
 
 # kind -> (class, MLP attribute names in constructor order, whether the model
-# has sample points and a coupled flag)
+# has sample points)
 _KINDS = {
     "source": (SourceModel, ("nn_k", "nn_g"), True),
     "boundary": (BoundaryModel, ("nn_k", "nn_g", "nn_out"), False),
@@ -44,13 +46,8 @@ def _describe(model, metadata):
             arrays[f"{name}.w{i}"] = w.value
             arrays[f"{name}.b{i}"] = b.value
     if has_points:
-        arch["coupled"] = model.coupled
         arrays["points"] = model.points
     return {"kind": kind, "arch": arch, "metadata": metadata or {}}, arrays
-
-
-def checkpoint_bytes(model, metadata=None):
-    return container.pack(_MAGIC, *_describe(model, metadata))
 
 
 def save_checkpoint(model, path, metadata=None):
@@ -65,13 +62,26 @@ def _rebuild_mlp(arch, arrays, prefix):
                arch["activations"])
 
 
+def _is_mlp_entry(entry):
+    """Whether an arch entry lists an MLP's dims, at least two, and activations."""
+    return (isinstance(entry, dict) and isinstance(entry.get("activations"), list)
+            and isinstance(entry.get("dims"), list) and len(entry["dims"]) >= 2)
+
+
 def _rebuild(header, arrays):
     """The model of a checkpoint's header and arrays; ValueError if the arrays
     are not the ones the header's arch names, or the model refuses them."""
+    missing = sorted({"kind", "arch", "metadata"} - set(header))
+    if missing:
+        raise ValueError(f"header lacks {missing}")
     kind, arch = header["kind"], header["arch"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown checkpoint kind {kind!r}")
     cls, mlps, has_points = _KINDS[kind]
+    if not (isinstance(arch, dict) and all(_is_mlp_entry(arch.get(name)) for name in mlps)):
+        raise ValueError(f"arch must give the dims and activations of each of {list(mlps)}")
+    if not isinstance(header["metadata"], dict):
+        raise ValueError("metadata must be an object")
     shapes = {}
     for name in mlps:
         dims = arch[name]["dims"]
@@ -89,17 +99,16 @@ def _rebuild(header, arrays):
         if not np.isfinite(a).all():
             raise ValueError(f"array {name!r} holds a non-finite value")
     nets = [_rebuild_mlp(arch[name], arrays, name) for name in mlps]
-    return (cls(arrays["points"], *nets, coupled=arch["coupled"]) if has_points
-            else cls(*nets))
+    return cls(arrays["points"], *nets) if has_points else cls(*nets)
 
 
 def load_checkpoint(path):
     """Returns (model, metadata).  A file the model's forward cannot compute is
-    a ValueError naming it: an unknown kind or activation, an array missing,
-    left over, of another shape than the header's arch gives it or holding a
-    NaN or an infinity, or arrays that the model's own checks refuse, such as
-    a coordinate width other than 3 for a coupled source model and 2 for a
-    scalar one."""
+    a ValueError naming it: a header without kind, arch or metadata, an
+    unknown kind or activation, an arch without an MLP's dims and
+    activations, an array missing, left over, of another shape than the
+    header's arch gives it or holding a NaN or an infinity, or arrays that the
+    model's own checks refuse, such as a coordinate width other than 2 or 3."""
     header, arrays = container.read(path, _MAGIC)
     try:
         return _rebuild(header, arrays), header["metadata"]

@@ -1,9 +1,10 @@
 """Minimal reverse-mode engine over float64 numpy arrays.
 
-Covers exactly the node types the operator models need: matmul_t (a @ b.T),
-dense (one MLP layer, x @ w.T + b with an optional ReLU), factored_linear
-(the source model's head, (a @ w) @ h.T + (a @ b) 1^T), hadamard (with
-leading-axis broadcast) and squared_error (against a constant).  Constants
+Covers exactly the four node types the operator models need: dense (one MLP
+layer, x @ w.T + b with an optional ReLU; with b = 0.0 also the boundary
+loss's product phi @ B.T), factored_linear (the source model's head,
+(a @ w) @ h.T + (a @ b) 1^T), hadamard (with leading-axis broadcast) and
+squared_error (against a constant).  Constants
 (training data, lattice coordinates, precomputed operators) are passed as
 plain ndarrays; no backward forms a gradient for them.
 
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "Parameter", "backward", "Adam", "matmul_t", "hadamard",
-           "dense", "factored_linear", "squared_error"]
+__all__ = ["Tensor", "Parameter", "backward", "Adam", "hadamard", "dense",
+           "factored_linear", "squared_error"]
 
 
 class Tensor:
@@ -67,25 +68,10 @@ def _own(value, shape):
 def _accum(node, g):
     """Add g to node.grad; a first gradient is taken over, not copied, so g
     must be an array that nothing else holds."""
-    if not isinstance(node, Tensor):
-        return
     if node.grad is None:
         node.grad = np.asarray(g, dtype=np.float64)
     else:
         node.grad += g
-
-
-def matmul_t(a, b):
-    """a @ b.T."""
-    av, bv = _val(a), _val(b)
-    z = av @ bv.T
-
-    def bwd(g):
-        if isinstance(a, Tensor):
-            _accum(a, np.matmul(g, bv, out=_own(z, av.shape)))
-        if isinstance(b, Tensor):
-            _accum(b, g.T @ av)
-    return Tensor(z, (a, b), bwd)
 
 
 def _relu(z):

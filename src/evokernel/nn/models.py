@@ -15,13 +15,13 @@ BoundaryModel phi = Out[K(kappa) ⊙ Lin(g)] : boundary-density predictor whose
 
 Coupled-system variants reuse the same classes with doubled channel counts;
 the coordinate network of the coupled source model receives a +-1 component
-flag as a third input feature.
+flag as a third input feature.  A source model is coupled exactly when its
+coordinate branch takes 3 inputs; its shapes are the one record of its kind.
 
 Every MLP layer is computed one way, by Mlp.forward's engine.dense node:
 training builds the graph, and operator() reads the branches' .value.  The
 constructors refuse what operator() cannot compute: an unknown activation,
-branch widths that do not chain, or a coordinate width other than 3 for a
-coupled source model and 2 for a scalar one.
+branch widths that do not chain, or a coordinate width other than 2 or 3.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class Mlp:
         self.activations = list(activations)
         if not len(weights) == len(biases) == len(self.activations):
             raise ValueError("need one weight, bias and activation per layer")
-        unknown = sorted(set(self.activations) - set(self.ACTIVATIONS))
+        unknown = [a for a in self.activations if a not in self.ACTIVATIONS]
         if unknown:
             raise ValueError(f"unknown activations {unknown}: a layer is one of "
                              f"{list(self.ACTIVATIONS)}")
@@ -95,20 +95,20 @@ def augmented_points(points):
 class SourceModel:
     """Product-structure solution operator for the zero-boundary source problem."""
 
-    def __init__(self, points, nn_k, nn_g, coupled=False):
+    def __init__(self, points, nn_k, nn_g):
         self.points = np.asarray(points, dtype=np.float64)
         self.nn_k = nn_k
         self.nn_g = nn_g
-        self.coupled = coupled
-        self.n_samples = self.points.shape[0] * (2 if coupled else 1)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError(f"points must be (n, 2), not {self.points.shape}")
-        self._coords = augmented_points(self.points) if coupled else self.points
+        if nn_g.dims[0] not in (2, 3):
+            raise ValueError(f"coordinate branch takes 2 inputs (scalar) or 3 (coupled), "
+                             f"not {nn_g.dims[0]}")
+        self.coupled = nn_g.dims[0] == 3
+        self.n_samples = self.points.shape[0] * (2 if self.coupled else 1)
+        self._coords = augmented_points(self.points) if self.coupled else self.points
         if nn_k.dims[0] != 1:
             raise ValueError(f"kappa branch takes 1 input, not {nn_k.dims[0]}")
-        if nn_g.dims[0] != self._coords.shape[1]:
-            raise ValueError(f"{'coupled' if coupled else 'scalar'} coordinate branch takes "
-                             f"{self._coords.shape[1]} inputs, not {nn_g.dims[0]}")
         if nn_k.dims[-1] != nn_g.dims[-1]:
             raise ValueError("kappa branch and coordinate branch widths differ")
         if nn_g.dims[-1] != self.n_samples:
@@ -129,7 +129,7 @@ class SourceModel:
         # above it
         nn_g.weights[-1].value *= 1.0 / np.sqrt(n)
         nn_g.biases[-1].value *= 1.0 / np.sqrt(n)
-        return cls(points, nn_k, nn_g, coupled=coupled)
+        return cls(points, nn_k, nn_g)
 
     def parameters(self):
         return self.nn_k.parameters() + self.nn_g.parameters()

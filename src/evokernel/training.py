@@ -101,21 +101,13 @@ def _train_loop(model, cfg, dataset, rng, loss_fn):
             "final_loss": trace[-1][1], "seed": cfg.seed, "epochs": cfg.epochs}
 
 
-def _rng(cfg, salt):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, salt])))
-
-
-def _mse(pred, target):
-    return eg.squared_error(pred, target, 1.0 / target.size)
-
-
 def _boundary_loss_graph(model, B, kappa, g):
     """The self-supervised loss graph; the residual matrix B comes from
     bie.residual_operator, so this is the exact expression bie_residual
     evaluates.  The batch shares one kappa, so nn_k runs on a single row
     that broadcasts over it."""
     phi = model.forward(np.full((1, 1), kappa), g)
-    return eg.squared_error(eg.matmul_t(phi, B), g, 1.0 / (g.shape[0] * g.shape[1]))
+    return eg.squared_error(eg.dense(phi, B, 0.0, relu=False), g, 1.0 / (g.shape[0] * g.shape[1]))
 
 
 def boundary_loss(model, kmat, kappa, g):
@@ -132,7 +124,7 @@ def train_boundary_model(cfg, dataset, kmats, model=None):
     """
     if dataset.g is None:
         raise ValueError("boundary training expects a boundary dataset")
-    rng = _rng(cfg, 0xB7)
+    rng = np.random.default_rng([cfg.seed, 0xB7])
     if model is None:
         model = BoundaryModel.build(kmats[0].grid.n, rng, internal=cfg.internal,
                                     coupled=kmats[0].kind == "system")
@@ -149,7 +141,7 @@ def train_source_model(cfg, dataset, points, model=None):
     2 len(points) values, [real | imaginary], train a coupled model."""
     if dataset.f is None:
         raise ValueError("source training expects a supervised dataset")
-    rng = _rng(cfg, 0x50)
+    rng = np.random.default_rng([cfg.seed, 0x50])
     if model is None:
         model = SourceModel.build(points, list(cfg.hidden_k), list(cfg.hidden_g), rng,
                                   coupled=dataset.f.shape[-1] == 2 * len(points))
@@ -157,7 +149,11 @@ def train_source_model(cfg, dataset, points, model=None):
     def loss_fn(ik, rows):
         # one kappa row broadcasts over the batch, as in _boundary_loss_graph
         kappa = np.full((1, 1), dataset.kappas[ik])
-        return _mse(model.forward(kappa, dataset.f[ik, rows]), dataset.u[ik, rows])
+        pred = model.forward(kappa, dataset.f[ik, rows])
+        # the target is copied after the forward: copied before it, the heap
+        # was trimmed and faulted back in each step (6.4k faults at paper size)
+        u = dataset.u[ik, rows]
+        return eg.squared_error(pred, u, 1.0 / u.size)
 
     return model, _train_loop(model, cfg, dataset, rng, loss_fn)
 

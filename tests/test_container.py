@@ -45,12 +45,17 @@ def test_loaders_reject_damaged_files(tmp_path, save, corrupt):
         load(path)
 
 
-def test_write_streams_the_bytes_pack_joins(tmp_path):
-    header = {"kind": "demo"}
+def test_write_returns_the_sha256_of_the_file(tmp_path):
+    """The file is the magic, the header line and the blocks in table order,
+    and write returns the sha256 of those bytes."""
     arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.arange(-2.0, 2.0)}
     path = tmp_path / "file.bin"
-    digest = container.write(path, MAGIC, header, arrays)
-    data = container.pack(MAGIC, header, arrays)
+    digest = container.write(path, MAGIC, {"kind": "demo"}, arrays)
+    body = b"".join(a.tobytes() for a in arrays.values())
+    table = [{"dtype": "<f8", "name": n, "shape": list(a.shape)} for n, a in arrays.items()]
+    line = json.dumps({"arrays": table, "kind": "demo",
+                       "sha256": hashlib.sha256(body).hexdigest()}, sort_keys=True)
+    data = MAGIC + line.encode() + b"\n" + body
     assert path.read_bytes() == data
     assert digest == hashlib.sha256(data).hexdigest()
 
@@ -92,10 +97,12 @@ def test_loaded_checkpoint_trains_through_its_views(tmp_path):
         nn.Adam(params, lr=1e-2).step()
     buffer = loaded.points.base
     assert buffer is not None and all(p.value.base is buffer for p in loaded.parameters())
-    assert nn.checkpoint_bytes(loaded) == nn.checkpoint_bytes(built)
-    assert nn.checkpoint_bytes(loaded) != path.read_bytes()
-    nn.save_checkpoint(loaded, again)
-    assert nn.checkpoint_bytes(nn.load_checkpoint(again)[0]) == again.read_bytes()
+    before = path.read_bytes()
+    nn.save_checkpoint(built, again)
+    nn.save_checkpoint(loaded, path)
+    assert path.read_bytes() == again.read_bytes() != before
+    nn.save_checkpoint(nn.load_checkpoint(again)[0], path)
+    assert path.read_bytes() == again.read_bytes()
 
 
 def test_zero_dim_array_round_trips_its_shape_and_bytes(tmp_path):

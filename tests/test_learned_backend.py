@@ -374,6 +374,43 @@ def test_only_the_solution_is_live_at_the_ring_callback(coupled):
     assert len(live) == 1 and live[0] <= 1.05 * u.nbytes, f"{live[0] / u.nbytes:.3f} fields"
 
 
+@pytest.mark.parametrize("coupled", [False, True])
+def test_a_source_checkpoint_of_the_older_header_loads_as_the_new_one(tmp_path, coupled):
+    """Older versions also wrote a source model's kind as arch["coupled"]: such
+    a file loads, the key ignored, to the model that the current layout gives,
+    whose operator and learned solve are bitwise the same, and saving it
+    again drops the key."""
+    from evokernel import container
+    from evokernel.nn import checkpoint
+    bnd, src = _models(coupled)
+    meta = {"kappas": list(LAM_RANGE[coupled])}
+    arch, arrays = {"coupled": coupled}, {}
+    for name in ("nn_k", "nn_g"):
+        mlp = getattr(src, name)
+        arch[name] = {"dims": mlp.dims, "activations": mlp.activations}
+        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            arrays[f"{name}.w{i}"], arrays[f"{name}.b{i}"] = w.value, b.value
+    arrays["points"] = src.points
+    old, new, again = (tmp_path / f"{name}.ckpt" for name in ("old", "new", "again"))
+    container.write(old, checkpoint._MAGIC, {"kind": "source", "arch": arch, "metadata": meta},
+                    arrays)
+    nn.save_checkpoint(src, new, meta)
+    (from_old, meta_old), (from_new, meta_new) = (nn.load_checkpoint(p) for p in (old, new))
+    assert meta_old == meta_new and from_old.coupled == from_new.coupled == coupled
+    for a, b in zip(from_old.operator(0.07), from_new.operator(0.07)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    lam, dtype = LAM_RANGE[coupled][0], (complex if coupled else float)
+    F = np.random.default_rng(9).standard_normal((2, N * N)).astype(dtype)
+    gfun = lambda pts, t: (np.sin(3 * pts[:, 0]) + t * pts[:, 1]).astype(dtype)  # noqa: E731
+    solves = []
+    for model in (from_old, from_new):
+        backend = ev.NekmBackend(DOMAIN, bnd, model, LAM_RANGE[coupled], coupled=coupled)
+        solves.append((backend.solve_coupled if coupled else backend.solve)(lam, F, gfun, 0.3))
+    assert np.array_equal(solves[0].view(np.uint64), solves[1].view(np.uint64))
+    nn.save_checkpoint(from_old, again, meta_old)
+    assert again.read_bytes() == new.read_bytes()
+
+
 def test_guard_rejects_source_points_off_domain():
     bnd, src = _models(False)
     src.points = src.points + 1e-3

@@ -169,7 +169,7 @@ def test_gradients_all_architectures(builder, loss_builder):
 
         def loss_fn():
             phi = model.forward(kap, g)
-            return eg.squared_error(eg.matmul_t(phi, B), g, 1.0 / 48)
+            return eg.squared_error(eg.dense(phi, B, 0.0, relu=False), g, 1.0 / 48)
     else:
         pts = rng.uniform(0, 1, (6, 2))
         coupled = builder == "source_sys"
@@ -242,11 +242,11 @@ def test_checkpoint_roundtrip_bit_identity(tmp_path):
     pts = rng.uniform(0, 1, (5, 2))
     for model in (nn.SourceModel.build(pts, [4], [4], rng),
                   nn.BoundaryModel.build(8, rng)):
-        path = tmp_path / "m.ckpt"
-        meta = {"seed": 6, "epochs": 0}
-        nn.save_checkpoint(model, path, meta)
-        loaded, meta2 = nn.load_checkpoint(path)
-        assert nn.checkpoint_bytes(model, meta) == nn.checkpoint_bytes(loaded, meta2)
+        path, again = tmp_path / "m.ckpt", tmp_path / "m2.ckpt"
+        nn.save_checkpoint(model, path, {"seed": 6, "epochs": 0})
+        loaded, meta = nn.load_checkpoint(path)
+        nn.save_checkpoint(loaded, again, meta)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_parameter_count_helper():
@@ -287,7 +287,7 @@ def test_factored_source_forward_matches_dense_graph(coupled):
 
     def dense(kap, f):
         kf = model.nn_k.forward(kap)
-        return eg.matmul_t(eg.hadamard(f, kf), model.nn_g.forward(model._coords))
+        return eg.dense(eg.hadamard(f, kf), model.nn_g.forward(model._coords), 0.0, relu=False)
 
     for kap_factored, kap_dense in ((kap, kap), (one_kappa[:1], one_kappa)):
         results = []
@@ -330,8 +330,9 @@ def test_source_training_graph_never_forms_dense_features(coupled):
 def _reusing_graphs(rng):
     """(model, loss_fn) pairs whose graphs hold every node that forms a
     gradient in its own value: dense layers of equal in and out widths, the
-    factored head, matmul_t, and a hadamard of two Tensors; also the source
-    model's shared one-row kappa, whose weight gradients are outer products."""
+    factored head, the boundary loss's bias-free dense product, and a
+    hadamard of two Tensors; also the source model's shared one-row kappa,
+    whose weight gradients are outer products."""
     pts = rng.uniform(0, 1, (10, 2))
     kap = np.array([[0.05], [0.07], [0.1]])
     for coupled, kappa in ((False, kap), (False, kap[:1]), (True, kap[:1])):
@@ -342,7 +343,7 @@ def _reusing_graphs(rng):
     model = nn.BoundaryModel.build(12, rng, internal=9)
     B, g = rng.standard_normal((12, 12)), rng.standard_normal((4, 12))
     yield model, lambda: eg.squared_error(
-        eg.matmul_t(model.forward(np.full((1, 1), 0.07), g), B), g, 1.0 / 48)
+        eg.dense(model.forward(np.full((1, 1), 0.07), g), B, 0.0, relu=False), g, 1.0 / 48)
 
 
 def test_backward_consumes_interior_values_and_reusing_them_is_exact(monkeypatch):
@@ -515,9 +516,9 @@ def test_mlp_refuses_what_forward_cannot_compute():
         nn.Mlp.build([1, 4, 2], ["relu"], rng)
 
 
-def _source(coupled=False):
+def _source():
     rng = np.random.default_rng(33)
-    return nn.SourceModel.build(rng.uniform(0, 1, (5, 2)), [4], [6], rng, coupled=coupled)
+    return nn.SourceModel.build(rng.uniform(0, 1, (5, 2)), [4], [6], rng)
 
 
 def _boundary():
@@ -531,6 +532,11 @@ def _grow_boundary_output(header, arrays):
     header["arch"]["nn_out"]["dims"] = [4, 9]
 
 
+def _widen_coordinate_input(header, arrays):
+    arrays["nn_g.w0"] = np.ones((6, 4))
+    header["arch"]["nn_g"]["dims"][0] = 4
+
+
 def _widen_kappa_input(header, arrays):
     arrays["nn_k.w0"] = np.ones((4, 2))
     header["arch"]["nn_k"]["dims"][0] = 2
@@ -541,6 +547,9 @@ REFUSED_CHECKPOINTS = {
     "tanh_activation": (_boundary,
                         lambda h, a: setitem(h["arch"]["nn_k"]["activations"], 1, "tanh"),
                         r"unknown activations \['tanh'\]"),
+    "list_activation": (_boundary,
+                        lambda h, a: setitem(h["arch"]["nn_k"]["activations"], 0, ["relu"]),
+                        r"unknown activations \[\['relu'\]\]"),
     "one_activation_short": (_boundary, lambda h, a: h["arch"]["nn_k"]["activations"].pop(),
                              "one weight, bias and activation per layer"),
     "nan_weight": (_source, lambda h, a: setitem(a["nn_k.w1"], (0, 0), np.nan),
@@ -560,11 +569,22 @@ REFUSED_CHECKPOINTS = {
                                r"'nn_g.b0' is \(1, 4\), not the \(4,\)"),
     "dims_of_another_model": (_source, lambda h, a: setitem(h["arch"]["nn_g"]["dims"], 1, 7),
                               r"'nn_g.w0' is \(6, 2\), not the \(7, 2\)"),
-    "coupled_flag_on_scalar_model": (_source, lambda h, a: setitem(h["arch"], "coupled", True),
-                                     "coupled coordinate branch takes 3 inputs, not 2"),
-    "scalar_flag_on_coupled_model": (lambda: _source(coupled=True),
-                                     lambda h, a: setitem(h["arch"], "coupled", False),
-                                     "scalar coordinate branch takes 2 inputs, not 3"),
+    "coordinate_branch_of_four_inputs": (_source, _widen_coordinate_input,
+                                         r"coordinate branch takes 2 inputs \(scalar\) or 3 "
+                                         r"\(coupled\), not 4"),
+    "no_kind": (_source, lambda h, a: h.pop("kind"), r"header lacks \['kind'\]"),
+    "no_arch": (_boundary, lambda h, a: h.pop("arch"), r"header lacks \['arch'\]"),
+    "no_metadata": (_source, lambda h, a: h.pop("metadata"), r"header lacks \['metadata'\]"),
+    "arch_not_an_object": (_source, lambda h, a: setitem(h, "arch", [h["arch"]]),
+                           r"arch must give the dims and activations of each of "
+                           r"\['nn_k', 'nn_g'\]"),
+    "no_mlp_entry": (_boundary, lambda h, a: h["arch"].pop("nn_out"),
+                     r"arch must give the dims and activations of each of "
+                     r"\['nn_k', 'nn_g', 'nn_out'\]"),
+    "mlp_entry_without_dims": (_source, lambda h, a: h["arch"]["nn_g"].pop("dims"),
+                               "arch must give the dims and activations"),
+    "metadata_not_an_object": (_boundary, lambda h, a: setitem(h, "metadata", [1]),
+                               "metadata must be an object"),
     "points_of_three_columns": (_source, lambda h, a: setitem(a, "points", np.ones((5, 3))),
                                 r"points must be \(n, 2\), not \(5, 3\)"),
     "kappa_branch_of_two_inputs": (_boundary, _widen_kappa_input,

@@ -5,7 +5,13 @@ import pytest
 
 from evokernel import bie, datagen as dg, kernels, training as tr
 from evokernel.geometry import make_curve, sample_quadrature, square_lattice
-from evokernel.nn import checkpoint_bytes
+from evokernel.nn import save_checkpoint
+
+
+def _saved_bytes(model, path):
+    """The bytes save_checkpoint writes for model."""
+    save_checkpoint(model, path)
+    return path.read_bytes()
 
 
 def _tiny_boundary_setup():
@@ -17,13 +23,13 @@ def _tiny_boundary_setup():
     return grid, ds, kmats
 
 
-def test_boundary_training_deterministic():
+def test_boundary_training_deterministic(tmp_path):
     grid, ds, kmats = _tiny_boundary_setup()
     cfg = tr.TrainConfig(epochs=60, batch_size=8, seed=7, internal=24,
                          log_every=10)
     m1, info1 = tr.train_boundary_model(cfg, ds, kmats)
     m2, info2 = tr.train_boundary_model(cfg, ds, kmats)
-    assert checkpoint_bytes(m1, {}) == checkpoint_bytes(m2, {})
+    assert _saved_bytes(m1, tmp_path / "1.ckpt") == _saved_bytes(m2, tmp_path / "2.ckpt")
     assert info1["loss_trace"] == info2["loss_trace"]
 
 
@@ -94,14 +100,14 @@ def test_source_capacity_interpolates_small_dataset():
     assert float(np.mean((pred - u) ** 2)) < 1e-8
 
 
-def test_source_training_determinism():
+def test_source_training_determinism(tmp_path):
     ds = dg.build_source_dataset([0.06, 0.09], 6, 9, seed=4)
     pts = square_lattice(9).points
     cfg = tr.TrainConfig(epochs=40, batch_size=4, seed=9, hidden_k=(8,),
                          hidden_g=(16,), log_every=10)
     m1, _ = tr.train_source_model(cfg, ds, pts)
     m2, _ = tr.train_source_model(cfg, ds, pts)
-    assert checkpoint_bytes(m1, {}) == checkpoint_bytes(m2, {})
+    assert _saved_bytes(m1, tmp_path / "1.ckpt") == _saved_bytes(m2, tmp_path / "2.ckpt")
 
 
 @pytest.mark.parametrize("setting", [
